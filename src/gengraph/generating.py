@@ -389,38 +389,27 @@ def componentwise_pair_matrix(Q: Group) -> np.ndarray:
 
 def coprime_noncyclic_split(G: Group) -> tuple[Group, np.ndarray, Group, np.ndarray] | None:
     """Split nilpotent G as A x B with coprime orders, both noncyclic, via
-    Sylow p-parts; returns (A, A-elements, B, B-elements) or None."""
+    Sylow p-parts; returns (A, A-elements, B, B-elements) or None.  Memoised
+    per group."""
+    key = "coprime_split"
+    if key not in G._cache:
+        G._cache[key] = _coprime_noncyclic_split(G)
+    return G._cache[key]
+
+
+def _coprime_noncyclic_split(G: Group) -> tuple[Group, np.ndarray, Group, np.ndarray] | None:
     masks = sylow_masks(G)
     if masks is None or len(masks) < 2:
         return None
     from .groups import subgroup_as_group
-    primes = sorted(masks)
-    for p in primes:
+    for p in sorted(masks):
         a_members = np.flatnonzero(masks[p])
-        rest = np.ones(G.n, dtype=bool)
-        rest_primes = [q for q in primes if q != p]
-        rem = G.orders.astype(np.int64)
-        for q in rest_primes:
-            while True:
-                div = rem % q == 0
-                if not div.any():
-                    break
-                rem[div] //= q
-        b_members = np.flatnonzero(rem == 1)
+        b_members = np.flatnonzero(G.orders % p != 0)  # the Hall p'-subgroup
         A, amap = subgroup_as_group(G, a_members.tolist())
         B, bmap = subgroup_as_group(G, b_members.tolist())
         if not A.is_cyclic and not B.is_cyclic:
             return A, amap, B, bmap
     return None
-
-
-def product_vertex_map(G: Group, amap: np.ndarray, bmap: np.ndarray) -> np.ndarray:
-    """perm[a_index * |B| + b_index] = element index of a*b in G."""
-    na, nb = amap.size, bmap.size
-    out = np.empty(na * nb, dtype=np.int64)
-    for i, a in enumerate(amap.tolist()):
-        out[i * nb:(i + 1) * nb] = G.table[a, bmap]
-    return out
 
 
 def gamma_coset_bijection(G: Group, H: Group) -> np.ndarray:

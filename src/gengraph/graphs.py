@@ -391,13 +391,6 @@ class VertexConnectivity:
     complete: bool
 
 
-def _maxflow_csr(indptr_data, n_nodes, s, t):
-    cap, rows, cols = indptr_data
-    mat = csr_matrix((cap, (rows, cols)), shape=(n_nodes, n_nodes))
-    res = maximum_flow(mat, s, t)
-    return res.flow_value, mat, res.flow
-
-
 def _residual_reachable(cap: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
     residual = cap - flow
     residual.eliminate_zeros()

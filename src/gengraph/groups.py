@@ -9,8 +9,7 @@ closures of pairs of cyclic subgroups, never replace them with formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,14 +57,17 @@ class Group:
     """Immutable finite group on indices 0..n-1 with identity 0.
 
     `table[i, j]` is the product of elements i and j.  The three group laws
-    (identity, inverses, associativity) are asserted on every construction;
-    loading an invalid table raises GroupLawError.
+    (identity, inverses, associativity) are asserted exactly on every
+    construction; an invalid table raises GroupLawError.  Associativity is
+    checked by Light's test: the elements s with (xs)y = x(sy) for all x, y
+    are closed under products, so it suffices to check them on a set S whose
+    right products from the identity reach every element, in O(n^2 |S|).
     """
 
     __slots__ = ("n", "table", "inverses", "orders", "labels", "name", "_cache")
 
     def __init__(self, table: np.ndarray, labels: tuple[str, ...] | None = None,
-                 name: str = "G", validate: bool = True):
+                 name: str = "G"):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         n = table.shape[0]
         if table.shape != (n, n):
@@ -76,8 +78,7 @@ class Group:
             raise GroupLawError("table entries out of range")
         self.n = n
         self.table = table
-        if validate:
-            self._validate()
+        self._validate()
         inv = np.argmin(table != 0, axis=1).astype(np.int32)
         self.inverses = inv
         self.orders = _element_orders(table)
@@ -101,11 +102,16 @@ class Group:
             raise GroupLawError("index 0 is not a two-sided identity")
         if not np.all(np.any(t == 0, axis=1)):
             raise GroupLawError("some element has no inverse")
-        # associativity, chunked by the first argument to bound memory
-        for i in range(n):
-            row = t[i]
-            if not np.array_equal(t[row][:, ar], row[t]):
-                raise GroupLawError(f"associativity fails for element {i}")
+        # Light's test; greedy S: add the least unreached element until the
+        # right-saturation of S from the identity covers the table
+        basis: list[int] = []
+        reached = {0}
+        while len(reached) < n:
+            basis.append(next(g for g in range(n) if g not in reached))
+            reached = _closure_members(t, basis)
+        for s in basis:
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+                raise GroupLawError(f"associativity fails for element {s}")
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -180,7 +186,7 @@ class Group:
             gen = np.zeros((k, k), dtype=bool)
             for i in range(k):
                 for j in range(i, k):
-                    size = _closure_size(self.table, (reps[i], reps[j]))
+                    size = len(_closure_members(self.table, (reps[i], reps[j])))
                     gen[i, j] = gen[j, i] = size == self.n
             self._cache[key] = gen
         return self._cache[key]
@@ -228,25 +234,27 @@ def _power_orbit(table: np.ndarray, g: int) -> list[int]:
 # closure by product saturation
 
 
-def _closure_members(table: np.ndarray, seeds) -> np.ndarray:
-    """Boolean membership array of ⟨seeds⟩, by saturating right products."""
+def _closure_members(table: np.ndarray, seeds) -> set[int]:
+    """The elements reached from the identity by right products with `seeds`.
+
+    Breadth-first search over a zero-copy view of the C-contiguous int32
+    table, reading x*g at flat index x*n + g.  In a group the result is
+    the subgroup ⟨seeds⟩.  No group law is assumed, so table validation
+    uses it on unchecked tables too.
+    """
     n = table.shape[0]
-    member = np.zeros(n, dtype=bool)
-    member[0] = True
-    gens = np.unique(np.asarray(sorted(seeds), dtype=np.int64)) if seeds else np.empty(0, np.int64)
-    if gens.size == 0:
-        return member
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        prods = table[np.ix_(frontier, gens)].ravel()
-        fresh = np.unique(prods[~member[prods]])
-        member[fresh] = True
-        frontier = fresh
-    return member
-
-
-def _closure_size(table: np.ndarray, seeds) -> int:
-    return int(_closure_members(table, seeds).sum())
+    flat = memoryview(table).cast("B").cast("i")
+    gens = sorted({int(s) for s in seeds})
+    seen = {0}
+    order = [0]
+    for x in order:
+        base = x * n
+        for g in gens:
+            y = flat[base + g]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return seen
 
 
 def closure(G: Group, seeds) -> ElementSet:
@@ -255,8 +263,7 @@ def closure(G: Group, seeds) -> ElementSet:
     for s in seeds:
         if not 0 <= s < G.n:
             raise ValueError(f"seed {s} out of range")
-    member = _closure_members(G.table, seeds)
-    return ElementSet(frozenset(np.flatnonzero(member).tolist()), subgroup=True)
+    return ElementSet(frozenset(_closure_members(G.table, seeds)), subgroup=True)
 
 
 def is_generating_pair(G: Group, g: int, h: int) -> bool:
@@ -436,6 +443,7 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
         gens.setdefault(s, (rep,))
     work = list(gens)
     known = set(gens)
+    joined: set[tuple[int, ...]] = set()  # generator tuples already closed
     while work:
         new_work = []
         current = list(known)
@@ -444,8 +452,10 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
                 if a <= b or b <= a:
                     continue
                 gen = tuple(sorted(set(gens[a]) | set(gens[b])))
-                member = _closure_members(G.table, gen)
-                sub = frozenset(np.flatnonzero(member).tolist())
+                if gen in joined:
+                    continue
+                joined.add(gen)
+                sub = frozenset(_closure_members(G.table, gen))
                 if sub not in known:
                     known.add(sub)
                     gens[sub] = gen
@@ -494,8 +504,7 @@ def frattini(G: Group, method: str = "auto",
     for _ in range(rad):
         powers = G.table[powers, base]
     seeds = np.union1d(seeds, powers)
-    member = _closure_members(G.table, seeds.tolist())
-    return ElementSet(frozenset(np.flatnonzero(member).tolist()), subgroup=True)
+    return ElementSet(frozenset(_closure_members(G.table, seeds.tolist())), subgroup=True)
 
 
 def _commutator_elements(G: Group) -> np.ndarray:
@@ -506,8 +515,8 @@ def _commutator_elements(G: Group) -> np.ndarray:
 
 
 def derived_subgroup(G: Group) -> ElementSet:
-    member = _closure_members(G.table, _commutator_elements(G).tolist())
-    return ElementSet(frozenset(np.flatnonzero(member).tolist()), subgroup=True)
+    members = _closure_members(G.table, _commutator_elements(G).tolist())
+    return ElementSet(frozenset(members), subgroup=True)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +544,15 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
 
     Quotient indices are ordered by the least element index of each coset, so
     the identity coset is index 0 and the minimal-index representative per
-    coset is the canonical section.
+    coset is the canonical section.  When Φ(G) = 1 the quotient is G itself,
+    with the identity coset map, so G's caches serve both.
     """
     key = "fratquot"
     if key not in G._cache:
         phi = frattini(G, "auto", max_order)
+        if phi.size == 1:
+            G._cache[key] = (G, np.arange(G.n, dtype=np.int64), phi)
+            return G._cache[key]
         phi_idx = np.array(sorted(phi.indices), dtype=np.int64)
         # coset of g is the set table[g, phi]; canonical rep = min index
         cosets = G.table[:, phi_idx]
@@ -629,14 +642,3 @@ def abelian_squarefree_iso(G: Group, H: Group) -> np.ndarray:
     if not np.array_equal(iso[G.table], H.table[np.ix_(iso, iso)]):
         raise ValueError("constructed map is not a homomorphism")
     return iso
-
-
-# ---------------------------------------------------------------------------
-# Remark-style exact fractions used by profile formulas
-
-
-def exact_fraction_product(terms) -> Fraction:
-    out = Fraction(1)
-    for t in terms:
-        out *= t
-    return out

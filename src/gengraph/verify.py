@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .build import build_cached, parse_spec
 from .constructions import nilpotent_hamiltonian, nilpotent_td
-from .errors import GengraphError, InternalMismatchError
+from .errors import ConstructionError, GengraphError, InternalMismatchError
 from .generating import (
     coprime_noncyclic_split,
     degree_profile,
@@ -558,12 +558,17 @@ _CHECKS = {
 
 def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
               name: str | None = None) -> CheckResult:
-    """Run one theorem check on one group."""
+    """Run one theorem check on one group.  Errors that falsify the
+    implementation are a fail; other package errors mean the check does not
+    apply and are a skip."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
     name = name if name is not None else G.name
     try:
         return _CHECKS[check_id](G, name, budget)
+    except (ConstructionError, InternalMismatchError) as e:
+        return CheckResult(name, check_id, "fail",
+                           reason=f"{type(e).__name__}: {e}")
     except GengraphError as e:
         return CheckResult(name, check_id, "skipped",
                            reason=f"{type(e).__name__}: {e}")

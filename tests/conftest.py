@@ -33,6 +33,19 @@ def catalog_report():
 
 
 # ---------------------------------------------------------------------------
+# oracle: associativity over all triples
+
+
+def brute_associative(table) -> bool:
+    """(ab)c = a(bc) over all n^3 triples, one left factor a at a time."""
+    t = np.asarray(table)
+    for row in t:
+        if not np.array_equal(t[row], row[t]):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # oracle: generation by plain closure, no caching
 
 

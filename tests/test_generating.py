@@ -54,7 +54,8 @@ def test_gamma_c1_single_isolated_vertex(group):
 
 
 def test_gamma_matches_brute_force(group):
-    for spec in ["C8", "C2^2 x C3", "Heis3", "C2 x C6"]:
+    for spec in ["C8", "C2^2 x C3", "Heis3", "C2 x C6", "C2^2 x C9", "C3^2 x C5",
+                 "C2^2 x Heis3", "Ex(1)"]:
         g = group(spec)
         gg = generating_graph(g)
         assert np.array_equal(gg.graph.adj, brute_adjacency(g)), spec

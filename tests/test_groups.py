@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_closure
-from gengraph.build import build_group
-from gengraph.errors import NotNilpotentError
+from conftest import brute_associative, brute_closure
+from gengraph.build import build_cached, build_group
+from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
     ElementSet,
+    Group,
     closure,
     coset_section,
     derived_subgroup,
@@ -37,7 +38,10 @@ def test_closure_examples(group):
 
 
 def test_closure_matches_brute_force(group):
-    for spec in ["C12", "C2^2 x C3", "Heis3"]:
+    from gengraph.verify import default_catalog
+
+    # every default-catalog group, up to n = 900; includes C12, C2^2 x C3, Heis3
+    for spec in [e.spec for e in default_catalog()]:
         g = group(spec)
         table = g.table.tolist()
         rng = np.random.default_rng(7)
@@ -231,9 +235,58 @@ def test_element_set_mask(group):
 
 
 def test_group_laws_validated():
-    from gengraph.errors import GroupLawError
-    from gengraph.groups import Group
     with pytest.raises(GroupLawError):
         Group(np.array([[0, 1], [1, 1]]))  # no inverse for element 1
     with pytest.raises(GroupLawError):
         Group(np.array([[1, 0], [0, 1]]))  # index 0 not the identity
+
+
+# a loop of order 5 (a Latin square with identity 0) that is not a group
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_validation_rejects_order5_loop():
+    loop = np.array(LOOP5)
+    # C2 x loop, element 2l + h for (l, h): element 1 lies in the C2 factor and
+    # satisfies (xs)y = x(sy) for all x, y, so the check must go past it
+    c2 = np.array([[0, 1], [1, 0]])
+    product = (2 * loop[:, None, :, None] + c2[None, :, None, :]).reshape(10, 10)
+    for t in (loop, product):
+        assert not brute_associative(t)
+        with pytest.raises(GroupLawError, match="associativity"):
+            Group(t)
+
+
+SMALL_SPECS = ["C2", "C5", "C6", "C8", "C2^2", "C2 x C4", "C2^3", "C3^2",
+               "C2^2 x C3", "Heis3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validation_matches_cubic_oracle(data):
+    # relabel a small group table, then overwrite one entry off the identity
+    # row and column; the table is accepted iff it has inverses and the
+    # all-triples oracle finds it associative
+    base = build_cached(data.draw(st.sampled_from(SMALL_SPECS)))
+    n = base.n
+    perm = np.array([0] + data.draw(st.permutations(range(1, n))))
+    t = np.empty_like(base.table)
+    t[np.ix_(perm, perm)] = perm[base.table]
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(1, n - 1))
+    t[i, j] = data.draw(st.integers(0, n - 1))
+    expected = bool(np.all(np.any(t == 0, axis=1))) and brute_associative(t)
+    try:
+        Group(t)
+        accepted = True
+    except GroupLawError:
+        accepted = False
+    assert accepted == expected
+
+
+def test_subgroup_lattice_ex1(group):
+    assert len(subgroup_lattice(group("Ex(1)"))) == 224

@@ -152,6 +152,40 @@ def test_fail_paths_are_values(group, monkeypatch):
     assert r.expected is not None and r.observed is not None
 
 
+def test_failed_reverification_is_a_fail(group, monkeypatch, capsys, tmp_path):
+    import gengraph.constructions as C
+    from gengraph.cli import main
+
+    monkeypatch.setattr(C, "verify_certificate", lambda *args, **kwargs: False)
+    r = run_check(group("C2^2 x C3"), "THM_1_4_TDN", BUDGET, name="C2^2 x C3")
+    assert r.status == "fail" and r.reason.startswith("ConstructionError")
+    cat = tmp_path / "cat.txt"
+    cat.write_text("C2^2 x C3\n")
+    code = main(["verify", "--catalog", str(cat), "--checks", "THM_1_4_TDN",
+                 "--no-header"])
+    assert code == 1
+    assert "fail=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error, status", [
+    ("InternalMismatchError", "fail"),
+    ("ConstructionError", "fail"),
+    ("NotNilpotentError", "skipped"),
+    ("NotTwoGeneratedError", "skipped"),
+    ("OrderGuardError", "skipped"),
+])
+def test_error_status_mapping(group, monkeypatch, error, status):
+    import gengraph.errors as E
+    import gengraph.verify as V
+
+    def broken(G, name, budget):
+        raise getattr(E, error)("injected")
+    monkeypatch.setitem(V._CHECKS, "THM_1_1", broken)
+    r = run_check(group("C6"), "THM_1_1", BUDGET, name="C6")
+    assert r.status == status
+    assert r.reason == f"{error}: injected"
+
+
 def test_summarize_counts():
     from gengraph.verify import CheckResult
     rows = [CheckResult("g", "c", "pass"), CheckResult("g", "c", "skipped"),
