@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CayleyFileError, GroupSpecError, OrderGuardError
-from .groups import DEFAULT_MAX_ORDER, Group, totient_profile
+from .groups import DEFAULT_MAX_ORDER, Group
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,9 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
         raise OrderGuardError(
             f"order {known} of {spec.canonical()} exceeds guard {max_order}")
     parts = [_build_factor(f, max_order) for f in spec.factors]
-    if len(parts) == 1:
-        g = parts[0]
-        return Group(g.table, labels=g.labels, name=spec.canonical())
+    if len(parts) == 1:  # a fresh Group: rename it rather than validate it again
+        parts[0].name = spec.canonical()
+        return parts[0]
     tables = [g.table for g in parts]
     table = _direct_product_table(tables)
     if table.shape[0] > max_order:
@@ -216,9 +216,9 @@ def _build_factor(f: Factor, max_order: int) -> Group:
     if isinstance(f, Cyclic):
         return cyclic_group(f.n)
     if isinstance(f, CyclicPower):
-        table = _direct_product_table([cyclic_group(f.n).table] * f.k)
-        labels = _product_labels([cyclic_group(f.n).labels] * f.k)
-        return Group(table, labels=labels, name=f.canonical())
+        c = cyclic_group(f.n)
+        table = _direct_product_table([c.table] * f.k)
+        return Group(table, labels=_product_labels([c.labels] * f.k), name=f.canonical())
     if isinstance(f, Heisenberg):
         return heisenberg_group(f.p)
     if isinstance(f, ExampleFamily):
@@ -315,15 +315,10 @@ def _abelian_sum_index(coords: np.ndarray, radices: list[int]) -> np.ndarray:
 def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
     sizes = [t.shape[0] for t in tables]
     n = math.prod(sizes)
-    idx = np.arange(n)
-    coords = []
-    rem = idx
-    for size in reversed(sizes):
-        rem, c = np.divmod(rem, size)
-        coords.append(c)
-    coords.reverse()
+    coords = _mixed_radix_coords(n, sizes)
     table = np.zeros((n, n), dtype=np.int64)
-    for t, c in zip(tables, coords):
+    for j, t in enumerate(tables):
+        c = coords[:, j]
         table = table * t.shape[0] + t[c[:, None], c[None, :]]
     return table
 

@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .build import build_group, parse_spec
-from .constructions import (
-    cyclic_clique_coloring,
-    h_membership,
-    nilpotent_hamiltonian,
-    nilpotent_td,
-)
+from .build import build_group
+from .constructions import h_membership, nilpotent_hamiltonian
 from .errors import GengraphError
 from .generating import (
     degree_profile,
@@ -47,16 +43,7 @@ from .groups import (
     nilpotent_structure,
 )
 from .search import SearchBudget, hamiltonian, total_domination
-from .verify import (
-    CHECK_IDS,
-    QUESTION_IDS,
-    Report,
-    default_catalog,
-    load_catalog_file,
-    run_catalog,
-    scan_question,
-    summarize,
-)
+from .verify import CHECK_IDS, Report, default_catalog, load_catalog_file, run_catalog
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -112,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True, choices=("conn", "ham", "chrom"))
     p.add_argument("--groups", required=True,
                    help="file with one group spec per line")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker count")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p)
 
@@ -168,7 +155,7 @@ class _Out:
 
 def _cmd_info(args) -> int:
     out = _Out(args)
-    G = build_group(parse_spec(args.spec), _max_order(args))
+    G = build_group(args.spec, _max_order(args))
     out.emit(f"group: {G.name}")
     out.emit(f"order: {G.n}")
     nil = is_nilpotent(G)
@@ -189,7 +176,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_graph(args) -> int:
     out = _Out(args)
-    G = build_group(parse_spec(args.spec), _max_order(args))
+    G = build_group(args.spec, _max_order(args))
     gg = generating_graph(G)
     if args.delta:
         gg = delta_graph(gg)
@@ -203,7 +190,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_stats(args) -> int:
     out = _Out(args)
-    G = build_group(parse_spec(args.spec), _max_order(args))
+    G = build_group(args.spec, _max_order(args))
     prof = degree_profile(G)
     out.emit(f"group: {G.name}  order: {G.n}")
     out.emit(f"gen_probability: {prof.gen_probability} "
@@ -223,7 +210,10 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _report_exit(report: Report) -> int:
+def _emit_report(args, report: Report) -> int:
+    out = _Out(args)
+    out.emit(report.to_json() if args.format == "json" else report.to_table())
+    out.flush()
     if report.summary["fail"] or report.summary["counterexample"]:
         return EXIT_FAIL
     if report.summary["budget"]:
@@ -232,7 +222,6 @@ def _report_exit(report: Report) -> int:
 
 
 def _cmd_verify(args) -> int:
-    out = _Out(args)
     if args.catalog == "default":
         entries = default_catalog()
         catalog_name = "default"
@@ -249,30 +238,15 @@ def _cmd_verify(args) -> int:
     report = run_catalog(entries, checks, jobs=args.jobs,
                          budget=SearchBudget(args.budget_nodes),
                          max_order=_max_order(args), catalog_name=catalog_name)
-    out.emit(report.to_json() if args.format == "json" else report.to_table())
-    out.flush()
-    return _report_exit(report)
+    return _emit_report(args, report)
 
 
 def _cmd_scan(args) -> int:
-    out = _Out(args)
-    entries = load_catalog_file(args.groups)
     question = {"conn": "Q_CONN", "ham": "Q_HAM", "chrom": "Q_CHROM"}[args.question]
-    budget = SearchBudget(args.budget_nodes)
-    results = []
-    for e in entries:
-        try:
-            G = build_group(parse_spec(e.spec), max(_max_order(args), e.max_order))
-        except GengraphError as err:
-            from .verify import CheckResult
-            results.append(CheckResult(e.spec, question, "skipped",
-                                       reason=f"build failed: {err}"))
-            continue
-        results.append(scan_question(G, question, budget, name=e.spec))
-    report = Report(__version__, args.groups, tuple(results), summarize(results))
-    out.emit(report.to_json() if args.format == "json" else report.to_table())
-    out.flush()
-    return _report_exit(report)
+    report = run_catalog(load_catalog_file(args.groups), (question,), jobs=args.jobs,
+                         budget=SearchBudget(args.budget_nodes),
+                         max_order=_max_order(args), catalog_name=args.groups)
+    return _emit_report(args, report)
 
 
 def _cmd_tdn(args) -> int:
@@ -298,16 +272,12 @@ def _cmd_tdn(args) -> int:
 
 
 def _tuple_label(v: int, parts: tuple[int, ...]) -> str:
-    coords = []
-    for a in reversed(parts):
-        coords.append(v % a + 1)
-        v //= a
-    return "(" + ",".join(str(c) for c in reversed(coords)) + ")"
+    return "(" + ",".join(str(c + 1) for c in np.unravel_index(v, parts)) + ")"
 
 
 def _cmd_hamcycle(args) -> int:
     out = _Out(args)
-    G = build_group(parse_spec(args.spec), _max_order(args))
+    G = build_group(args.spec, _max_order(args))
     budget = SearchBudget(args.budget_nodes)
     if is_nilpotent(G):
         res = nilpotent_hamiltonian(G, budget)

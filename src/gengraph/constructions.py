@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .build import build_group, cyclic_group
-from .errors import ConstructionError, NotNilpotentError, NotTwoGeneratedError
+from .build import _direct_product_table, _product_labels, cyclic_group
+from .errors import ConstructionError, NotTwoGeneratedError
 from .generating import GeneratingGraph, delta_of, generating_graph
 from .graphs import (
     Clique,
@@ -27,7 +27,6 @@ from .graphs import (
     HamCycle,
     HChords,
     MultipartiteParams,
-    complete_multipartite,
     direct_product,
     td_bounds,
     verify_certificate,
@@ -35,6 +34,7 @@ from .graphs import (
 from .groups import (
     Group,
     NilpotentStructure,
+    _power_orbit,
     coset_section,
     frattini,
     is_generating_pair,
@@ -64,9 +64,17 @@ def cyclic_hamiltonian(n: int) -> HamCycle:
     """The power cycle (1, g, g^2, ..., g^{n-1}) on Delta(C_n); n >= 3."""
     if n < 3:
         raise ValueError("Delta(C_n) has a Hamiltonian cycle only for n >= 3")
-    G = cyclic_group(n)
-    cycle = HamCycle(tuple(range(n)))
-    _require(delta_of(G), cycle, "cyclic power cycle")
+    return _power_cycle(delta_of(cyclic_group(n)))
+
+
+def _power_cycle(dd: GeneratingGraph) -> HamCycle:
+    """The power cycle (1, g, g^2, ...) of the least generator g of a cyclic
+    group, as vertices of its Delta; re-verified before return."""
+    G = dd.group
+    g = int(np.flatnonzero(G.orders == G.n)[0])
+    pos = {e: i for i, e in enumerate(dd.vertex_elements)}
+    cycle = HamCycle(tuple(pos[e] for e in _power_orbit(G.table, g)))
+    _require(dd, cycle, "cyclic power cycle")
     return cycle
 
 
@@ -161,12 +169,9 @@ def least_generating_pair(G: Group) -> tuple[int, int]:
 
 def c2_times_p_hamiltonian(P: Group, budget: SearchBudget = DEFAULT_BUDGET
                            ) -> tuple[Group, HamCycle]:
-    """Hamiltonian cycle on Delta(C2 x P) for a nontrivial odd-order p-group P.
+    """Hamiltonian cycle on Delta(C2 x P) for a nontrivial odd-order p-group P,
+    by the gluing of `_c2p_cycle_in`.
 
-    Noncyclic P: with H = (h_11, ..., h_mk) the p-group cycle, the cycle is
-    (u_11, ..., u_mk, v_11, ..., v_mk) where u_ij = x^j h_ij and
-    v_ij = x^j h_i(j+3), the shift j+3 wrapping inside each block.  Cyclic P:
-    C2 x P is cyclic, so this delegates to the cyclic power cycle.
     Returns (the constructed group C2 x P, the verified cycle).
     """
     st = nilpotent_structure(P)
@@ -175,58 +180,14 @@ def c2_times_p_hamiltonian(P: Group, budget: SearchBudget = DEFAULT_BUDGET
     if P.n == 1:
         raise ValueError("P must be nontrivial")
     G = _direct_with_c2(P)
-    dd = delta_of(G)
-    if P.is_cyclic:
-        gens = np.flatnonzero(G.orders == G.n)
-        g0 = int(gens[0])
-        cycle_elems = [0]
-        cur = g0
-        while cur != 0:
-            cycle_elems.append(cur)
-            cur = int(G.table[cur, g0])
-        pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-        cycle = HamCycle(tuple(pos[e] for e in cycle_elems))
-        _require(dd, cycle, "cyclic delegate cycle")
-        return G, cycle
-    # indices of P inside G: element (x^e, h) has index e*|P| + h
-    a, b = least_generating_pair(P)
-    hcycle, _ = pgroup_hamiltonian(P, a, b, budget)
-    pdelta = delta_of(P)
-    h_elems = [pdelta.vertex_elements[v] for v in hcycle.vertices]
-    x_stride = P.n  # x^1 component lives at offset |P|
-    p = (st.cyclic_sylow + st.noncyclic_sylow)[0][0]
-    k = p * p - 1
-    m = len(h_elems) // k
-    elements = []
-    for i in range(m):  # u_ij = x^j h_ij, j the 1-based position inside block i
-        for j1 in range(1, k + 1):
-            elements.append((j1 % 2) * x_stride + h_elems[i * k + j1 - 1])
-    for i in range(m):  # v_ij = x^j h_i(j+3), the shift wrapping inside block i
-        for j1 in range(1, k + 1):
-            elements.append((j1 % 2) * x_stride + h_elems[i * k + (j1 - 1 + 3) % k])
-    pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-    try:
-        cycle = HamCycle(tuple(pos[e] for e in elements))
-        ok = verify_certificate(dd.graph, cycle)
-    except KeyError:
-        ok = False
-    if not ok:
-        log.warning("C2 x P gluing failed verification; falling back to search")
-        res = hamiltonian(dd.graph, budget)
-        if res.status != "yes":
-            raise ConstructionError("C2 x P fallback search failed")
-        return G, res.cycle
-    return G, cycle
+    # element (x^e, h) has index e*|P| + h, so P sits at indices 0..|P|-1
+    return G, _c2p_cycle_in(G, P, np.arange(P.n), budget)
 
 
 def _direct_with_c2(P: Group) -> Group:
     c2 = cyclic_group(2)
-    n = 2 * P.n
-    idx = np.arange(n)
-    e, h = np.divmod(idx, P.n)
-    table = ((e[:, None] + e[None, :]) % 2) * P.n + P.table[h[:, None], h[None, :]]
-    labels = tuple(f"({c2.labels[ei]},{P.labels[hi]})" for ei, hi in zip(e, h))
-    return Group(table, labels=labels, name=f"C2 x {P.name}")
+    return Group(_direct_product_table([c2.table, P.table]),
+                 labels=_product_labels([c2.labels, P.labels]), name=f"C2 x {P.name}")
 
 
 def h_membership(graph: Graph, cycle: HamCycle) -> HWitness | None:
@@ -279,17 +240,7 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     if G.n < 3:
         return HamiltonianResult("no", None, "group of order < 3", 0, False)
     if G.is_cyclic:
-        gens = np.flatnonzero(G.orders == G.n)
-        g0 = int(gens[0])
-        elems = [0]
-        cur = g0
-        while cur != 0:
-            elems.append(cur)
-            cur = int(G.table[cur, g0])
-        pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-        cycle = HamCycle(tuple(pos[e] for e in elems))
-        _require(dd, cycle, "cyclic power cycle")
-        return HamiltonianResult("yes", cycle, None, 0, False)
+        return HamiltonianResult("yes", _power_cycle(dd), None, 0, False)
     primes = [p for p, _ in st.cyclic_sylow] + [q for q, _ in st.noncyclic_sylow]
     if len(primes) == 1:
         a, b = least_generating_pair(G)
@@ -310,21 +261,15 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
 
 def _c2p_cycle_in(G: Group, P: Group, pmap: np.ndarray,
                   budget: SearchBudget) -> HamCycle:
-    """The C2 x P gluing realised inside G itself (G nilpotent, Sylow-2 = C2)."""
+    """The C2 x P gluing realised inside G (G nilpotent, Sylow-2 = C2), with
+    P's elements at `pmap`.  With H = (h_11, ..., h_mk) the p-group cycle,
+    the cycle is (u_11, ..., u_mk, v_11, ..., v_mk) where u_ij = x^j h_ij and
+    v_ij = x^j h_i(j+3), the shift j+3 wrapping inside each block.  Cyclic P
+    makes G cyclic, and then the power cycle is used."""
     x = int(np.flatnonzero(G.orders == 2)[0])
     dd = delta_of(G)
     if P.is_cyclic:
-        gens = np.flatnonzero(G.orders == G.n)
-        g0 = int(gens[0])
-        elems = [0]
-        cur = g0
-        while cur != 0:
-            elems.append(cur)
-            cur = int(G.table[cur, g0])
-        pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-        cycle = HamCycle(tuple(pos[e] for e in elems))
-        _require(dd, cycle, "cyclic delegate cycle")
-        return cycle
+        return _power_cycle(dd)
     a, b = least_generating_pair(P)
     hcycle, _ = pgroup_hamiltonian(P, a, b, budget)
     pdelta = delta_of(P)
@@ -428,14 +373,8 @@ def product_dominating_set(params: MultipartiteParams) -> DominatingSet:
     if parts[0] <= s:
         raise ValueError(f"diagonal needs a_1 > s, got a_1 = {parts[0]}, s = {s}")
     graph = _complete_product(parts)
-    strides = []
-    acc = 1
-    for a in reversed(parts):
-        strides.append(acc)
-        acc *= a
-    strides.reverse()
-    verts = tuple(sum(k * st for st in strides) for k in range(s + 1))
-    ds = DominatingSet(verts)
+    diagonal = (int(np.ravel_multi_index((k,) * s, parts)) for k in range(s + 1))
+    ds = DominatingSet(tuple(diagonal))
     if not verify_certificate(graph, ds):
         raise ConstructionError("diagonal dominating set failed re-verification")
     return ds
@@ -513,19 +452,10 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
         cyc_gens.append(int(members.min()))
     reduction = TDReduction(st, params, tuple(sub_gens), tuple(cyc_gens))
     # lift each tuple to a quotient element, then to G via the section
-    strides = []
-    acc = 1
-    for a in reversed(params.parts):
-        strides.append(acc)
-        acc *= a
-    strides.reverse()
     lifted = []
     for tup_index in res.witness.vertices:
-        rem = tup_index
         qelem = 0
-        for j, stx in enumerate(strides):
-            coord = rem // stx
-            rem %= stx
+        for j, coord in enumerate(np.unravel_index(tup_index, params.parts)):
             qelem = Q.mul(qelem, sub_gens[j][coord])
         for gq in cyc_gens:
             qelem = Q.mul(qelem, gq)

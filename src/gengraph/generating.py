@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .build import build_group, odd_primes
+from .build import _mixed_radix_coords, build_group, odd_primes
 from .errors import (
     InternalMismatchError,
     NonIntegralRatioError,
-    NotNilpotentError,
     NotTwoGeneratedError,
     OrderGuardError,
 )
@@ -26,7 +25,6 @@ from .groups import (
     Group,
     NilpotentStructure,
     coset_section,
-    is_nilpotent,
     nilpotent_structure,
     p_part,
     quotient_mod_frattini,
@@ -51,8 +49,10 @@ class GeneratingGraph:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.group.labels[e] for e in self.vertex_elements)
 
-    def element_of(self, v: int) -> int:
-        return self.vertex_elements[v]
+    def element_edges(self) -> set[tuple[int, int]]:
+        """The edges as (smaller, larger) pairs of group elements."""
+        ve = self.vertex_elements
+        return {(min(ve[u], ve[v]), max(ve[u], ve[v])) for u, v in self.graph.edges()}
 
 
 def generating_graph(G: Group) -> GeneratingGraph:
@@ -253,10 +253,7 @@ def example_family_graph(d: int, max_vertices: int = 10_000) -> GeneratingGraph:
             f"rule-based graph has {total} vertices, guard is {max_vertices}")
     radices = [p for p in primes for _ in range(3)]
     nn = math.prod(p ** 3 for p in primes)
-    coords = np.empty((nn, 3 * d), dtype=np.int64)
-    idx = np.arange(nn)
-    for pos in range(3 * d - 1, -1, -1):
-        idx, coords[:, pos] = np.divmod(idx, radices[pos])
+    coords = _mixed_radix_coords(nn, radices)
     vert_coords = []
     vert_elements = []
     for j in (1, 2, 3):
@@ -322,11 +319,7 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
     blow-up with deleted Frattini-internal edges in the prime-power case.
     Passes iff the edge sets coincide exactly under the coset bijection.
     """
-    gg = generating_graph(G)
-    dd = delta_graph(gg)
-    delta_edges = {(min(dd.vertex_elements[u], dd.vertex_elements[v]),
-                    max(dd.vertex_elements[u], dd.vertex_elements[v]))
-                   for u, v in dd.graph.edges()}
+    delta_edges = delta_of(G).element_edges()
     Q, cmap, phi = quotient_mod_frattini(G)
     sec = coset_section(G, cmap)
     phi_sorted = sorted(phi.indices)
@@ -340,10 +333,7 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
         rep = int(sec[qv])
         for f in phi_sorted:
             mapped.append(int(G.table[rep, f]))
-    prod_edges = set()
-    for u, v in prod.edges():
-        eu, ev = mapped[u], mapped[v]
-        prod_edges.add((min(eu, ev), max(eu, ev)))
+    prod_edges = GeneratingGraph(prod, tuple(mapped), G).element_edges()
     for qi, qv in enumerate(qdelta.vertex_elements):
         if qi in qdelta.graph.marks:
             block = mapped[qi * m:(qi + 1) * m]

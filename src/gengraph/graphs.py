@@ -9,8 +9,7 @@ feasibility only (the graph structure itself stays loopless).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -54,6 +53,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError("loops are not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {{{u}, {v}}} has an endpoint outside 0..{n - 1}")
             adj[u, v] = adj[v, u] = True
         return cls(adj, marks)
 
@@ -83,9 +84,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adj[v])
-
-    def is_adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
 
     def bitmasks(self) -> list[int]:
         """Neighbour sets as Python int bitmasks (for the exact searches)."""
@@ -621,12 +619,26 @@ def graph_to_json(graph: Graph, labels: Iterable[str] | None = None) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
 
+def _json_object(text: str, what: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise GengraphError(f"{what} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise GengraphError(f"{what} must be a JSON object")
+    return doc
+
+
 def graph_from_json(text: str) -> tuple[Graph, list[str]]:
-    doc = json.loads(text)
-    n = int(doc["order"])
-    labels = [str(x) for x in doc.get("vertices", [str(i) for i in range(n)])]
-    graph = Graph.from_edges(n, [tuple(e) for e in doc["edges"]],
-                             doc.get("self_dominating", ()))
+    """Inverse of graph_to_json; malformed input raises GengraphError."""
+    doc = _json_object(text, "graph")
+    try:
+        n = int(doc["order"])
+        labels = [str(x) for x in doc.get("vertices", [str(i) for i in range(n)])]
+        graph = Graph.from_edges(n, [tuple(e) for e in doc["edges"]],
+                                 doc.get("self_dominating", ()))
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise GengraphError(f"malformed graph: {type(e).__name__}: {e}") from e
     return graph, labels
 
 
@@ -643,44 +655,27 @@ def graph_to_dot(graph: Graph, labels: Iterable[str] | None = None,
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    tag = _CERT_TAGS[type(cert)]
-    body: dict[str, object] = {"type": tag}
-    if isinstance(cert, (VertexCut, Clique, DominatingSet)):
-        body["vertices"] = list(cert.vertices)
-    elif isinstance(cert, EdgeCut):
-        body["edges"] = [list(e) for e in cert.edges]
-    elif isinstance(cert, (EulerCircuit, HamCycle)):
-        body["vertices"] = list(cert.vertices)
-    elif isinstance(cert, Coloring):
-        body["colors"] = list(cert.colors)
-    elif isinstance(cert, HChords):
-        body["cycle"] = list(cert.cycle)
-        body["chord_odd"] = list(cert.chord_odd) if cert.chord_odd else None
-        body["chord_even"] = list(cert.chord_even) if cert.chord_even else None
+    """The certificate's fields under their own names, plus its type tag."""
+    body = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    body["type"] = _CERT_TAGS[type(cert)]
     return json.dumps(body, separators=(",", ":"), sort_keys=True)
 
 
+_CERT_TYPES = {tag: cls for cls, tag in _CERT_TAGS.items()}
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def certificate_from_json(text: str) -> Certificate:
-    doc = json.loads(text)
+    """Inverse of certificate_to_json; malformed input raises GengraphError."""
+    doc = _json_object(text, "certificate")
     tag = doc.get("type")
-    if tag == "vertex_cut":
-        return VertexCut(tuple(doc["vertices"]))
-    if tag == "edge_cut":
-        return EdgeCut(tuple(tuple(e) for e in doc["edges"]))
-    if tag == "euler_circuit":
-        return EulerCircuit(tuple(doc["vertices"]))
-    if tag == "ham_cycle":
-        return HamCycle(tuple(doc["vertices"]))
-    if tag == "clique":
-        return Clique(tuple(doc["vertices"]))
-    if tag == "coloring":
-        return Coloring(tuple(doc["colors"]))
-    if tag == "dominating_set":
-        return DominatingSet(tuple(doc["vertices"]))
-    if tag == "h_chords":
-        co = doc.get("chord_odd")
-        ce = doc.get("chord_even")
-        return HChords(tuple(doc["cycle"]),
-                       tuple(co) if co else None,
-                       tuple(ce) if ce else None)
-    raise GengraphError(f"unknown certificate type {tag!r}")
+    cls = _CERT_TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise GengraphError(f"unknown certificate type {tag!r}")
+    missing = [f.name for f in fields(cls) if f.name not in doc]
+    if missing:
+        raise GengraphError(f"{tag} certificate lacks {', '.join(missing)}")
+    return cls(**{f.name: _tuples(doc[f.name]) for f in fields(cls)})

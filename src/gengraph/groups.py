@@ -118,9 +118,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
-
     def power(self, a: int, k: int) -> int:
         k %= int(self.orders[a])
         acc, cur = 0, a
@@ -130,9 +127,6 @@ class Group:
             cur = int(self.table[cur, cur])
             k >>= 1
         return acc
-
-    def order_of(self, a: int) -> int:
-        return int(self.orders[a])
 
     @property
     def exponent(self) -> int:
@@ -342,33 +336,21 @@ class NilpotentStructure:
 
 def sylow_masks(G: Group) -> dict[int, np.ndarray] | None:
     """For each prime p | |G|, the set of p-power-order elements, provided
-    each such set is product-closed and the sizes multiply to |G|; else None."""
+    each such set is product-closed; else None.  A closed set of p-elements
+    is a p-subgroup containing a Sylow p-subgroup, so it is the unique
+    Sylow p-subgroup; G is nilpotent exactly when the result is not None."""
     key = "sylow"
-    if key in G._cache:
-        return G._cache[key]
-    factors, _, _ = totient_profile(G.n)
-    masks: dict[int, np.ndarray] = {}
-    total = 1
-    for p, _ in factors:
-        rem = G.orders.astype(np.int64)
-        while True:
-            div = rem % p == 0
-            if not div.any():
+    if key not in G._cache:
+        masks: dict[int, np.ndarray] | None = {}
+        for p, e in totient_profile(G.n)[0]:
+            pm = p ** e % G.orders == 0  # element orders divide |G|
+            idx = np.flatnonzero(pm)
+            if not pm[G.table[np.ix_(idx, idx)]].all():
+                masks = None
                 break
-            rem[div] //= p
-        pm = rem == 1
-        idx = np.flatnonzero(pm)
-        sub = G.table[np.ix_(idx, idx)]
-        if not pm[sub].all():
-            G._cache[key] = None
-            return None
-        masks[p] = pm
-        total *= idx.size
-    if total != G.n:
-        G._cache[key] = None
-        return None
-    G._cache[key] = masks
-    return masks
+            masks[p] = pm
+        G._cache[key] = masks
+    return G._cache[key]
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -381,17 +363,10 @@ def nilpotent_structure(G: Group) -> NilpotentStructure:
     if masks is None:
         raise NotNilpotentError(f"{G.name} is not nilpotent")
     cyclic, noncyclic = [], []
-    for p in sorted(masks):
-        size = int(masks[p].sum())
-        a = 0
-        m = size
-        while m > 1:
-            m //= p
-            a += 1
-        has_full = bool((G.orders[masks[p]] == size).any())
+    for p, a in totient_profile(G.n)[0]:  # each Sylow p-subgroup has order p^a
+        has_full = bool((G.orders[masks[p]] == p ** a).any())
         (cyclic if has_full else noncyclic).append((p, a))
-    two_gen = G.is_cyclic or bool(G.generating_pair_matrix().any())
-    return NilpotentStructure(G.n, tuple(cyclic), tuple(noncyclic), two_gen)
+    return NilpotentStructure(G.n, tuple(cyclic), tuple(noncyclic), is_two_generated(G))
 
 
 def is_two_generated(G: Group) -> bool:

@@ -170,3 +170,60 @@ def test_output_file(capsys, tmp_path):
 def test_usage_error(capsys):
     code = main(["not-a-command"])
     assert code == 2
+
+
+def test_scan_jobs_2_matches_jobs_1(capsys, tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("C2^2\nC6\nHeis3\nC2^3\nEx(1)\nC2^2 x C9\n")
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "scan", "--question", "chrom", "--groups",
+                               str(groups), "--jobs", jobs, "--format", "json",
+                               "--no-header")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_scan_construction_error_is_a_fail(capsys, tmp_path, monkeypatch):
+    import gengraph.constructions as C
+
+    monkeypatch.setattr(C, "verify_certificate", lambda *args, **kwargs: False)
+    groups = tmp_path / "groups.txt"
+    groups.write_text("C6\n")
+    code, out, _ = run_cli(capsys, "scan", "--question", "ham", "--groups",
+                           str(groups), "--format", "json", "--no-header")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["summary"]["fail"] == 1
+    assert doc["results"][0]["reason"].startswith("ConstructionError: ")
+
+
+def test_scan_skips_formula_only_and_names_build_errors(capsys, tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("C6 !formula-only\nHeis4\n")
+    code, out, _ = run_cli(capsys, "scan", "--question", "conn", "--groups",
+                           str(groups), "--no-header")
+    assert code == 0
+    assert "formula-only catalog entry" in out
+    assert "build failed: GroupSpecError:" in out
+
+
+@pytest.mark.parametrize("graph, cert", [
+    ('{"order": 3, "edges": [[0, 1]]}', '{"type": "clique"}'),
+    ('{"order": 3, "edges": [[0, 1]]}', '[1, 2]'),
+    ('{"order": 3, "edges": [[0, 5]]}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [[0, 1]]}', '{"type": "clique", "vertices": [0,'),
+    ('{"order": 3, "edges": [[0, -1]]}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [[0, 1.5]]}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [[0, 1]]}', '{"type": "no_such", "vertices": [0]}'),
+])
+def test_check_cert_malformed_input_exit_2(capsys, tmp_path, graph, cert):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(cert)
+    code, _, err = run_cli(capsys, "check-cert", "--graph", str(gpath),
+                           "--cert", str(cpath), "--no-header")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -175,15 +175,19 @@ def test_failed_reverification_is_a_fail(group, monkeypatch, capsys, tmp_path):
     ("OrderGuardError", "skipped"),
 ])
 def test_error_status_mapping(group, monkeypatch, error, status):
+    import dataclasses
+
     import gengraph.errors as E
     import gengraph.verify as V
 
-    def broken(G, name, budget):
+    def broken(G, budget):
         raise getattr(E, error)("injected")
-    monkeypatch.setitem(V._CHECKS, "THM_1_1", broken)
-    r = run_check(group("C6"), "THM_1_1", BUDGET, name="C6")
-    assert r.status == status
-    assert r.reason == f"{error}: injected"
+    for check in ("THM_1_1", "Q_CONN"):
+        record = dataclasses.replace(V.REGISTRY[check], compute=broken)
+        monkeypatch.setitem(V.REGISTRY, check, record)
+        r = run_check(group("C6"), check, BUDGET, name="C6")
+        assert r.status == status
+        assert r.reason == f"{error}: injected"
 
 
 def test_summarize_counts():
@@ -192,3 +196,57 @@ def test_summarize_counts():
             CheckResult("g", "c", "fail")]
     s = summarize(rows)
     assert s["pass"] == 1 and s["fail"] == 1 and s["skipped"] == 1
+
+
+def test_registry_order_and_fields():
+    from gengraph.verify import QUESTION_IDS, REGISTRY
+
+    assert CHECK_IDS == (
+        "THM_1_1", "THM_1_3_EULER", "THM_1_3_HAM", "THM_1_4_TDN", "THM_1_5",
+        "LEM_2_1", "EQ_LEX", "LEM_2_2_DEG", "COR_2_6_PROD", "REMARK_FACTS",
+        "PROP_2_9", "LEM_3_1_KAPPA", "REM_3_5", "LEM_5_3_SUB", "SANDWICH_5_5_5_6")
+    assert QUESTION_IDS == ("Q_CONN", "Q_HAM", "Q_CHROM")
+    assert {c for c in REGISTRY if REGISTRY[c].formula_only} == {
+        "REMARK_FACTS", "THM_1_3_EULER", "THM_1_4_TDN", "SANDWICH_5_5_5_6", "PROP_2_9"}
+    assert all(REGISTRY[q].false_status == "counterexample" for q in QUESTION_IDS)
+
+
+def test_scan_question_rejects_theorem_ids(group):
+    with pytest.raises(ValueError):
+        scan_question(group("C6"), "THM_1_1", BUDGET)
+
+
+def test_census_mismatch_is_a_fail(group, monkeypatch):
+    import gengraph.generating as GEN
+    import gengraph.verify as V
+
+    real = GEN.formula_nonisolated
+    monkeypatch.setattr(GEN, "formula_nonisolated", lambda st: real(st) + 1)
+    r = V.run_check(group("C2^2 x C3"), "REMARK_FACTS", BUDGET, name="C2^2 x C3")
+    assert r.status == "fail"
+    assert r.reason.startswith("InternalMismatchError: ")
+
+
+def test_certificate_cap(group, monkeypatch):
+    import gengraph.verify as V
+
+    r = run_check(group("C12"), "THM_1_3_HAM", BUDGET, name="C12")
+    assert r.status == "pass" and len(r.certificate.vertices) == 12
+    monkeypatch.setattr(V, "CERT_SIZE_LIMIT", 11)
+    r = run_check(group("C12"), "THM_1_3_HAM", BUDGET, name="C12")
+    assert r.status == "pass" and r.certificate is None
+
+
+def test_budget_status_from_shared_search_step(group):
+    for check in ("THM_1_5", "Q_CHROM"):
+        r = run_check(group("C2^2 x C3"), check, SearchBudget(1), name="G")
+        assert r.status == "budget" and r.reason == "node budget exhausted"
+        assert r.nodes >= 1
+
+
+def test_cold_parallel_catalog_matches_serial(catalog_report):
+    from gengraph.build import build_cached
+
+    build_cached.cache_clear()
+    cold = run_catalog(default_catalog(), jobs=2, catalog_name="default")
+    assert cold.to_json() == catalog_report.to_json()
