@@ -77,7 +77,11 @@ def delta_graph(gg: GeneratingGraph) -> GeneratingGraph:
 
 
 def delta_of(G: Group) -> GeneratingGraph:
-    return delta_graph(generating_graph(G))
+    """Delta(G), built once per group and cached on it."""
+    key = "delta"
+    if key not in G._cache:
+        G._cache[key] = delta_graph(generating_graph(G))
+    return G._cache[key]
 
 
 # ---------------------------------------------------------------------------

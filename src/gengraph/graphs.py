@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import GengraphError
 
@@ -390,30 +390,40 @@ class VertexConnectivity:
 
 
 def _residual_reachable(cap: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
+    """Nodes reachable from source along arcs of positive residual capacity.
+
+    This source side is the same for every maximum flow, so the cut read
+    off it does not depend on which maximum flow the solver returned.
+    """
     residual = cap - flow
     residual.eliminate_zeros()
-    n = cap.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
-    stack = [source]
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    while stack:
-        u = stack.pop()
-        for k in range(indptr[u], indptr[u + 1]):
-            if data[k] > 0 and not seen[indices[k]]:
-                seen[indices[k]] = True
-                stack.append(indices[k])
+    order = breadth_first_order(residual, source, return_predecessors=False)
+    seen = np.zeros(cap.shape[0], dtype=bool)
+    seen[order] = True
     return seen
 
 
 def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     """Exact vertex connectivity with a minimum-cut witness.
 
-    Vertex-split max-flow from a fixed minimum-degree vertex to each of its
-    non-neighbours, then between non-adjacent pairs of its neighbours; the
-    complete graph returns the n-1 convention, a disconnected graph 0 with
-    the empty cut.
+    Vertex-split max-flow from a fixed minimum-degree vertex s to each of its
+    non-neighbours, then between non-adjacent pairs of its neighbours
+    (Esfahanian & Hakimi); the complete graph returns the n-1 convention, a
+    disconnected graph 0 with the empty cut.  The result is cached on the
+    graph.
+
+    A pair's flow is skipped when its common-neighbour count, a lower bound
+    on its local connectivity (each common neighbour is its own path of
+    length 2), is already at least the best cut so far.  This is exact: the
+    best value and its witness change only on a strict improvement, which a
+    skipped pair cannot give.
     """
+    if "kappa" not in graph._cache:
+        graph._cache["kappa"] = _vertex_connectivity(graph)
+    return graph._cache["kappa"]
+
+
+def _vertex_connectivity(graph: Graph) -> VertexConnectivity:
     n = graph.n
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
@@ -423,47 +433,50 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     if comp.max() >= 1:
         return VertexConnectivity(0, VertexCut(()), False)
 
-    big = n + 1
-    rows, cols, cap = [], [], []
-    for v in range(n):
-        rows += [2 * v, 2 * v + 1]
-        cols += [2 * v + 1, 2 * v]
-        cap += [1, 0]
-    for u, v in graph.edges():
-        rows += [2 * u + 1, 2 * v, 2 * v + 1, 2 * u]
-        cols += [2 * v, 2 * u + 1, 2 * u, 2 * v + 1]
-        cap += [big, 0, big, 0]
-    net = csr_matrix((np.array(cap, dtype=np.int32),
-                      (np.array(rows), np.array(cols))), shape=(2 * n, 2 * n))
+    # node 2v is v's entry, 2v+1 its exit; the arc between them carries 1
+    iu, ju = np.nonzero(np.triu(graph.adj, 1))
+    split = np.arange(n)
+    rows = np.concatenate((2 * split, 2 * iu + 1, 2 * ju + 1))
+    cols = np.concatenate((2 * split + 1, 2 * ju, 2 * iu))
+    cap = np.concatenate((np.ones(n, np.int32), np.full(2 * iu.size, n + 1, np.int32)))
+    net = csr_matrix((cap, (rows, cols)), shape=(2 * n, 2 * n))
 
     degs = graph.degrees
     s = int(np.lexsort((np.arange(n), degs))[0])
     best = int(degs[s])
-    best_cut = tuple(sorted(graph.neighbors(s).tolist()))
+    best_cut = tuple(graph.neighbors(s).tolist())
 
-    def try_pair(a: int, b: int):
+    def try_pair(a: int, b: int, bound: int):
         nonlocal best, best_cut
+        if bound >= best:
+            return
         res = maximum_flow(net, 2 * a + 1, 2 * b)
         if res.flow_value < best:
             best = int(res.flow_value)
             seen = _residual_reachable(net, res.flow, 2 * a + 1)
-            cut = tuple(v for v in range(n) if seen[2 * v] and not seen[2 * v + 1])
-            best_cut = cut
+            best_cut = tuple(np.flatnonzero(seen[0::2] & ~seen[1::2]).tolist())
 
-    nonneighbors = [t for t in range(n)
-                    if t != s and not graph.adj[s, t]]
-    for t in nonneighbors:
-        try_pair(s, t)
-    nbrs = graph.neighbors(s).tolist()
-    for i, u in enumerate(nbrs):
-        for v in nbrs[i + 1:]:
-            if not graph.adj[u, v]:
-                try_pair(u, v)
+    adj = graph.adj.astype(np.int32)
+    common = adj @ adj[s]
+    for t in np.flatnonzero(~graph.adj[s]).tolist():
+        if t != s:
+            try_pair(s, t, int(common[t]))
+    nbrs = graph.neighbors(s)
+    common = adj[nbrs] @ adj[nbrs].T
+    for i, j in zip(*np.nonzero(np.triu(~graph.adj[np.ix_(nbrs, nbrs)], 1))):
+        try_pair(int(nbrs[i]), int(nbrs[j]), int(common[i, j]))
     return VertexConnectivity(best, VertexCut(best_cut), False)
 
 
 def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
-    """Exact edge connectivity via fixed-source edge max-flows."""
+    """Exact edge connectivity via fixed-source edge max-flows.
+
+    The flow from vertex 0 to t is skipped, except the first, when
+    |N(0) & N(t)| + [0 ~ t], a lower bound on the number of edge-disjoint
+    0-t paths, is already at least the best cut so far: the best value and
+    its witness change only on a strict improvement, which that flow cannot
+    give.
+    """
     n = graph.n
     if n == 0:
         raise ValueError("edge connectivity of the empty graph is undefined")
@@ -472,23 +485,22 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     comp = _components(graph)
     if comp.max() >= 1:
         return 0, EdgeCut(())
-    rows, cols, cap = [], [], []
-    for u, v in graph.edges():
-        rows += [u, v]
-        cols += [v, u]
-        cap += [1, 1]
-    net = csr_matrix((np.array(cap, dtype=np.int32),
-                      (np.array(rows), np.array(cols))), shape=(n, n))
+    iu, ju = np.nonzero(np.triu(graph.adj, 1))
+    net = csr_matrix((np.ones(2 * iu.size, np.int32),
+                      (np.concatenate((iu, ju)), np.concatenate((ju, iu)))), shape=(n, n))
+    adj = graph.adj.astype(np.int32)
+    bound = adj @ adj[0] + adj[0]
     best = None
     best_cut: tuple = ()
     for t in range(1, n):
+        if best is not None and bound[t] >= best:
+            continue
         res = maximum_flow(net, 0, t)
         if best is None or res.flow_value < best:
             best = int(res.flow_value)
             seen = _residual_reachable(net, res.flow, 0)
-            best_cut = tuple(sorted(
-                (min(u, v), max(u, v)) for u, v in graph.edges()
-                if seen[u] != seen[v]))
+            crossing = seen[iu] != seen[ju]
+            best_cut = tuple(zip(iu[crossing].tolist(), ju[crossing].tolist()))
     return best, EdgeCut(best_cut)
 
 
@@ -668,6 +680,22 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+
+
+def _well_formed(name: str, value) -> bool:
+    """Chords are a pair or null, edges a list of pairs, the rest a list of ints."""
+    if name in ("chord_odd", "chord_even"):
+        return value is None or _is_pair(value)
+    entry = _is_pair if name == "edges" else _is_int
+    return isinstance(value, list) and all(map(entry, value))
+
+
 def certificate_from_json(text: str) -> Certificate:
     """Inverse of certificate_to_json; malformed input raises GengraphError."""
     doc = _json_object(text, "certificate")
@@ -678,4 +706,7 @@ def certificate_from_json(text: str) -> Certificate:
     missing = [f.name for f in fields(cls) if f.name not in doc]
     if missing:
         raise GengraphError(f"{tag} certificate lacks {', '.join(missing)}")
+    for f in fields(cls):
+        if not _well_formed(f.name, doc[f.name]):
+            raise GengraphError(f"{tag} certificate has a malformed {f.name}")
     return cls(**{f.name: _tuples(doc[f.name]) for f in fields(cls)})

@@ -217,6 +217,12 @@ def test_scan_skips_formula_only_and_names_build_errors(capsys, tmp_path):
     ('{"order": 3, "edges": [[0, -1]]}', '{"type": "clique", "vertices": [0]}'),
     ('{"order": 3, "edges": [[0, 1.5]]}', '{"type": "clique", "vertices": [0]}'),
     ('{"order": 3, "edges": [[0, 1]]}', '{"type": "no_such", "vertices": [0]}'),
+    ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "clique", "vertices": [[0], 1]}'),
+    ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "coloring", "colors": ["a", 1, 2]}'),
+    ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "edge_cut", "edges": [[0, 1, 2]]}'),
+    ('{"order": 3, "edges": [[0, 1], [1, 2]]}',
+     '{"type": "h_chords", "cycle": [0, 1, 2], "chord_odd": [1], "chord_even": null}'),
+    ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "clique", "vertices": [true]}'),
 ])
 def test_check_cert_malformed_input_exit_2(capsys, tmp_path, graph, cert):
     gpath = tmp_path / "g.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from conftest import (
     brute_edge_connectivity,
     brute_vertex_connectivity,
 )
+from gengraph import graphs
+from gengraph.build import build_group
 from gengraph.generating import delta_of
 from gengraph.graphs import (
     Coloring,
@@ -163,6 +166,78 @@ def test_whitney_inequalities(seed, n):
     lam, _ = edge_connectivity(graph)
     delta = int(graph.degrees.min())
     assert kappa <= lam <= delta
+
+
+def _assert_matches_networkx(graph: Graph):
+    nxg = nx.from_numpy_array(graph.adj.astype(int))
+    vc = vertex_connectivity(graph)
+    assert vc.value == nx.node_connectivity(nxg)
+    if vc.cut is not None:
+        assert len(vc.cut.vertices) == vc.value
+        assert verify_certificate(graph, vc.cut)
+    lam, cut = edge_connectivity(graph)
+    assert lam == nx.edge_connectivity(nxg)
+    assert len(cut.edges) == lam
+    assert verify_certificate(graph, cut)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(10, 30),
+       p=st.floats(0.3, 0.95), split=st.booleans())
+def test_connectivity_matches_networkx(seed, n, p, split):
+    """Past the brute-force oracles' reach.  A split graph keeps the random
+    edges at its first n // 5 vertices, the separator, and turns the other
+    vertices into two cliques, by parity, with no edge between them; each
+    separator vertex is also joined to all of one clique.  The separator
+    bounds kappa, and every degree exceeds it, so kappa < delta."""
+    rng = np.random.default_rng(seed)
+    adj = _random_graph(rng, n, p).adj.copy()
+    if split:
+        side = np.arange(n) % 2
+        side[:n // 5] = -1
+        inside = side >= 0
+        adj[np.ix_(inside, inside)] = side[inside, None] == side[None, inside]
+        for v in range(n // 5):
+            adj[v, side == v % 2] = adj[side == v % 2, v] = True
+        np.fill_diagonal(adj, False)
+    graph = Graph(adj)
+    _assert_matches_networkx(graph)
+    if split:
+        assert vertex_connectivity(graph).value <= n // 5 < int(graph.degrees.min())
+
+
+def test_connectivity_improved_only_by_a_neighbour_pair():
+    """K8 less the edges 2-0, 2-1 and those between {3, 4} and {6, 7}.
+
+    Vertex 2 is the first of minimum degree 5 and both of its flows to its
+    non-neighbours 0 and 1 are 5; only its neighbours 3 and 6, on either
+    side of the cut {0, 1, 2, 5}, find kappa = 4."""
+    missing = {(0, 2), (1, 2), (3, 6), (3, 7), (4, 6), (4, 7)}
+    graph = Graph.from_edges(8, [e for e in itertools.combinations(range(8), 2)
+                                 if e not in missing])
+    assert int(graph.degrees.min()) == 5
+    assert vertex_connectivity(graph).cut.vertices == (0, 1, 2, 5)
+    _assert_matches_networkx(graph)
+
+
+def test_delta_and_kappa_are_cached(monkeypatch):
+    G = build_group("C2^2 x C3")
+    assert delta_of(G) is delta_of(G)
+    calls = []
+    real = graphs.maximum_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(graphs, "maximum_flow", counted)
+    graph = delta_of(G).graph
+    first = vertex_connectivity(graph)
+    assert calls
+    calls.clear()
+    assert vertex_connectivity(delta_of(G).graph) is first
+    assert calls == []
+    with pytest.raises(ValueError):
+        graph.adj[0, 1] = not graph.adj[0, 1]
 
 
 # ---------------------------------------------------------------------------
