@@ -168,7 +168,7 @@ def _cmd_info(args) -> int:
         out.emit(f"s: {st.s} (noncyclic Sylow primes: {noncyc})")
         out.emit(f"cyclic: {'yes' if st.is_cyclic else 'no'}")
     phi = frattini(G, "auto", max(_max_order(args), G.n))
-    out.emit(f"frattini_order: {phi.size}")
+    out.emit(f"frattini_order: {len(phi)}")
     out.emit(f"two_generated: {'yes' if is_two_generated(G) else 'no'}")
     out.flush()
     return EXIT_OK

@@ -115,7 +115,7 @@ def pgroup_hamiltonian(P: Group, a: int, b: int,
         raise ValueError(f"({a},{b}) is not a generating pair")
     p = (st.cyclic_sylow + st.noncyclic_sylow)[0][0]
     phi = frattini(P, "nilpotentFormula")
-    phi_sorted = sorted(phi.indices)
+    phi_sorted = sorted(phi)
     m = len(phi_sorted)
     k = p * p - 1
     t = P.table

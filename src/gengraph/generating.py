@@ -59,13 +59,16 @@ def generating_graph(G: Group) -> GeneratingGraph:
     """Gamma(G): all elements as vertices, edges the generating pairs.
 
     Loopless; for a group needing more than two generators this is the null
-    graph on |G| vertices.
+    graph on |G| vertices.  Built once per group and cached on it.
     """
-    gen = G.generating_pair_matrix().copy()
-    marks = np.flatnonzero(gen.diagonal())
-    np.fill_diagonal(gen, False)
-    graph = Graph(gen, marks.tolist())
-    return GeneratingGraph(graph, tuple(range(G.n)), G)
+    key = "gamma"
+    if key not in G._cache:
+        gen = G.generating_pair_matrix().copy()
+        marks = np.flatnonzero(gen.diagonal())
+        np.fill_diagonal(gen, False)
+        graph = Graph(gen, marks.tolist())
+        G._cache[key] = GeneratingGraph(graph, tuple(range(G.n)), G)
+    return G._cache[key]
 
 
 def delta_graph(gg: GeneratingGraph) -> GeneratingGraph:
@@ -326,7 +329,7 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
     delta_edges = delta_of(G).element_edges()
     Q, cmap, phi = quotient_mod_frattini(G)
     sec = coset_section(G, cmap)
-    phi_sorted = sorted(phi.indices)
+    phi_sorted = sorted(phi)
     m = len(phi_sorted)
     qdelta = delta_of(Q)
     cyclic = G.is_cyclic
@@ -416,7 +419,7 @@ def gamma_coset_bijection(G: Group, H: Group) -> np.ndarray:
     from .groups import abelian_squarefree_iso
     QG, cmapG, phiG = quotient_mod_frattini(G)
     QH, cmapH, phiH = quotient_mod_frattini(H)
-    if G.n != H.n or phiG.size != phiH.size:
+    if G.n != H.n or len(phiG) != len(phiH):
         raise ValueError("orders or Frattini orders differ")
     iso = abelian_squarefree_iso(QG, QH)
     # enumerate each coset's elements ascending and match positionally

@@ -25,7 +25,7 @@ class Graph:
     __slots__ = ("n", "adj", "marks", "_cache")
 
     def __init__(self, adj: np.ndarray, marks: Iterable[int] = ()):
-        adj = np.asarray(adj, dtype=bool)
+        adj = np.array(adj, dtype=bool)  # a copy: the caller cannot change the graph
         n = adj.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency must be square")

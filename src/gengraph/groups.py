@@ -23,33 +23,6 @@ DEFAULT_MAX_ORDER = 200
 
 
 # ---------------------------------------------------------------------------
-# element sets
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of group elements; `subgroup` is set only after verification."""
-
-    indices: frozenset[int]
-    subgroup: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def mask(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[list(self.indices)] = True
-        return out
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.indices
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
-
-# ---------------------------------------------------------------------------
 # the Group type
 
 
@@ -251,13 +224,14 @@ def _closure_members(table: np.ndarray, seeds) -> set[int]:
     return seen
 
 
-def closure(G: Group, seeds) -> ElementSet:
-    """Least subgroup of G containing `seeds`, via product saturation."""
+def closure(G: Group, seeds) -> frozenset[int]:
+    """Least subgroup of G containing `seeds`, via product saturation, as
+    the frozenset of its element indices."""
     seeds = [int(s) for s in seeds]
     for s in seeds:
         if not 0 <= s < G.n:
             raise ValueError(f"seed {s} out of range")
-    return ElementSet(frozenset(_closure_members(G.table, seeds)), subgroup=True)
+    return frozenset(_closure_members(G.table, seeds))
 
 
 def is_generating_pair(G: Group, g: int, h: int) -> bool:
@@ -405,7 +379,15 @@ def sylow_decomposition(G: Group) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:
-    """All subgroups, by saturating pairwise joins of the cyclic subgroups."""
+    """All subgroups, by cyclic extension (Neubüser 1960), sorted by
+    (order, sorted elements).
+
+    Every subgroup is generated by its elements of prime-power order: each
+    element is the product of its p-parts, and those are powers of it.  So
+    joining each subgroup found with each cyclic subgroup of prime-power
+    order it does not contain, starting from those cyclic subgroups, reaches
+    every subgroup.
+    """
     if G.n > max_order:
         raise OrderGuardError(
             f"subgroup lattice guard: |G| = {G.n} exceeds {max_order}")
@@ -413,30 +395,20 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
     if key in G._cache:
         return G._cache[key]
     _, sets, reps = G._cyclic_data()
-    gens: dict[frozenset[int], tuple[int, ...]] = {}
-    for s, rep in zip(sets, reps):
-        gens.setdefault(s, (rep,))
+    cyclic = {s: rep for s, rep in zip(sets, reps)
+              if len(totient_profile(len(s))[0]) == 1}
+    gens = {s: (rep,) for s, rep in cyclic.items()}
     work = list(gens)
-    known = set(gens)
-    joined: set[tuple[int, ...]] = set()  # generator tuples already closed
-    while work:
-        new_work = []
-        current = list(known)
-        for a in work:
-            for b in current:
-                if a <= b or b <= a:
-                    continue
-                gen = tuple(sorted(set(gens[a]) | set(gens[b])))
-                if gen in joined:
-                    continue
-                joined.add(gen)
-                sub = frozenset(_closure_members(G.table, gen))
-                if sub not in known:
-                    known.add(sub)
-                    gens[sub] = gen
-                    new_work.append(sub)
-        work = new_work
-    result = sorted(known, key=lambda s: (len(s), sorted(s)))
+    gens[frozenset({0})] = ()
+    for sub in work:
+        for c in cyclic.values():
+            if c not in sub:
+                gen = gens[sub] + (c,)
+                joined = frozenset(_closure_members(G.table, gen))
+                if joined not in gens:
+                    gens[joined] = gen
+                    work.append(joined)
+    result = sorted(gens, key=lambda s: (len(s), sorted(s)))
     G._cache[key] = result
     return result
 
@@ -451,8 +423,8 @@ def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froz
 
 
 def frattini(G: Group, method: str = "auto",
-             max_order: int = DEFAULT_MAX_ORDER) -> ElementSet:
-    """Frattini subgroup Φ(G).
+             max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
+    """Frattini subgroup Φ(G), as the frozenset of its element indices.
 
     method "lattice": intersection of all maximal subgroups over the full
     subgroup lattice (guarded by max_order).  method "nilpotentFormula":
@@ -465,9 +437,8 @@ def frattini(G: Group, method: str = "auto",
     if method == "lattice":
         maxs = maximal_subgroups(G, max_order)
         if not maxs:
-            return ElementSet(frozenset({0}), subgroup=True)
-        inter = frozenset.intersection(*maxs)
-        return ElementSet(inter, subgroup=True)
+            return frozenset({0})
+        return frozenset.intersection(*maxs)
     if method != "nilpotentFormula":
         raise ValueError(f"unknown method {method!r}")
     if not is_nilpotent(G):
@@ -479,7 +450,7 @@ def frattini(G: Group, method: str = "auto",
     for _ in range(rad):
         powers = G.table[powers, base]
     seeds = np.union1d(seeds, powers)
-    return ElementSet(frozenset(_closure_members(G.table, seeds.tolist())), subgroup=True)
+    return frozenset(_closure_members(G.table, seeds.tolist()))
 
 
 def _commutator_elements(G: Group) -> np.ndarray:
@@ -489,9 +460,9 @@ def _commutator_elements(G: Group) -> np.ndarray:
     return np.unique(comm)
 
 
-def derived_subgroup(G: Group) -> ElementSet:
-    members = _closure_members(G.table, _commutator_elements(G).tolist())
-    return ElementSet(frozenset(members), subgroup=True)
+def derived_subgroup(G: Group) -> frozenset[int]:
+    """The commutator subgroup G', as the frozenset of its element indices."""
+    return frozenset(_closure_members(G.table, _commutator_elements(G).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +485,8 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, np.ndarray]:
 
 
 def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
-                          ) -> tuple[Group, np.ndarray, ElementSet]:
-    """(G/Φ(G), coset map element -> quotient index, Φ(G)).
+                          ) -> tuple[Group, np.ndarray, frozenset[int]]:
+    """(G/Φ(G), coset map element -> quotient index, Φ(G) as a frozenset).
 
     Quotient indices are ordered by the least element index of each coset, so
     the identity coset is index 0 and the minimal-index representative per
@@ -525,21 +496,14 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
     key = "fratquot"
     if key not in G._cache:
         phi = frattini(G, "auto", max_order)
-        if phi.size == 1:
+        if len(phi) == 1:
             G._cache[key] = (G, np.arange(G.n, dtype=np.int64), phi)
             return G._cache[key]
-        phi_idx = np.array(sorted(phi.indices), dtype=np.int64)
-        # coset of g is the set table[g, phi]; canonical rep = min index
-        cosets = G.table[:, phi_idx]
-        rep = cosets.min(axis=1)
-        reps = np.unique(rep)
-        qindex = {int(rv): qi for qi, rv in enumerate(reps)}
-        cmap = np.array([qindex[int(rep[g])] for g in range(G.n)], dtype=np.int64)
-        qn = reps.size
-        qtable = np.empty((qn, qn), dtype=np.int32)
-        for i, ri in enumerate(reps):
-            qtable[i] = cmap[G.table[ri, reps]]
-        Q = Group(qtable, labels=tuple(G.labels[int(rv)] for rv in reps),
+        # the coset of g is table[g, phi]; its least element represents it
+        rep = G.table[:, sorted(phi)].min(axis=1)
+        reps, cmap = np.unique(rep, return_inverse=True)
+        Q = Group(cmap[G.table[np.ix_(reps, reps)]],
+                  labels=tuple(G.labels[int(rv)] for rv in reps),
                   name=f"{G.name}/Frat")
         G._cache[key] = (Q, cmap, phi)
     Q, cmap, phi = G._cache[key]
@@ -547,12 +511,8 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
 
 
 def coset_section(G: Group, cmap: np.ndarray) -> np.ndarray:
-    """Minimal-index representative for each quotient index."""
-    qn = int(cmap.max()) + 1
-    sec = np.full(qn, G.n, dtype=np.int64)
-    for g in range(G.n - 1, -1, -1):
-        sec[cmap[g]] = g
-    return sec
+    """Minimal-index representative for each quotient index of G."""
+    return np.unique(cmap, return_index=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -311,9 +311,9 @@ def _check_degree_frat(G: Group, budget: SearchBudget) -> Outcome:
         raise _Skip("degree identity assumes a noncyclic group")
     degrees = generating_graph(G).graph.degrees
     Q, cmap, phi = quotient_mod_frattini(G)
-    expected = generating_graph(Q).graph.degrees[cmap] * phi.size
+    expected = generating_graph(Q).graph.degrees[cmap] * len(phi)
     ok = bool(np.array_equal(degrees, expected))
-    return Outcome(ok, {"phi": phi.size}, {"all_degrees_scale": ok})
+    return Outcome(ok, {"phi": len(phi)}, {"all_degrees_scale": ok})
 
 
 def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
@@ -379,12 +379,12 @@ def _check_lem_3_1(G: Group, budget: SearchBudget) -> Outcome:
     Q, _, phi = quotient_mod_frattini(G)
     kq = vertex_connectivity(delta_of(Q).graph).value
     kg = vertex_connectivity(graph).value
-    return Outcome(kg == kq * phi.size, {"kappa": kq * phi.size},
-                   {"kappa": kg, "kappa_quotient": kq, "phi": phi.size})
+    return Outcome(kg == kq * len(phi), {"kappa": kq * len(phi)},
+                   {"kappa": kg, "kappa_quotient": kq, "phi": len(phi)})
 
 
 def _check_rem_3_5(G: Group, budget: SearchBudget) -> Outcome:
-    D, _ = subgroup_as_group(G, sorted(derived_subgroup(G).indices))
+    D, _ = subgroup_as_group(G, sorted(derived_subgroup(G)))
     if not is_nilpotent(D):
         raise _Skip("derived subgroup is not nilpotent")
     graph = _guarded_delta(G)

@@ -77,6 +77,23 @@ def brute_adjacency(G) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# oracle: subgroups by subset enumeration (small tables only)
+
+
+def brute_subgroups(table) -> set[frozenset[int]]:
+    """Every product-closed subset containing 0, out of all 2^(n-1) of them.
+    In a finite group these are exactly the subgroups."""
+    t = np.asarray(table)
+    n = t.shape[0]
+    out = set()
+    for bits in range(1 << (n - 1)):
+        members = [0] + [i + 1 for i in range(n - 1) if bits >> i & 1]
+        if set(t[np.ix_(members, members)].ravel().tolist()) <= set(members):
+            out.add(frozenset(members))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # oracle: connectivity by subset enumeration (small graphs only)
 
 

@@ -129,13 +129,13 @@ def test_criterion_03_frattini_scaling():
         dq = delta_of(Q)
         kg = vertex_connectivity(dd.graph).value
         kq = vertex_connectivity(dq.graph).value
-        ok &= kg == kq * phi.size
+        ok &= kg == kq * len(phi)
         if g.is_cyclic:
-            ok &= int(dd.graph.degrees.min()) == int(dq.graph.degrees.min()) * phi.size
+            ok &= int(dd.graph.degrees.min()) == int(dq.graph.degrees.min()) * len(phi)
         else:
             gdeg = generating_graph(g).graph.degrees
             qdeg = generating_graph(Q).graph.degrees
-            ok &= bool(np.array_equal(gdeg, qdeg[cmap] * phi.size))
+            ok &= bool(np.array_equal(gdeg, qdeg[cmap] * len(phi)))
     _report(3, "frattini-scaling", ok,
             "kappa and degrees scale by |Frat| on all five groups")
 

@@ -61,6 +61,14 @@ def test_gamma_matches_brute_force(group):
         assert np.array_equal(gg.graph.adj, brute_adjacency(g)), spec
 
 
+def test_gamma_is_cached():
+    G = build_group("C2^2 x C3")
+    gg = generating_graph(G)
+    assert generating_graph(G) is gg
+    with pytest.raises(ValueError):
+        gg.graph.adj[0, 1] = not gg.graph.adj[0, 1]
+
+
 def test_delta_nonisolated_counts(group):
     assert delta_of(group("C6")).graph.n == 6  # cyclic: nothing isolated
     assert delta_of(group("C2^2 x C9")).graph.n == 27  # 36 * (3/4)
@@ -194,7 +202,7 @@ def test_degree_lifting_noncyclic(group):
         gg = generating_graph(g)
         Q, cmap, phi = quotient_mod_frattini(g)
         qdeg = generating_graph(Q).graph.degrees
-        assert np.array_equal(gg.graph.degrees, qdeg[cmap] * phi.size), spec
+        assert np.array_equal(gg.graph.degrees, qdeg[cmap] * len(phi)), spec
 
 
 def test_min_degree_scaling_cyclic(group):
@@ -204,7 +212,7 @@ def test_min_degree_scaling_cyclic(group):
         dd = delta_of(g)
         Q, _, phi = quotient_mod_frattini(g)
         dq = delta_of(Q)
-        assert int(dd.graph.degrees.min()) == int(dq.graph.degrees.min()) * phi.size
+        assert int(dd.graph.degrees.min()) == int(dq.graph.degrees.min()) * len(phi)
 
 
 def test_connectedness_lifting(group):
@@ -213,7 +221,7 @@ def test_connectedness_lifting(group):
         g = group(spec)
         dd = delta_of(g)
         _, cmap, phi = quotient_mod_frattini(g)
-        phi_elems = sorted(phi.indices)
+        phi_elems = sorted(phi)
         velems = list(dd.vertex_elements)
         pos = {e: i for i, e in enumerate(velems)}
         for _ in range(15):

@@ -107,6 +107,18 @@ def test_basic_metrics_examples(group):
     assert empty.diameter is None
 
 
+def test_graph_keeps_its_own_adjacency():
+    a = np.zeros((3, 3), dtype=bool)
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = True  # the path 0-1-2
+    g = Graph(a)
+    a.setflags(write=True)
+    a[0, 2] = a[2, 0] = True  # the caller completes its array to K3
+    assert g.adj.tolist() == [[False, True, False], [True, False, True],
+                              [False, True, False]]
+    assert not g.is_complete()
+    assert vertex_connectivity(g).value == 1
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_associative, brute_closure
+from conftest import brute_associative, brute_closure, brute_subgroups
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
-    ElementSet,
     Group,
     closure,
     coset_section,
@@ -30,11 +29,11 @@ from gengraph.groups import (
 
 def test_closure_examples(group):
     c12 = group("C12")
-    assert closure(c12, [4, 6]).size == 6  # gcd(4,6,12) = 2, so <g^2>
+    assert len(closure(c12, [4, 6])) == 6  # gcd(4,6,12) = 2, so <g^2>
     c2sq = group("C2^2")
-    assert closure(c2sq, [1, 2]).size == 4
-    assert closure(c2sq, [0]).indices == frozenset({0})
-    assert closure(c2sq, []).indices == frozenset({0})
+    assert len(closure(c2sq, [1, 2])) == 4
+    assert closure(c2sq, [0]) == frozenset({0})
+    assert closure(c2sq, []) == frozenset({0})
 
 
 def test_closure_matches_brute_force(group):
@@ -47,7 +46,7 @@ def test_closure_matches_brute_force(group):
         rng = np.random.default_rng(7)
         for _ in range(10):
             seeds = rng.integers(0, g.n, size=2).tolist()
-            assert closure(g, seeds).indices == frozenset(brute_closure(table, seeds))
+            assert closure(g, seeds) == frozenset(brute_closure(table, seeds))
 
 
 @settings(max_examples=30, deadline=None)
@@ -56,9 +55,9 @@ def test_closure_monotone_idempotent(n, data):
     g = build_group(f"C{n}")
     seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=3))
     first = closure(g, seeds)
-    again = closure(g, sorted(first.indices))
-    assert set(seeds) <= first.indices
-    assert again.indices == first.indices
+    again = closure(g, sorted(first))
+    assert set(seeds) <= first
+    assert again == first
 
 
 def test_generating_pairs(group):
@@ -75,30 +74,29 @@ def test_frattini_c12_both_methods(group):
     c12 = group("C12")
     lat = frattini(c12, "lattice")
     frm = frattini(c12, "nilpotentFormula")
-    assert sorted(lat.indices) == sorted(frm.indices) == [0, 6]
+    assert sorted(lat) == sorted(frm) == [0, 6]
 
 
 def test_frattini_elementary_abelian_trivial(group):
-    assert frattini(group("C2^2"), "lattice").indices == frozenset({0})
+    assert frattini(group("C2^2"), "lattice") == frozenset({0})
 
 
 def test_frattini_heisenberg_is_centre(group):
     h = group("Heis3")
     lat = frattini(h, "lattice")
     frm = frattini(h, "nilpotentFormula")
-    assert lat.indices == frm.indices
+    assert lat == frm
     centre = {z for z in range(27)
               if all(h.mul(z, x) == h.mul(x, z) for x in range(27))}
-    assert lat.indices == frozenset(centre)
-    assert lat.size == 3
+    assert lat == frozenset(centre)
+    assert len(lat) == 3
 
 
 def test_frattini_methods_agree_on_catalog(group):
     for spec in ["C4", "C8", "C9", "C12", "C16", "C18", "C2^2", "C3^2",
                  "C2^2 x C3", "C2^2 x C9", "C4 x C3^2", "Heis3"]:
         g = group(spec)
-        assert frattini(g, "lattice").indices == \
-            frattini(g, "nilpotentFormula").indices, spec
+        assert frattini(g, "lattice") == frattini(g, "nilpotentFormula"), spec
 
 
 def test_frattini_formula_requires_nilpotent(group):
@@ -108,7 +106,7 @@ def test_frattini_formula_requires_nilpotent(group):
 
 def test_frattini_example_family_trivial(group):
     # maximal subgroups N:<h_j> and (coordinate hyperplane):H intersect trivially
-    assert frattini(group("Ex(1)"), "lattice").indices == frozenset({0})
+    assert frattini(group("Ex(1)"), "lattice") == frozenset({0})
 
 
 def test_subgroup_lattice_c12(group):
@@ -147,19 +145,19 @@ def test_quotient_mod_frattini(group):
     c12 = group("C12")
     Q, cmap, phi = quotient_mod_frattini(c12)
     assert Q.n == 6 and Q.is_cyclic
-    assert phi.size == 2
+    assert len(phi) == 2
     assert cmap[0] == 0
     sec = coset_section(c12, cmap)
     assert int(sec[0]) == 0
 
     c2sq = group("C2^2")
     Q2, cmap2, phi2 = quotient_mod_frattini(c2sq)
-    assert Q2.n == 4 and phi2.size == 1
+    assert Q2.n == 4 and len(phi2) == 1
     assert cmap2.tolist() == [0, 1, 2, 3]
 
     h = group("Heis3")
     Q3, _, phi3 = quotient_mod_frattini(h)
-    assert Q3.n == 9 and phi3.size == 3
+    assert Q3.n == 9 and len(phi3) == 3
     assert Q3.is_abelian and Q3.exponent == 3
 
 
@@ -211,27 +209,20 @@ def test_p_part(group):
 
 
 def test_derived_subgroup(group):
-    assert derived_subgroup(group("C12")).size == 1
+    assert len(derived_subgroup(group("C12"))) == 1
     h = group("Heis3")
     der = derived_subgroup(h)
-    assert der.size == 3
+    assert len(der) == 3
     ex = group("Ex(1)")
-    assert derived_subgroup(ex).size == 27  # the normal C_3^3
+    assert len(derived_subgroup(ex)) == 27  # the normal C_3^3
 
 
 def test_subgroup_as_group(group):
     h = group("Heis3")
     der = derived_subgroup(h)
-    D, emap = subgroup_as_group(h, sorted(der.indices))
+    D, emap = subgroup_as_group(h, sorted(der))
     assert D.n == 3 and D.is_cyclic
-    assert emap.tolist() == sorted(der.indices)
-
-
-def test_element_set_mask(group):
-    es = ElementSet(frozenset({0, 2}), subgroup=False)
-    m = es.mask(4)
-    assert m.tolist() == [True, False, True, False]
-    assert 2 in es and 1 not in es
+    assert emap.tolist() == sorted(der)
 
 
 def test_group_laws_validated():
@@ -290,3 +281,42 @@ def test_validation_matches_cubic_oracle(data):
 
 def test_subgroup_lattice_ex1(group):
     assert len(subgroup_lattice(group("Ex(1)"))) == 224
+
+
+def _lattice_order(subs) -> list[frozenset[int]]:
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def _permutation_table(perm_group) -> np.ndarray:
+    """The Cayley table of a sympy permutation group, identity at index 0,
+    with a*b the permutation that applies a, then b."""
+    perms = sorted(tuple(p.array_form) for p in perm_group.generate())
+    index = {p: i for i, p in enumerate(perms)}  # the identity sorts first
+    arrays = np.array(perms)
+    return np.array([[index[tuple(b[a])] for b in arrays] for a in arrays])
+
+
+def test_subgroup_lattice_matches_brute_force(group):
+    from gengraph.verify import default_catalog
+
+    small = [g for g in (group(e.spec) for e in default_catalog()) if g.n <= 12]
+    assert small
+    for g in small:
+        assert subgroup_lattice(g) == _lattice_order(brute_subgroups(g.table)), g.name
+
+
+def test_subgroup_lattice_of_permutation_groups():
+    from sympy.combinatorics.named_groups import (
+        AlternatingGroup,
+        DihedralGroup,
+        SymmetricGroup,
+    )
+
+    # S3, D4, A4, D6: against every product-closed subset
+    for pg in (SymmetricGroup(3), DihedralGroup(4), AlternatingGroup(4), DihedralGroup(6)):
+        g = Group(_permutation_table(pg))
+        assert subgroup_lattice(g) == _lattice_order(brute_subgroups(g.table))
+    # known subgroup counts
+    for pg, count in ((SymmetricGroup(4), 30), (AlternatingGroup(5), 59),
+                      (SymmetricGroup(5), 156)):
+        assert len(subgroup_lattice(Group(_permutation_table(pg)))) == count

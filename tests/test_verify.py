@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -242,6 +243,16 @@ def test_budget_status_from_shared_search_step(group):
         r = run_check(group("C2^2 x C3"), check, SearchBudget(1), name="G")
         assert r.status == "budget" and r.reason == "node budget exhausted"
         assert r.nodes >= 1
+
+
+# sha256 of the default-catalog JSON report; a change that alters the report
+# on purpose updates the digest and records why in CHANGES.md
+CATALOG_REPORT_SHA256 = "1eb9cc09f3aea9b0147736de143c517444bd2f7b6ddf0e5470b806af6a28a55b"
+
+
+def test_catalog_report_digest(catalog_report):
+    digest = hashlib.sha256(catalog_report.to_json().encode()).hexdigest()
+    assert digest == CATALOG_REPORT_SHA256
 
 
 def test_cold_parallel_catalog_matches_serial(catalog_report):
