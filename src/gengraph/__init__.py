@@ -8,13 +8,11 @@ that hold for nilpotent groups against independent brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .build import GroupSpec, build_group, load_cayley_file, parse_spec, save_cayley_file
+from .build import GroupSpec, build_group, load_cayley_file, parse_spec
 from .errors import GengraphError
 from .generating import (
     degree_profile,
-    delta_graph,
     delta_of,
-    example_family_graph,
     generating_graph,
     lex_decomposition_check,
     recover_cyclic_radical,
@@ -22,12 +20,9 @@ from .generating import (
 from .graphs import (
     Graph,
     MultipartiteParams,
-    basic_metrics,
-    complete_multipartite,
     direct_product,
     edge_connectivity,
     eulerian_circuit,
-    kappa_product_formula,
     lex_product,
     td_bounds,
     verify_certificate,
@@ -35,7 +30,6 @@ from .graphs import (
 )
 from .groups import (
     Group,
-    closure,
     frattini,
     is_generating_pair,
     is_nilpotent,
@@ -51,14 +45,10 @@ from .search import (
     total_domination,
 )
 from .constructions import (
-    c2_times_p_hamiltonian,
-    cyclic_clique_coloring,
-    cyclic_hamiltonian,
     h_membership,
     nilpotent_hamiltonian,
     nilpotent_td,
     pgroup_hamiltonian,
-    product_dominating_set,
 )
 from .verify import (
     CHECK_IDS,

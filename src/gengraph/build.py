@@ -388,13 +388,3 @@ def load_cayley_file(path: str | Path, max_order: int = DEFAULT_MAX_ORDER) -> Gr
     except Exception as e:
         raise CayleyFileError(f"{path}: {e}") from e
 
-
-def save_cayley_file(G: Group, path: str | Path) -> None:
-    path = Path(path)
-    lines = ["cayley 1", str(G.n)]
-    for i in range(G.n):
-        lines.append(" ".join(str(int(x)) for x in G.table[i]))
-    for i, lbl in enumerate(G.labels):
-        if lbl != str(i):
-            lines.append(f"label {i} {lbl}")
-    path.write_text("\n".join(lines) + "\n")

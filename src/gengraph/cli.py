@@ -11,6 +11,7 @@ import argparse
 import datetime
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -18,13 +19,7 @@ from . import __version__
 from .build import build_group
 from .constructions import h_membership, nilpotent_hamiltonian
 from .errors import GengraphError
-from .generating import (
-    degree_profile,
-    delta_graph,
-    delta_of,
-    generating_graph,
-    recover_cyclic_radical,
-)
+from .generating import degree_profile, delta_of, generating_graph, recover_cyclic_radical
 from .graphs import (
     MultipartiteParams,
     certificate_from_json,
@@ -51,11 +46,22 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _int_at_least(text: str, low: int) -> int:
+    """An argparse type: the int `text`, rejected below `low`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-order", type=int, default=None,
                    help="order guard for group construction (default 200; "
                         "env GENGRAPH_MAX_ORDER overrides)")
-    p.add_argument("--budget-nodes", type=int, default=10_000_000,
+    p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0), default=10_000_000,
                    help="search-node budget for exact searches")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the timestamped header line")
@@ -105,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tdn", help="total domination bounds and exact value "
                                    "for a product of complete graphs")
-    p.add_argument("parts", nargs="+", type=int)
+    p.add_argument("parts", nargs="+", type=partial(_int_at_least, low=2),
+                   help="part sizes, each at least 2")
     _add_common(p)
 
     p = sub.add_parser("hamcycle", help="Hamiltonian cycle of Delta(G), "
@@ -177,9 +184,7 @@ def _cmd_info(args) -> int:
 def _cmd_graph(args) -> int:
     out = _Out(args)
     G = build_group(args.spec, _max_order(args))
-    gg = generating_graph(G)
-    if args.delta:
-        gg = delta_graph(gg)
+    gg = delta_of(G) if args.delta else generating_graph(G)
     if args.format == "dot":
         out.emit(graph_to_dot(gg.graph, gg.labels, name=G.name))
     else:

@@ -1,7 +1,7 @@
 """Explicit certified witnesses: Hamiltonian cycles for cyclic groups,
 p-groups and C2-by-p-group products, chord certificates for the product
-Hamiltonicity criterion, the cyclic clique/colouring pair, and the
-total-domination reduction to complete-graph products.
+Hamiltonicity criterion, and the total-domination reduction to
+complete-graph products.
 
 Every construction re-verifies through verify_certificate before being
 returned; a failed re-verification of a proved construction is a hard
@@ -11,17 +11,13 @@ error, while the opportunistic p=2 attempts fall back to search.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .build import _direct_product_table, _product_labels, cyclic_group
 from .errors import ConstructionError, NotTwoGeneratedError
-from .generating import GeneratingGraph, delta_of, generating_graph
+from .generating import GeneratingGraph, delta_of
 from .graphs import (
-    Clique,
-    Coloring,
     DominatingSet,
     Graph,
     HamCycle,
@@ -42,7 +38,6 @@ from .groups import (
     quotient_mod_frattini,
     subgroup_as_group,
     sylow_masks,
-    totient_profile,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -60,13 +55,6 @@ log = logging.getLogger(__name__)
 # Hamiltonian cycles
 
 
-def cyclic_hamiltonian(n: int) -> HamCycle:
-    """The power cycle (1, g, g^2, ..., g^{n-1}) on Delta(C_n); n >= 3."""
-    if n < 3:
-        raise ValueError("Delta(C_n) has a Hamiltonian cycle only for n >= 3")
-    return _power_cycle(delta_of(cyclic_group(n)))
-
-
 def _power_cycle(dd: GeneratingGraph) -> HamCycle:
     """The power cycle (1, g, g^2, ...) of the least generator g of a cyclic
     group, as vertices of its Delta; re-verified before return."""
@@ -78,25 +66,9 @@ def _power_cycle(dd: GeneratingGraph) -> HamCycle:
     return cycle
 
 
-@dataclass(frozen=True)
-class HWitness:
-    """A Hamiltonian cycle with one odd-odd and one even-even chord.
-
-    Positions are 0-based indices into the cycle; chords are present exactly
-    when the cycle length is even (odd length needs no chords).
-    """
-
-    cycle: HamCycle
-    chord_odd: tuple[int, int] | None
-    chord_even: tuple[int, int] | None
-
-    def as_certificate(self) -> HChords:
-        return HChords(self.cycle.vertices, self.chord_odd, self.chord_even)
-
-
 def pgroup_hamiltonian(P: Group, a: int, b: int,
                        budget: SearchBudget = DEFAULT_BUDGET
-                       ) -> tuple[HamCycle, HWitness | None]:
+                       ) -> tuple[HamCycle, HChords | None]:
     """Hamiltonian cycle on Delta(P) for a noncyclic 2-generated p-group.
 
     Concatenates, over the Frattini elements f_1 = 1 < f_2 < ..., the paths
@@ -151,8 +123,8 @@ def pgroup_hamiltonian(P: Group, a: int, b: int,
         raise ConstructionError("p-group cycle failed re-verification")
     witness = None
     if p % 2 == 1:
-        witness = HWitness(cycle, (1, 3), (0, 2))
-        if not verify_certificate(dd.graph, witness.as_certificate()):
+        witness = HChords(cycle.vertices, (1, 3), (0, 2))
+        if not verify_certificate(dd.graph, witness):
             raise ConstructionError("chord certificate failed re-verification")
     return cycle, witness
 
@@ -167,30 +139,7 @@ def least_generating_pair(G: Group) -> tuple[int, int]:
     raise NotTwoGeneratedError(f"{G.name} has no generating pair")
 
 
-def c2_times_p_hamiltonian(P: Group, budget: SearchBudget = DEFAULT_BUDGET
-                           ) -> tuple[Group, HamCycle]:
-    """Hamiltonian cycle on Delta(C2 x P) for a nontrivial odd-order p-group P,
-    by the gluing of `_c2p_cycle_in`.
-
-    Returns (the constructed group C2 x P, the verified cycle).
-    """
-    st = nilpotent_structure(P)
-    if st.r + st.s != 1 or P.n % 2 == 0:
-        raise ValueError("P must be a p-group of odd order")
-    if P.n == 1:
-        raise ValueError("P must be nontrivial")
-    G = _direct_with_c2(P)
-    # element (x^e, h) has index e*|P| + h, so P sits at indices 0..|P|-1
-    return G, _c2p_cycle_in(G, P, np.arange(P.n), budget)
-
-
-def _direct_with_c2(P: Group) -> Group:
-    c2 = cyclic_group(2)
-    return Group(_direct_product_table([c2.table, P.table]),
-                 labels=_product_labels([c2.labels, P.labels]), name=f"C2 x {P.name}")
-
-
-def h_membership(graph: Graph, cycle: HamCycle) -> HWitness | None:
+def h_membership(graph: Graph, cycle: HamCycle) -> HChords | None:
     """Try to witness membership in the chorded-cycle class via this cycle.
 
     Odd order: membership is automatic, returns a chordless witness.  Even
@@ -202,7 +151,7 @@ def h_membership(graph: Graph, cycle: HamCycle) -> HWitness | None:
         raise ValueError("invalid Hamiltonian cycle for this graph")
     n = len(cycle.vertices)
     if n % 2 == 1:
-        return HWitness(cycle, None, None)
+        return HChords(cycle.vertices, None, None)
     position = {v: i for i, v in enumerate(cycle.vertices)}
     odd = None
     even = None
@@ -218,8 +167,8 @@ def h_membership(graph: Graph, cycle: HamCycle) -> HWitness | None:
             break
     if odd is None or even is None:
         return None
-    witness = HWitness(cycle, odd, even)
-    if not verify_certificate(graph, witness.as_certificate()):
+    witness = HChords(cycle.vertices, odd, even)
+    if not verify_certificate(graph, witness):
         raise ConstructionError("chord scan produced an invalid witness")
     return witness
 
@@ -264,12 +213,10 @@ def _c2p_cycle_in(G: Group, P: Group, pmap: np.ndarray,
     """The C2 x P gluing realised inside G (G nilpotent, Sylow-2 = C2), with
     P's elements at `pmap`.  With H = (h_11, ..., h_mk) the p-group cycle,
     the cycle is (u_11, ..., u_mk, v_11, ..., v_mk) where u_ij = x^j h_ij and
-    v_ij = x^j h_i(j+3), the shift j+3 wrapping inside each block.  Cyclic P
-    makes G cyclic, and then the power cycle is used."""
+    v_ij = x^j h_i(j+3), the shift j+3 wrapping inside each block.  G is
+    noncyclic, so P is too."""
     x = int(np.flatnonzero(G.orders == 2)[0])
     dd = delta_of(G)
-    if P.is_cyclic:
-        return _power_cycle(dd)
     a, b = least_generating_pair(P)
     hcycle, _ = pgroup_hamiltonian(P, a, b, budget)
     pdelta = delta_of(P)
@@ -314,70 +261,7 @@ def _require(dd: GeneratingGraph, cert, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# clique and colouring for cyclic groups
-
-
-def cyclic_clique_coloring(n: int) -> tuple[Clique, Coloring]:
-    """The certified clique/colouring pair on Gamma(C_n), n >= 2.
-
-    Clique: the phi(n) generators plus g^{p} for each prime p | n.
-    Colouring: one singleton class per generator, plus for each prime p_i
-    the class of elements of <g^{p_i}> not in an earlier subgroup; together
-    phi(n) + pi(n) classes, matching the clique size.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    G = cyclic_group(n)
-    gg = generating_graph(G)
-    factors, phi_n, r = totient_profile(n)
-    generators = [g for g in range(n) if math.gcd(g, n) == 1]
-    ys = []
-    for p, _ in factors:
-        ys.append(p % n)
-    clique_vertices = sorted(set(generators) | set(ys))
-    if len(clique_vertices) != phi_n + r:
-        raise ConstructionError("clique has the wrong size")
-    clique = Clique(tuple(clique_vertices))
-    if not verify_certificate(gg.graph, clique):
-        raise ConstructionError("cyclic clique failed re-verification")
-    colors = [-1] * n
-    taken = [False] * n
-    class_id = 0
-    for p, _ in factors:
-        for e in range(0, n, p):
-            if not taken[e]:
-                colors[e] = class_id
-                taken[e] = True
-        class_id += 1
-    for g in generators:
-        colors[g] = class_id
-        taken[g] = True
-        class_id += 1
-    if class_id != phi_n + r or not all(taken):
-        raise ConstructionError("colour classes do not partition the group")
-    coloring = Coloring(tuple(colors))
-    if not verify_certificate(gg.graph, coloring):
-        raise ConstructionError("cyclic colouring failed re-verification")
-    return clique, coloring
-
-
-# ---------------------------------------------------------------------------
 # total domination
-
-
-def product_dominating_set(params: MultipartiteParams) -> DominatingSet:
-    """The diagonal {(k,...,k) : k in [s+1]} on K_{a_1} x ... x K_{a_s},
-    valid when a_1 > s; re-verified before return."""
-    parts = params.parts
-    s = len(parts)
-    if parts[0] <= s:
-        raise ValueError(f"diagonal needs a_1 > s, got a_1 = {parts[0]}, s = {s}")
-    graph = _complete_product(parts)
-    diagonal = (int(np.ravel_multi_index((k,) * s, parts)) for k in range(s + 1))
-    ds = DominatingSet(tuple(diagonal))
-    if not verify_certificate(graph, ds):
-        raise ConstructionError("diagonal dominating set failed re-verification")
-    return ds
 
 
 def _complete_product(parts) -> Graph:

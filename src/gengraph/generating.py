@@ -13,20 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .build import _mixed_radix_coords, build_group, odd_primes
-from .errors import (
-    InternalMismatchError,
-    NonIntegralRatioError,
-    NotTwoGeneratedError,
-    OrderGuardError,
-)
+from .errors import InternalMismatchError, NonIntegralRatioError, NotTwoGeneratedError
 from .graphs import Graph, lex_product
 from .groups import (
     Group,
     NilpotentStructure,
     coset_section,
     nilpotent_structure,
-    p_part,
     quotient_mod_frattini,
     sylow_masks,
 )
@@ -71,19 +64,14 @@ def generating_graph(G: Group) -> GeneratingGraph:
     return G._cache[key]
 
 
-def delta_graph(gg: GeneratingGraph) -> GeneratingGraph:
-    """Delta: the induced subgraph on the nonisolated vertices."""
-    keep = np.flatnonzero(gg.graph.degrees > 0)
-    sub, idx = gg.graph.induced(keep.tolist())
-    elements = tuple(gg.vertex_elements[int(v)] for v in idx)
-    return GeneratingGraph(sub, elements, gg.group)
-
-
 def delta_of(G: Group) -> GeneratingGraph:
-    """Delta(G), built once per group and cached on it."""
+    """Delta(G): Gamma(G) induced on its nonisolated vertices.  Built once
+    per group and cached on it."""
     key = "delta"
     if key not in G._cache:
-        G._cache[key] = delta_graph(generating_graph(G))
+        gamma = generating_graph(G).graph
+        sub, idx = gamma.induced(np.flatnonzero(gamma.degrees > 0).tolist())
+        G._cache[key] = GeneratingGraph(sub, tuple(idx.tolist()), G)
     return G._cache[key]
 
 
@@ -238,70 +226,6 @@ def recover_cyclic_radical(gg: GeneratingGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Example-family graphs built from the stated rules (no Cayley table)
-
-
-def example_family_graph(d: int, max_vertices: int = 10_000) -> GeneratingGraph:
-    """Delta of the d-block semidirect example, built directly from the
-    nonisolation and adjacency rules over coordinate tuples.
-
-    Vertices are the tuples (n_11..n_d3; h_j) with j in {1,2,3} and n_ij != 0
-    for every block i; two vertices with labels j != k are adjacent iff every
-    block differs in the coordinate l not in {j,k}.  vertex_elements uses the
-    same element indexing as the Cayley-table construction (coords * 4 + h).
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    primes = odd_primes(d)
-    per_class = math.prod(p * p * (p - 1) for p in primes)
-    total = 3 * per_class
-    if total > max_vertices:
-        raise OrderGuardError(
-            f"rule-based graph has {total} vertices, guard is {max_vertices}")
-    radices = [p for p in primes for _ in range(3)]
-    nn = math.prod(p ** 3 for p in primes)
-    coords = _mixed_radix_coords(nn, radices)
-    vert_coords = []
-    vert_elements = []
-    for j in (1, 2, 3):
-        ok = np.ones(nn, dtype=bool)
-        for i in range(d):
-            ok &= coords[:, 3 * i + (j - 1)] != 0
-        sel = np.flatnonzero(ok)
-        vert_coords.append((j, sel))
-        vert_elements.extend((int(x) * 4 + j) for x in sel)
-    counts = [sel.size for _, sel in vert_coords]
-    n = sum(counts)
-    adj = np.zeros((n, n), dtype=bool)
-    offs = np.cumsum([0] + counts)
-    for a in range(3):
-        ja, sela = vert_coords[a]
-        for b in range(a + 1, 3):
-            jb, selb = vert_coords[b]
-            l_free = ({1, 2, 3} - {ja, jb}).pop()
-            block = np.ones((sela.size, selb.size), dtype=bool)
-            for i in range(d):
-                col = 3 * i + (l_free - 1)
-                block &= coords[sela, col][:, None] != coords[selb, col][None, :]
-            adj[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = block
-            adj[offs[b]:offs[b + 1], offs[a]:offs[a + 1]] = block.T
-    # group object only materialised within the order guard
-    group = build_group(f"Ex({d})", max_order=max(4 * nn, 1)) if 4 * nn <= 1000 \
-        else _IndexOnlyGroup(4 * nn, f"Ex({d})")
-    return GeneratingGraph(Graph(adj), tuple(vert_elements), group)
-
-
-class _IndexOnlyGroup:
-    """Stand-in carrying just order and labels for rule-built graphs whose
-    Cayley table would exceed the guard."""
-
-    def __init__(self, n: int, name: str):
-        self.n = n
-        self.name = name
-        self.labels = tuple(str(i) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # lexicographic decomposition check (Frattini blow-up identity)
 
 
@@ -352,32 +276,6 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
         f"{len(prod_edges - delta_edges)} only in the product")
     return LexCheckResult(passed, cyclic, m, len(delta_edges),
                           len(prod_edges), detail)
-
-
-# ---------------------------------------------------------------------------
-# componentwise generation criterion on the Frattini quotient
-
-
-def componentwise_pair_matrix(Q: Group) -> np.ndarray:
-    """Adjacency of Gamma(Q) for squarefree-exponent nilpotent Q, computed by
-    the componentwise rule: on each cyclic Sylow factor not both trivial; on
-    each rank-2 Sylow factor two distinct nontrivial cyclic subgroups."""
-    st = nilpotent_structure(Q)
-    n = Q.n
-    ok = np.ones((n, n), dtype=bool)
-    for p, _ in st.cyclic_sylow:
-        part = np.array([p_part(Q, g, p) for g in range(n)])
-        trivial = part == 0
-        ok &= ~(trivial[:, None] & trivial[None, :])
-    for q, _ in st.noncyclic_sylow:
-        part = np.array([p_part(Q, g, q) for g in range(n)])
-        ids, _, _ = Q._cyclic_data()
-        sub = ids[part]
-        trivial = part == 0
-        ok &= ~trivial[:, None] & ~trivial[None, :] & (sub[:, None] != sub[None, :])
-    np.fill_diagonal(ok, False)
-    # the rule describes generation of Q itself; pairs where g = h never count
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -110,17 +110,6 @@ class Graph:
 # constructors and products
 
 
-def complete_multipartite(parts: Iterable[int]) -> Graph:
-    """Blocks of the given sizes; edges exactly between distinct blocks."""
-    parts = [int(p) for p in parts]
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("parts must be nonempty positive sizes")
-    n = sum(parts)
-    block = np.repeat(np.arange(len(parts)), parts)
-    adj = block[:, None] != block[None, :]
-    return Graph(adj)
-
-
 def direct_product(a: Graph, b: Graph) -> Graph:
     """Tensor product: (u1,v1) ~ (u2,v2) iff u1~u2 and v1~v2; index u*|b|+v."""
     return Graph(np.kron(a.adj, b.adj))
@@ -134,15 +123,7 @@ def lex_product(a: Graph, b: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# metrics
-
-
-@dataclass(frozen=True)
-class Metrics:
-    min_degree: int | None
-    is_connected: bool
-    component_count: int
-    diameter: int | None
+# components and distances
 
 
 def _components(graph: Graph) -> np.ndarray:
@@ -160,24 +141,6 @@ def _components(graph: Graph) -> np.ndarray:
             frontier = fresh
         nxt += 1
     return comp
-
-
-def basic_metrics(graph: Graph) -> Metrics:
-    """Min degree, connectivity, component count, diameter (None if disconnected).
-
-    The empty graph reports min_degree None and is connected=False by
-    convention; a single vertex is connected with diameter 0.
-    """
-    if graph.n == 0:
-        return Metrics(None, False, 0, None)
-    comp = _components(graph)
-    ncomp = int(comp.max()) + 1
-    connected = ncomp == 1
-    diameter = None
-    if connected:
-        dist = bfs_distances(graph)
-        diameter = int(dist.max())
-    return Metrics(int(graph.degrees.min()), connected, ncomp, diameter)
 
 
 def bfs_distances(graph: Graph) -> np.ndarray:
@@ -596,21 +559,6 @@ def td_bounds(params: MultipartiteParams) -> tuple[int, int, int]:
     t = params.t
     upper = (2 ** t) * (params.s - t + 1)
     return val, upper, t
-
-
-def kappa_product_formula(kappa_gamma: int, delta_gamma: int,
-                          params: MultipartiteParams) -> int:
-    """min(kappa*sum(t_i), delta*sum(t_i, i<u)) under the stated hypotheses:
-    u >= 3, parts ascending, sum of first u-2 >= t_{u-1}, sum of first u-1 >= t_u."""
-    t = params.parts
-    u = len(t)
-    if u < 3:
-        raise ValueError("formula requires u >= 3 parts")
-    if sum(t[:u - 2]) < t[u - 2]:
-        raise ValueError("precondition sum(t_1..t_{u-2}) >= t_{u-1} fails")
-    if sum(t[:u - 1]) < t[u - 1]:
-        raise ValueError("precondition sum(t_1..t_{u-1}) >= t_u fails")
-    return min(kappa_gamma * sum(t), delta_gamma * sum(t[:u - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Finite groups as validated Cayley tables, plus subgroup machinery.
 
 Elements are integers 0..n-1 with the identity pinned at index 0.  All
-higher-level adjacency questions reduce to `closure`, i.e. to subgroup
-generation computed by product saturation; per-group caches only memoise
-closures of pairs of cyclic subgroups, never replace them with formulas.
+higher-level adjacency questions reduce to `_closure_members`, i.e. to
+subgroup generation computed by product saturation; per-group caches only
+memoise closures of pairs of cyclic subgroups, never replace them with
+formulas.
 """
 
 from __future__ import annotations
@@ -222,16 +223,6 @@ def _closure_members(table: np.ndarray, seeds) -> set[int]:
                 seen.add(y)
                 order.append(y)
     return seen
-
-
-def closure(G: Group, seeds) -> frozenset[int]:
-    """Least subgroup of G containing `seeds`, via product saturation, as
-    the frozenset of its element indices."""
-    seeds = [int(s) for s in seeds]
-    for s in seeds:
-        if not 0 <= s < G.n:
-            raise ValueError(f"seed {s} out of range")
-    return frozenset(_closure_members(G.table, seeds))
 
 
 def is_generating_pair(G: Group, g: int, h: int) -> bool:

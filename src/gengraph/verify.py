@@ -384,9 +384,10 @@ def _check_lem_3_1(G: Group, budget: SearchBudget) -> Outcome:
 
 
 def _check_rem_3_5(G: Group, budget: SearchBudget) -> Outcome:
-    D, _ = subgroup_as_group(G, sorted(derived_subgroup(G)))
-    if not is_nilpotent(D):
-        raise _Skip("derived subgroup is not nilpotent")
+    if not is_nilpotent(G):  # a subgroup of a nilpotent group is nilpotent
+        D, _ = subgroup_as_group(G, sorted(derived_subgroup(G)))
+        if not is_nilpotent(D):
+            raise _Skip("derived subgroup is not nilpotent")
     graph = _guarded_delta(G)
     delta = int(graph.degrees.min())
     lam, cut = edge_connectivity(graph)

@@ -1,20 +1,44 @@
-"""Shared fixtures and the independent brute-force oracles.
+"""Shared fixtures, the independent brute-force oracles, and the reference
+constructions built from the paper's rules.
 
 The oracles here deliberately avoid the package's cached join machinery:
 adjacency is recomputed per pair by direct closure, connectivity by subset
 enumeration, domination by combinations, so they stay independent of the
 paths they check.
+
+The reference constructions build graphs, witnesses and values from the
+paper's closed-form rules (componentwise generation, the example family's
+adjacency rule, the cyclic clique and colouring, the diagonal dominating
+set, the product connectivity formula).  They live here, not in the
+package, because `gengraph` realises every graph from subgroup closure;
+the tests compare the two.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gengraph.build import build_cached
-from gengraph.graphs import Graph
+from gengraph.build import _mixed_radix_coords, build_cached, build_group, cyclic_group, odd_primes
+from gengraph.constructions import _complete_product
+from gengraph.errors import ConstructionError, OrderGuardError
+from gengraph.generating import GeneratingGraph, generating_graph
+from gengraph.graphs import (
+    Clique,
+    Coloring,
+    DominatingSet,
+    Graph,
+    MultipartiteParams,
+    _components,
+    bfs_distances,
+    verify_certificate,
+)
+from gengraph.groups import Group, nilpotent_structure, p_part, totient_profile
 
 
 @pytest.fixture(scope="session")
@@ -221,3 +245,222 @@ def milp_total_domination(graph: Graph) -> int:
                integrality=np.ones(n), bounds=(0, 1))
     assert res.success
     return int(round(res.fun))
+
+
+# ---------------------------------------------------------------------------
+# Cayley-table files
+
+
+def save_cayley_file(G: Group, path: str | Path) -> None:
+    """Write G in the "cayley 1" format that `load_cayley_file` reads."""
+    path = Path(path)
+    lines = ["cayley 1", str(G.n)]
+    for i in range(G.n):
+        lines.append(" ".join(str(int(x)) for x in G.table[i]))
+    for i, lbl in enumerate(G.labels):
+        if lbl != str(i):
+            lines.append(f"label {i} {lbl}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# graph constructors and metrics
+
+
+def complete_multipartite(parts) -> Graph:
+    """Blocks of the given sizes; edges exactly between distinct blocks."""
+    parts = [int(p) for p in parts]
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError("parts must be nonempty positive sizes")
+    block = np.repeat(np.arange(len(parts)), parts)
+    return Graph(block[:, None] != block[None, :])
+
+
+@dataclass(frozen=True)
+class Metrics:
+    min_degree: int | None
+    is_connected: bool
+    component_count: int
+    diameter: int | None
+
+
+def basic_metrics(graph: Graph) -> Metrics:
+    """Min degree, connectivity, component count, diameter (None if disconnected).
+
+    The empty graph reports min_degree None and is connected=False by
+    convention; a single vertex is connected with diameter 0.
+    """
+    if graph.n == 0:
+        return Metrics(None, False, 0, None)
+    comp = _components(graph)
+    ncomp = int(comp.max()) + 1
+    connected = ncomp == 1
+    diameter = None
+    if connected:
+        diameter = int(bfs_distances(graph).max())
+    return Metrics(int(graph.degrees.min()), connected, ncomp, diameter)
+
+
+def kappa_product_formula(kappa_gamma: int, delta_gamma: int,
+                          params: MultipartiteParams) -> int:
+    """min(kappa*sum(t_i), delta*sum(t_i, i<u)) under the stated hypotheses:
+    u >= 3, parts ascending, sum of first u-2 >= t_{u-1}, sum of first u-1 >= t_u."""
+    t = params.parts
+    u = len(t)
+    if u < 3:
+        raise ValueError("formula requires u >= 3 parts")
+    if sum(t[:u - 2]) < t[u - 2]:
+        raise ValueError("precondition sum(t_1..t_{u-2}) >= t_{u-1} fails")
+    if sum(t[:u - 1]) < t[u - 1]:
+        raise ValueError("precondition sum(t_1..t_{u-1}) >= t_u fails")
+    return min(kappa_gamma * sum(t), delta_gamma * sum(t[:u - 1]))
+
+
+# ---------------------------------------------------------------------------
+# rule: componentwise generation on the Frattini quotient
+
+
+def componentwise_pair_matrix(Q: Group) -> np.ndarray:
+    """Adjacency of Gamma(Q) for squarefree-exponent nilpotent Q, computed by
+    the componentwise rule: on each cyclic Sylow factor not both trivial; on
+    each rank-2 Sylow factor two distinct nontrivial cyclic subgroups."""
+    st = nilpotent_structure(Q)
+    n = Q.n
+    ok = np.ones((n, n), dtype=bool)
+    for p, _ in st.cyclic_sylow:
+        part = np.array([p_part(Q, g, p) for g in range(n)])
+        trivial = part == 0
+        ok &= ~(trivial[:, None] & trivial[None, :])
+    for q, _ in st.noncyclic_sylow:
+        part = np.array([p_part(Q, g, q) for g in range(n)])
+        ids, _, _ = Q._cyclic_data()
+        sub = ids[part]
+        trivial = part == 0
+        ok &= ~trivial[:, None] & ~trivial[None, :] & (sub[:, None] != sub[None, :])
+    np.fill_diagonal(ok, False)
+    # the rule describes generation of Q itself; pairs where g = h never count
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# rule: the example family's Delta, with no Cayley table
+
+
+def example_family_graph(d: int, max_vertices: int = 10_000) -> GeneratingGraph:
+    """Delta of the d-block semidirect example, built directly from the
+    nonisolation and adjacency rules over coordinate tuples.
+
+    Vertices are the tuples (n_11..n_d3; h_j) with j in {1,2,3} and n_ij != 0
+    for every block i; two vertices with labels j != k are adjacent iff every
+    block differs in the coordinate l not in {j,k}.  vertex_elements uses the
+    same element indexing as the Cayley-table construction (coords * 4 + h).
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    primes = odd_primes(d)
+    per_class = math.prod(p * p * (p - 1) for p in primes)
+    total = 3 * per_class
+    if total > max_vertices:
+        raise OrderGuardError(
+            f"rule-based graph has {total} vertices, guard is {max_vertices}")
+    radices = [p for p in primes for _ in range(3)]
+    nn = math.prod(p ** 3 for p in primes)
+    coords = _mixed_radix_coords(nn, radices)
+    vert_coords = []
+    vert_elements = []
+    for j in (1, 2, 3):
+        ok = np.ones(nn, dtype=bool)
+        for i in range(d):
+            ok &= coords[:, 3 * i + (j - 1)] != 0
+        sel = np.flatnonzero(ok)
+        vert_coords.append((j, sel))
+        vert_elements.extend((int(x) * 4 + j) for x in sel)
+    counts = [sel.size for _, sel in vert_coords]
+    n = sum(counts)
+    adj = np.zeros((n, n), dtype=bool)
+    offs = np.cumsum([0] + counts)
+    for a in range(3):
+        ja, sela = vert_coords[a]
+        for b in range(a + 1, 3):
+            jb, selb = vert_coords[b]
+            l_free = ({1, 2, 3} - {ja, jb}).pop()
+            block = np.ones((sela.size, selb.size), dtype=bool)
+            for i in range(d):
+                col = 3 * i + (l_free - 1)
+                block &= coords[sela, col][:, None] != coords[selb, col][None, :]
+            adj[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = block
+            adj[offs[b]:offs[b + 1], offs[a]:offs[a + 1]] = block.T
+    # group object only materialised within the order guard
+    group = build_group(f"Ex({d})", max_order=max(4 * nn, 1)) if 4 * nn <= 1000 \
+        else _IndexOnlyGroup(4 * nn, f"Ex({d})")
+    return GeneratingGraph(Graph(adj), tuple(vert_elements), group)
+
+
+class _IndexOnlyGroup:
+    """Stand-in carrying just order and labels for rule-built graphs whose
+    Cayley table would exceed the guard."""
+
+    def __init__(self, n: int, name: str):
+        self.n = n
+        self.name = name
+        self.labels = tuple(str(i) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# rule: the cyclic clique/colouring pair and the diagonal dominating set
+
+
+def cyclic_clique_coloring(n: int) -> tuple[Clique, Coloring]:
+    """The certified clique/colouring pair on Gamma(C_n), n >= 2.
+
+    Clique: the phi(n) generators plus g^{p} for each prime p | n.
+    Colouring: one singleton class per generator, plus for each prime p_i
+    the class of elements of <g^{p_i}> not in an earlier subgroup; together
+    phi(n) + pi(n) classes, matching the clique size.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    gg = generating_graph(cyclic_group(n))
+    factors, phi_n, r = totient_profile(n)
+    generators = [g for g in range(n) if math.gcd(g, n) == 1]
+    ys = [p % n for p, _ in factors]
+    clique_vertices = sorted(set(generators) | set(ys))
+    if len(clique_vertices) != phi_n + r:
+        raise ConstructionError("clique has the wrong size")
+    clique = Clique(tuple(clique_vertices))
+    if not verify_certificate(gg.graph, clique):
+        raise ConstructionError("cyclic clique failed re-verification")
+    colors = [-1] * n
+    taken = [False] * n
+    class_id = 0
+    for p, _ in factors:
+        for e in range(0, n, p):
+            if not taken[e]:
+                colors[e] = class_id
+                taken[e] = True
+        class_id += 1
+    for g in generators:
+        colors[g] = class_id
+        taken[g] = True
+        class_id += 1
+    if class_id != phi_n + r or not all(taken):
+        raise ConstructionError("colour classes do not partition the group")
+    coloring = Coloring(tuple(colors))
+    if not verify_certificate(gg.graph, coloring):
+        raise ConstructionError("cyclic colouring failed re-verification")
+    return clique, coloring
+
+
+def product_dominating_set(params: MultipartiteParams) -> DominatingSet:
+    """The diagonal {(k,...,k) : k in [s+1]} on K_{a_1} x ... x K_{a_s},
+    valid when a_1 > s; re-verified before return."""
+    parts = params.parts
+    s = len(parts)
+    if parts[0] <= s:
+        raise ValueError(f"diagonal needs a_1 > s, got a_1 = {parts[0]}, s = {s}")
+    graph = _complete_product(parts)
+    diagonal = (int(np.ravel_multi_index((k,) * s, parts)) for k in range(s + 1))
+    ds = DominatingSet(tuple(diagonal))
+    if not verify_certificate(graph, ds):
+        raise ConstructionError("diagonal dominating set failed re-verification")
+    return ds

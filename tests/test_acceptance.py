@@ -12,12 +12,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    complete_multipartite,
+    cyclic_clique_coloring,
+    example_family_graph,
+    kappa_product_formula,
+)
 from gengraph.build import build_cached
 from gengraph.constructions import (
     _complete_product,
-    c2_times_p_hamiltonian,
-    cyclic_clique_coloring,
-    cyclic_hamiltonian,
     least_generating_pair,
     nilpotent_hamiltonian,
     nilpotent_td,
@@ -26,7 +29,6 @@ from gengraph.constructions import (
 from gengraph.generating import (
     degree_profile,
     delta_of,
-    example_family_graph,
     gamma_coset_bijection,
     generating_graph,
     recover_cyclic_radical,
@@ -35,10 +37,8 @@ from gengraph.graphs import (
     Graph,
     MultipartiteParams,
     bfs_distances,
-    complete_multipartite,
     direct_product,
     edge_connectivity,
-    kappa_product_formula,
     td_bounds,
     vertex_connectivity,
     verify_certificate,
@@ -163,17 +163,17 @@ def test_criterion_05_hamiltonicity():
     ok = True
     # constructed cycles, re-verified edge by edge
     for n in range(3, 37):
-        cyc = cyclic_hamiltonian(n)
+        cyc = nilpotent_hamiltonian(_g(f"C{n}")).cycle
         ok &= verify_certificate(delta_of(_g(f"C{n}")).graph, cyc)
     for spec in ("C2^2", "C3^2", "C5^2", "C7^2", "Heis3"):
         g = _g(spec)
         a, b = least_generating_pair(g)
         cyc, _ = pgroup_hamiltonian(g, a, b)
         ok &= verify_certificate(delta_of(g).graph, cyc)
-    ok &= verify_certificate(delta_of(_g("C8")).graph, cyclic_hamiltonian(8))
-    for pspec in ("C3^2", "Heis3"):
-        G, cyc = c2_times_p_hamiltonian(_g(pspec))
-        ok &= verify_certificate(delta_of(G).graph, cyc)
+    ok &= verify_certificate(delta_of(_g("C8")).graph, nilpotent_hamiltonian(_g("C8")).cycle)
+    for spec in ("C2 x C3^2", "C2 x Heis3"):
+        G = _g(spec)
+        ok &= verify_certificate(delta_of(G).graph, nilpotent_hamiltonian(G).cycle)
     # searched cases within the node budget
     searched_nodes = {}
     for spec in ("C2^2 x C3", "C2^2 x C3^2", "C12", "C2^2 x C9"):
@@ -196,7 +196,7 @@ def test_criterion_06_h_certificates():
         cyc, wit = pgroup_hamiltonian(g, a, b)
         ok &= wit is not None
         ok &= wit.chord_even == (0, 2) and wit.chord_odd == (1, 3)
-        ok &= verify_certificate(delta_of(g).graph, wit.as_certificate())
+        ok &= verify_certificate(delta_of(g).graph, wit)
     _report(6, "h-class-certificates", ok,
             "odd-odd chord at (1,3) and even-even chord at (0,2) on all three")
 

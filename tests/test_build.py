@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import save_cayley_file
 from gengraph.build import (
     Cyclic,
     CyclicPower,
@@ -13,7 +14,6 @@ from gengraph.build import (
     build_group,
     load_cayley_file,
     parse_spec,
-    save_cayley_file,
 )
 from gengraph.errors import CayleyFileError, GroupSpecError, OrderGuardError
 from gengraph.groups import is_nilpotent

@@ -110,6 +110,20 @@ def test_tdn(capsys):
     assert "witness:" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "C6", "--budget-nodes", "-1"),
+    ("hamcycle", "C6", "--budget-nodes", "-1"),
+    ("verify", "--budget-nodes", "-1"),
+    ("tdn", "3", "4", "--budget-nodes", "-1"),
+    ("tdn", "1", "3"),
+    ("tdn", "3", "0"),
+])
+def test_out_of_range_input_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be at least" in err and "Traceback" not in err
+
+
 def test_hamcycle_constructed(capsys):
     code, out, _ = run_cli(capsys, "hamcycle", "C3^2", "--no-header")
     assert code == 0

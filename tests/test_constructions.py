@@ -5,18 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import milp_total_domination
+from conftest import cyclic_clique_coloring, milp_total_domination, product_dominating_set
+from gengraph import constructions
 from gengraph.constructions import (
     _complete_product,
-    c2_times_p_hamiltonian,
-    cyclic_clique_coloring,
-    cyclic_hamiltonian,
     h_membership,
     least_generating_pair,
     nilpotent_hamiltonian,
     nilpotent_td,
     pgroup_hamiltonian,
-    product_dominating_set,
 )
 from gengraph.errors import NotTwoGeneratedError
 from gengraph.generating import delta_of, generating_graph
@@ -25,21 +22,30 @@ from gengraph.groups import totient_profile
 from gengraph.search import SearchBudget, hamiltonian, total_domination
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make the construction's search fallback raise, so a test passes only
+    when the explicit construction itself verifies."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction fell back to search")
+    monkeypatch.setattr(constructions, "hamiltonian", refuse)
+
+
 # ---------------------------------------------------------------------------
 # cyclic cycles
 
 
-def test_cyclic_hamiltonian_small():
-    assert cyclic_hamiltonian(3).vertices == (0, 1, 2)
-    assert cyclic_hamiltonian(4).vertices == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        cyclic_hamiltonian(2)
+def test_cyclic_hamiltonian_small(group):
+    assert nilpotent_hamiltonian(group("C3")).cycle.vertices == (0, 1, 2)
+    assert nilpotent_hamiltonian(group("C4")).cycle.vertices == (0, 1, 2, 3)
+    assert nilpotent_hamiltonian(group("C2")).status == "no"
 
 
-def test_cyclic_hamiltonian_range(group):
+def test_cyclic_hamiltonian_range(group, no_search):
     for n in range(3, 37):
-        cyc = cyclic_hamiltonian(n)
-        assert verify_certificate(delta_of(group(f"C{n}")).graph, cyc)
+        res = nilpotent_hamiltonian(group(f"C{n}"))
+        assert res.status == "yes" and res.nodes == 0
+        assert verify_certificate(delta_of(group(f"C{n}")).graph, res.cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +63,7 @@ def test_pgroup_c3sq_exact_cycle(group):
                       "(g^2,1)", "(1,g^2)", "(g,g^2)", "(g^2,g^2)"]
     assert wit is not None
     assert wit.chord_even == (0, 2) and wit.chord_odd == (1, 3)
-    assert verify_certificate(dd.graph, wit.as_certificate())
+    assert verify_certificate(dd.graph, wit)
 
 
 def test_pgroup_sizes(group):
@@ -68,10 +74,10 @@ def test_pgroup_sizes(group):
         cyc, wit = pgroup_hamiltonian(g, a, b)
         assert len(cyc.vertices) == g.n - g.n // (p * p), spec
         assert wit is not None
-        assert verify_certificate(delta_of(g).graph, wit.as_certificate()), spec
+        assert verify_certificate(delta_of(g).graph, wit), spec
 
 
-def test_pgroup_p2_attempt_verifies(group):
+def test_pgroup_p2_attempt_verifies(group, no_search):
     for spec in ["C2^2", "C4 x C2"]:
         g = group(spec)
         a, b = least_generating_pair(g)
@@ -94,28 +100,24 @@ def test_pgroup_rejects_bad_input(group):
 # C2 x P gluing
 
 
-def test_c2_times_p_noncyclic(group):
-    G, cyc = c2_times_p_hamiltonian(group("C3^2"))
+def test_c2_times_p_noncyclic(group, no_search):
+    G = group("C2 x C3^2")
+    cyc = nilpotent_hamiltonian(G).cycle
     assert G.n == 18 and len(cyc.vertices) == 16
     dd = delta_of(G)
     assert verify_certificate(dd.graph, cyc)
     # the seam: u_mk = a^{p-1} b^{p-1} f_m meets v_11 = x a b^2 f_1
-    G2, cyc2 = c2_times_p_hamiltonian(group("Heis3"))
+    G2 = group("C2 x Heis3")
+    cyc2 = nilpotent_hamiltonian(G2).cycle
     assert G2.n == 54 and len(cyc2.vertices) == 48
     assert verify_certificate(delta_of(G2).graph, cyc2)
 
 
-def test_c2_times_p_cyclic_delegates(group):
-    G, cyc = c2_times_p_hamiltonian(group("C9"))
+def test_c2_times_p_cyclic_delegates(group, no_search):
+    G = group("C2 x C9")
+    cyc = nilpotent_hamiltonian(G).cycle
     assert G.n == 18 and len(cyc.vertices) == 18
     assert verify_certificate(delta_of(G).graph, cyc)
-
-
-def test_c2_times_p_rejects_even(group):
-    with pytest.raises(ValueError):
-        c2_times_p_hamiltonian(group("C2^2"))
-    with pytest.raises(ValueError):
-        c2_times_p_hamiltonian(group("C1"))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,7 @@ def test_h_membership_finds_chords(group):
     dd = delta_of(p9)
     wit = h_membership(dd.graph, cyc)
     assert wit is not None
-    assert verify_certificate(dd.graph, wit.as_certificate())
+    assert verify_certificate(dd.graph, wit)
 
 
 def test_h_membership_no_chords_on_plain_cycle():

@@ -7,16 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_adjacency
+from conftest import basic_metrics, brute_adjacency, componentwise_pair_matrix, example_family_graph
 from gengraph.build import build_group
 from gengraph.errors import NonIntegralRatioError, NotNilpotentError
 from gengraph.generating import (
-    componentwise_pair_matrix,
     coprime_noncyclic_split,
     degree_profile,
-    delta_graph,
     delta_of,
-    example_family_graph,
     formula_min_degree,
     gamma_coset_bijection,
     generating_graph,
@@ -34,7 +31,7 @@ from gengraph.groups import (
 def test_gamma_c2sq_triangle_plus_isolated(group):
     gg = generating_graph(group("C2^2"))
     assert gg.graph.degrees.tolist() == [0, 2, 2, 2]
-    dd = delta_graph(gg)
+    dd = delta_of(group("C2^2"))
     assert dd.graph.n == 3 and dd.graph.is_complete()
 
 
@@ -50,7 +47,7 @@ def test_gamma_c6_degree_sequence(group):
 def test_gamma_c1_single_isolated_vertex(group):
     gg = generating_graph(group("C1"))
     assert gg.graph.n == 1 and gg.graph.edge_count == 0
-    assert delta_graph(gg).graph.n == 0
+    assert delta_of(group("C1")).graph.n == 0
 
 
 def test_gamma_matches_brute_force(group):
@@ -77,7 +74,7 @@ def test_delta_nonisolated_counts(group):
 def test_null_graph_for_non_two_generated(group):
     gg = generating_graph(group("C2^3"))
     assert gg.graph.edge_count == 0
-    assert delta_graph(gg).graph.n == 0
+    assert delta_of(group("C2^3")).graph.n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,6 @@ def test_connectedness_lifting(group):
             xf_elems = {int(g.table[e, f]) for e in x_elems for f in phi_elems}
             sub_x, _ = dd.graph.induced([pos[e] for e in x_elems])
             sub_xf, _ = dd.graph.induced([pos[e] for e in xf_elems])
-            from gengraph.graphs import basic_metrics
             cx = basic_metrics(sub_x).is_connected
             cxf = basic_metrics(sub_xf).is_connected
             assert cx == cxf, (spec, sorted(x_elems))

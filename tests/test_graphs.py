@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    basic_metrics,
     brute_edge_connectivity,
     brute_vertex_connectivity,
+    complete_multipartite,
+    kappa_product_formula,
 )
 from gengraph import graphs
 from gengraph.build import build_group
@@ -25,17 +28,14 @@ from gengraph.graphs import (
     HamCycle,
     MultipartiteParams,
     VertexCut,
-    basic_metrics,
     certificate_from_json,
     certificate_to_json,
-    complete_multipartite,
     direct_product,
     edge_connectivity,
     eulerian_circuit,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    kappa_product_formula,
     lex_product,
     td_bounds,
     vertex_connectivity,

@@ -1,4 +1,5 @@
-"""Every top-level import in a package module is used in that module."""
+"""Every top-level import in a package module is used in that module, and
+every top-level definition is read by some package module."""
 
 from __future__ import annotations
 
@@ -9,6 +10,11 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gengraph"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# definitions that no package module reads, with the reason each stays
+UNREAD_ALLOWED = {
+    "scan_question": "perfbench/tracer.py wraps it by name",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,11 +30,39 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Top-level functions and classes that no module reads by name outside
+    their own body."""
+    defined = []
+    read = set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append(own)
+            read |= {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and n.id != own}
+    return [name for name in defined if name not in read]
+
+
 def test_detector_finds_an_unused_import():
     assert unused_imports("import json\nimport os\nos.getcwd()\n") == ["json"]
     assert unused_imports("from a import b as c\nc()\n") == []
 
 
+def test_detector_finds_an_unread_definition():
+    caller = "from .a import used\n\ndef main():\n    return used()\n"
+    defs = "def used():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\nclass Dead:\n    pass\n"
+    assert unread_definitions([caller, defs]) == ["main", "dead", "Dead"]
+    assert unread_definitions([caller + "\nmain()\n", "def used():\n    pass\n"]) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_definition_is_read_by_the_package():
+    unread = unread_definitions([p.read_text() for p in MODULES])
+    assert sorted(unread) == sorted(UNREAD_ALLOWED)

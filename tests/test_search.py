@@ -11,11 +11,12 @@ from conftest import (
     brute_clique_number,
     brute_hamiltonian,
     brute_total_domination,
+    complete_multipartite,
     milp_total_domination,
 )
 from gengraph.errors import DominationUndefinedError
 from gengraph.generating import delta_of
-from gengraph.graphs import Graph, complete_multipartite, direct_product, verify_certificate
+from gengraph.graphs import Graph, direct_product, verify_certificate
 from gengraph.search import (
     SearchBudget,
     chromatic_number,

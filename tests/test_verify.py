@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from gengraph.build import save_cayley_file
+from conftest import save_cayley_file
 from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
