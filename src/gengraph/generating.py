@@ -300,9 +300,11 @@ def _coprime_noncyclic_split(G: Group) -> tuple[Group, np.ndarray, Group, np.nda
     for p in sorted(masks):
         a_members = np.flatnonzero(masks[p])
         b_members = np.flatnonzero(G.orders % p != 0)  # the Hall p'-subgroup
-        A, amap = subgroup_as_group(G, a_members.tolist())
-        B, bmap = subgroup_as_group(G, b_members.tolist())
-        if not A.is_cyclic and not B.is_cyclic:
+        # a subgroup is cyclic iff one of its elements has its order
+        if (G.orders[a_members].max() < a_members.size
+                and G.orders[b_members].max() < b_members.size):
+            A, amap = subgroup_as_group(G, a_members.tolist())
+            B, bmap = subgroup_as_group(G, b_members.tolist())
             return A, amap, B, bmap
     return None
 

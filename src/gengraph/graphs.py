@@ -280,21 +280,26 @@ def _verify_edge_cut(graph: Graph, cert: EdgeCut) -> bool:
 
 
 def _verify_euler(graph: Graph, cert: EulerCircuit) -> bool:
+    """A closed walk of m steps, each along an edge, with no edge twice.
+
+    The walked entries are set in an n*n boolean matrix: m steps set 2m
+    entries exactly when no edge repeats.
+    """
     walk = cert.vertices
-    m = graph.edge_count
+    n, m = graph.n, graph.edge_count
+    if walk and not (0 <= min(walk) and max(walk) < n):
+        return False
     if m == 0:
         return len(walk) <= 1
     if len(walk) != m + 1 or walk[0] != walk[-1]:
         return False
-    seen = set()
-    for u, v in zip(walk, walk[1:]):
-        if not (0 <= u < graph.n and 0 <= v < graph.n and graph.adj[u, v]):
-            return False
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return False
-        seen.add(key)
-    return len(seen) == m
+    steps = np.array(walk, dtype=np.int32)
+    u, v = steps[:-1], steps[1:]
+    if not graph.adj[u, v].all():
+        return False
+    walked = np.zeros((n, n), dtype=bool)
+    walked[u, v] = walked[v, u] = True
+    return int(np.count_nonzero(walked)) == 2 * m
 
 
 def _verify_ham(graph: Graph, cert: HamCycle) -> bool:
@@ -480,8 +485,11 @@ class EulerResult:
 def eulerian_circuit(graph: Graph) -> EulerResult:
     """Hierholzer circuit when connected with all degrees even.
 
-    Isolated vertices are not ignored: the input is expected to already be a
-    Delta graph, so an isolated vertex means "disconnected".
+    The walk starts at vertex 0, and from each vertex v it takes the least
+    neighbour of v whose edge is still unused, so the circuit is a function
+    of the graph alone.  Isolated vertices are not ignored: the input is
+    expected to already be a Delta graph, so an isolated vertex means
+    "disconnected".
     """
     if graph.n == 0:
         return EulerResult(None, "empty graph is not connected")
@@ -493,25 +501,28 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
         return EulerResult(None, f"vertex {int(odd[0])} has odd degree {int(graph.degrees[odd[0]])}")
     if graph.edge_count == 0:
         return EulerResult(EulerCircuit((0,) if graph.n else ()), None)
-    nbr = {v: sorted(graph.neighbors(v).tolist(), reverse=True) for v in range(graph.n)}
-    used: set[tuple[int, int]] = set()
+    n = graph.n
+    # the neighbours of v, ascending, are nbr[nxt[v]:end[v]]; nxt[v] moves
+    # past each one whose edge is used, so it is read once per edge end
+    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[graph.adj]
+    nbr = memoryview(cols).cast("B").cast("i")
+    nxt = [0] + np.cumsum(graph.degrees).tolist()
+    end = nxt[1:]
+    used = bytearray(n * n)
     stack = [0]
     out: list[int] = []
     while stack:
         v = stack[-1]
-        found = False
-        while nbr[v]:
-            w = nbr[v][-1]
-            key = (min(v, w), max(v, w))
-            if key in used:
-                nbr[v].pop()
-                continue
-            used.add(key)
-            stack.append(w)
-            found = True
-            break
-        if not found:
+        p, stop = nxt[v], end[v]
+        while p < stop and used[v * n + nbr[p]]:
+            p += 1
+        nxt[v] = p
+        if p == stop:
             out.append(stack.pop())
+            continue
+        w = nbr[p]
+        used[v * n + w] = used[w * n + v] = 1
+        stack.append(w)
     out.reverse()
     return EulerResult(EulerCircuit(tuple(out)), None)
 

@@ -4,7 +4,10 @@ Elements are integers 0..n-1 with the identity pinned at index 0.  All
 higher-level adjacency questions reduce to `_closure_members`, i.e. to
 subgroup generation computed by product saturation; per-group caches only
 memoise closures of pairs of cyclic subgroups, never replace them with
-formulas.
+formulas.  The pair-generation matrix skips the closure of a pair only when
+both its cyclic subgroups lie in a proper subgroup already found, a cyclic
+subgroup or an earlier closure smaller than G: their join lies in that
+subgroup, so it is not G.
 """
 
 from __future__ import annotations
@@ -146,16 +149,45 @@ class Group:
         return self._cache[key]
 
     def _pair_gen_matrix(self) -> np.ndarray:
-        """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G."""
+        """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
+
+        A pair is closed only if no known proper subgroup K decides it: when
+        both cyclic subgroups lie in K, their join lies in K and is not G.
+        The known proper subgroups are the cyclic subgroups of order below n
+        and every closure that comes back smaller than G, so each pair
+        skipped lies inside a subgroup that a power orbit or a closure
+        produced.  A cyclic subgroup equal to G generates G with anything.
+        Pairs are visited largest cyclic subgroups first, whose non-generating
+        closures are the largest subgroups and decide the most pairs.
+        """
         key = "pairgen"
         if key not in self._cache:
             ids, sets, reps = self._cyclic_data()
-            k = len(sets)
+            n, k = self.n, len(sets)
             gen = np.zeros((k, k), dtype=bool)
-            for i in range(k):
-                for j in range(i, k):
-                    size = len(_closure_members(self.table, (reps[i], reps[j])))
-                    gen[i, j] = gen[j, i] = size == self.n
+            known = np.zeros((k, k), dtype=bool)
+
+            def mark(members) -> None:
+                # the cyclic subgroups inside K are those its elements generate
+                inside = ids[np.fromiter(members, dtype=np.int64, count=len(members))]
+                sub = np.unique(inside)
+                known[np.ix_(sub, sub)] = True
+
+            for i, cyc in enumerate(sets):
+                if len(cyc) < n:
+                    mark(cyc)
+                else:  # G is cyclic and ⟨a_i, x⟩ ⊇ ⟨a_i⟩ = G
+                    gen[i, :] = gen[:, i] = known[i, :] = known[:, i] = True
+            order = sorted(range(k), key=lambda i: -len(sets[i]))
+            for pos, i in enumerate(order):
+                for j in order[pos:]:
+                    if known[i, j]:
+                        continue
+                    members = _closure_members(self.table, (reps[i], reps[j]))
+                    if len(members) == n:
+                        gen[i, j] = gen[j, i] = True
+                    else:
+                        mark(members)
             self._cache[key] = gen
         return self._cache[key]
 

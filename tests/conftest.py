@@ -38,7 +38,7 @@ from gengraph.graphs import (
     bfs_distances,
     verify_certificate,
 )
-from gengraph.groups import Group, nilpotent_structure, p_part, totient_profile
+from gengraph.groups import Group, _closure_members, nilpotent_structure, p_part, totient_profile
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +98,19 @@ def brute_adjacency(G) -> np.ndarray:
             if len(brute_closure(table, (g, h))) == n:
                 adj[g, h] = adj[h, g] = True
     return adj
+
+
+def all_pairs_gen_matrix(G) -> np.ndarray:
+    """The k*k pair-generation matrix over G's cyclic subgroups, closing
+    every pair of their least generators with no pair skipped."""
+    _, sets, reps = G._cyclic_data()
+    k = len(sets)
+    gen = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i, k):
+            size = len(_closure_members(G.table, (reps[i], reps[j])))
+            gen[i, j] = gen[j, i] = size == G.n
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +175,36 @@ def _connected_subset(graph: Graph, vertices: list[int]) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == len(vertices)
+
+
+# ---------------------------------------------------------------------------
+# reference: Hierholzer's walk over sorted neighbour lists and an edge set
+
+
+def reference_euler_circuit(graph: Graph) -> tuple[int, ...]:
+    """The circuit from vertex 0 that always takes the least neighbour whose
+    edge is unused, for a connected graph with all degrees even."""
+    nbr = {v: sorted(graph.neighbors(v).tolist(), reverse=True) for v in range(graph.n)}
+    used: set[tuple[int, int]] = set()
+    stack = [0]
+    out: list[int] = []
+    while stack:
+        v = stack[-1]
+        found = False
+        while nbr[v]:
+            w = nbr[v][-1]
+            key = (min(v, w), max(v, w))
+            if key in used:
+                nbr[v].pop()
+                continue
+            used.add(key)
+            stack.append(w)
+            found = True
+            break
+        if not found:
+            out.append(stack.pop())
+    out.reverse()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

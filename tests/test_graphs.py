@@ -7,7 +7,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     basic_metrics,
@@ -15,6 +15,7 @@ from conftest import (
     brute_vertex_connectivity,
     complete_multipartite,
     kappa_product_formula,
+    reference_euler_circuit,
 )
 from gengraph import graphs
 from gengraph.build import build_group
@@ -292,6 +293,36 @@ def test_euler_criterion_matches_construction(seed, n):
         assert verify_certificate(graph, res.circuit)
 
 
+def test_euler_circuit_matches_reference_on_catalog(group):
+    from gengraph.verify import default_catalog
+
+    found = 0
+    for spec in [e.spec for e in default_catalog()]:
+        graph = delta_of(group(spec)).graph
+        res = eulerian_circuit(graph)
+        if res.circuit is not None:
+            assert res.circuit.vertices == reference_euler_circuit(graph), spec
+            found += 1
+    assert found >= 35
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 30), p=st.floats(0.2, 0.9))
+def test_euler_circuit_matches_reference(seed, n, p):
+    # toggling an edge between paired odd vertices makes every degree even
+    rng = np.random.default_rng(seed)
+    adj = _random_graph(rng, n, p).adj.copy()
+    odd = np.flatnonzero(adj.sum(axis=1) % 2).tolist()
+    for u, v in zip(odd[0::2], odd[1::2]):
+        adj[u, v] = adj[v, u] = not adj[u, v]
+    graph = Graph(adj)
+    assume(graphs._components(graph).max() == 0)
+    res = eulerian_circuit(graph)
+    assert res.circuit is not None
+    assert res.circuit.vertices == reference_euler_circuit(graph)
+    assert verify_certificate(graph, res.circuit)
+
+
 # ---------------------------------------------------------------------------
 # certificates and serialization
 
@@ -311,6 +342,20 @@ def test_verify_certificate_negatives():
     assert verify_certificate(k3, DominatingSet((0, 1)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2)))
     assert verify_certificate(k3, EulerCircuit((0, 1, 2, 0)))
+    # walk vertices outside 0..n-1, also on edgeless graphs
+    assert not verify_certificate(Graph.empty(3), EulerCircuit((7,)))
+    assert not verify_certificate(Graph.empty(3), EulerCircuit((-1,)))
+    assert not verify_certificate(Graph.empty(0), EulerCircuit((5,)))
+    assert verify_certificate(Graph.empty(3), EulerCircuit((2,)))
+    assert not verify_certificate(k3, EulerCircuit((0, 1, 3, 0)))
+    # two triangles on vertex 0: a repeated edge, a non-edge step
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    assert verify_certificate(bowtie, EulerCircuit((0, 1, 2, 0, 3, 4, 0)))
+    assert not verify_certificate(bowtie, EulerCircuit((0, 1, 2, 0, 1, 2, 0)))
+    assert not verify_certificate(bowtie, EulerCircuit((0, 1, 2, 3, 4, 0, 0)))
+    # a walk over every edge of a path, but not closed
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert not verify_certificate(path, EulerCircuit((0, 1, 2)))
 
 
 def test_certificate_json_round_trip():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_associative, brute_closure, brute_subgroups
+from conftest import all_pairs_gen_matrix, brute_associative, brute_closure, brute_subgroups
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
@@ -320,3 +320,25 @@ def test_subgroup_lattice_of_permutation_groups():
     for pg, count in ((SymmetricGroup(4), 30), (AlternatingGroup(5), 59),
                       (SymmetricGroup(5), 156)):
         assert len(subgroup_lattice(Group(_permutation_table(pg)))) == count
+
+
+def test_pair_matrix_matches_all_pairs_closure(group):
+    from gengraph.verify import default_catalog
+
+    # every default-catalog group, up to n = 900, cyclic ones included
+    for spec in [e.spec for e in default_catalog()]:
+        g = group(spec)
+        assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), spec
+
+
+def test_pair_matrix_of_permutation_groups():
+    from sympy.combinatorics.named_groups import (
+        AlternatingGroup,
+        DihedralGroup,
+        SymmetricGroup,
+    )
+
+    for pg in (SymmetricGroup(3), DihedralGroup(4), AlternatingGroup(4),
+               SymmetricGroup(4), AlternatingGroup(5), SymmetricGroup(5)):
+        g = Group(_permutation_table(pg))
+        assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), g.n
