@@ -19,6 +19,8 @@ import numpy as np
 from .errors import CayleyFileError, GroupSpecError, OrderGuardError
 from .groups import DEFAULT_MAX_ORDER, Group
 
+Table = tuple[np.ndarray, tuple[str, ...]]  # a multiplication table and its labels
+
 
 # ---------------------------------------------------------------------------
 # abstract syntax
@@ -186,23 +188,30 @@ def _factor_from_match(m: re.Match, pos: int) -> Factor:
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    """Build the group described by `spec`, subject to the order guard."""
+    """Build the group described by `spec`, subject to the order guard.
+
+    The factors are plain tables and labels: only the result is validated,
+    once, as a `Group` (a Cayley-file factor is also validated on loading).
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     known = spec.known_order()
     if known is not None and known > max_order:
         raise OrderGuardError(
             f"order {known} of {spec.canonical()} exceeds guard {max_order}")
-    parts = [_build_factor(f, max_order) for f in spec.factors]
-    if len(parts) == 1:  # a fresh Group: rename it rather than validate it again
-        parts[0].name = spec.canonical()
-        return parts[0]
-    tables = [g.table for g in parts]
-    table = _direct_product_table(tables)
+    if len(spec.factors) == 1 and isinstance(spec.factors[0], CayleyFile):
+        G = load_cayley_file(spec.factors[0].path, max_order=max_order)
+        G.name = spec.canonical()  # already validated: rename it, do not validate again
+        return G
+    parts = [_factor_table(f, max_order) for f in spec.factors]
+    if len(parts) == 1:
+        table, labels = parts[0]
+    else:
+        table = _direct_product_table([t for t, _ in parts])
+        labels = _product_labels([lbl for _, lbl in parts])
     if table.shape[0] > max_order:
         raise OrderGuardError(
             f"order {table.shape[0]} exceeds guard {max_order}")
-    labels = _product_labels([g.labels for g in parts])
     return Group(table, labels=labels, name=spec.canonical())
 
 
@@ -212,29 +221,30 @@ def build_cached(spec_text: str, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     return build_group(parse_spec(spec_text), max_order)
 
 
-def _build_factor(f: Factor, max_order: int) -> Group:
+def _factor_table(f: Factor, max_order: int) -> Table:
+    """The factor's multiplication table and labels."""
     if isinstance(f, Cyclic):
-        return cyclic_group(f.n)
+        return cyclic_table(f.n)
     if isinstance(f, CyclicPower):
-        c = cyclic_group(f.n)
-        table = _direct_product_table([c.table] * f.k)
-        return Group(table, labels=_product_labels([c.labels] * f.k), name=f.canonical())
+        table, labels = cyclic_table(f.n)
+        return _direct_product_table([table] * f.k), _product_labels([labels] * f.k)
     if isinstance(f, Heisenberg):
-        return heisenberg_group(f.p)
+        return heisenberg_table(f.p)
     if isinstance(f, ExampleFamily):
-        return example_family_group(f.d)
+        return example_family_table(f.d)
     if isinstance(f, CayleyFile):
-        return load_cayley_file(f.path, max_order=max_order)
+        G = load_cayley_file(f.path, max_order=max_order)
+        return G.table, G.labels
     raise TypeError(f"unknown factor {f!r}")
 
 
-def cyclic_group(n: int) -> Group:
+def cyclic_table(n: int) -> Table:
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
-    return Group(table, labels=labels, name=f"C{n}")
+    return table, labels
 
 
-def heisenberg_group(p: int) -> Group:
+def heisenberg_table(p: int) -> Table:
     """Upper unitriangular 3x3 matrices over Z_p as coordinate triples.
 
     (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2); order p^3, exponent p
@@ -251,10 +261,10 @@ def heisenberg_group(p: int) -> Group:
              + ((b1 + b2) % p) * p
              + (c1 + c2 + a1 * b2) % p)
     labels = tuple(f"({ai},{bi},{ci})" for ai, bi, ci in zip(a, b, c))
-    return Group(table, labels=labels, name=f"Heis{p}")
+    return table, labels
 
 
-def example_family_group(d: int) -> Group:
+def example_family_table(d: int) -> Table:
     """Semidirect product (C_{p_1}^3 x ... x C_{p_d}^3) : C_2^2.
 
     The three involutions h_1, h_2, h_3 of the acting Klein group each fix
@@ -286,7 +296,7 @@ def example_family_group(d: int) -> Group:
     for i in range(n):
         cvec = ",".join(str(v) for v in coords[na[i]])
         labels.append(f"({cvec};h{ha[i]})" if ha[i] else f"({cvec};1)")
-    return Group(table, labels=tuple(labels), name=f"Ex({d})")
+    return table, tuple(labels)
 
 
 def _mixed_radix_coords(n: int, radices: list[int]) -> np.ndarray:

@@ -58,7 +58,7 @@ def _int_at_least(text: str, low: int) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
                    help="order guard for group construction (default 200; "
                         "env GENGRAPH_MAX_ORDER overrides)")
     p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0), default=10_000_000,
@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'default' or a file with one group spec per line")
     p.add_argument("--checks", default=None,
                    help="comma-separated list of check ids (default: all)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
+                   help="worker count")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p)
 
@@ -105,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True, choices=("conn", "ham", "chrom"))
     p.add_argument("--groups", required=True,
                    help="file with one group spec per line")
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
+                   help="worker count")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p)
 

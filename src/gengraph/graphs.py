@@ -4,6 +4,15 @@ Undirected loopless graphs over vertices 0..n-1, stored as a symmetric
 boolean adjacency matrix.  Vertices can optionally carry a self-dominating
 mark: a marked vertex counts as its own neighbour for total-domination
 feasibility only (the graph structure itself stays loopless).
+
+Vertex and edge connectivity come from one exact unit-capacity max-flow
+over the neighbour bitmasks, `maximum_flow`.  Each flow starts from short
+disjoint paths (the direct edge, the common neighbours, greedy paths of
+length 3) and stops once it reaches the best cut found so far, since such
+a pair cannot lower it.  A cut is read only after a failed augmenting
+search, that is off a maximum flow, and from its residual source side,
+which every maximum flow shares: the witnesses do not depend on which
+paths the flow took.
 """
 
 from __future__ import annotations
@@ -13,8 +22,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import GengraphError
 
@@ -357,18 +364,152 @@ class VertexConnectivity:
     complete: bool
 
 
-def _residual_reachable(cap: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
-    """Nodes reachable from source along arcs of positive residual capacity.
+def _bits_of(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    This source side is the same for every maximum flow, so the cut read
-    off it does not depend on which maximum flow the solver returned.
+
+def maximum_flow(bits: list[int], a: int, b: int, vertex: bool,
+                 limit: int | None = None) -> tuple[int, int | None]:
+    """Unit-capacity a-b max-flow over the neighbour bitmasks `bits`.
+
+    With `vertex` it counts internally vertex-disjoint paths between the
+    non-adjacent a and b: every vertex is an entry state and an exit state
+    joined by one unit of capacity, and an edge u-w carries any amount from
+    u's exit to w's entry (Even & Tarjan).  Without it, it counts
+    edge-disjoint paths: each edge carries one unit either way, as an
+    antisymmetric flow in -1..1.
+
+    The flow starts from short disjoint paths: the edge a-b (edge flows
+    only), a-w-b for each common neighbour w, then a-x-y-b for each x in
+    N(a) \\ N(b), ascending, with the least y in N(b) \\ N(a) adjacent to x
+    and not yet taken.  Breadth-first augmenting paths then extend it, and
+    the search stops as soon as the value reaches `limit`.
+
+    Returns (value, side), value being min(maximum flow, limit).  side is
+    None when the value reached the limit.  Otherwise the last search
+    failed, so the flow is maximum, and side is read off the states it
+    reached, the residual source side, which is the same for every maximum
+    flow: for vertex flows the vertices whose entry it reached and whose
+    exit it did not, a minimum a-b vertex cut; for edge flows the vertices
+    it reached.
     """
-    residual = cap - flow
-    residual.eliminate_zeros()
-    order = breadth_first_order(residual, source, return_predecessors=False)
-    seen = np.zeros(cap.shape[0], dtype=bool)
-    seen[order] = True
-    return seen
+    if vertex and bits[a] >> b & 1:
+        raise ValueError("a vertex flow needs non-adjacent ends")
+    flow = _split_flow if vertex else _edge_flow
+    return flow(bits, a, b, len(bits) if limit is None else limit)
+
+
+def _short_paths(bits: list[int], a: int, b: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The common neighbours w of a and b, and the pairs (x, y) of the greedy
+    paths a-x-y-b: x in N(a) \\ N(b) ascending, y the least vertex of
+    N(b) \\ N(a) adjacent to x and not yet taken (a and b excluded)."""
+    na, nb = bits[a], bits[b]
+    pairs = []
+    ys = nb & ~na & ~(1 << a)
+    for x in _bits_of(na & ~nb & ~(1 << b)):
+        y = bits[x] & ys
+        if y:
+            y &= -y
+            ys ^= y
+            pairs.append((x, y.bit_length() - 1))
+    return _bits_of(na & nb), pairs
+
+
+def _split_flow(bits: list[int], a: int, b: int, limit: int) -> tuple[int, int | None]:
+    # pred[w] is the vertex whose exit sends w's unit to w's entry, -1 when
+    # w carries none; state 2v is v's entry, 2v + 1 its exit
+    n = len(bits)
+    pred = [-1] * n
+    common, pairs = _short_paths(bits, a, b)
+    for w in common:
+        pred[w] = a
+    for x, y in pairs:
+        pred[x], pred[y] = a, x
+    value = len(common) + len(pairs)
+    sink = 1 << b
+    while value < limit:
+        par = [-1] * (2 * n)
+        seen_in, seen_out = 0, 1 << a
+        queue = [2 * a + 1]
+        for s in queue:
+            v = s >> 1
+            if s & 1:  # exit of v: back into v's own entry, or on along any edge
+                if pred[v] >= 0 and not seen_in >> v & 1:
+                    seen_in |= 1 << v
+                    par[s - 1] = s
+                    queue.append(s - 1)
+                fresh = bits[v] & ~seen_in
+                if fresh & sink:
+                    par[2 * b] = s
+                    break
+                seen_in |= fresh
+                for w in _bits_of(fresh):
+                    par[2 * w] = s
+                    queue.append(2 * w)
+            elif v != a:  # entry of v: through v if it is free, else back to its sender
+                u = v if pred[v] < 0 else pred[v]
+                if not seen_out >> u & 1:
+                    seen_out |= 1 << u
+                    par[2 * u + 1] = s
+                    queue.append(2 * u + 1)
+        else:
+            return value, seen_in & ~seen_out
+        s = 2 * b
+        while s != 2 * a + 1:
+            p = par[s]
+            if not s & 1 and s != 2 * b:  # a unit now enters this entry from p, or none
+                pred[s >> 1] = -1 if p == s + 1 else p >> 1
+            s = p
+        value += 1
+    return limit, None
+
+
+def _edge_flow(bits: list[int], a: int, b: int, limit: int) -> tuple[int, int | None]:
+    # sends[u] holds the v with one unit on u -> v
+    n = len(bits)
+    sends = [0] * n
+    sends[a] = bits[a] & 1 << b
+    common, pairs = _short_paths(bits, a, b)
+    for w in common:
+        sends[a] |= 1 << w
+        sends[w] = 1 << b
+    for x, y in pairs:
+        sends[a] |= 1 << x
+        sends[x] = 1 << y
+        sends[y] = 1 << b
+    value = sends[a].bit_count()
+    sink = 1 << b
+    while value < limit:
+        par = [-1] * n
+        seen = 1 << a
+        queue = [a]
+        for u in queue:
+            fresh = bits[u] & ~sends[u] & ~seen
+            if fresh & sink:
+                par[b] = u
+                break
+            seen |= fresh
+            for v in _bits_of(fresh):
+                par[v] = u
+                queue.append(v)
+        else:
+            return value, seen
+        v = b
+        while v != a:
+            u = par[v]
+            if sends[v] >> u & 1:
+                sends[v] ^= 1 << u
+            else:
+                sends[u] |= 1 << v
+            v = u
+        value += 1
+    return limit, None
 
 
 def vertex_connectivity(graph: Graph) -> VertexConnectivity:
@@ -382,9 +523,13 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
 
     A pair's flow is skipped when its common-neighbour count, a lower bound
     on its local connectivity (each common neighbour is its own path of
-    length 2), is already at least the best cut so far.  This is exact: the
-    best value and its witness change only on a strict improvement, which a
-    skipped pair cannot give.
+    length 2), is already at least the best cut so far.  Otherwise the flow
+    starts from those paths and greedy paths of length 3 (`maximum_flow`)
+    and stops once it reaches the best cut.  This is exact: the best value
+    and its witness change only on a strict improvement, which a skipped or
+    stopped pair cannot give.  An improving flow ran to a failed search, so
+    it is maximum, and its cut is read off the residual source side, which
+    every maximum flow shares; the witness does not depend on the paths.
     """
     if "kappa" not in graph._cache:
         graph._cache["kappa"] = _vertex_connectivity(graph)
@@ -401,14 +546,7 @@ def _vertex_connectivity(graph: Graph) -> VertexConnectivity:
     if comp.max() >= 1:
         return VertexConnectivity(0, VertexCut(()), False)
 
-    # node 2v is v's entry, 2v+1 its exit; the arc between them carries 1
-    iu, ju = np.nonzero(np.triu(graph.adj, 1))
-    split = np.arange(n)
-    rows = np.concatenate((2 * split, 2 * iu + 1, 2 * ju + 1))
-    cols = np.concatenate((2 * split + 1, 2 * ju, 2 * iu))
-    cap = np.concatenate((np.ones(n, np.int32), np.full(2 * iu.size, n + 1, np.int32)))
-    net = csr_matrix((cap, (rows, cols)), shape=(2 * n, 2 * n))
-
+    bits = graph.bitmasks()
     degs = graph.degrees
     s = int(np.lexsort((np.arange(n), degs))[0])
     best = int(degs[s])
@@ -418,11 +556,10 @@ def _vertex_connectivity(graph: Graph) -> VertexConnectivity:
         nonlocal best, best_cut
         if bound >= best:
             return
-        res = maximum_flow(net, 2 * a + 1, 2 * b)
-        if res.flow_value < best:
-            best = int(res.flow_value)
-            seen = _residual_reachable(net, res.flow, 2 * a + 1)
-            best_cut = tuple(np.flatnonzero(seen[0::2] & ~seen[1::2]).tolist())
+        value, cut = maximum_flow(bits, a, b, True, best)
+        if value < best:
+            best = value
+            best_cut = tuple(_bits_of(cut))
 
     adj = graph.adj.astype(np.int32)
     common = adj @ adj[s]
@@ -443,7 +580,10 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     |N(0) & N(t)| + [0 ~ t], a lower bound on the number of edge-disjoint
     0-t paths, is already at least the best cut so far: the best value and
     its witness change only on a strict improvement, which that flow cannot
-    give.
+    give.  For the same reason every flow after the first stops once it
+    reaches the best cut.  The first runs to a failed search, as does every
+    improving flow, so each cut is read off a maximum flow's residual source
+    side, which every maximum flow shares.
     """
     n = graph.n
     if n == 0:
@@ -453,9 +593,8 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     comp = _components(graph)
     if comp.max() >= 1:
         return 0, EdgeCut(())
+    bits = graph.bitmasks()
     iu, ju = np.nonzero(np.triu(graph.adj, 1))
-    net = csr_matrix((np.ones(2 * iu.size, np.int32),
-                      (np.concatenate((iu, ju)), np.concatenate((ju, iu)))), shape=(n, n))
     adj = graph.adj.astype(np.int32)
     bound = adj @ adj[0] + adj[0]
     best = None
@@ -463,10 +602,11 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     for t in range(1, n):
         if best is not None and bound[t] >= best:
             continue
-        res = maximum_flow(net, 0, t)
-        if best is None or res.flow_value < best:
-            best = int(res.flow_value)
-            seen = _residual_reachable(net, res.flow, 0)
+        value, side = maximum_flow(bits, 0, t, False, best)
+        if best is None or value < best:
+            best = value
+            seen = np.zeros(n, dtype=bool)
+            seen[_bits_of(side)] = True
             crossing = seen[iu] != seen[ju]
             best_cut = tuple(zip(iu[crossing].tolist(), ju[crossing].tolist()))
     return best, EdgeCut(best_cut)

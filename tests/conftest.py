@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gengraph.build import _mixed_radix_coords, build_cached, build_group, cyclic_group, odd_primes
+from gengraph.build import _mixed_radix_coords, build_cached, build_group, odd_primes
 from gengraph.constructions import _complete_product
 from gengraph.errors import ConstructionError, OrderGuardError
 from gengraph.generating import GeneratingGraph, generating_graph
@@ -32,8 +32,11 @@ from gengraph.graphs import (
     Clique,
     Coloring,
     DominatingSet,
+    EdgeCut,
     Graph,
     MultipartiteParams,
+    VertexConnectivity,
+    VertexCut,
     _components,
     bfs_distances,
     verify_certificate,
@@ -175,6 +178,103 @@ def _connected_subset(graph: Graph, vertices: list[int]) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == len(vertices)
+
+
+# ---------------------------------------------------------------------------
+# oracle: connectivity by scipy's max-flow over a CSR network
+
+
+def scipy_network(graph: Graph, vertex: bool):
+    """The CSR network of vertex flows (node 2v is v's entry, 2v+1 its exit,
+    one unit between them, n+1 from an exit to each neighbour's entry) or of
+    edge flows (one unit each way along every edge)."""
+    from scipy.sparse import csr_matrix
+
+    n = graph.n
+    iu, ju = np.nonzero(np.triu(graph.adj, 1))
+    if not vertex:
+        return csr_matrix((np.ones(2 * iu.size, np.int32),
+                           (np.concatenate((iu, ju)), np.concatenate((ju, iu)))), shape=(n, n))
+    split = np.arange(n)
+    rows = np.concatenate((2 * split, 2 * iu + 1, 2 * ju + 1))
+    cols = np.concatenate((2 * split + 1, 2 * ju, 2 * iu))
+    cap = np.concatenate((np.ones(n, np.int32), np.full(2 * iu.size, n + 1, np.int32)))
+    return csr_matrix((cap, (rows, cols)), shape=(2 * n, 2 * n))
+
+
+def scipy_flow(net, a: int, b: int, vertex: bool) -> tuple[int, np.ndarray]:
+    """scipy's a-b max-flow value and the side read off the nodes its
+    residual network reaches from the source: for vertex flows the vertices
+    whose entry is reached and whose exit is not, else the reached vertices."""
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    source, sink = (2 * a + 1, 2 * b) if vertex else (a, b)
+    res = maximum_flow(net, source, sink)
+    residual = net - res.flow
+    residual.eliminate_zeros()
+    seen = np.zeros(net.shape[0], dtype=bool)
+    seen[breadth_first_order(residual, source, return_predecessors=False)] = True
+    return int(res.flow_value), (seen[0::2] & ~seen[1::2]) if vertex else seen
+
+
+def scipy_vertex_connectivity(graph: Graph) -> VertexConnectivity:
+    """Esfahanian-Hakimi vertex connectivity with scipy's `maximum_flow`,
+    the pairs visited and skipped in the package's order, each flow run to
+    the end and its cut read off the residual source side."""
+    n = graph.n
+    if graph.is_complete():
+        return VertexConnectivity(n - 1, None, True)
+    if _components(graph).max() >= 1:
+        return VertexConnectivity(0, VertexCut(()), False)
+    net = scipy_network(graph, True)
+    degs = graph.degrees
+    s = int(np.lexsort((np.arange(n), degs))[0])
+    best = int(degs[s])
+    best_cut = tuple(graph.neighbors(s).tolist())
+
+    def try_pair(a: int, b: int, bound: int):
+        nonlocal best, best_cut
+        if bound >= best:
+            return
+        value, cut = scipy_flow(net, a, b, True)
+        if value < best:
+            best = value
+            best_cut = tuple(np.flatnonzero(cut).tolist())
+
+    adj = graph.adj.astype(np.int32)
+    common = adj @ adj[s]
+    for t in np.flatnonzero(~graph.adj[s]).tolist():
+        if t != s:
+            try_pair(s, t, int(common[t]))
+    nbrs = graph.neighbors(s)
+    common = adj[nbrs] @ adj[nbrs].T
+    for i, j in zip(*np.nonzero(np.triu(~graph.adj[np.ix_(nbrs, nbrs)], 1))):
+        try_pair(int(nbrs[i]), int(nbrs[j]), int(common[i, j]))
+    return VertexConnectivity(best, VertexCut(best_cut), False)
+
+
+def scipy_edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
+    """Edge connectivity from vertex 0 with scipy's `maximum_flow`, the
+    flows skipped in the package's order, each run to the end and its cut
+    read off the residual source side."""
+    n = graph.n
+    if n == 1 or _components(graph).max() >= 1:
+        return 0, EdgeCut(())
+    net = scipy_network(graph, False)
+    iu, ju = np.nonzero(np.triu(graph.adj, 1))
+    adj = graph.adj.astype(np.int32)
+    bound = adj @ adj[0] + adj[0]
+    best = None
+    best_cut: tuple = ()
+    for t in range(1, n):
+        if best is not None and bound[t] >= best:
+            continue
+        value, seen = scipy_flow(net, 0, t, False)
+        if best is None or value < best:
+            best = value
+            crossing = seen[iu] != seen[ju]
+            best_cut = tuple(zip(iu[crossing].tolist(), ju[crossing].tolist()))
+    return best, EdgeCut(best_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +563,7 @@ def cyclic_clique_coloring(n: int) -> tuple[Clique, Coloring]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    gg = generating_graph(cyclic_group(n))
+    gg = generating_graph(build_group(f"C{n}", max_order=n))
     factors, phi_n, r = totient_profile(n)
     generators = [g for g in range(n) if math.gcd(g, n) == 1]
     ys = [p % n for p, _ in factors]

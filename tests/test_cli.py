@@ -117,6 +117,11 @@ def test_tdn(capsys):
     ("tdn", "3", "4", "--budget-nodes", "-1"),
     ("tdn", "1", "3"),
     ("tdn", "3", "0"),
+    ("verify", "--jobs", "-3"),
+    ("verify", "--jobs", "0"),
+    ("scan", "--question", "conn", "--groups", "groups.txt", "--jobs", "0"),
+    ("info", "C6", "--max-order", "-5"),
+    ("verify", "--max-order", "0"),
 ])
 def test_out_of_range_input_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

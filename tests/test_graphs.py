@@ -16,6 +16,10 @@ from conftest import (
     complete_multipartite,
     kappa_product_formula,
     reference_euler_circuit,
+    scipy_edge_connectivity,
+    scipy_flow,
+    scipy_network,
+    scipy_vertex_connectivity,
 )
 from gengraph import graphs
 from gengraph.build import build_group
@@ -168,6 +172,8 @@ def test_connectivity_matches_brute_force(seed, n):
     if lam > 0:
         assert len(cut.edges) == lam
         assert verify_certificate(graph, cut)
+    assert vc == scipy_vertex_connectivity(graph)
+    assert (lam, cut) == scipy_edge_connectivity(graph)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,6 +198,8 @@ def _assert_matches_networkx(graph: Graph):
     assert lam == nx.edge_connectivity(nxg)
     assert len(cut.edges) == lam
     assert verify_certificate(graph, cut)
+    assert vc == scipy_vertex_connectivity(graph)
+    assert (lam, cut) == scipy_edge_connectivity(graph)
 
 
 @settings(max_examples=30, deadline=None)
@@ -231,6 +239,81 @@ def test_connectivity_improved_only_by_a_neighbour_pair():
     assert int(graph.degrees.min()) == 5
     assert vertex_connectivity(graph).cut.vertices == (0, 1, 2, 5)
     _assert_matches_networkx(graph)
+
+
+def test_connectivity_matches_scipy_on_catalog(group):
+    """The same value and the same cut as scipy's max-flow, on every
+    default-catalog Delta(G) within the flow guard."""
+    from gengraph.verify import FLOW_GUARD, default_catalog
+
+    checked = 0
+    for entry in default_catalog():
+        graph = delta_of(group(entry.spec, entry.max_order)).graph
+        if not 0 < graph.n <= FLOW_GUARD:
+            continue
+        assert vertex_connectivity(graph) == scipy_vertex_connectivity(graph), entry.spec
+        assert edge_connectivity(graph) == scipy_edge_connectivity(graph), entry.spec
+        checked += 1
+    assert checked >= 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 16), p=st.floats(0.1, 0.9),
+       limit=st.one_of(st.none(), st.integers(0, 16)))
+def test_maximum_flow_matches_networkx_local_connectivity(seed, n, p, limit):
+    """min(local connectivity, limit) for both flavours; below the limit,
+    the residual source side that scipy's maximum flow gives."""
+    from networkx.algorithms.connectivity import (
+        local_edge_connectivity,
+        local_node_connectivity,
+    )
+
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(rng, n, p)
+    nxg = nx.from_numpy_array(graph.adj.astype(int))
+    bits = graph.bitmasks()
+    cap = n if limit is None else limit
+    nets = {vertex: scipy_network(graph, vertex) for vertex in (True, False)}
+    for a, b in rng.permutation(list(itertools.permutations(range(n), 2)))[:6].tolist():
+        for vertex, local in ((False, local_edge_connectivity), (True, local_node_connectivity)):
+            if vertex and graph.adj[a, b]:
+                with pytest.raises(ValueError):
+                    graphs.maximum_flow(bits, a, b, True, limit)
+                continue
+            value, side = graphs.maximum_flow(bits, a, b, vertex, limit)
+            assert value == min(local(nxg, a, b), cap)
+            exact, reached = scipy_flow(nets[vertex], a, b, vertex)
+            if exact < cap:
+                assert side == sum(1 << v for v in np.flatnonzero(reached).tolist())
+            else:
+                assert side is None
+
+
+def test_maximum_flow_reroutes_a_seeded_path():
+    """From 6 to 5 the seeding takes 6-2-1-5, and no other path of length 3
+    is left; the augmenting path 6-7-1-2-8-5 cancels its arc 2 -> 1.  Once
+    the flow is maximum, the residual source side reaches 2 only through
+    that freed edge, from 1."""
+    graph = Graph.from_edges(9, [(0, 1), (0, 4), (1, 2), (1, 4), (1, 5), (1, 7), (2, 6),
+                                 (2, 8), (3, 4), (3, 6), (4, 7), (5, 8), (6, 7)])
+    value, side = graphs.maximum_flow(graph.bitmasks(), 6, 5, False)
+    assert (value, side) == (2, 0b011011111)
+    exact, reached = scipy_flow(scipy_network(graph, False), 6, 5, False)
+    assert (exact, np.flatnonzero(reached).tolist()) == (2, [0, 1, 2, 3, 4, 6, 7])
+
+
+def test_maximum_flow_walks_back_through_a_carrying_vertex():
+    """From 10 to 7 the maximum flow is 10-8-7 and 10-6-0-5-7.  Its last,
+    failed search reaches 0's exit from 5's entry, and 6's exit only from
+    there, back through 0's entry; so 6, whose entry is reached directly,
+    is not in the cut {5, 8}."""
+    graph = Graph.from_edges(12, [(0, 5), (0, 6), (0, 8), (1, 5), (1, 6), (1, 11), (2, 5),
+                                  (2, 6), (2, 11), (3, 5), (3, 8), (3, 11), (5, 7), (6, 8),
+                                  (6, 10), (6, 11), (7, 8), (8, 10), (9, 11), (10, 11)])
+    value, cut = graphs.maximum_flow(graph.bitmasks(), 10, 7, True)
+    assert (value, cut) == (2, 1 << 5 | 1 << 8)
+    exact, reached = scipy_flow(scipy_network(graph, True), 10, 7, True)
+    assert (exact, np.flatnonzero(reached).tolist()) == (2, [5, 8])
 
 
 def test_delta_and_kappa_are_cached(monkeypatch):

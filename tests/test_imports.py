@@ -1,9 +1,13 @@
-"""Every top-level import in a package module is used in that module, and
-every top-level definition is read by some package module."""
+"""Every top-level import in a package module is used in that module,
+every top-level definition is read by some package module, and importing
+the command line loads no scipy."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,13 @@ def test_no_unused_top_level_imports(path):
 def test_every_definition_is_read_by_the_package():
     unread = unread_definitions([p.read_text() for p in MODULES])
     assert sorted(unread) == sorted(UNREAD_ALLOWED)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: a cold `import gengraph.cli` must not
+    pay for it in set-up time or memory."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, gengraph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
