@@ -59,8 +59,9 @@ def _int_at_least(text: str, low: int) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
-                   help="order guard for group construction (default 200; "
-                        "env GENGRAPH_MAX_ORDER overrides)")
+                   help="order guard for group construction (default: env "
+                        "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
+                        "each catalog entry's own guard)")
     p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0), default=10_000_000,
                    help="search-node budget for exact searches")
     p.add_argument("--no-header", action="store_true",
@@ -130,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _max_order(args) -> int:
+def _max_order(args, default: int | None = DEFAULT_MAX_ORDER) -> int | None:
+    """--max-order, else GENGRAPH_MAX_ORDER, else `default`."""
     if args.max_order is not None:
         return args.max_order
     env = os.environ.get("GENGRAPH_MAX_ORDER")
@@ -139,7 +141,7 @@ def _max_order(args) -> int:
             return int(env)
         except ValueError:
             raise GengraphError(f"bad GENGRAPH_MAX_ORDER value {env!r}")
-    return DEFAULT_MAX_ORDER
+    return default
 
 
 class _Out:
@@ -244,7 +246,7 @@ def _cmd_verify(args) -> int:
         checks = wanted
     report = run_catalog(entries, checks, jobs=args.jobs,
                          budget=SearchBudget(args.budget_nodes),
-                         max_order=_max_order(args), catalog_name=catalog_name)
+                         max_order=_max_order(args, None), catalog_name=catalog_name)
     return _emit_report(args, report)
 
 
@@ -252,7 +254,7 @@ def _cmd_scan(args) -> int:
     question = {"conn": "Q_CONN", "ham": "Q_HAM", "chrom": "Q_CHROM"}[args.question]
     report = run_catalog(load_catalog_file(args.groups), (question,), jobs=args.jobs,
                          budget=SearchBudget(args.budget_nodes),
-                         max_order=_max_order(args), catalog_name=args.groups)
+                         max_order=_max_order(args, None), catalog_name=args.groups)
     return _emit_report(args, report)
 
 

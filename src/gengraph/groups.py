@@ -402,14 +402,19 @@ def sylow_decomposition(G: Group) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:
-    """All subgroups, by cyclic extension (Neubüser 1960), sorted by
-    (order, sorted elements).
+    """All subgroups, by cyclic extension (Neubüser 1960) over conjugacy
+    classes, sorted by (order, sorted elements).
 
     Every subgroup is generated by its elements of prime-power order: each
     element is the product of its p-parts, and those are powers of it.  So
-    joining each subgroup found with each cyclic subgroup of prime-power
-    order it does not contain, starting from those cyclic subgroups, reaches
-    every subgroup.
+    a family of subgroups that holds the cyclic subgroups of prime-power
+    order and is closed under joining with each of them holds every
+    subgroup.  Only one representative H per conjugacy class is joined with
+    each such ⟨c⟩ it does not contain; each new subgroup found brings its
+    whole conjugacy class in, so the family stays closed under conjugation.
+    That suffices: for a conjugate H^g, ⟨H^g, c⟩ = ⟨H, c'⟩^g with
+    c' = g c g⁻¹, and ⟨c'⟩ is again a cyclic subgroup of prime-power order,
+    so ⟨H, c'⟩ was closed and its class, which holds ⟨H^g, c⟩, was added.
     """
     if G.n > max_order:
         raise OrderGuardError(
@@ -420,20 +425,35 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
     _, sets, reps = G._cyclic_data()
     cyclic = {s: rep for s, rep in zip(sets, reps)
               if len(totient_profile(len(s))[0]) == 1}
-    gens = {s: (rep,) for s, rep in cyclic.items()}
+    known = {frozenset({0})}
+    gens: dict[frozenset[int], tuple[int, ...]] = {}  # class representatives
+    for s, rep in cyclic.items():
+        if s not in known:
+            known |= _conjugates(G, s)
+            gens[s] = (rep,)
     work = list(gens)
-    gens[frozenset({0})] = ()
     for sub in work:
         for c in cyclic.values():
             if c not in sub:
                 gen = gens[sub] + (c,)
                 joined = frozenset(_closure_members(G.table, gen))
-                if joined not in gens:
+                if joined not in known:
+                    known |= _conjugates(G, joined)
                     gens[joined] = gen
                     work.append(joined)
-    result = sorted(gens, key=lambda s: (len(s), sorted(s)))
+    result = sorted(known, key=lambda s: (len(s), sorted(s)))
     G._cache[key] = result
     return result
+
+
+def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
+    """The conjugacy class of the subgroup `sub`: row g of the array below
+    is g⁻¹·sub·g."""
+    t = G.table
+    m = np.fromiter(sub, dtype=np.int64, count=len(sub))
+    rows = t[t[G.inverses[:, None], m[None, :]], np.arange(G.n)[:, None]]
+    rows = np.unique(np.sort(rows, axis=1), axis=0)
+    return {frozenset(row) for row in rows.tolist()}
 
 
 def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:

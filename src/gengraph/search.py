@@ -178,7 +178,18 @@ class CliqueResult:
 
 
 def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
-    """Exact maximum clique by branch and bound with greedy colouring bounds."""
+    """Exact maximum clique by branch and bound with greedy colouring bounds.
+
+    The result is cached on the graph per node budget, so `chromatic_number`
+    reuses the search that its caller already ran.
+    """
+    key = f"clique{budget.max_nodes}"
+    if key not in graph._cache:
+        graph._cache[key] = _clique_search(graph, budget)
+    return graph._cache[key]
+
+
+def _clique_search(graph: Graph, budget: SearchBudget) -> CliqueResult:
     n = graph.n
     if n == 0:
         return CliqueResult(0, Clique(()), 0, False)
@@ -187,19 +198,22 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
     best: list[int] = []
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
-        # greedy colouring of candidates; emit class by class so that the
-        # bound is nondecreasing and the branch cutoff below stays sound
-        classes: list[int] = []
-        for v in _iter_bits(cand):
-            for ci, cmask in enumerate(classes):
-                if not (cmask & bits[v]):
-                    classes[ci] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
+        # greedy colouring of the candidates, one colour class at a time: a
+        # class takes the least vertex left and drops it and its neighbours
+        # from the pool, which is first-fit colouring in ascending vertex
+        # order; emitted class by class, each in ascending order, so that
+        # the bound is nondecreasing and the branch cutoff below stays sound
         out: list[tuple[int, int]] = []
-        for ci, cmask in enumerate(classes):
-            out.extend((v, ci + 1) for v in _iter_bits(cmask))
+        color = 0
+        while cand:
+            color += 1
+            q = cand
+            while q:
+                vbit = q & -q
+                v = vbit.bit_length() - 1
+                out.append((v, color))
+                cand ^= vbit
+                q &= ~bits[v] & ~vbit
         return out
 
     def expand(current: list[int], cand: int):

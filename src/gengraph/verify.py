@@ -601,9 +601,12 @@ def load_catalog_file(path: str) -> tuple[CatalogEntry, ...]:
 
 def run_catalog(entries, checks=CHECK_IDS, jobs: int = 1,
                 budget: SearchBudget = DEFAULT_BUDGET,
-                max_order: int = DEFAULT_MAX_ORDER,
+                max_order: int | None = None,
                 catalog_name: str = "custom") -> Report:
     """Evaluate all (group, check) pairs; build failures become Skipped.
+
+    `max_order`, when given, is the order guard for every entry; otherwise
+    each entry's own `max_order` is its guard.
 
     Each group is one task that runs its checks in sequence, so no two
     workers fill the same group's caches.  The report is deterministic and
@@ -619,7 +622,8 @@ def run_catalog(entries, checks=CHECK_IDS, jobs: int = 1,
         if e.spec in groups:
             continue
         try:
-            groups[e.spec] = build_cached(e.spec, max(max_order, e.max_order))
+            groups[e.spec] = build_cached(
+                e.spec, e.max_order if max_order is None else max_order)
         except GengraphError as err:
             groups[e.spec] = f"{type(err).__name__}: {err}"
 

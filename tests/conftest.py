@@ -117,7 +117,8 @@ def all_pairs_gen_matrix(G) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# oracle: subgroups by subset enumeration (small tables only)
+# oracle: subgroups by subset enumeration (small tables only), and by
+# cyclic extension of every subgroup found
 
 
 def brute_subgroups(table) -> set[frozenset[int]]:
@@ -131,6 +132,27 @@ def brute_subgroups(table) -> set[frozenset[int]]:
         if set(t[np.ix_(members, members)].ravel().tolist()) <= set(members):
             out.add(frozenset(members))
     return out
+
+
+def extension_lattice(G: Group) -> list[frozenset[int]]:
+    """Every subgroup by cyclic extension of every subgroup found, not of one
+    per conjugacy class: each subgroup is joined with each cyclic subgroup
+    of prime-power order it does not contain, starting from those cyclic
+    subgroups.  Sorted by (order, sorted elements)."""
+    _, sets, reps = G._cyclic_data()
+    cyclic = {s: rep for s, rep in zip(sets, reps) if len(totient_profile(len(s))[0]) == 1}
+    gens = {s: (rep,) for s, rep in cyclic.items()}
+    work = list(gens)
+    gens[frozenset({0})] = ()
+    for sub in work:
+        for c in cyclic.values():
+            if c not in sub:
+                gen = gens[sub] + (c,)
+                joined = frozenset(_closure_members(G.table, gen))
+                if joined not in gens:
+                    gens[joined] = gen
+                    work.append(joined)
+    return sorted(gens, key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +346,8 @@ def brute_hamiltonian(graph: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# oracle: clique and chromatic numbers by enumeration (tiny graphs)
+# oracle: clique and chromatic numbers by enumeration (tiny graphs), and
+# the clique search with a per-vertex colour bound
 
 
 def brute_clique_number(graph: Graph) -> int:
@@ -335,6 +358,50 @@ def brute_clique_number(graph: Graph) -> int:
             if all(graph.adj[u, v] for u, v in itertools.combinations(sub, 2)):
                 return k
     return best
+
+
+def reference_clique_search(graph: Graph) -> tuple[int, tuple[int, ...], int]:
+    """(size, sorted clique, nodes) of the branch and bound in
+    `search.clique_number`, with its colour bound computed by first-fit
+    colouring one vertex at a time instead of one class at a time."""
+    n = graph.n
+    if n == 0:
+        return 0, (), 0
+    bits = graph.bitmasks()
+    nodes = 0
+    best: list[int] = []
+
+    def vertices(mask: int) -> list[int]:
+        return [v for v in range(n) if mask >> v & 1]
+
+    def color_sort(cand: int) -> list[tuple[int, int]]:
+        classes: list[int] = []
+        for v in vertices(cand):
+            for ci, cmask in enumerate(classes):
+                if not (cmask & bits[v]):
+                    classes[ci] |= 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        return [(v, ci + 1) for ci, cmask in enumerate(classes) for v in vertices(cmask)]
+
+    def expand(current: list[int], cand: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        for v, bound in reversed(color_sort(cand)):
+            if len(current) + bound <= len(best):
+                return
+            current.append(v)
+            nxt = cand & bits[v]
+            if nxt:
+                expand(current, nxt)
+            elif len(current) > len(best):
+                best = current.copy()
+            current.pop()
+            cand &= ~(1 << v)
+
+    expand([], (1 << n) - 1)
+    return len(best), tuple(sorted(best)), nodes
 
 
 def brute_chromatic_number(graph: Graph) -> int:

@@ -179,6 +179,22 @@ def test_max_order_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_max_order_guards_every_catalog_entry(capsys, monkeypatch, tmp_path, how):
+    catalog = tmp_path / "groups.txt"
+    catalog.write_text("C6\nC3\n")
+    argv = ["verify", "--catalog", str(catalog), "--checks", "THM_1_1",
+            "--format", "json", "--no-header"]
+    if how == "flag":
+        argv += ["--max-order", "3"]
+    else:
+        monkeypatch.setenv("GENGRAPH_MAX_ORDER", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    c6, c3 = json.loads(out)["results"]
+    assert c6["status"] == "skipped" and "exceeds guard 3" in c6["reason"]
+    assert c3["status"] == "pass" and code == 0
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "out.txt"
     code, out, _ = run_cli(capsys, "info", "C6", "--no-header", "-o", str(path))

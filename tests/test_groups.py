@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_pairs_gen_matrix, brute_associative, brute_closure, brute_subgroups
+from conftest import (
+    all_pairs_gen_matrix,
+    brute_associative,
+    brute_closure,
+    brute_subgroups,
+    extension_lattice,
+)
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
+    DEFAULT_MAX_ORDER,
     Group,
     _closure_members,
     coset_section,
@@ -296,6 +305,33 @@ def _permutation_table(perm_group) -> np.ndarray:
     return np.array([[index[tuple(b[a])] for b in arrays] for a in arrays])
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice_test_groups() -> dict[str, Group]:
+    """S4, A5, S5, PSL(2,7) and AGL(1,p) for p = 7, 11, 13, from sympy."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+    from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
+
+    def affine(p: int) -> PermutationGroup:
+        root = next(r for r in range(2, p)
+                    if len({pow(r, k, p) for k in range(1, p)}) == p - 1)
+        return PermutationGroup([Permutation([(x + 1) % p for x in range(p)]),
+                                 Permutation([root * x % p for x in range(p)])])
+
+    perm_groups = {
+        "S4": SymmetricGroup(4),
+        "A5": AlternatingGroup(5),
+        "S5": SymmetricGroup(5),
+        # collineations of the Fano plane with lines {x, x+1, x+3} mod 7
+        "PSL(2,7)": PermutationGroup([Permutation([1, 2, 3, 4, 5, 6, 0]),
+                                      Permutation([[1, 2], [3, 6]], size=7)]),
+        "AGL(1,7)": affine(7),
+        "AGL(1,11)": affine(11),
+        "AGL(1,13)": affine(13),
+    }
+    return {name: Group(_permutation_table(pg), name=name)
+            for name, pg in perm_groups.items()}
+
+
 def test_subgroup_lattice_matches_brute_force(group):
     from gengraph.verify import default_catalog
 
@@ -316,10 +352,53 @@ def test_subgroup_lattice_of_permutation_groups():
     for pg in (SymmetricGroup(3), DihedralGroup(4), AlternatingGroup(4), DihedralGroup(6)):
         g = Group(_permutation_table(pg))
         assert subgroup_lattice(g) == _lattice_order(brute_subgroups(g.table))
-    # known subgroup counts
-    for pg, count in ((SymmetricGroup(4), 30), (AlternatingGroup(5), 59),
-                      (SymmetricGroup(5), 156)):
-        assert len(subgroup_lattice(Group(_permutation_table(pg)))) == count
+    # known orders and subgroup counts
+    counts = {"S4": (24, 30), "A5": (60, 59), "S5": (120, 156), "PSL(2,7)": (168, 179),
+              "AGL(1,7)": (42, 26), "AGL(1,11)": (110, 38), "AGL(1,13)": (156, 72)}
+    for name, g in _lattice_test_groups().items():
+        assert (g.n, len(subgroup_lattice(g))) == counts[name], name
+
+
+def test_subgroup_lattice_matches_extension_oracle(group):
+    from gengraph.verify import default_catalog
+
+    catalog = [group(e.spec) for e in default_catalog()]
+    catalog = [g for g in catalog if g.n <= DEFAULT_MAX_ORDER]
+    assert len(catalog) == 54  # all but C2^2 x C3^2 x C5^2 and Heis7
+    for g in catalog:
+        assert subgroup_lattice(g) == extension_lattice(g), g.name
+    for name, g in _lattice_test_groups().items():
+        assert subgroup_lattice(g) == extension_lattice(g), name
+
+
+def test_subgroup_lattice_closures(monkeypatch):
+    from gengraph import groups
+
+    calls = []
+    real = groups._closure_members
+
+    def counting(table, seeds):
+        calls.append(seeds)
+        return real(table, seeds)
+
+    fresh = {name: Group(_lattice_test_groups()[name].table) for name in ("S5", "PSL(2,7)")}
+    monkeypatch.setattr(groups, "_closure_members", counting)
+    # one representative per conjugacy class is extended; extending every
+    # subgroup found (`extension_lattice`) makes 7,975 and 13,041 closures
+    for name, closures in (("S5", 845), ("PSL(2,7)", 939)):
+        calls.clear()
+        subgroup_lattice(fresh[name])
+        assert len(calls) == closures, name
+
+
+def test_subgroup_lattice_closed_under_conjugation(group):
+    for g in [group("Ex(1)"), group("Heis3"), *_lattice_test_groups().values()]:
+        lattice = set(subgroup_lattice(g))
+        t, ar = g.table, np.arange(g.n)
+        for sub in lattice:
+            m = np.array(sorted(sub))
+            for row in t[t[g.inverses[:, None], m[None, :]], ar[:, None]].tolist():
+                assert frozenset(row) in lattice, g.name
 
 
 def test_pair_matrix_matches_all_pairs_closure(group):

@@ -13,6 +13,7 @@ from conftest import (
     brute_total_domination,
     complete_multipartite,
     milp_total_domination,
+    reference_clique_search,
 )
 from gengraph.errors import DominationUndefinedError
 from gengraph.generating import delta_of
@@ -100,6 +101,31 @@ def test_clique_matches_brute_force(seed, n):
     res = clique_number(graph)
     assert res.size == brute_clique_number(graph)
     assert verify_certificate(graph, res.clique)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 40), p=st.floats(0.1, 0.9))
+def test_clique_matches_reference_search(seed, n, p):
+    graph = _random_graph(np.random.default_rng(seed), n, p)
+    res = clique_number(graph)
+    assert (res.size, res.clique.vertices, res.nodes) == reference_clique_search(graph)
+
+
+def test_clique_matches_reference_search_on_gamma(group):
+    from gengraph.generating import generating_graph
+
+    for spec in ("C30", "C2^2 x C3^2", "Heis3", "Ex(1)"):
+        graph = generating_graph(group(spec)).graph
+        res = clique_number(graph)
+        assert (res.size, res.clique.vertices, res.nodes) == reference_clique_search(graph)
+
+
+def test_clique_result_cached_per_budget():
+    graph = complete_multipartite([3, 3, 3])
+    res = clique_number(graph)
+    assert clique_number(graph) is res
+    assert clique_number(graph, SearchBudget(0)).exceeded
+    assert clique_number(graph) is res
 
 
 def test_clique_budget():

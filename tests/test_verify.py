@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import save_cayley_file
+from conftest import reference_clique_search, save_cayley_file
 from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
@@ -243,6 +243,35 @@ def test_budget_status_from_shared_search_step(group):
         r = run_check(group("C2^2 x C3"), check, SearchBudget(1), name="G")
         assert r.status == "budget" and r.reason == "node budget exhausted"
         assert r.nodes >= 1
+
+
+def test_one_clique_search_per_gamma(monkeypatch):
+    from gengraph import search
+    from gengraph.build import build_group
+    from gengraph.generating import generating_graph
+    from gengraph.graphs import Graph
+
+    searched = []
+    real = search._clique_search
+
+    def counting(graph, budget):
+        searched.append(graph)
+        return real(graph, budget)
+
+    monkeypatch.setattr(search, "_clique_search", counting)
+    for spec in ("C12", "C2^2 x C3", "C3^2", "Heis3"):
+        G = build_group(spec)  # uncached, so no search has run on its Gamma
+        results = [run_check(G, check, BUDGET, name=spec) for check in ("THM_1_5", "Q_CHROM")]
+        graph = generating_graph(G).graph
+        assert searched == [graph]
+        searched.clear()
+        # the reported count is unchanged: the clique search's nodes plus
+        # those of a chromatic search that runs its own clique search
+        _, _, clique_nodes = reference_clique_search(graph)
+        fresh = search.chromatic_number(Graph(graph.adj), BUDGET)
+        searched.clear()
+        for r in results:
+            assert r.status == "pass" and r.nodes == clique_nodes + fresh.nodes, r
 
 
 # sha256 of the default-catalog JSON report; a change that alters the report
