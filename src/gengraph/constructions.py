@@ -293,7 +293,17 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     (cyclic coordinates pinned to fixed generators) and then to G by the
     minimal-index coset section; the lifted set is re-verified on Delta(G).
     Returns (gamma_t, witness over Delta(G) vertices, reduction, solver result).
+    The result is cached on G per node budget, so the checks that need γt
+    share one search.
     """
+    key = f"td{budget.max_nodes}"
+    if key not in G._cache:
+        G._cache[key] = _nilpotent_td(G, budget)
+    return G._cache[key]
+
+
+def _nilpotent_td(G: Group, budget: SearchBudget
+                  ) -> tuple[int, DominatingSet, TDReduction | None, DominationResult | None]:
     st = nilpotent_structure(G)
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")

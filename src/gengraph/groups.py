@@ -1,13 +1,19 @@
 """Finite groups as validated Cayley tables, plus subgroup machinery.
 
 Elements are integers 0..n-1 with the identity pinned at index 0.  All
-higher-level adjacency questions reduce to `_closure_members`, i.e. to
-subgroup generation computed by product saturation; per-group caches only
-memoise closures of pairs of cyclic subgroups, never replace them with
-formulas.  The pair-generation matrix skips the closure of a pair only when
-both its cyclic subgroups lie in a proper subgroup already found, a cyclic
-subgroup or an earlier closure smaller than G: their join lies in that
-subgroup, so it is not G.
+higher-level adjacency questions reduce to `_closure_members`, the one
+subgroup-closure kernel: the pair-generation matrix, the subgroup lattice,
+Φ(G) and G' all call it, and per-group caches only memoise its closures of
+pairs of cyclic subgroups, never replace them with formulas.  The kernel
+assumes the group laws, which every `Group` has passed: it grows ⟨seeds⟩ by
+whole cosets (Dimino's method) and returns all of G as soon as more than
+n/p elements are known, p the least prime dividing n, because by Lagrange
+no proper subgroup is that large.  Table validation cannot assume what it
+is checking, so Light's test saturates with its own law-free search,
+`_right_saturation`.  The pair-generation matrix skips the closure of a
+pair only when both its cyclic subgroups lie in a proper subgroup already
+found, a cyclic subgroup or an earlier closure smaller than G: their join
+lies in that subgroup, so it is not G.
 """
 
 from __future__ import annotations
@@ -80,12 +86,15 @@ class Group:
         if not np.all(np.any(t == 0, axis=1)):
             raise GroupLawError("some element has no inverse")
         # Light's test; greedy S: add the least unreached element until the
-        # right-saturation of S from the identity covers the table
+        # right-saturation of S from the identity covers the table.  The
+        # saturation assumes no group law: `_closure_members` assumes
+        # associativity, and its Lagrange stop would cut S short on a table
+        # that is not a group
         basis: list[int] = []
         reached = {0}
         while len(reached) < n:
             basis.append(next(g for g in range(n) if g not in reached))
-            reached = _closure_members(t, basis)
+            reached = _right_saturation(t, basis)
         for s in basis:
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise GroupLawError(f"associativity fails for element {s}")
@@ -231,16 +240,16 @@ def _power_orbit(table: np.ndarray, g: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# closure by product saturation
+# subgroup closure
 
 
-def _closure_members(table: np.ndarray, seeds) -> set[int]:
+def _right_saturation(table: np.ndarray, seeds) -> set[int]:
     """The elements reached from the identity by right products with `seeds`.
 
     Breadth-first search over a zero-copy view of the C-contiguous int32
-    table, reading x*g at flat index x*n + g.  In a group the result is
-    the subgroup ⟨seeds⟩.  No group law is assumed, so table validation
-    uses it on unchecked tables too.
+    table, reading x*g at flat index x*n + g.  No group law is assumed, so
+    table validation uses it on unchecked tables; on a group the result is
+    ⟨seeds⟩, but `_closure_members` computes that faster.
     """
     n = table.shape[0]
     flat = memoryview(table).cast("B").cast("i")
@@ -255,6 +264,66 @@ def _closure_members(table: np.ndarray, seeds) -> set[int]:
                 seen.add(y)
                 order.append(y)
     return seen
+
+
+# per order n: (n/p for the least prime p dividing n, all of G)
+_LAGRANGE: dict[int, tuple[int, frozenset[int]]] = {}
+
+
+def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
+    """The subgroup ⟨seeds⟩ of the group with Cayley table `table`.
+
+    The table must satisfy the group laws (a validated `Group.table`); on
+    any other table the result is meaningless.  Dimino's method (Butler,
+    *Fundamental Algorithms for Permutation Groups*, 1991, §6) adds the
+    seeds one at a time.  With K the subgroup built so far and s a seed not
+    in it, ⟨K, s⟩ is grown by whole right cosets K·x: starting from x = s,
+    each product r·g of a coset representative r with a generator g used so
+    far that is not yet known starts a new coset.  Known elements are always
+    a union of right cosets of K, so a known r·g needs no new coset, and the
+    search ends with a set closed under right products by the generators,
+    which is ⟨K, s⟩.
+
+    Once more than n/p elements are known, p the least prime dividing n,
+    the whole group is returned: every element found lies in ⟨seeds⟩, whose
+    order divides n, so its index in G is less than p and hence 1.  n/p and
+    the whole group are cached per n.  Reads x*g at flat index x*n + g of a
+    zero-copy view of the C-contiguous int32 table.
+    """
+    n = table.shape[0]
+    stop = _LAGRANGE.get(n)
+    if stop is None:
+        factors = totient_profile(n)[0]
+        stop = _LAGRANGE[n] = (n // factors[0][0] if factors else n,
+                               frozenset(range(n)))
+    bound, whole = stop
+    flat = memoryview(table).cast("B").cast("i")
+    seen = {0}
+    elems = [0]
+    gens: list[int] = []
+    for s in sorted({int(s) for s in seeds}):
+        if s in seen:
+            continue
+        gens.append(s)
+        rows = [k * n for k in elems]  # K, the subgroup before s, as row offsets
+        reps = [s]
+        coset = [flat[k + s] for k in rows]
+        seen.update(coset)
+        elems += coset
+        if len(elems) > bound:
+            return whole
+        for r in reps:
+            base = r * n
+            for g in gens:
+                x = flat[base + g]
+                if x not in seen:
+                    reps.append(x)
+                    coset = [flat[k + x] for k in rows]
+                    seen.update(coset)
+                    elems += coset
+                    if len(elems) > bound:
+                        return whole
+    return frozenset(seen)
 
 
 def is_generating_pair(G: Group, g: int, h: int) -> bool:
@@ -436,7 +505,7 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
         for c in cyclic.values():
             if c not in sub:
                 gen = gens[sub] + (c,)
-                joined = frozenset(_closure_members(G.table, gen))
+                joined = _closure_members(G.table, gen)
                 if joined not in known:
                     known |= _conjugates(G, joined)
                     gens[joined] = gen
@@ -493,7 +562,7 @@ def frattini(G: Group, method: str = "auto",
     for _ in range(rad):
         powers = G.table[powers, base]
     seeds = np.union1d(seeds, powers)
-    return frozenset(_closure_members(G.table, seeds.tolist()))
+    return _closure_members(G.table, seeds.tolist())
 
 
 def _commutator_elements(G: Group) -> np.ndarray:
@@ -505,7 +574,7 @@ def _commutator_elements(G: Group) -> np.ndarray:
 
 def derived_subgroup(G: Group) -> frozenset[int]:
     """The commutator subgroup G', as the frozenset of its element indices."""
-    return frozenset(_closure_members(G.table, _commutator_elements(G).tolist()))
+    return _closure_members(G.table, _commutator_elements(G).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,11 @@ def _connectivity(G: Group):
 
 
 def _omega_chi(G: Group, budget: SearchBudget):
-    """Clique and chromatic search results on Gamma(G), under the search guard."""
+    """Clique and chromatic search results on Gamma(G), under the search guard.
+
+    `chromatic_number` reuses the clique search and counts its nodes, so
+    `ch.nodes` is the node count of both searches.
+    """
     if G.n > SEARCH_GROUP_GUARD:
         raise _Skip(f"search guard: |G| = {G.n} > {SEARCH_GROUP_GUARD}")
     graph = generating_graph(G).graph
@@ -203,7 +207,7 @@ def _omega_chi(G: Group, budget: SearchBudget):
         raise _Budget(cl.nodes, None)
     ch = chromatic_number(graph, budget)
     if ch.exceeded:
-        raise _Budget(cl.nodes + ch.nodes, None)
+        raise _Budget(ch.nodes, None)
     return cl, ch
 
 
@@ -288,7 +292,7 @@ def _check_clique_chromatic(G: Group, budget: SearchBudget) -> Outcome:
         expected = st.noncyclic_primes[0] + 1
     return Outcome(cl.size == ch.chi == expected,
                    {"omega": expected, "chi": expected},
-                   {"omega": cl.size, "chi": ch.chi}, cl.clique, cl.nodes + ch.nodes)
+                   {"omega": cl.size, "chi": ch.chi}, cl.clique, ch.nodes)
 
 
 def _check_complete(G: Group, budget: SearchBudget) -> Outcome:
@@ -452,7 +456,7 @@ def _question_ham(G: Group, budget: SearchBudget) -> Outcome:
 def _question_chrom(G: Group, budget: SearchBudget) -> Outcome:
     cl, ch = _omega_chi(G, budget)
     return Outcome(cl.size == ch.chi, {"omega_equals_chi": True},
-                   {"omega": cl.size, "chi": ch.chi}, ch.coloring, cl.nodes + ch.nodes)
+                   {"omega": cl.size, "chi": ch.chi}, ch.coloring, ch.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from gengraph.graphs import (
     bfs_distances,
     verify_certificate,
 )
-from gengraph.groups import Group, _closure_members, nilpotent_structure, p_part, totient_profile
+from gengraph.groups import Group, nilpotent_structure, p_part, totient_profile
 
 
 @pytest.fixture(scope="session")
@@ -105,13 +105,15 @@ def brute_adjacency(G) -> np.ndarray:
 
 def all_pairs_gen_matrix(G) -> np.ndarray:
     """The k*k pair-generation matrix over G's cyclic subgroups, closing
-    every pair of their least generators with no pair skipped."""
+    every pair of their least generators by `brute_closure`, with no pair
+    skipped."""
     _, sets, reps = G._cyclic_data()
     k = len(sets)
+    table = G.table.tolist()
     gen = np.zeros((k, k), dtype=bool)
     for i in range(k):
         for j in range(i, k):
-            size = len(_closure_members(G.table, (reps[i], reps[j])))
+            size = len(brute_closure(table, (reps[i], reps[j])))
             gen[i, j] = gen[j, i] = size == G.n
     return gen
 
@@ -138,8 +140,10 @@ def extension_lattice(G: Group) -> list[frozenset[int]]:
     """Every subgroup by cyclic extension of every subgroup found, not of one
     per conjugacy class: each subgroup is joined with each cyclic subgroup
     of prime-power order it does not contain, starting from those cyclic
-    subgroups.  Sorted by (order, sorted elements)."""
+    subgroups.  Joins are closed by `brute_closure`.  Sorted by (order,
+    sorted elements)."""
     _, sets, reps = G._cyclic_data()
+    table = G.table.tolist()
     cyclic = {s: rep for s, rep in zip(sets, reps) if len(totient_profile(len(s))[0]) == 1}
     gens = {s: (rep,) for s, rep in cyclic.items()}
     work = list(gens)
@@ -148,7 +152,7 @@ def extension_lattice(G: Group) -> list[frozenset[int]]:
         for c in cyclic.values():
             if c not in sub:
                 gen = gens[sub] + (c,)
-                joined = frozenset(_closure_members(G.table, gen))
+                joined = frozenset(brute_closure(table, gen))
                 if joined not in gens:
                     gens[joined] = gen
                     work.append(joined)

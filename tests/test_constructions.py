@@ -269,3 +269,26 @@ def test_nilpotent_td_matches_direct_search(group):
         direct = total_domination(delta_of(g).graph)
         gt, *_ = nilpotent_td(g)
         assert direct.size == gt, spec
+
+
+def test_nilpotent_td_one_search_per_budget(monkeypatch):
+    from gengraph.build import build_group
+    from gengraph.verify import run_check
+
+    calls = []
+    real = constructions.total_domination
+
+    def counting(graph, budget, **kwargs):
+        calls.append(budget)
+        return real(graph, budget, **kwargs)
+
+    monkeypatch.setattr(constructions, "total_domination", counting)
+    G = build_group("C2^2 x C3^2")  # uncached, so no γt search has run on it
+    budget = SearchBudget(10_000_000)
+    results = [run_check(G, check, budget, name="C2^2 x C3^2")
+               for check in ("THM_1_4_TDN", "SANDWICH_5_5_5_6", "LEM_5_3_SUB")]
+    assert [r.status for r in results] == ["pass"] * 3
+    assert calls == [budget]
+    # a different budget is a different search
+    assert nilpotent_td(G, SearchBudget(5_000_000))[0] == 3
+    assert len(calls) == 2

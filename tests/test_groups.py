@@ -48,14 +48,37 @@ def test_closure_examples(group):
 def test_closure_matches_brute_force(group):
     from gengraph.verify import default_catalog
 
-    # every default-catalog group, up to n = 900; includes C12, C2^2 x C3, Heis3
-    for spec in [e.spec for e in default_catalog()]:
-        g = group(spec)
+    # every default-catalog group, up to n = 900; includes C12, C2^2 x C3,
+    # Heis3; and the non-nilpotent S4, A5, S5, PSL(2,7) and AGL(1,p), with
+    # 1 to 4 seeds that may repeat or include the identity
+    groups = [group(e.spec) for e in default_catalog()]
+    groups += _lattice_test_groups().values()
+    for g in groups:
         table = g.table.tolist()
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            seeds = rng.integers(0, g.n, size=2).tolist()
-            assert _closure_members(g.table, seeds) == brute_closure(table, seeds)
+        for size in (2,) * 10 + (1, 3, 4) * 4:
+            seeds = rng.integers(0, g.n, size=size).tolist()
+            assert _closure_members(g.table, seeds) == brute_closure(table, seeds), g.name
+        for seeds in ([0], [0, 0], [g.n - 1, g.n - 1, 0], [0, 1, 1, g.n - 1]):
+            assert _closure_members(g.table, seeds) == brute_closure(table, seeds), g.name
+
+
+def test_closure_of_generating_seeds_is_the_group(group):
+    from gengraph.verify import default_catalog
+
+    # greedy generating sets found by `brute_closure`, also with the identity
+    # and a repeated seed added, and every element at once
+    groups = [group(e.spec) for e in default_catalog()]
+    groups += _lattice_test_groups().values()
+    for g in groups:
+        table = g.table.tolist()
+        whole = set(range(g.n))
+        seeds: list[int] = []
+        while (reached := brute_closure(table, seeds)) != whole:
+            seeds.append(max(whole - reached))
+        assert _closure_members(g.table, seeds) == whole, g.name
+        assert _closure_members(g.table, [0, *seeds, *seeds[:1]]) == whole, g.name
+        assert _closure_members(g.table, range(g.n)) == whole, g.name
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,6 +282,22 @@ def test_validation_rejects_order5_loop():
         assert not brute_associative(t)
         with pytest.raises(GroupLawError, match="associativity"):
             Group(t)
+
+
+# identity and inverses hold and element 1 passes Light's test, but its
+# right-saturation has three of the four elements: a closure that returned
+# the whole table past n/2 elements, as the group-law kernel does, would
+# make S = {1} and accept the table
+NONASSOCIATIVE4 = ([[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [3, 3, 3, 0]],
+                   [[0, 1, 2, 3], [1, 3, 2, 0], [2, 2, 0, 2], [3, 0, 2, 1]])
+
+
+@pytest.mark.parametrize("table", NONASSOCIATIVE4)
+def test_validation_does_not_assume_the_group_laws(table):
+    t = np.array(table)
+    assert not brute_associative(t)
+    with pytest.raises(GroupLawError, match="associativity"):
+        Group(t)
 
 
 SMALL_SPECS = ["C2", "C5", "C6", "C8", "C2^2", "C2 x C4", "C2^3", "C3^2",
