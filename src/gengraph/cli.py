@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = all requested checks passed / computation succeeded;
-1 = at least one Fail (including a conjecture counterexample);
+1 = at least one Fail (including a conjecture counterexample) or error;
 2 = usage or input error; 3 = budget exhausted on a requested exact value.
 """
 
@@ -223,7 +223,7 @@ def _emit_report(args, report: Report) -> int:
     out = _Out(args)
     out.emit(report.to_json() if args.format == "json" else report.to_table())
     out.flush()
-    if report.summary["fail"] or report.summary["counterexample"]:
+    if report.summary["fail"] or report.summary["counterexample"] or report.summary["error"]:
         return EXIT_FAIL
     if report.summary["budget"]:
         return EXIT_BUDGET

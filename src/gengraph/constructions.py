@@ -1,16 +1,21 @@
-"""Explicit certified witnesses: Hamiltonian cycles for cyclic groups,
-p-groups and C2-by-p-group products, chord certificates for the product
-Hamiltonicity criterion, and the total-domination reduction to
-complete-graph products.
+"""Explicit certified witnesses: Hamiltonian cycles for every 2-generated
+nilpotent group, chord certificates for the product Hamiltonicity
+criterion, and the total-domination reduction to complete-graph products.
+
+A nilpotent group is the product of its Sylow subgroups, and Delta of a
+coprime product is the Kronecker product of its factors' generation
+relations; nilpotent_hamiltonian folds the Sylow cycles by explicit 2-opt
+merges (Weichsel 1962, *The Kronecker product of graphs*, made explicit).
 
 Every construction re-verifies through verify_certificate before being
 returned; a failed re-verification of a proved construction is a hard
-error, while the opportunistic p=2 attempts fall back to search.
+error, while the opportunistic p=2 attempt falls back to search.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +58,6 @@ log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Hamiltonian cycles
-
-
-def _power_cycle(dd: GeneratingGraph) -> HamCycle:
-    """The power cycle (1, g, g^2, ...) of the least generator g of a cyclic
-    group, as vertices of its Delta; re-verified before return."""
-    G = dd.group
-    g = int(np.flatnonzero(G.orders == G.n)[0])
-    pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-    cycle = HamCycle(tuple(pos[e] for e in _power_orbit(G.table, g)))
-    _require(dd, cycle, "cyclic power cycle")
-    return cycle
 
 
 def pgroup_hamiltonian(P: Group, a: int, b: int,
@@ -177,10 +171,32 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
                           ) -> HamiltonianResult:
     """Hamiltonian cycle on Delta(G) for a 2-generated nilpotent group.
 
-    Dispatch: cyclic groups use the power cycle; noncyclic p-groups the
-    concatenated coset paths; C2 x (odd p-group) the alternating gluing;
-    all other shapes fall back to backtracking search over Delta(G) with
-    the vertex order induced by the Sylow product decomposition.
+    A cyclic group is one factor, its power cycle.  Every other group folds
+    the cycles of its Sylow subgroups (`_sylow_cycle`), the 2-part first and
+    then the odd primes in ascending order; a p-group is one factor.
+
+    For A and B of coprime orders, Delta(A x B) is the Kronecker product of
+    the generation relations of A and B, in which (a, b) has a loop when a
+    and b generate their factors alone.  So for cycles x of Delta(A) and y
+    of Delta(B), (x_t, y_j) ~ (x_{t+1}, y_{j+1}).  With m = |x|, k = |y|
+    and d = gcd(m, k), the diagonals D_s = ((x_t, y_{t+s}))_t, s mod d,
+    cover the product with d cycles.  D_s and D_{s+2} merge by one 2-opt
+    on cycle edges of x and y: remove (x_0 y_{s+2}, x_1 y_{s+3}) and
+    (x_1 y_{s+1}, x_2 y_{s+2}), add (x_0 y_{s+2}, x_1 y_{s+1}) and
+    (x_1 y_{s+3}, x_2 y_{s+2}).  For odd d the chain s = 0, 2, 4, ...
+    reaches every diagonal.  For even d the chains from 0 and from 1 leave
+    one cycle per parity of s, and y's chords y_0 y_2 and y_1 y_3 cross
+    them: remove (x_t y_0, x_{t+1} y_1) and (x_{t+1} y_2, x_{t+2} y_3), add
+    (x_t y_0, x_{t+1} y_2) and (x_{t+1} y_1, x_{t+2} y_3), with t = 2 when
+    m >= 4, clear of the chains' edges at t = 0 and 1, and t = 0 when
+    m = 2, where there is no chain.  A crossing always exists: by the fold
+    order every y is an odd-prime Sylow, so a cyclic y has odd length and
+    makes d odd, and a noncyclic y is `pgroup_hamiltonian`'s cycle, whose
+    chords sit at positions (0, 2) and (1, 3).  C2 enters as the closed
+    walk (1, x), the one factor of length 2.
+
+    The budget only reaches the p = 2 search fallback of
+    `pgroup_hamiltonian`.  The cycle is re-verified on Delta(G).
     """
     st = nilpotent_structure(G)
     if not st.two_generated:
@@ -188,71 +204,65 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     dd = delta_of(G)
     if G.n < 3:
         return HamiltonianResult("no", None, "group of order < 3", 0, False)
-    if G.is_cyclic:
-        return HamiltonianResult("yes", _power_cycle(dd), None, 0, False)
-    primes = [p for p, _ in st.cyclic_sylow] + [q for q, _ in st.noncyclic_sylow]
-    if len(primes) == 1:
-        a, b = least_generating_pair(G)
-        cycle, _ = pgroup_hamiltonian(G, a, b, budget)
-        return HamiltonianResult("yes", cycle, None, 0, False)
-    masks = sylow_masks(G)
-    if 2 in masks and int(masks[2].sum()) == 2 and len(masks) == 2:
-        pprime = [p for p in masks if p != 2][0]
-        P, pmap = subgroup_as_group(G, np.flatnonzero(masks[pprime]).tolist())
-        cycle = _c2p_cycle_in(G, P, pmap, budget)
-        return HamiltonianResult("yes", cycle, None, 0, False)
-    order = _sylow_vertex_order(G, dd)
-    res = hamiltonian(dd.graph, budget, order=order)
-    if res.status == "yes":
-        _require(dd, res.cycle, "searched cycle")
-    return res
-
-
-def _c2p_cycle_in(G: Group, P: Group, pmap: np.ndarray,
-                  budget: SearchBudget) -> HamCycle:
-    """The C2 x P gluing realised inside G (G nilpotent, Sylow-2 = C2), with
-    P's elements at `pmap`.  With H = (h_11, ..., h_mk) the p-group cycle,
-    the cycle is (u_11, ..., u_mk, v_11, ..., v_mk) where u_ij = x^j h_ij and
-    v_ij = x^j h_i(j+3), the shift j+3 wrapping inside each block.  G is
-    noncyclic, so P is too."""
-    x = int(np.flatnonzero(G.orders == 2)[0])
-    dd = delta_of(G)
-    a, b = least_generating_pair(P)
-    hcycle, _ = pgroup_hamiltonian(P, a, b, budget)
-    pdelta = delta_of(P)
-    h_elems = [int(pmap[pdelta.vertex_elements[v]]) for v in hcycle.vertices]
-    stp = nilpotent_structure(P)
-    p = (stp.cyclic_sylow + stp.noncyclic_sylow)[0][0]
-    k = p * p - 1
-    m = len(h_elems) // k
-    elements = []
-    for j1, h in enumerate(h_elems, start=1):
-        elements.append(h if j1 % 2 == 0 else int(G.table[x, h]))
-    for i in range(m):
-        for j1 in range(1, k + 1):
-            h = h_elems[i * k + (j1 - 1 + 3) % k]
-            elements.append(h if j1 % 2 == 0 else int(G.table[x, h]))
+    factors = [np.arange(G.n)] if G.is_cyclic else \
+        [np.flatnonzero(mask) for _, mask in sorted(sylow_masks(G).items())]
+    walk: list[int] = []
+    for members in factors:
+        cycle = _sylow_cycle(G, members, budget)
+        walk = _fold(G.table, walk, cycle) if walk else cycle
     pos = {e: i for i, e in enumerate(dd.vertex_elements)}
     try:
-        cycle = HamCycle(tuple(pos[e] for e in elements))
-        ok = verify_certificate(dd.graph, cycle)
-    except KeyError:
-        ok = False
-    if not ok:
-        log.warning("C2 x P gluing failed inside %s; falling back to search", G.name)
-        res = hamiltonian(dd.graph, budget)
-        if res.status != "yes":
-            raise ConstructionError("C2 x P fallback search failed")
-        return res.cycle
-    return cycle
+        cycle = HamCycle(tuple(pos[e] for e in walk))
+    except KeyError as e:
+        raise ConstructionError(f"Sylow product meets an isolated vertex: {e}") from e
+    _require(dd, cycle, "Sylow product cycle")
+    return HamiltonianResult("yes", cycle, None, 0, False)
 
 
-def _sylow_vertex_order(G: Group, dd: GeneratingGraph) -> list[int]:
-    from .groups import sylow_decomposition
-    primes, comps = sylow_decomposition(G)
-    keys = [tuple(int(comps[dd.vertex_elements[v], j]) for j in range(len(primes)))
-            for v in range(dd.graph.n)]
-    return sorted(range(dd.graph.n), key=lambda v: (keys[v], v))
+def _sylow_cycle(G: Group, members: np.ndarray, budget: SearchBudget) -> list[int]:
+    """The subgroup on `members`, cyclic or a p-group, as G's elements along
+    a Hamiltonian cycle of its own Delta: the power orbit (1, g, g^2, ...)
+    of its least generator g when it is cyclic, else `pgroup_hamiltonian`'s
+    cycle."""
+    gens = members[G.orders[members] == members.size]
+    if gens.size:
+        return _power_orbit(G.table, int(gens[0]))
+    if members.size == G.n:
+        P, pmap = G, members
+    else:
+        P, pmap = subgroup_as_group(G, members.tolist())
+    cycle, _ = pgroup_hamiltonian(P, *least_generating_pair(P), budget)
+    elements = delta_of(P).vertex_elements
+    return [int(pmap[elements[v]]) for v in cycle.vertices]
+
+
+def _fold(table: np.ndarray, x: list[int], y: list[int]) -> list[int]:
+    """The cycle of Delta(A x B) that nilpotent_hamiltonian describes, from
+    the cycles x of Delta(A) and y of Delta(B), as the products x_t y_j."""
+    m, k = len(x), len(y)
+    d = math.gcd(m, k)
+
+    def cell(i: int, j: int) -> int:
+        return i % m * k + j % k
+
+    nbr = [[cell(i + 1, j + 1), cell(i - 1, j - 1)] for i in range(m) for j in range(k)]
+
+    def two_opt(a: int, b: int, c: int, e: int) -> None:
+        """Replace the edges a-b and c-e by a-c and b-e."""
+        for u, old, new in ((a, b, c), (b, a, e), (c, e, a), (e, c, b)):
+            nbr[u][nbr[u].index(old)] = new
+
+    for s in range(0, 2 * d - 2, 2) if d % 2 else range(d - 2):
+        two_opt(cell(0, s + 2), cell(1, s + 3), cell(1, s + 1), cell(2, s + 2))
+    if d % 2 == 0:
+        t = 2 if m >= 4 else 0
+        two_opt(cell(t, 0), cell(t + 1, 1), cell(t + 1, 2), cell(t + 2, 3))
+    walk, prev, cur = [0], 0, nbr[0][0]
+    while cur != 0:
+        walk.append(cur)
+        a, b = nbr[cur]
+        prev, cur = cur, b if a == prev else a
+    return [int(table[x[c // k], y[c % k]]) for c in walk]
 
 
 def _require(dd: GeneratingGraph, cert, what: str) -> None:

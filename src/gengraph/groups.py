@@ -453,19 +453,6 @@ def p_part(G: Group, g: int, p: int) -> int:
     return G.power(g, e)
 
 
-def sylow_decomposition(G: Group) -> tuple[tuple[int, ...], np.ndarray]:
-    """(sorted primes, n*t array of per-prime component elements) for nilpotent G."""
-    masks = sylow_masks(G)
-    if masks is None:
-        raise NotNilpotentError(f"{G.name} is not nilpotent")
-    primes = tuple(sorted(masks))
-    comps = np.zeros((G.n, len(primes)), dtype=np.int64)
-    for j, p in enumerate(primes):
-        for g in range(G.n):
-            comps[g, j] = p_part(G, g, p)
-    return primes, comps
-
-
 # ---------------------------------------------------------------------------
 # subgroup lattice and Frattini subgroup
 

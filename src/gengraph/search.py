@@ -60,14 +60,12 @@ class HamiltonianResult:
     dirac: bool
 
 
-def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
-                order: list[int] | None = None) -> HamiltonianResult:
+def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> HamiltonianResult:
     """Decide Hamiltonicity by backtracking with forced-edge pruning.
 
-    The static vertex order is degree-ascending (ties by index) unless an
-    explicit order is given.  When the Dirac bound delta >= n/2 holds the
-    decision is already "yes", but a certificate cycle is still produced by
-    the search before returning.  "no" is returned only when the search
+    The static vertex order is degree-ascending (ties by index).  When the
+    Dirac bound delta >= n/2 holds the decision is already "yes", but a
+    certificate cycle is still produced by the search before returning.  "no" is returned only when the search
     space was exhausted within budget.
     """
     n = graph.n
@@ -77,8 +75,7 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     if (degs == 0).any():
         return HamiltonianResult("no", None, "isolated vertex", 0, False)
     dirac = bool(degs.min() * 2 >= n)
-    if order is None:
-        order = np.lexsort((np.arange(n), degs)).tolist()
+    order = np.lexsort((np.arange(n), degs)).tolist()
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos

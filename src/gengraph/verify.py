@@ -8,12 +8,13 @@ apply to a group are Skipped with a reason.
 
 Theorem checks and open-question scans are records of one registry, run by
 one driver, `run_check`: it applies each record's gate, and turns guards,
-budget exhaustion and package errors into statuses.
+budget exhaustion, package errors and any other exception into statuses.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -71,8 +72,10 @@ from .search import (
 
 FLOW_GUARD = 150          # |V(Delta)| cap for max-flow checks
 SEARCH_GROUP_GUARD = 130  # |G| cap for exact clique/chromatic checks
-HAM_SEARCH_GUARD = 100    # |V(Delta)| cap when Hamiltonicity needs search
+HAM_SEARCH_GUARD = 100    # |V(Delta)| cap for Q_HAM's search on non-nilpotent groups
 CERT_SIZE_LIMIT = 2000    # certificates longer than this stay out of reports
+
+log = logging.getLogger(__name__)
 
 PROP_2_9_PAIRS = {
     "C2^2 x C9 x C3": ("C2^2 x Heis3", True),
@@ -84,7 +87,7 @@ PROP_2_9_PAIRS = {
 class CheckResult:
     group: str
     check: str
-    status: str  # "pass" | "fail" | "skipped" | "budget" | "counterexample"
+    status: str  # "pass" | "fail" | "skipped" | "budget" | "counterexample" | "error"
     expected: object = None
     observed: object = None
     reason: str | None = None
@@ -144,7 +147,8 @@ def _short(value) -> str:
 
 
 def summarize(results) -> dict:
-    counts = {"pass": 0, "fail": 0, "skipped": 0, "budget": 0, "counterexample": 0}
+    counts = {"pass": 0, "fail": 0, "skipped": 0, "budget": 0, "counterexample": 0,
+              "error": 0}
     for r in results:
         counts[r.status] += 1
     return counts
@@ -245,19 +249,8 @@ def _check_euler(G: Group, budget: SearchBudget) -> Outcome:
 
 
 def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
-    st = nilpotent_structure(G)
-    primes = st.cyclic_primes + st.noncyclic_primes
-    constructive = (st.is_cyclic or len(primes) == 1
-                    or (2 in st.cyclic_primes and len(primes) == 2
-                        and dict(st.cyclic_sylow).get(2) == 1))
-    if not constructive:
-        size = delta_of(G).graph.n
-        if size > HAM_SEARCH_GUARD:
-            raise _Skip(f"search guard: |V(Delta)| = {size} > {HAM_SEARCH_GUARD}")
     expected = G.n >= 3
     res = nilpotent_hamiltonian(G, budget)
-    if res.status == "budget":
-        raise _Budget(res.nodes, {"hamiltonian": expected})
     observed = res.status == "yes"
     return Outcome(observed is expected, {"hamiltonian": expected},
                    {"hamiltonian": observed}, res.cycle, res.nodes)
@@ -511,7 +504,8 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
               name: str | None = None) -> CheckResult:
     """Run one registered check or question on one group.  Errors that
     falsify the implementation are a fail; other package errors mean the
-    check does not apply and are a skip."""
+    check does not apply and are a skip; any other exception is a defect of
+    the program, reported as an error so the rest of the run goes on."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check {check_id!r}")
     check = REGISTRY[check_id]
@@ -530,6 +524,10 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
                            reason=f"{type(e).__name__}: {e}")
     except GengraphError as e:
         return CheckResult(name, check_id, "skipped",
+                           reason=f"{type(e).__name__}: {e}")
+    except Exception as e:
+        log.exception("%s on %s raised", check_id, name)
+        return CheckResult(name, check_id, "error",
                            reason=f"{type(e).__name__}: {e}")
     cert = out.certificate  # its size is the length of its first field
     if cert is not None and len(getattr(cert, fields(cert)[0].name)) > CERT_SIZE_LIMIT:

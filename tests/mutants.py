@@ -1,0 +1,99 @@
+"""Committed mutants: small edits to the package, each of which one named
+test must catch.
+
+Run from the repository root, outside the test suite:
+
+    python tests/mutants.py
+
+The runner copies src/ to a temporary directory and runs every named test
+against that copy, which must pass.  Then, for each mutant, it applies the
+edit to a fresh copy (the old text must occur exactly once in the file) and
+runs the named test with that copy first on PYTHONPATH.  A mutant is killed
+when its test fails.  The exit status is 0 only when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    what: str
+    file: str  # under src/gengraph
+    old: str
+    new: str
+    test: str  # pytest node id, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("the parity crossing of the Sylow fold skipped",
+           "constructions.py",
+           "        two_opt(cell(t, 0), cell(t + 1, 1), cell(t + 1, 2), cell(t + 2, 3))\n",
+           "        pass\n",
+           "tests/test_constructions.py::test_sylow_fold[C4 x C3^2-d4]"),
+    Mutant("the Sylow fold merging D_s with D_{s+1}",
+           "constructions.py",
+           "two_opt(cell(0, s + 2), cell(1, s + 3), cell(1, s + 1), cell(2, s + 2))",
+           "two_opt(cell(0, s + 1), cell(1, s + 2), cell(1, s + 1), cell(2, s + 2))",
+           "tests/test_constructions.py::test_sylow_fold[C2^2 x Heis3-d3]"),
+    Mutant("the closure kernel stopping at exactly n/p elements",
+           "groups.py",
+           "                    if len(elems) > bound:\n",
+           "                    if len(elems) >= bound:\n",
+           "tests/test_groups.py::test_closure_matches_brute_force"),
+    Mutant("the closure kernel multiplying only the newest generator",
+           "groups.py",
+           "            for g in gens:\n",
+           "            for g in gens[-1:]:\n",
+           "tests/test_groups.py::test_closure_matches_brute_force"),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _passes(src: Path, tests: list[str]) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
+def main() -> int:
+    tests = sorted({m.test for m in MUTANTS})
+    with tempfile.TemporaryDirectory() as tmp:
+        if not _passes(_copy_src(Path(tmp) / "clean"), tests):
+            print("the named tests do not pass on the unmodified package")
+            return 1
+        survivors = 0
+        for i, m in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp) / f"m{i}")
+            path = src / "gengraph" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE   {m.what}: old text found {text.count(m.old)} times in {m.file}")
+                survivors += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            killed = not _passes(src, [m.test])
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} {m.what} ({m.test})")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,7 +140,7 @@ def test_hamcycle_constructed(capsys):
 
 
 def test_hamcycle_budget_exit_3(capsys):
-    code, out, _ = run_cli(capsys, "hamcycle", "C2^2 x C3^2",
+    code, out, _ = run_cli(capsys, "hamcycle", "Ex(1)",
                            "--budget-nodes", "1", "--no-header")
     assert code == 3
     assert "budget" in out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,15 @@ from gengraph.constructions import (
 from gengraph.errors import NotTwoGeneratedError
 from gengraph.generating import delta_of, generating_graph
 from gengraph.graphs import Graph, MultipartiteParams, td_bounds, verify_certificate
-from gengraph.groups import totient_profile
+from gengraph.groups import is_nilpotent, sylow_masks, totient_profile
 from gengraph.search import SearchBudget, hamiltonian, total_domination
+from gengraph.verify import default_catalog, run_check
 
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """Make the construction's search fallback raise, so a test passes only
-    when the explicit construction itself verifies."""
+    """Make the p = 2 search fallback of the constructions raise, so a test
+    passes only when the explicit construction itself verifies."""
     def refuse(*args, **kwargs):
         raise AssertionError("construction fell back to search")
     monkeypatch.setattr(constructions, "hamiltonian", refuse)
@@ -97,27 +100,60 @@ def test_pgroup_rejects_bad_input(group):
 
 
 # ---------------------------------------------------------------------------
-# C2 x P gluing
+# Sylow fold
 
 
-def test_c2_times_p_noncyclic(group, no_search):
-    G = group("C2 x C3^2")
-    cyc = nilpotent_hamiltonian(G).cycle
-    assert G.n == 18 and len(cyc.vertices) == 16
+@pytest.mark.parametrize("spec, d", [
+    ("C2^2 x C3^2", 1),        # m = 3, k = 8
+    ("C2^2 x C9", 3),          # odd d: the chain s = 0, 2
+    ("C2^2 x Heis3", 3),       # odd d with a noncyclic y
+    ("C2 x C3^2", 2),          # even d, m = 2: the crossing at t = 0
+    ("C2 x Heis3", 2),
+    ("C4 x C3^2", 4),          # even d, m >= 4: the crossing at t = 2
+    ("C4^2 x C3^2", 4),        # a noncyclic 2-part with |Frat| > 1
+    ("C2^2 x C3^2 x C5", 1),   # three Sylows: d = 1, then d = gcd(24, 5)
+], ids=lambda v: v if isinstance(v, str) else f"d{v}")
+def test_sylow_fold(group, no_search, spec, d):
+    G = group(spec)
+    masks = sorted(sylow_masks(G).items())
+    x, y = (constructions._sylow_cycle(G, np.flatnonzero(mask), SearchBudget())
+            for _, mask in masks[:2])
+    assert math.gcd(len(x), len(y)) == d
+    res = nilpotent_hamiltonian(G)
     dd = delta_of(G)
-    assert verify_certificate(dd.graph, cyc)
-    # the seam: u_mk = a^{p-1} b^{p-1} f_m meets v_11 = x a b^2 f_1
-    G2 = group("C2 x Heis3")
-    cyc2 = nilpotent_hamiltonian(G2).cycle
-    assert G2.n == 54 and len(cyc2.vertices) == 48
-    assert verify_certificate(delta_of(G2).graph, cyc2)
+    assert res.status == "yes" and res.nodes == 0
+    assert len(res.cycle.vertices) == dd.graph.n
+    assert verify_certificate(dd.graph, res.cycle)
 
 
-def test_c2_times_p_cyclic_delegates(group, no_search):
-    G = group("C2 x C9")
-    cyc = nilpotent_hamiltonian(G).cycle
-    assert G.n == 18 and len(cyc.vertices) == 18
-    assert verify_certificate(delta_of(G).graph, cyc)
+# the shapes up to order 675 on which the fold was first checked; the two of
+# order 900 stay out of Tier-1
+FOLD_SHAPES = [
+    "C2 x C3", "C2 x C9", "C2 x C5^2", "C2 x C9 x C3", "C2 x Heis5",
+    "C3^2 x C5^2", "C3^2 x C7^2", "Heis3 x C5^2", "C2^2 x C5^2", "C4 x C9",
+    "C4 x C3 x C5^2", "C2^2 x Heis5", "C8 x C3^2", "C4^2 x C3",
+    "C2 x C3^2 x C5^2",
+]
+
+
+@pytest.mark.parametrize("spec", FOLD_SHAPES)
+def test_sylow_fold_shapes(group, no_search, spec):
+    G = group(spec)
+    res = nilpotent_hamiltonian(G)
+    assert res.status == "yes" and res.nodes == 0
+    assert verify_certificate(delta_of(G).graph, res.cycle)
+
+
+NILPOTENT_CATALOG = [e.spec for e in default_catalog()
+                     if not e.formula_only and not e.spec.startswith("Ex(")]
+
+
+@pytest.mark.parametrize("spec", NILPOTENT_CATALOG)
+def test_catalog_ham_without_search(group, no_search, spec):
+    G = group(spec)
+    assert is_nilpotent(G)
+    r = run_check(G, "THM_1_3_HAM", SearchBudget(), name=spec)
+    assert r.status == "pass" and r.nodes == 0, r
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_empty_catalog():
     report = run_catalog((), CHECK_IDS, jobs=1, budget=BUDGET)
     assert report.results == ()
     assert report.summary == {"pass": 0, "fail": 0, "skipped": 0,
-                              "budget": 0, "counterexample": 0}
+                              "budget": 0, "counterexample": 0, "error": 0}
 
 
 def test_catalog_with_non_2gen_cayley_file(tmp_path, group):
@@ -194,6 +194,38 @@ def test_error_status_mapping(group, monkeypatch, error, status):
         assert r.reason == f"{error}: injected"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unexpected_exception_is_an_error(monkeypatch, tmp_path, capsys, jobs):
+    import dataclasses
+
+    import gengraph.verify as V
+    from gengraph.cli import main
+
+    entries = (CatalogEntry("C5"), CatalogEntry("C6"), CatalogEntry("C2^2"))
+    clean = run_catalog(entries, jobs=jobs, budget=BUDGET)
+    real = V.REGISTRY["THM_1_1"].compute
+
+    def broken(G, budget):
+        if G.n == 6:
+            raise RuntimeError("injected")
+        return real(G, budget)
+    record = dataclasses.replace(V.REGISTRY["THM_1_1"], compute=broken)
+    monkeypatch.setitem(V.REGISTRY, "THM_1_1", record)
+    report = run_catalog(entries, jobs=jobs, budget=BUDGET)
+    assert len(report.results) == len(clean.results)
+    for got, want in zip(report.results, clean.results):
+        if (got.group, got.check) == ("C6", "THM_1_1"):
+            assert got.status == "error" and got.reason == "RuntimeError: injected"
+        else:
+            assert got == want
+    assert report.summary["error"] == 1
+    path = tmp_path / "catalog.txt"
+    path.write_text("C5\nC6\nC2^2\n")
+    code = main(["verify", "--catalog", str(path), "--jobs", str(jobs), "--no-header"])
+    assert code == 1
+    assert "error=1" in capsys.readouterr().out
+
+
 def test_summarize_counts():
     from gengraph.verify import CheckResult
     rows = [CheckResult("g", "c", "pass"), CheckResult("g", "c", "skipped"),
@@ -280,7 +312,7 @@ def test_one_clique_search_per_gamma(monkeypatch):
 
 # sha256 of the default-catalog JSON report; a change that alters the report
 # on purpose updates the digest and records why in CHANGES.md
-CATALOG_REPORT_SHA256 = "50c0a51500db8fd5c4d9b9e420ecdcb168e04eb8ed3d685c90094761b3ccccf7"
+CATALOG_REPORT_SHA256 = "e42a4a9090ad560409f05631a63050cf037ea53e7e631f4dbdf3e09ae43e2990"
 
 
 def test_catalog_report_digest(catalog_report):
