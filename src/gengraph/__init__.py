@@ -31,7 +31,6 @@ from .graphs import (
 from .groups import (
     Group,
     frattini,
-    is_generating_pair,
     is_nilpotent,
     nilpotent_structure,
     quotient_mod_frattini,
@@ -48,7 +47,6 @@ from .constructions import (
     h_membership,
     nilpotent_hamiltonian,
     nilpotent_td,
-    pgroup_hamiltonian,
 )
 from .verify import (
     CHECK_IDS,

@@ -138,9 +138,9 @@ def _max_order(args, default: int | None = DEFAULT_MAX_ORDER) -> int | None:
     env = os.environ.get("GENGRAPH_MAX_ORDER")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise GengraphError(f"bad GENGRAPH_MAX_ORDER value {env!r}")
+            return _int_at_least(env, low=1)
+        except argparse.ArgumentTypeError as e:
+            raise GengraphError(f"bad GENGRAPH_MAX_ORDER value: {e}") from None
     return default
 
 
@@ -178,7 +178,7 @@ def _cmd_info(args) -> int:
         out.emit(f"r: {st.r} (cyclic Sylow primes: {cyc})")
         out.emit(f"s: {st.s} (noncyclic Sylow primes: {noncyc})")
         out.emit(f"cyclic: {'yes' if st.is_cyclic else 'no'}")
-    phi = frattini(G, "auto", max(_max_order(args), G.n))
+    phi = frattini(G, max(_max_order(args), G.n))
     out.emit(f"frattini_order: {len(phi)}")
     out.emit(f"two_generated: {'yes' if is_two_generated(G) else 'no'}")
     out.flush()
@@ -287,11 +287,10 @@ def _tuple_label(v: int, parts: tuple[int, ...]) -> str:
 def _cmd_hamcycle(args) -> int:
     out = _Out(args)
     G = build_group(args.spec, _max_order(args))
-    budget = SearchBudget(args.budget_nodes)
     if is_nilpotent(G):
-        res = nilpotent_hamiltonian(G, budget)
+        res = nilpotent_hamiltonian(G)
     else:
-        res = hamiltonian(delta_of(G).graph, budget)
+        res = hamiltonian(delta_of(G).graph, SearchBudget(args.budget_nodes))
     if res.status == "budget":
         out.emit("status: budget exhausted")
         out.flush()

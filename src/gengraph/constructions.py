@@ -8,15 +8,12 @@ relations; nilpotent_hamiltonian folds the Sylow cycles by explicit 2-opt
 merges (Weichsel 1962, *The Kronecker product of graphs*, made explicit).
 
 Every construction re-verifies through verify_certificate before being
-returned; a failed re-verification of a proved construction is a hard
-error, while the opportunistic p=2 attempt falls back to search.
+returned; a failed re-verification is a hard error, never a search.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +31,13 @@ from .graphs import (
 )
 from .groups import (
     Group,
-    NilpotentStructure,
+    _closure_members,
     _power_orbit,
     coset_section,
     frattini,
-    is_generating_pair,
     nilpotent_structure,
     quotient_mod_frattini,
-    subgroup_as_group,
+    radical,
     sylow_masks,
 )
 from .search import (
@@ -49,88 +45,12 @@ from .search import (
     DominationResult,
     HamiltonianResult,
     SearchBudget,
-    hamiltonian,
     total_domination,
 )
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian cycles
-
-
-def pgroup_hamiltonian(P: Group, a: int, b: int,
-                       budget: SearchBudget = DEFAULT_BUDGET
-                       ) -> tuple[HamCycle, HChords | None]:
-    """Hamiltonian cycle on Delta(P) for a noncyclic 2-generated p-group.
-
-    Concatenates, over the Frattini elements f_1 = 1 < f_2 < ..., the paths
-    (b f_i, a f_i, a b f_i, ..., a b^{p-1} f_i, b^2 f_i, a^2 f_i, ...,
-    a^{p-1} b^{p-1} f_i).  For odd p the cycle has even length and carries
-    the chords {b, ab} at positions (0,2) and {a, ab^2} at positions (1,3).
-    For p = 2 the same concatenation is attempted and verified, with a
-    search fallback if verification fails.
-    """
-    st = nilpotent_structure(P)
-    if st.r + st.s != 1:
-        raise ValueError("not a p-group")
-    if P.is_cyclic:
-        raise ValueError("p-group construction needs a noncyclic group")
-    if not is_generating_pair(P, a, b):
-        raise ValueError(f"({a},{b}) is not a generating pair")
-    p = (st.cyclic_sylow + st.noncyclic_sylow)[0][0]
-    phi = frattini(P, "nilpotentFormula")
-    phi_sorted = sorted(phi)
-    m = len(phi_sorted)
-    k = p * p - 1
-    t = P.table
-    elements: list[int] = []
-    for f in phi_sorted:
-        aj = 0
-        bj = 0
-        for _ in range(1, p):
-            aj = int(t[aj, a])
-            bj = int(t[bj, b])
-            elements.append(int(t[bj, f]))  # b^j f
-            cur = aj
-            elements.append(int(t[cur, f]))  # a^j f
-            for _ in range(1, p):
-                cur = int(t[cur, b])  # a^j b^l, then append with f on the right
-                elements.append(int(t[cur, f]))
-    if len(elements) != m * k:
-        raise ConstructionError("path enumeration has the wrong length")
-    dd = delta_of(P)
-    pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-    try:
-        cycle = HamCycle(tuple(pos[e] for e in elements))
-    except KeyError as e:
-        raise ConstructionError(f"path meets an isolated vertex: {e}") from e
-    ok = verify_certificate(dd.graph, cycle)
-    if not ok:
-        if p == 2:
-            log.warning("p=2 concatenation failed verification; falling back to search")
-            res = hamiltonian(dd.graph, budget)
-            if res.status != "yes":
-                raise ConstructionError("p=2 fallback search failed")
-            return res.cycle, None
-        raise ConstructionError("p-group cycle failed re-verification")
-    witness = None
-    if p % 2 == 1:
-        witness = HChords(cycle.vertices, (1, 3), (0, 2))
-        if not verify_certificate(dd.graph, witness):
-            raise ConstructionError("chord certificate failed re-verification")
-    return cycle, witness
-
-
-def least_generating_pair(G: Group) -> tuple[int, int]:
-    """Lexicographically least (a, b) with a < b and ⟨a,b⟩ = G."""
-    gen = G.generating_pair_matrix()
-    for a in range(G.n):
-        row = np.flatnonzero(gen[a, a + 1:])
-        if row.size:
-            return a, int(row[0]) + a + 1
-    raise NotTwoGeneratedError(f"{G.name} has no generating pair")
 
 
 def h_membership(graph: Graph, cycle: HamCycle) -> HChords | None:
@@ -167,8 +87,7 @@ def h_membership(graph: Graph, cycle: HamCycle) -> HChords | None:
     return witness
 
 
-def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
-                          ) -> HamiltonianResult:
+def nilpotent_hamiltonian(G: Group) -> HamiltonianResult:
     """Hamiltonian cycle on Delta(G) for a 2-generated nilpotent group.
 
     A cyclic group is one factor, its power cycle.  Every other group folds
@@ -191,24 +110,26 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     m >= 4, clear of the chains' edges at t = 0 and 1, and t = 0 when
     m = 2, where there is no chain.  A crossing always exists: by the fold
     order every y is an odd-prime Sylow, so a cyclic y has odd length and
-    makes d odd, and a noncyclic y is `pgroup_hamiltonian`'s cycle, whose
+    makes d odd, and a noncyclic y is `_sylow_cycle`'s concatenation, whose
     chords sit at positions (0, 2) and (1, 3).  C2 enters as the closed
     walk (1, x), the one factor of length 2.
 
-    The budget only reaches the p = 2 search fallback of
-    `pgroup_hamiltonian`.  The cycle is re-verified on Delta(G).
+    Nothing is searched.  Only the final cycle is verified, on Delta(G).
     """
     st = nilpotent_structure(G)
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     dd = delta_of(G)
     if G.n < 3:
-        return HamiltonianResult("no", None, "group of order < 3", 0, False)
-    factors = [np.arange(G.n)] if G.is_cyclic else \
-        [np.flatnonzero(mask) for _, mask in sorted(sylow_masks(G).items())]
+        return HamiltonianResult("no", None, "group of order < 3", 0)
+    if G.is_cyclic:
+        factors, phi = [np.arange(G.n)], frozenset()
+    else:
+        factors = [np.flatnonzero(mask) for _, mask in sorted(sylow_masks(G).items())]
+        phi = frattini(G)
     walk: list[int] = []
     for members in factors:
-        cycle = _sylow_cycle(G, members, budget)
+        cycle = _sylow_cycle(G, members, phi)
         walk = _fold(G.table, walk, cycle) if walk else cycle
     pos = {e: i for i, e in enumerate(dd.vertex_elements)}
     try:
@@ -216,24 +137,54 @@ def nilpotent_hamiltonian(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     except KeyError as e:
         raise ConstructionError(f"Sylow product meets an isolated vertex: {e}") from e
     _require(dd, cycle, "Sylow product cycle")
-    return HamiltonianResult("yes", cycle, None, 0, False)
+    return HamiltonianResult("yes", cycle, None, 0)
 
 
-def _sylow_cycle(G: Group, members: np.ndarray, budget: SearchBudget) -> list[int]:
-    """The subgroup on `members`, cyclic or a p-group, as G's elements along
-    a Hamiltonian cycle of its own Delta: the power orbit (1, g, g^2, ...)
-    of its least generator g when it is cyclic, else `pgroup_hamiltonian`'s
-    cycle."""
+def _sylow_cycle(G: Group, members: np.ndarray, phi: frozenset[int]) -> list[int]:
+    """The subgroup P of G on `members`, cyclic or a p-group, as G's
+    elements along a Hamiltonian cycle of Delta(P); phi is Φ(G).
+
+    A cyclic P gives the power orbit (1, g, g^2, ...) of its least
+    generator g.  A noncyclic P gives, over its Frattini elements
+    f_1 = 1 < f_2 < ..., the concatenation of the paths
+    (b f, a f, a b f, ..., a b^{p-1} f, b^2 f, a^2 f, ..., a^{p-1} b^{p-1} f),
+    with (a, b) the least pair of P that generates it.
+
+    The concatenation is a cycle of Delta(P) for every p, p = 2 included.
+    A pair generates P exactly when its images generate P/Φ(P) = C_p^2, and
+    two nontrivial elements of C_p^2 generate it exactly when they lie on
+    distinct lines, of the p + 1 subgroups of order p.  So Delta(P) is the
+    complete (p+1)-partite blow-up of Delta(P/Φ(P)), one part per line.
+    Write a^j b^l f as (j, l): the walk meets every element of P outside
+    Φ(P) once, and consecutive entries, (0, j) then (j, 0), (j, l) then
+    (j, l+1) for j != 0, (j, p-1) then (0, j+1), and (p-1, p-1) then
+    (0, 1), always lie on distinct lines.  For odd p the chords b ~ ab and
+    a ~ ab^2 sit at positions (0, 2) and (1, 3).
+
+    Φ(P) = Φ(G) ∩ P: G is the direct product of P and its Hall
+    p'-subgroup, and Φ of a direct product is the product of the factors'
+    Φ.  Elements of Φ(P) lie in no generating pair, so the pair search
+    skips them.
+    """
     gens = members[G.orders[members] == members.size]
     if gens.size:
         return _power_orbit(G.table, int(gens[0]))
-    if members.size == G.n:
-        P, pmap = G, members
-    else:
-        P, pmap = subgroup_as_group(G, members.tolist())
-    cycle, _ = pgroup_hamiltonian(P, *least_generating_pair(P), budget)
-    elements = delta_of(P).vertex_elements
-    return [int(pmap[elements[v]]) for v in cycle.vertices]
+    t = G.table
+    rest = [g for g in members.tolist() if g not in phi]
+    a, b = next((a, b) for i, a in enumerate(rest) for b in rest[i + 1:]
+                if len(_closure_members(t, (a, b))) == members.size)
+    p = radical(members.size)
+    walk: list[int] = []
+    for f in sorted(phi.intersection(members.tolist())):
+        aj = bj = 0
+        for _ in range(1, p):
+            aj, bj = int(t[aj, a]), int(t[bj, b])
+            cur = aj
+            walk += [int(t[bj, f]), int(t[cur, f])]
+            for _ in range(1, p):
+                cur = int(t[cur, b])
+                walk.append(int(t[cur, f]))
+    return walk
 
 
 def _fold(table: np.ndarray, x: list[int], y: list[int]) -> list[int]:
@@ -281,20 +232,8 @@ def _complete_product(parts) -> Graph:
     return graph
 
 
-@dataclass(frozen=True)
-class TDReduction:
-    """The reduction data: q_j + 1 part sizes, the chosen enumeration of the
-    nontrivial cyclic subgroups of each rank-2 Sylow factor of G/Frat (one
-    generator each), and the fixed generators of the cyclic factors."""
-
-    structure: NilpotentStructure
-    params: MultipartiteParams
-    subgroup_generators: tuple[tuple[int, ...], ...]  # per q_j, in G/Frat
-    cyclic_generators: tuple[int, ...]  # per p_i, in G/Frat
-
-
 def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
-                 ) -> tuple[int, DominatingSet, TDReduction | None, DominationResult | None]:
+                 ) -> tuple[int, DominatingSet, DominationResult | None]:
     """Total domination number of Delta(G) for 2-generated nilpotent G.
 
     Cyclic groups return 1 with a generator witness.  Otherwise the value is
@@ -302,7 +241,7 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     the optimal set is lifted through the subgroup identification to G/Frat
     (cyclic coordinates pinned to fixed generators) and then to G by the
     minimal-index coset section; the lifted set is re-verified on Delta(G).
-    Returns (gamma_t, witness over Delta(G) vertices, reduction, solver result).
+    Returns (gamma_t, witness over Delta(G) vertices, solver result).
     The result is cached on G per node budget, so the checks that need γt
     share one search.
     """
@@ -313,7 +252,7 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
 
 
 def _nilpotent_td(G: Group, budget: SearchBudget
-                  ) -> tuple[int, DominatingSet, TDReduction | None, DominationResult | None]:
+                  ) -> tuple[int, DominatingSet, DominationResult | None]:
     st = nilpotent_structure(G)
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
@@ -324,14 +263,14 @@ def _nilpotent_td(G: Group, budget: SearchBudget
         ds = DominatingSet((v,))
         if not verify_certificate(dd.graph, ds):
             raise ConstructionError("generator witness failed re-verification")
-        return 1, ds, None, None
+        return 1, ds, None
     qs = [q for q, _ in st.noncyclic_sylow]
     params = MultipartiteParams(tuple(q + 1 for q in qs))
-    lower, upper, _ = td_bounds(params)
+    lower = td_bounds(params)[0]
     kprod = _complete_product(params.parts)
     res = total_domination(kprod, budget, lower_hint=lower)
     if res.size is None:
-        return None, None, None, res
+        return None, None, res
     Q, cmap, _ = quotient_mod_frattini(G)
     sec = coset_section(G, cmap)
     # enumerate the nontrivial cyclic subgroups of each rank-2 Sylow of Q
@@ -354,7 +293,6 @@ def _nilpotent_td(G: Group, budget: SearchBudget
     for p, _ in st.cyclic_sylow:
         members = np.flatnonzero(Q.orders == p)
         cyc_gens.append(int(members.min()))
-    reduction = TDReduction(st, params, tuple(sub_gens), tuple(cyc_gens))
     # lift each tuple to a quotient element, then to G via the section
     lifted = []
     for tup_index in res.witness.vertices:
@@ -368,4 +306,4 @@ def _nilpotent_td(G: Group, budget: SearchBudget
     ds = DominatingSet(tuple(sorted(pos[e] for e in lifted)))
     if not verify_certificate(dd.graph, ds):
         raise ConstructionError("lifted dominating set failed re-verification")
-    return res.size, ds, reduction, res
+    return res.size, ds, res

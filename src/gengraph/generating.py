@@ -19,6 +19,7 @@ from .groups import (
     Group,
     NilpotentStructure,
     coset_section,
+    isomorphism,
     nilpotent_structure,
     quotient_mod_frattini,
     sylow_masks,
@@ -313,15 +314,14 @@ def gamma_coset_bijection(G: Group, H: Group) -> np.ndarray:
     """A vertex bijection Gamma(G) -> Gamma(H) built from an isomorphism of
     the Frattini quotients plus positional matching inside cosets.
 
-    Requires |G| = |H|, |Frat(G)| = |Frat(H)| and isomorphic squarefree
-    quotients; raises ValueError otherwise.
+    Requires |G| = |H|, |Frat(G)| = |Frat(H)| and isomorphic quotients;
+    raises ValueError otherwise.
     """
-    from .groups import abelian_squarefree_iso
     QG, cmapG, phiG = quotient_mod_frattini(G)
     QH, cmapH, phiH = quotient_mod_frattini(H)
     if G.n != H.n or len(phiG) != len(phiH):
         raise ValueError("orders or Frattini orders differ")
-    iso = abelian_squarefree_iso(QG, QH)
+    iso = isomorphism(QG, QH)
     # enumerate each coset's elements ascending and match positionally
     cosets_G: dict[int, list[int]] = {}
     for g in range(G.n):

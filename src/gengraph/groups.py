@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     GroupLawError,
     NotNilpotentError,
+    NotTwoGeneratedError,
     OrderGuardError,
 )
 
@@ -104,30 +105,9 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def power(self, a: int, k: int) -> int:
-        k %= int(self.orders[a])
-        acc, cur = 0, a
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, cur])
-            cur = int(self.table[cur, cur])
-            k >>= 1
-        return acc
-
-    @property
-    def exponent(self) -> int:
-        return int(np.lcm.reduce(self.orders))
-
     @property
     def is_cyclic(self) -> bool:
         return int(self.orders.max()) == self.n
-
-    @property
-    def is_abelian(self) -> bool:
-        key = "abelian"
-        if key not in self._cache:
-            self._cache[key] = bool(np.array_equal(self.table, self.table.T))
-        return bool(self._cache[key])
 
     def __len__(self) -> int:
         return self.n
@@ -326,10 +306,14 @@ def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_generating_pair(G: Group, g: int, h: int) -> bool:
-    """True iff ⟨g,h⟩ = G.  g = h is allowed (single-element generation)."""
-    ids, _, _ = G._cyclic_data()
-    return bool(G._pair_gen_matrix()[ids[g], ids[h]])
+def least_generating_pair(G: Group) -> tuple[int, int]:
+    """Lexicographically least (a, b) with a < b and ⟨a,b⟩ = G."""
+    gen = G.generating_pair_matrix()
+    for a in range(G.n):
+        row = np.flatnonzero(gen[a, a + 1:])
+        if row.size:
+            return a, int(row[0]) + a + 1
+    raise NotTwoGeneratedError(f"{G.name} has no generating pair")
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +423,6 @@ def is_two_generated(G: Group) -> bool:
     return G.is_cyclic or bool(G.generating_pair_matrix().any())
 
 
-def p_part(G: Group, g: int, p: int) -> int:
-    """The p-part of g: the power of g whose order is the p-part of |g|."""
-    order = int(G.orders[g])
-    pk = 1
-    while order % p == 0:
-        order //= p
-        pk *= p
-    # exponent e with e ≡ 1 mod pk, e ≡ 0 mod order
-    if pk == 1:
-        return 0
-    e = order * pow(order, -1, pk)
-    return G.power(g, e)
-
-
 # ---------------------------------------------------------------------------
 # subgroup lattice and Frattini subgroup
 
@@ -521,27 +491,17 @@ def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froz
     return out
 
 
-def frattini(G: Group, method: str = "auto",
-             max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
+def frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
     """Frattini subgroup Φ(G), as the frozenset of its element indices.
 
-    method "lattice": intersection of all maximal subgroups over the full
-    subgroup lattice (guarded by max_order).  method "nilpotentFormula":
-    closure of all commutators and all rad-th powers, rad the product of the
-    distinct primes dividing |G|; valid for nilpotent groups only.  "auto"
-    picks the formula for nilpotent groups and the lattice otherwise.
+    For nilpotent G, the closure of all commutators and all rad-th powers,
+    rad the product of the distinct primes dividing |G|; otherwise the
+    intersection of all maximal subgroups over the full subgroup lattice
+    (guarded by max_order).
     """
-    if method == "auto":
-        method = "nilpotentFormula" if is_nilpotent(G) else "lattice"
-    if method == "lattice":
-        maxs = maximal_subgroups(G, max_order)
-        if not maxs:
-            return frozenset({0})
-        return frozenset.intersection(*maxs)
-    if method != "nilpotentFormula":
-        raise ValueError(f"unknown method {method!r}")
     if not is_nilpotent(G):
-        raise NotNilpotentError("nilpotentFormula requires a nilpotent group")
+        maxs = maximal_subgroups(G, max_order)
+        return frozenset.intersection(*maxs) if maxs else frozenset({0})
     seeds = _commutator_elements(G)
     rad = radical(G.n)
     powers = np.zeros(G.n, dtype=np.int64)
@@ -594,7 +554,7 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
     """
     key = "fratquot"
     if key not in G._cache:
-        phi = frattini(G, "auto", max_order)
+        phi = frattini(G, max_order)
         if len(phi) == 1:
             G._cache[key] = (G, np.arange(G.n, dtype=np.int64), phi)
             return G._cache[key]
@@ -615,64 +575,34 @@ def coset_section(G: Group, cmap: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# isomorphisms of squarefree-exponent abelian groups (for graph bijections)
+# isomorphisms of 2-generated groups (for graph bijections)
 
 
-def elementary_basis(G: Group, members: np.ndarray, p: int) -> list[int]:
-    """Greedy basis of an elementary abelian p-subgroup given as element array."""
-    basis: list[int] = []
-    span = {0}
-    for g in sorted(int(x) for x in members):
-        if g == 0 or g in span:
-            continue
-        basis.append(g)
-        new_span = set(span)
-        for h in span:
-            cur = h
-            for _ in range(p - 1):
-                cur = G.mul(cur, g)
-                new_span.add(cur)
-        span = new_span
-    return basis
+def isomorphism(G: Group, H: Group) -> np.ndarray:
+    """An isomorphism G -> H of 2-generated groups, as the image array.
 
-
-def abelian_squarefree_iso(G: Group, H: Group) -> np.ndarray:
-    """An isomorphism G -> H for abelian groups of squarefree exponent.
-
-    Each Sylow subgroup must be elementary abelian with matching ranks.
-    Returns the image array; raises ValueError when no isomorphism exists.
+    G's least generating pair (a, b) is sent to each generating pair
+    (a', b') of H with |a'| = |a| and |b'| = |b| in turn, and the map is
+    extended along G's right Cayley graph from 1 -> 1 by x·a -> x'·a' and
+    x·b -> x'·b'.  The first extension that is a bijective homomorphism is
+    returned; raises ValueError when none is.
     """
-    if G.n != H.n or not (G.is_abelian and H.is_abelian):
-        raise ValueError("groups not abelian of equal order")
-    if radical(G.n) != G.exponent or radical(H.n) != H.exponent:
-        raise ValueError("exponent not squarefree")
-    factors, _, _ = totient_profile(G.n)
-    iso = np.zeros(G.n, dtype=np.int64)
-    # build per-prime coordinate tables, then combine by CRT products
-    prime_maps = []
-    for p, _ in factors:
-        gm = np.flatnonzero(sylow_masks(G)[p])
-        hm = np.flatnonzero(sylow_masks(H)[p])
-        gb = elementary_basis(G, gm, p)
-        hb = elementary_basis(H, hm, p)
-        if len(gb) != len(hb):
-            raise ValueError(f"rank mismatch at prime {p}")
-        span_map = {0: 0}
-        for bg, bh in zip(gb, hb):
-            for eg, eh in list(span_map.items()):
-                cg, ch = eg, eh
-                for _ in range(p - 1):
-                    cg, ch = G.mul(cg, bg), H.mul(ch, bh)
-                    span_map[cg] = ch
-        prime_maps.append(span_map)
-    for g in range(G.n):
-        img = 0
-        for (p, _), pm in zip(factors, prime_maps):
-            img = H.mul(img, pm[p_part(G, g, p)])
-        iso[g] = img
-    if sorted(iso.tolist()) != list(range(G.n)):
-        raise ValueError("constructed map is not a bijection")
-    # homomorphism re-check
-    if not np.array_equal(iso[G.table], H.table[np.ix_(iso, iso)]):
-        raise ValueError("constructed map is not a homomorphism")
-    return iso
+    if G.n != H.n:
+        raise ValueError("groups of different orders")
+    a, b = least_generating_pair(G)
+    match = (H.generating_pair_matrix() & (H.orders[:, None] == G.orders[a])
+             & (H.orders[None, :] == G.orders[b]))
+    for a2, b2 in np.argwhere(match).tolist():
+        iso = np.full(G.n, -1, dtype=np.int64)
+        iso[0] = 0
+        reached = [0]
+        for x in reached:
+            for g, h in ((a, a2), (b, b2)):
+                y = int(G.table[x, g])
+                if iso[y] < 0:
+                    iso[y] = H.table[iso[x], h]
+                    reached.append(y)
+        if (np.unique(iso).size == G.n
+                and np.array_equal(iso[G.table], H.table[np.ix_(iso, iso)])):
+            return iso
+    raise ValueError(f"no isomorphism {G.name} -> {H.name}")

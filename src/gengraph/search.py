@@ -57,24 +57,20 @@ class HamiltonianResult:
     cycle: HamCycle | None
     reason: str | None
     nodes: int
-    dirac: bool
 
 
 def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> HamiltonianResult:
     """Decide Hamiltonicity by backtracking with forced-edge pruning.
 
-    The static vertex order is degree-ascending (ties by index).  When the
-    Dirac bound delta >= n/2 holds the decision is already "yes", but a
-    certificate cycle is still produced by the search before returning.  "no" is returned only when the search
-    space was exhausted within budget.
+    The static vertex order is degree-ascending (ties by index).  "no" is
+    returned only when the search space was exhausted within budget.
     """
     n = graph.n
     if n < 3:
-        return HamiltonianResult("no", None, "fewer than 3 vertices", 0, False)
+        return HamiltonianResult("no", None, "fewer than 3 vertices", 0)
     degs = graph.degrees
     if (degs == 0).any():
-        return HamiltonianResult("no", None, "isolated vertex", 0, False)
-    dirac = bool(degs.min() * 2 >= n)
+        return HamiltonianResult("no", None, "isolated vertex", 0)
     order = np.lexsort((np.arange(n), degs)).tolist()
     rank = [0] * n
     for pos, v in enumerate(order):
@@ -147,12 +143,10 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
     try:
         got = extend([start], 1 << start)
     except _BudgetExhausted:
-        return HamiltonianResult("budget", None, "node budget exhausted",
-                                 counter.nodes, dirac)
+        return HamiltonianResult("budget", None, "node budget exhausted", counter.nodes)
     if got is None:
-        return HamiltonianResult("no", None, "search space exhausted",
-                                 counter.nodes, dirac)
-    return HamiltonianResult("yes", HamCycle(got), None, counter.nodes, dirac)
+        return HamiltonianResult("no", None, "search space exhausted", counter.nodes)
+    return HamiltonianResult("yes", HamCycle(got), None, counter.nodes)
 
 
 def _iter_bits(mask: int):
@@ -246,8 +240,6 @@ def _clique_search(graph: Graph, budget: SearchBudget) -> CliqueResult:
 class ChromaticResult:
     chi: int | None
     coloring: Coloring | None
-    lower: int
-    upper: int
     nodes: int
     exceeded: bool
 
@@ -275,33 +267,32 @@ def greedy_coloring(graph: Graph) -> Coloring:
 def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
                      ) -> ChromaticResult:
     """Exact chromatic number, seeded with the clique lower bound and the
-    DSATUR upper bound; on budget exhaustion returns the open bracket."""
+    DSATUR upper bound."""
     n = graph.n
     if n == 0:
-        return ChromaticResult(0, Coloring(()), 0, 0, 0, False)
+        return ChromaticResult(0, Coloring(()), 0, False)
     if graph.edge_count == 0:
-        return ChromaticResult(1, Coloring((0,) * n), 1, 1, 0, False)
+        return ChromaticResult(1, Coloring((0,) * n), 0, False)
     cl = clique_number(graph, budget)
     if cl.exceeded:
-        return ChromaticResult(None, None, 2, n, cl.nodes, True)
-    lower = cl.size
+        return ChromaticResult(None, None, cl.nodes, True)
     greedy = greedy_coloring(graph)
     upper = max(greedy.colors) + 1
     nodes = cl.nodes
     best = greedy
     counter = _Counter(max(0, budget.max_nodes - nodes))
-    k = lower
+    k = cl.size
     while k < upper:
         try:
             got = _k_coloring(graph, k, cl.clique.vertices, counter)
         except _BudgetExhausted:
-            return ChromaticResult(None, None, k, upper, nodes + counter.nodes, True)
+            return ChromaticResult(None, None, nodes + counter.nodes, True)
         if got is not None:
             best = got
             upper = k
             break
         k += 1
-    return ChromaticResult(upper, best, upper, upper, nodes + counter.nodes, False)
+    return ChromaticResult(upper, best, nodes + counter.nodes, False)
 
 
 def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],

@@ -250,7 +250,7 @@ def _check_euler(G: Group, budget: SearchBudget) -> Outcome:
 
 def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
     expected = G.n >= 3
-    res = nilpotent_hamiltonian(G, budget)
+    res = nilpotent_hamiltonian(G)
     observed = res.status == "yes"
     return Outcome(observed is expected, {"hamiltonian": expected},
                    {"hamiltonian": observed}, res.cycle, res.nodes)
@@ -258,7 +258,7 @@ def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
 
 def _check_tdn(G: Group, budget: SearchBudget) -> Outcome:
     st = nilpotent_structure(G)
-    gt, ds, _, res = nilpotent_td(G, budget)
+    gt, ds, res = nilpotent_td(G, budget)
     nodes = res.nodes if res else 0
     if gt is None:
         raise _Budget(nodes, None)
@@ -411,7 +411,7 @@ def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:
         raise _Skip("bounds apply to noncyclic groups")
     params = MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes))
     lower, upper, t = td_bounds(params)
-    gt, _, _, res = nilpotent_td(G, budget)
+    gt, _, res = nilpotent_td(G, budget)
     if gt is None:
         raise _Budget(0, None)
     return Outcome(lower <= gt <= upper and lower >= st.s + 1,
@@ -435,7 +435,7 @@ def _question_ham(G: Group, budget: SearchBudget) -> Outcome:
         return Outcome(True, {"hamiltonian": False}, {"excluded": True})
     graph = delta_of(G).graph
     if is_nilpotent(G):
-        res = nilpotent_hamiltonian(G, budget)
+        res = nilpotent_hamiltonian(G)
     elif graph.n > HAM_SEARCH_GUARD:
         raise _Skip(f"search guard: |V(Delta)| = {graph.n}")
     else:

@@ -41,7 +41,7 @@ from gengraph.graphs import (
     bfs_distances,
     verify_certificate,
 )
-from gengraph.groups import Group, nilpotent_structure, p_part, totient_profile
+from gengraph.groups import Group, nilpotent_structure, totient_profile
 
 
 @pytest.fixture(scope="session")
@@ -477,6 +477,15 @@ def save_cayley_file(G: Group, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def permutation_table(perm_group) -> np.ndarray:
+    """The Cayley table of a sympy permutation group, identity at index 0,
+    with a*b the permutation that applies a, then b."""
+    perms = sorted(tuple(p.array_form) for p in perm_group.generate())
+    index = {p: i for i, p in enumerate(perms)}  # the identity sorts first
+    arrays = np.array(perms)
+    return np.array([[index[tuple(b[a])] for b in arrays] for a in arrays])
+
+
 # ---------------------------------------------------------------------------
 # graph constructors and metrics
 
@@ -532,6 +541,23 @@ def kappa_product_formula(kappa_gamma: int, delta_gamma: int,
 
 # ---------------------------------------------------------------------------
 # rule: componentwise generation on the Frattini quotient
+
+
+def p_part(G: Group, g: int, p: int) -> int:
+    """The p-part of g: the power of g whose order is the p-part of |g|."""
+    order = int(G.orders[g])
+    pk = 1
+    while order % p == 0:
+        order //= p
+        pk *= p
+    # exponent e with e ≡ 1 mod pk, e ≡ 0 mod order
+    if pk == 1:
+        return 0
+    e = order * pow(order, -1, pk)
+    power = 0
+    for _ in range(e):
+        power = int(G.table[power, g])
+    return power
 
 
 def componentwise_pair_matrix(Q: Group) -> np.ndarray:

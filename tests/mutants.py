@@ -45,6 +45,21 @@ MUTANTS = (
            "two_opt(cell(0, s + 2), cell(1, s + 3), cell(1, s + 1), cell(2, s + 2))",
            "two_opt(cell(0, s + 1), cell(1, s + 2), cell(1, s + 1), cell(2, s + 2))",
            "tests/test_constructions.py::test_sylow_fold[C2^2 x Heis3-d3]"),
+    Mutant("Φ(P) taken as all of Φ(G) in a Sylow cycle",
+           "constructions.py",
+           "    for f in sorted(phi.intersection(members.tolist())):\n",
+           "    for f in sorted(phi):\n",
+           "tests/test_constructions.py::test_sylow_fold[C2^2 x Heis3-d3]"),
+    Mutant("a Sylow cycle built on a pair that does not generate P",
+           "constructions.py",
+           "if len(_closure_members(t, (a, b))) == members.size)",
+           "if len(_closure_members(t, (a, b))) > 1)",
+           "tests/test_constructions.py::test_pgroup_c3sq_exact_cycle"),
+    Mutant("a Sylow cycle that skips the a^j f entries",
+           "constructions.py",
+           "            walk += [int(t[bj, f]), int(t[cur, f])]\n",
+           "            walk.append(int(t[bj, f]))\n",
+           "tests/test_constructions.py::test_nonabelian_2groups_from_permutations"),
     Mutant("the closure kernel stopping at exactly n/p elements",
            "groups.py",
            "                    if len(elems) > bound:\n",

@@ -19,13 +19,7 @@ from conftest import (
     kappa_product_formula,
 )
 from gengraph.build import build_cached
-from gengraph.constructions import (
-    _complete_product,
-    least_generating_pair,
-    nilpotent_hamiltonian,
-    nilpotent_td,
-    pgroup_hamiltonian,
-)
+from gengraph.constructions import _complete_product, nilpotent_hamiltonian, nilpotent_td
 from gengraph.generating import (
     degree_profile,
     delta_of,
@@ -35,6 +29,7 @@ from gengraph.generating import (
 )
 from gengraph.graphs import (
     Graph,
+    HChords,
     MultipartiteParams,
     bfs_distances,
     direct_product,
@@ -167,9 +162,7 @@ def test_criterion_05_hamiltonicity():
         ok &= verify_certificate(delta_of(_g(f"C{n}")).graph, cyc)
     for spec in ("C2^2", "C3^2", "C5^2", "C7^2", "Heis3"):
         g = _g(spec)
-        a, b = least_generating_pair(g)
-        cyc, _ = pgroup_hamiltonian(g, a, b)
-        ok &= verify_certificate(delta_of(g).graph, cyc)
+        ok &= verify_certificate(delta_of(g).graph, nilpotent_hamiltonian(g).cycle)
     ok &= verify_certificate(delta_of(_g("C8")).graph, nilpotent_hamiltonian(_g("C8")).cycle)
     for spec in ("C2 x C3^2", "C2 x Heis3"):
         G = _g(spec)
@@ -190,15 +183,12 @@ def test_criterion_05_hamiltonicity():
 
 def test_criterion_06_h_certificates():
     ok = True
-    for spec in ("C3^2", "C5^2", "Heis3"):
+    for spec in ("C3^2", "C5^2", "C7^2", "Heis3", "Heis5"):
         g = _g(spec)
-        a, b = least_generating_pair(g)
-        cyc, wit = pgroup_hamiltonian(g, a, b)
-        ok &= wit is not None
-        ok &= wit.chord_even == (0, 2) and wit.chord_odd == (1, 3)
-        ok &= verify_certificate(delta_of(g).graph, wit)
+        cyc = nilpotent_hamiltonian(g).cycle
+        ok &= verify_certificate(delta_of(g).graph, HChords(cyc.vertices, (1, 3), (0, 2)))
     _report(6, "h-class-certificates", ok,
-            "odd-odd chord at (1,3) and even-even chord at (0,2) on all three")
+            "odd-odd chord at (1,3) and even-even chord at (0,2) on all five")
 
 
 def test_criterion_07_total_domination():
@@ -206,7 +196,7 @@ def test_criterion_07_total_domination():
     # cyclic groups: a single generator dominates
     for n in (2, 6, 12, 30):
         g = _g(f"C{n}")
-        gt, ds, _, _ = nilpotent_td(g)
+        gt, ds, _ = nilpotent_td(g)
         dd = delta_of(g)
         ok &= gt == 1 and verify_certificate(dd.graph, ds)
         elem = dd.vertex_elements[ds.vertices[0]]

@@ -122,8 +122,16 @@ def test_tdn(capsys):
     ("scan", "--question", "conn", "--groups", "groups.txt", "--jobs", "0"),
     ("info", "C6", "--max-order", "-5"),
     ("verify", "--max-order", "0"),
+    ("GENGRAPH_MAX_ORDER=-5", "verify"),
+    ("GENGRAPH_MAX_ORDER=0", "info", "C6"),
+    ("GENGRAPH_MAX_ORDER=0", "hamcycle", "C6"),
 ])
-def test_out_of_range_input_exit_2(capsys, argv):
+def test_out_of_range_input_exit_2(capsys, monkeypatch, argv):
+    # a leading NAME=value sets an environment variable, as in a shell
+    if "=" in argv[0]:
+        name, value = argv[0].split("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "must be at least" in err and "Traceback" not in err

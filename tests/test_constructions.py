@@ -7,31 +7,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cyclic_clique_coloring, milp_total_domination, product_dominating_set
+from conftest import (
+    cyclic_clique_coloring,
+    milp_total_domination,
+    permutation_table,
+    product_dominating_set,
+)
 from gengraph import constructions
+from gengraph.build import _direct_product_table
 from gengraph.constructions import (
     _complete_product,
     h_membership,
-    least_generating_pair,
     nilpotent_hamiltonian,
     nilpotent_td,
-    pgroup_hamiltonian,
 )
 from gengraph.errors import NotTwoGeneratedError
 from gengraph.generating import delta_of, generating_graph
-from gengraph.graphs import Graph, MultipartiteParams, td_bounds, verify_certificate
-from gengraph.groups import is_nilpotent, sylow_masks, totient_profile
+from gengraph.graphs import HChords, Graph, MultipartiteParams, td_bounds, verify_certificate
+from gengraph.groups import Group, frattini, is_nilpotent, sylow_masks, totient_profile
 from gengraph.search import SearchBudget, hamiltonian, total_domination
 from gengraph.verify import default_catalog, run_check
-
-
-@pytest.fixture
-def no_search(monkeypatch):
-    """Make the p = 2 search fallback of the constructions raise, so a test
-    passes only when the explicit construction itself verifies."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("construction fell back to search")
-    monkeypatch.setattr(constructions, "hamiltonian", refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +39,7 @@ def test_cyclic_hamiltonian_small(group):
     assert nilpotent_hamiltonian(group("C2")).status == "no"
 
 
-def test_cyclic_hamiltonian_range(group, no_search):
+def test_cyclic_hamiltonian_range(group):
     for n in range(3, 37):
         res = nilpotent_hamiltonian(group(f"C{n}"))
         assert res.status == "yes" and res.nodes == 0
@@ -57,46 +52,55 @@ def test_cyclic_hamiltonian_range(group, no_search):
 
 def test_pgroup_c3sq_exact_cycle(group):
     p9 = group("C3^2")
-    a, b = least_generating_pair(p9)
-    cyc, wit = pgroup_hamiltonian(p9, a, b)
+    res = nilpotent_hamiltonian(p9)
     dd = delta_of(p9)
-    labels = [dd.group.labels[dd.vertex_elements[v]] for v in cyc.vertices]
+    labels = [dd.group.labels[dd.vertex_elements[v]] for v in res.cycle.vertices]
     # the path (b, a, ab, ab^2, b^2, a^2, a^2 b, a^2 b^2) with a = (1,g), b = (g,1)
     assert labels == ["(g,1)", "(1,g)", "(g,g)", "(g^2,g)",
                       "(g^2,1)", "(1,g^2)", "(g,g^2)", "(g^2,g^2)"]
-    assert wit is not None
-    assert wit.chord_even == (0, 2) and wit.chord_odd == (1, 3)
-    assert verify_certificate(dd.graph, wit)
+    assert verify_certificate(dd.graph, HChords(res.cycle.vertices, (1, 3), (0, 2)))
 
 
 def test_pgroup_sizes(group):
-    # cycle length is |G| (1 - 1/p^2)
+    # cycle length is |G| (1 - 1/p^2), and the Sylow fold's crossing relies
+    # on the chords at positions (1, 3) and (0, 2)
     for spec, p in [("C3^2", 3), ("C5^2", 5), ("C7^2", 7), ("Heis3", 3), ("Heis5", 5)]:
         g = group(spec)
-        a, b = least_generating_pair(g)
-        cyc, wit = pgroup_hamiltonian(g, a, b)
+        cyc = nilpotent_hamiltonian(g).cycle
         assert len(cyc.vertices) == g.n - g.n // (p * p), spec
-        assert wit is not None
-        assert verify_certificate(delta_of(g).graph, wit), spec
+        assert verify_certificate(delta_of(g).graph, HChords(cyc.vertices, (1, 3), (0, 2))), spec
 
 
-def test_pgroup_p2_attempt_verifies(group, no_search):
+def test_pgroup_p2_attempt_verifies(group):
     for spec in ["C2^2", "C4 x C2"]:
         g = group(spec)
-        a, b = least_generating_pair(g)
-        cyc, wit = pgroup_hamiltonian(g, a, b)
-        assert wit is None  # no chord certificate promised at p = 2
-        assert verify_certificate(delta_of(g).graph, cyc), spec
+        res = nilpotent_hamiltonian(g)
+        assert res.status == "yes" and res.nodes == 0
+        assert verify_certificate(delta_of(g).graph, res.cycle), spec
 
 
-def test_pgroup_rejects_bad_input(group):
-    with pytest.raises(ValueError):
-        pgroup_hamiltonian(group("C9"), 1, 2)  # cyclic
-    with pytest.raises(ValueError):
-        pgroup_hamiltonian(group("C12"), 1, 5)  # not a p-group
-    p9 = group("C3^2")
-    with pytest.raises(ValueError):
-        pgroup_hamiltonian(p9, 1, 2)  # <(0,1),(0,2)> is proper
+def _q8():
+    """Q8 in its regular representation: right multiplication by i and j."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup([Permutation([[0, 1, 4, 5], [2, 7, 6, 3]]),
+                             Permutation([[0, 2, 4, 6], [1, 3, 5, 7]])])
+
+
+def test_nonabelian_2groups_from_permutations():
+    """D8, Q8 and D16 from sympy, and D8 x C3, none built by the spec
+    language: the p = 2 concatenation is a cycle on each."""
+    from sympy.combinatorics.named_groups import CyclicGroup, DihedralGroup
+
+    tables = {"D8": permutation_table(DihedralGroup(4)), "Q8": permutation_table(_q8()),
+              "D16": permutation_table(DihedralGroup(8))}
+    tables["D8 x C3"] = _direct_product_table([tables["D8"], permutation_table(CyclicGroup(3))])
+    for name, table in tables.items():
+        G = Group(table, name=name)
+        assert is_nilpotent(G) and not np.array_equal(G.table, G.table.T), name
+        res = nilpotent_hamiltonian(G)
+        assert res.status == "yes" and res.nodes == 0, name
+        assert verify_certificate(delta_of(G).graph, res.cycle), name
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +117,10 @@ def test_pgroup_rejects_bad_input(group):
     ("C4^2 x C3^2", 4),        # a noncyclic 2-part with |Frat| > 1
     ("C2^2 x C3^2 x C5", 1),   # three Sylows: d = 1, then d = gcd(24, 5)
 ], ids=lambda v: v if isinstance(v, str) else f"d{v}")
-def test_sylow_fold(group, no_search, spec, d):
+def test_sylow_fold(group, spec, d):
     G = group(spec)
     masks = sorted(sylow_masks(G).items())
-    x, y = (constructions._sylow_cycle(G, np.flatnonzero(mask), SearchBudget())
+    x, y = (constructions._sylow_cycle(G, np.flatnonzero(mask), frattini(G))
             for _, mask in masks[:2])
     assert math.gcd(len(x), len(y)) == d
     res = nilpotent_hamiltonian(G)
@@ -137,7 +141,7 @@ FOLD_SHAPES = [
 
 
 @pytest.mark.parametrize("spec", FOLD_SHAPES)
-def test_sylow_fold_shapes(group, no_search, spec):
+def test_sylow_fold_shapes(group, spec):
     G = group(spec)
     res = nilpotent_hamiltonian(G)
     assert res.status == "yes" and res.nodes == 0
@@ -149,7 +153,7 @@ NILPOTENT_CATALOG = [e.spec for e in default_catalog()
 
 
 @pytest.mark.parametrize("spec", NILPOTENT_CATALOG)
-def test_catalog_ham_without_search(group, no_search, spec):
+def test_catalog_ham_without_search(group, spec):
     G = group(spec)
     assert is_nilpotent(G)
     r = run_check(G, "THM_1_3_HAM", SearchBudget(), name=spec)
@@ -168,10 +172,8 @@ def test_h_membership_odd_order_trivial():
 
 def test_h_membership_finds_chords(group):
     p9 = group("C3^2")
-    a, b = least_generating_pair(p9)
-    cyc, _ = pgroup_hamiltonian(p9, a, b)
     dd = delta_of(p9)
-    wit = h_membership(dd.graph, cyc)
+    wit = h_membership(dd.graph, nilpotent_hamiltonian(p9).cycle)
     assert wit is not None
     assert verify_certificate(dd.graph, wit)
 
@@ -265,26 +267,27 @@ def test_nilpotent_td_values(group):
         "Heis3": 2, "Heis5": 2, "C2^2 x Heis3": 3,
     }
     for spec, want in cases.items():
-        gt, ds, red, _ = nilpotent_td(group(spec))
+        gt, ds, _ = nilpotent_td(group(spec))
         assert gt == want, spec
         assert verify_certificate(delta_of(group(spec)).graph, ds), spec
 
 
 def test_nilpotent_td_cyclic_generator_witness(group):
     g = group("C6")
-    gt, ds, red, _ = nilpotent_td(g)
-    assert gt == 1 and red is None
+    gt, ds, res = nilpotent_td(g)
+    assert gt == 1 and res is None
     dd = delta_of(g)
     elem = dd.vertex_elements[ds.vertices[0]]
     assert int(g.orders[elem]) == 6
 
 
 def test_nilpotent_td_reduction_data(group):
-    gt, ds, red, _ = nilpotent_td(group("C2^2 x C3^2"))
-    assert red is not None
-    assert red.params.parts == (3, 4)
-    assert len(red.subgroup_generators) == 2
-    assert [len(x) for x in red.subgroup_generators] == [3, 4]
+    # the search runs on K_3 x K_4, and its optimum lifts to Delta(G)
+    g = group("C2^2 x C3^2")
+    gt, ds, res = nilpotent_td(g)
+    assert gt == res.size == len(res.witness.vertices) == len(ds.vertices) == 3
+    assert verify_certificate(_complete_product((3, 4)), res.witness)
+    assert verify_certificate(delta_of(g).graph, ds)
 
 
 def test_nilpotent_td_sandwich_case(group):
@@ -292,7 +295,7 @@ def test_nilpotent_td_sandwich_case(group):
     g = group("C2^2 x C3^2 x C5^2")
     params = MultipartiteParams((3, 4, 6))
     lower, upper, _ = td_bounds(params)
-    gt, ds, red, _ = nilpotent_td(g)
+    gt, ds, _ = nilpotent_td(g)
     assert lower <= gt <= upper
     assert gt == 5
     assert gt == milp_total_domination(_complete_product((3, 4, 6)))

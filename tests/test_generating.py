@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import basic_metrics, brute_adjacency, componentwise_pair_matrix, example_family_graph
+from conftest import (
+    basic_metrics,
+    brute_adjacency,
+    componentwise_pair_matrix,
+    example_family_graph,
+    p_part,
+)
 from gengraph.build import build_group
 from gengraph.errors import NonIntegralRatioError, NotNilpotentError
 from gengraph.generating import (
@@ -22,7 +28,6 @@ from gengraph.generating import (
 )
 from gengraph.graphs import direct_product
 from gengraph.groups import (
-    is_generating_pair,
     nilpotent_structure,
     quotient_mod_frattini,
 )
@@ -272,7 +277,6 @@ def test_product_subgraph_noncyclic(group):
     gg2 = generating_graph(g2)
     apos = {int(a): i for i, a in enumerate(amap)}
     bpos = {int(b): i for i, b in enumerate(bmap)}
-    from gengraph.groups import p_part
     for u, v in gg2.graph.edges():
         u, v = int(u), int(v)
         assert ga.graph.adj[apos[p_part(g2, u, 2)], apos[p_part(g2, v, 2)]]

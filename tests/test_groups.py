@@ -14,6 +14,8 @@ from conftest import (
     brute_closure,
     brute_subgroups,
     extension_lattice,
+    p_part,
+    permutation_table,
 )
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
@@ -24,11 +26,10 @@ from gengraph.groups import (
     coset_section,
     derived_subgroup,
     frattini,
-    is_generating_pair,
     is_nilpotent,
+    isomorphism,
     maximal_subgroups,
     nilpotent_structure,
-    p_part,
     quotient_mod_frattini,
     subgroup_as_group,
     subgroup_lattice,
@@ -93,31 +94,32 @@ def test_closure_monotone_idempotent(n, data):
 
 
 def test_generating_pairs(group):
-    c6 = group("C6")
-    assert is_generating_pair(c6, 1, 5)
-    assert not is_generating_pair(c6, 2, 4)
-    c2sq = group("C2^2")
-    assert not is_generating_pair(c2sq, 1, 1)
-    assert is_generating_pair(c2sq, 1, 2)
-    assert is_generating_pair(c6, 1, 1)  # single generator allowed
+    c6 = group("C6").generating_pair_matrix()
+    assert c6[1, 5]
+    assert not c6[2, 4]
+    c2sq = group("C2^2").generating_pair_matrix()
+    assert not c2sq[1, 1]
+    assert c2sq[1, 2]
+    assert c6[1, 1]  # single generator allowed
+
+
+def _maximal_intersection(g: Group) -> frozenset[int]:
+    return frozenset.intersection(*maximal_subgroups(g))
 
 
 def test_frattini_c12_both_methods(group):
     c12 = group("C12")
-    lat = frattini(c12, "lattice")
-    frm = frattini(c12, "nilpotentFormula")
-    assert sorted(lat) == sorted(frm) == [0, 6]
+    assert sorted(frattini(c12)) == sorted(_maximal_intersection(c12)) == [0, 6]
 
 
 def test_frattini_elementary_abelian_trivial(group):
-    assert frattini(group("C2^2"), "lattice") == frozenset({0})
+    assert frattini(group("C2^2")) == _maximal_intersection(group("C2^2")) == frozenset({0})
 
 
 def test_frattini_heisenberg_is_centre(group):
     h = group("Heis3")
-    lat = frattini(h, "lattice")
-    frm = frattini(h, "nilpotentFormula")
-    assert lat == frm
+    lat = _maximal_intersection(h)
+    assert frattini(h) == lat
     centre = {z for z in range(27)
               if all(h.mul(z, x) == h.mul(x, z) for x in range(27))}
     assert lat == frozenset(centre)
@@ -128,17 +130,22 @@ def test_frattini_methods_agree_on_catalog(group):
     for spec in ["C4", "C8", "C9", "C12", "C16", "C18", "C2^2", "C3^2",
                  "C2^2 x C3", "C2^2 x C9", "C4 x C3^2", "Heis3"]:
         g = group(spec)
-        assert frattini(g, "lattice") == frattini(g, "nilpotentFormula"), spec
+        assert frattini(g) == _maximal_intersection(g), spec
 
 
 def test_frattini_formula_requires_nilpotent(group):
-    with pytest.raises(NotNilpotentError):
-        frattini(group("Ex(1)"), "nilpotentFormula")
+    # the formula's seeds include every commutator, which in Ex(1) close to
+    # the normal C_3^3, while Φ(Ex(1)) = 1: a non-nilpotent group takes the
+    # lattice route
+    ex = group("Ex(1)")
+    assert not is_nilpotent(ex)
+    assert len(derived_subgroup(ex)) == 27
+    assert frattini(ex) == frozenset({0})
 
 
 def test_frattini_example_family_trivial(group):
     # maximal subgroups N:<h_j> and (coordinate hyperplane):H intersect trivially
-    assert frattini(group("Ex(1)"), "lattice") == frozenset({0})
+    assert _maximal_intersection(group("Ex(1)")) == frozenset({0})
 
 
 def test_subgroup_lattice_c12(group):
@@ -190,7 +197,7 @@ def test_quotient_mod_frattini(group):
     h = group("Heis3")
     Q3, _, phi3 = quotient_mod_frattini(h)
     assert Q3.n == 9 and len(phi3) == 3
-    assert Q3.is_abelian and Q3.exponent == 3
+    assert np.array_equal(Q3.table, Q3.table.T) and np.lcm.reduce(Q3.orders) == 3
 
 
 def test_quotient_structure_is_squarefree(group):
@@ -206,7 +213,7 @@ def test_quotient_structure_is_squarefree(group):
         assert all(a == 1 for _, a in stq.cyclic_sylow), spec
         assert all(b == 2 for _, b in stq.noncyclic_sylow), spec
         from gengraph.groups import radical
-        assert Q.exponent == radical(Q.n), spec
+        assert np.lcm.reduce(Q.orders) == radical(Q.n), spec
 
 
 def test_generation_descends_to_quotient(group):
@@ -217,8 +224,8 @@ def test_generation_descends_to_quotient(group):
         rng = np.random.default_rng(11)
         for _ in range(40):
             a, b = rng.integers(0, g.n, size=2)
-            lhs = is_generating_pair(g, int(a), int(b))
-            rhs = is_generating_pair(Q, int(cmap[a]), int(cmap[b]))
+            lhs = g.generating_pair_matrix()[a, b]
+            rhs = Q.generating_pair_matrix()[cmap[a], cmap[b]]
             assert lhs == rhs, (spec, a, b)
 
 
@@ -238,6 +245,35 @@ def test_p_part(group):
     g2 = p_part(c12, g, 2)
     assert c12.orders[g3] == 3 and c12.orders[g2] == 4
     assert c12.mul(g3, g2) == g or c12.mul(g2, g3) == g
+
+
+def _is_isomorphism(iso: np.ndarray, g: Group, h: Group) -> bool:
+    return (sorted(iso.tolist()) == list(range(g.n))
+            and np.array_equal(iso[g.table], h.table[np.ix_(iso, iso)]))
+
+
+def test_isomorphism_of_frattini_quotients(group):
+    QG, _, _ = quotient_mod_frattini(group("C2^2 x C9 x C3"))
+    QH, _, _ = quotient_mod_frattini(group("C2^2 x Heis3"))
+    assert _is_isomorphism(isomorphism(QG, QH), QG, QH)
+
+
+def test_isomorphism_refuses_non_isomorphic_groups(group):
+    with pytest.raises(ValueError):
+        isomorphism(group("C4"), group("C2^2"))
+    with pytest.raises(ValueError):
+        isomorphism(group("C6"), group("C4"))
+
+
+def test_isomorphism_of_relabelled_heisenberg(group):
+    h = group("Heis3")
+    rng = np.random.default_rng(5)
+    relabel = np.concatenate([[0], 1 + rng.permutation(h.n - 1)])  # old -> new
+    table = np.empty_like(h.table)
+    table[np.ix_(relabel, relabel)] = relabel[h.table]
+    copy = Group(table, name="Heis3 relabelled")
+    assert _is_isomorphism(isomorphism(h, copy), h, copy)
+    assert _is_isomorphism(isomorphism(copy, h), copy, h)
 
 
 def test_derived_subgroup(group):
@@ -335,15 +371,6 @@ def _lattice_order(subs) -> list[frozenset[int]]:
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
-def _permutation_table(perm_group) -> np.ndarray:
-    """The Cayley table of a sympy permutation group, identity at index 0,
-    with a*b the permutation that applies a, then b."""
-    perms = sorted(tuple(p.array_form) for p in perm_group.generate())
-    index = {p: i for i, p in enumerate(perms)}  # the identity sorts first
-    arrays = np.array(perms)
-    return np.array([[index[tuple(b[a])] for b in arrays] for a in arrays])
-
-
 @functools.lru_cache(maxsize=None)
 def _lattice_test_groups() -> dict[str, Group]:
     """S4, A5, S5, PSL(2,7) and AGL(1,p) for p = 7, 11, 13, from sympy."""
@@ -367,7 +394,7 @@ def _lattice_test_groups() -> dict[str, Group]:
         "AGL(1,11)": affine(11),
         "AGL(1,13)": affine(13),
     }
-    return {name: Group(_permutation_table(pg), name=name)
+    return {name: Group(permutation_table(pg), name=name)
             for name, pg in perm_groups.items()}
 
 
@@ -389,7 +416,7 @@ def test_subgroup_lattice_of_permutation_groups():
 
     # S3, D4, A4, D6: against every product-closed subset
     for pg in (SymmetricGroup(3), DihedralGroup(4), AlternatingGroup(4), DihedralGroup(6)):
-        g = Group(_permutation_table(pg))
+        g = Group(permutation_table(pg))
         assert subgroup_lattice(g) == _lattice_order(brute_subgroups(g.table))
     # known orders and subgroup counts
     counts = {"S4": (24, 30), "A5": (60, 59), "S5": (120, 156), "PSL(2,7)": (168, 179),
@@ -458,5 +485,5 @@ def test_pair_matrix_of_permutation_groups():
 
     for pg in (SymmetricGroup(3), DihedralGroup(4), AlternatingGroup(4),
                SymmetricGroup(4), AlternatingGroup(5), SymmetricGroup(5)):
-        g = Group(_permutation_table(pg))
+        g = Group(permutation_table(pg))
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), g.n

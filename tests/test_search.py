@@ -49,8 +49,9 @@ def test_hamiltonian_examples(group):
 
 def test_hamiltonian_dirac_consistency(group):
     d5 = delta_of(group("C5"))
+    assert d5.graph.degrees.min() * 2 >= d5.graph.n  # Dirac's bound holds
     res = hamiltonian(d5.graph)
-    assert res.dirac and res.status == "yes"
+    assert res.status == "yes" and verify_certificate(d5.graph, res.cycle)
 
 
 def test_hamiltonian_budget_exhaustion(group):
