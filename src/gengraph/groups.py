@@ -3,17 +3,19 @@
 Elements are integers 0..n-1 with the identity pinned at index 0.  All
 higher-level adjacency questions reduce to `_closure_members`, the one
 subgroup-closure kernel: the pair-generation matrix, the subgroup lattice,
-Φ(G) and G' all call it, and per-group caches only memoise its closures of
-pairs of cyclic subgroups, never replace them with formulas.  The kernel
-assumes the group laws, which every `Group` has passed: it grows ⟨seeds⟩ by
-whole cosets (Dimino's method) and returns all of G as soon as more than
-n/p elements are known, p the least prime dividing n, because by Lagrange
-no proper subgroup is that large.  Table validation cannot assume what it
-is checking, so Light's test saturates with its own law-free search,
-`_right_saturation`.  The pair-generation matrix skips the closure of a
-pair only when both its cyclic subgroups lie in a proper subgroup already
-found, a cyclic subgroup or an earlier closure smaller than G: their join
-lies in that subgroup, so it is not G.
+Φ(G) and G' all call it, and per-group caches memoise its results, never
+replace them with the formulas that the checks test.  The kernel assumes
+the group laws, which every `Group` has passed: it grows ⟨seeds⟩ by whole
+cosets (Dimino's method) and returns all of G as soon as more than n/p
+elements are known, p the least prime dividing n, because by Lagrange no
+proper subgroup is that large.  Table validation cannot assume what it is
+checking, so Light's test saturates with its own law-free search,
+`_right_saturation`.  The pair-generation matrix closes a pair of cyclic
+subgroups A and B only when neither of two arguments decides it.  If both
+lie in a proper subgroup already found, a cyclic subgroup or an earlier
+closure smaller than G, their join lies in that subgroup and is not G.  If
+|A||B| > (n/p)·|A∩B|, their join holds the product set AB, which has
+|A||B|/|A∩B| > n/p elements, so by the kernel's Lagrange argument it is G.
 """
 
 from __future__ import annotations
@@ -140,12 +142,25 @@ class Group:
     def _pair_gen_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
 
-        A pair is closed only if no known proper subgroup K decides it: when
-        both cyclic subgroups lie in K, their join lies in K and is not G.
-        The known proper subgroups are the cyclic subgroups of order below n
-        and every closure that comes back smaller than G, so each pair
-        skipped lies inside a subgroup that a power orbit or a closure
-        produced.  A cyclic subgroup equal to G generates G with anything.
+        A pair of cyclic subgroups A, B is closed only if neither rule below
+        decides it.  Both are sound for any A and B, so the matrix is the
+        one that closing every pair gives.
+
+        - A known proper subgroup K: when A and B both lie in K, their join
+          lies in K and is not G.  The known proper subgroups are the cyclic
+          subgroups of order below n and every closure that comes back
+          smaller than G, so each pair skipped lies inside a subgroup that a
+          power orbit or a closure produced.  A cyclic subgroup equal to G
+          generates G with anything.
+        - Counting: ⟨A, B⟩ contains the product set AB, and
+          |AB| = |A||B|/|A∩B|.  If |A||B| > (n/p)·|A∩B|, p the least prime
+          dividing n, then ⟨A, B⟩ has more than n/p elements; its index in
+          G is then less than p and so 1, and it is G.  This is the
+          kernel's own Lagrange stop, applied before any enumeration.  The
+          inequality must be strict: in Heis3 two commuting cyclic
+          subgroups of order 3 have |AB| = 9 = n/p and join to a subgroup
+          of order 9.
+
         Pairs are visited largest cyclic subgroups first, whose non-generating
         closures are the largest subgroups and decide the most pairs.
         """
@@ -153,6 +168,7 @@ class Group:
         if key not in self._cache:
             ids, sets, reps = self._cyclic_data()
             n, k = self.n, len(sets)
+            bound = _lagrange_stop(n)[0]
             gen = np.zeros((k, k), dtype=bool)
             known = np.zeros((k, k), dtype=bool)
 
@@ -171,6 +187,10 @@ class Group:
             for pos, i in enumerate(order):
                 for j in order[pos:]:
                     if known[i, j]:
+                        continue
+                    a, b = sets[i], sets[j]
+                    if len(a) * len(b) > bound * len(a & b):
+                        gen[i, j] = gen[j, i] = True
                         continue
                     members = _closure_members(self.table, (reps[i], reps[j]))
                     if len(members) == n:
@@ -250,6 +270,17 @@ def _right_saturation(table: np.ndarray, seeds) -> set[int]:
 _LAGRANGE: dict[int, tuple[int, frozenset[int]]] = {}
 
 
+def _lagrange_stop(n: int) -> tuple[int, frozenset[int]]:
+    """(n/p, all of G) for a group of order n, p the least prime dividing n:
+    by Lagrange, no proper subgroup has more than n/p elements."""
+    stop = _LAGRANGE.get(n)
+    if stop is None:
+        factors = totient_profile(n)[0]
+        stop = _LAGRANGE[n] = (n // factors[0][0] if factors else n,
+                               frozenset(range(n)))
+    return stop
+
+
 def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
     """The subgroup ⟨seeds⟩ of the group with Cayley table `table`.
 
@@ -271,12 +302,7 @@ def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
     zero-copy view of the C-contiguous int32 table.
     """
     n = table.shape[0]
-    stop = _LAGRANGE.get(n)
-    if stop is None:
-        factors = totient_profile(n)[0]
-        stop = _LAGRANGE[n] = (n // factors[0][0] if factors else n,
-                               frozenset(range(n)))
-    bound, whole = stop
+    bound, whole = _lagrange_stop(n)
     flat = memoryview(table).cast("B").cast("i")
     seen = {0}
     elems = [0]
@@ -442,9 +468,7 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
     c' = g c g⁻¹, and ⟨c'⟩ is again a cyclic subgroup of prime-power order,
     so ⟨H, c'⟩ was closed and its class, which holds ⟨H^g, c⟩, was added.
     """
-    if G.n > max_order:
-        raise OrderGuardError(
-            f"subgroup lattice guard: |G| = {G.n} exceeds {max_order}")
+    _lattice_guard(G, max_order)
     key = "lattice"
     if key in G._cache:
         return G._cache[key]
@@ -472,6 +496,12 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
     return result
 
 
+def _lattice_guard(G: Group, max_order: int) -> None:
+    if G.n > max_order:
+        raise OrderGuardError(
+            f"subgroup lattice guard: |G| = {G.n} exceeds {max_order}")
+
+
 def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
     """The conjugacy class of the subgroup `sub`: row g of the array below
     is g⁻¹·sub·g."""
@@ -497,19 +527,30 @@ def frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
     For nilpotent G, the closure of all commutators and all rad-th powers,
     rad the product of the distinct primes dividing |G|; otherwise the
     intersection of all maximal subgroups over the full subgroup lattice
-    (guarded by max_order).
+    (guarded by max_order).  The result is cached on G; as in
+    `subgroup_lattice`, the guard is checked before the cache, so a cached
+    Φ(G) of a non-nilpotent G is not returned past a smaller max_order.
     """
-    if not is_nilpotent(G):
+    nilpotent = is_nilpotent(G)
+    if not nilpotent:
+        _lattice_guard(G, max_order)
+    key = "frattini"
+    if key in G._cache:
+        return G._cache[key]
+    if not nilpotent:
         maxs = maximal_subgroups(G, max_order)
-        return frozenset.intersection(*maxs) if maxs else frozenset({0})
-    seeds = _commutator_elements(G)
-    rad = radical(G.n)
-    powers = np.zeros(G.n, dtype=np.int64)
-    base = np.arange(G.n)
-    for _ in range(rad):
-        powers = G.table[powers, base]
-    seeds = np.union1d(seeds, powers)
-    return _closure_members(G.table, seeds.tolist())
+        phi = frozenset.intersection(*maxs) if maxs else frozenset({0})
+    else:
+        seeds = _commutator_elements(G)
+        rad = radical(G.n)
+        powers = np.zeros(G.n, dtype=np.int64)
+        base = np.arange(G.n)
+        for _ in range(rad):
+            powers = G.table[powers, base]
+        seeds = np.union1d(seeds, powers)
+        phi = _closure_members(G.table, seeds.tolist())
+    G._cache[key] = phi
+    return phi
 
 
 def _commutator_elements(G: Group) -> np.ndarray:

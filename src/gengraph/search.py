@@ -369,6 +369,15 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     Feasibility: every vertex has a neighbour in S; a vertex carrying a
     self-dominating mark additionally counts as its own neighbour.  Raises
     DominationUndefinedError when some vertex has no possible dominator.
+
+    For each size k in turn, a depth-first search branches on the uncovered
+    vertex with fewest dominators.  A node is cut by the residual-coverage
+    bound: with `gain` the most uncovered vertices any one vertex covers,
+    the k - |S| vertices still to choose cover at most (k - |S|)·gain more,
+    so a node with more uncovered vertices than that has no total
+    dominating set of size k below it.  The bound prunes only such
+    subtrees and leaves the branching order as it is, so the first set
+    found, the witness, is the one the unpruned search finds.
     """
     n = graph.n
     if n == 0:
@@ -398,12 +407,13 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
             return chosen.copy()
         if len(chosen) == k:
             return None
-        remaining = (full & ~covered).bit_count()
-        if remaining > (k - len(chosen)) * max_cover:
+        uncovered = full & ~covered
+        gain = max((m & uncovered).bit_count() for m in covers)
+        if uncovered.bit_count() > (k - len(chosen)) * gain:
             return None
         # branch on the uncovered vertex with fewest dominators
         vbest, dbest = -1, None
-        rem = full & ~covered
+        rem = uncovered
         while rem:
             vbit = rem & -rem
             rem ^= vbit

@@ -70,6 +70,16 @@ MUTANTS = (
            "            for g in gens:\n",
            "            for g in gens[-1:]:\n",
            "tests/test_groups.py::test_closure_matches_brute_force"),
+    Mutant("the pair matrix deciding a pair by counting at exactly n/p",
+           "groups.py",
+           "if len(a) * len(b) > bound * len(a & b):",
+           "if len(a) * len(b) >= bound * len(a & b):",
+           "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure"),
+    Mutant("the γt coverage bound cutting a node that can just be covered",
+           "search.py",
+           "if uncovered.bit_count() > (k - len(chosen)) * gain:",
+           "if uncovered.bit_count() >= (k - len(chosen)) * gain:",
+           "tests/test_search.py::test_domination_matches_milp_on_products"),
 )
 
 

@@ -18,7 +18,7 @@ from conftest import (
     permutation_table,
 )
 from gengraph.build import build_cached, build_group
-from gengraph.errors import GroupLawError, NotNilpotentError
+from gengraph.errors import GroupLawError, NotNilpotentError, OrderGuardError
 from gengraph.groups import (
     DEFAULT_MAX_ORDER,
     Group,
@@ -141,6 +141,18 @@ def test_frattini_formula_requires_nilpotent(group):
     assert not is_nilpotent(ex)
     assert len(derived_subgroup(ex)) == 27
     assert frattini(ex) == frozenset({0})
+
+
+def test_frattini_cached_behind_the_lattice_guard(group):
+    # Φ(G) is computed once per group; for a non-nilpotent G the lattice
+    # guard is checked before the cache, as in subgroup_lattice
+    s4 = Group(_lattice_test_groups()["S4"].table)
+    phi = frattini(s4)
+    assert phi == frozenset({0}) and frattini(s4) is phi
+    with pytest.raises(OrderGuardError):
+        frattini(s4, max_order=20)
+    big = group("C2^2 x C3^2 x C5^2")
+    assert frattini(big, max_order=20) is frattini(big)
 
 
 def test_frattini_example_family_trivial(group):
@@ -476,6 +488,30 @@ def test_pair_matrix_matches_all_pairs_closure(group):
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), spec
 
 
+def _counted_pairs(g: Group) -> np.ndarray:
+    """The pairs of cyclic subgroups A, B with |A||B| > (n/p)·|A∩B|, p the
+    least prime dividing n: those the pair matrix decides by counting."""
+    _, sets, _ = g._cyclic_data()
+    bound = g.n // totient_profile(g.n)[0][0][0]
+    return np.array([[len(a) * len(b) > bound * len(a & b) for b in sets]
+                     for a in sets])
+
+
+def test_pair_matrix_counting_is_strict(group):
+    # in Heis3 (n/p = 9) two distinct commuting subgroups of order 3 meet
+    # trivially, so |AB| = 9 = n/p, yet they join to a subgroup of order 9
+    h = group("Heis3")
+    _, sets, reps = h._cyclic_data()
+    gen, oracle = h._pair_gen_matrix(), all_pairs_gen_matrix(h)
+    pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
+             if len(sets[i]) == len(sets[j]) == 3
+             and h.mul(reps[i], reps[j]) == h.mul(reps[j], reps[i])]
+    assert pairs
+    for i, j in pairs:
+        assert len(sets[i]) * len(sets[j]) == 9 * len(sets[i] & sets[j])
+        assert not gen[i, j] and not oracle[i, j]
+
+
 def test_pair_matrix_of_permutation_groups():
     from sympy.combinatorics.named_groups import (
         AlternatingGroup,
@@ -487,3 +523,13 @@ def test_pair_matrix_of_permutation_groups():
                SymmetricGroup(4), AlternatingGroup(5), SymmetricGroup(5)):
         g = Group(permutation_table(pg))
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), g.n
+    # non-nilpotent groups where counting decides some generating pairs but
+    # not all of them, so closures decide the rest
+    for name, g in (("AGL(1,7)", _lattice_test_groups()["AGL(1,7)"]),
+                    ("AGL(1,13)", _lattice_test_groups()["AGL(1,13)"]),
+                    ("D18", Group(permutation_table(DihedralGroup(9))))):
+        oracle = all_pairs_gen_matrix(g)
+        counted = _counted_pairs(g)
+        assert counted.any() and (oracle & ~counted).any(), name
+        assert not (counted & ~oracle).any(), name
+        assert np.array_equal(g._pair_gen_matrix(), oracle), name

@@ -230,6 +230,22 @@ def test_domination_matches_milp_on_products():
         assert ours == milp_total_domination(g), parts
 
 
+def test_domination_coverage_bound_keeps_the_witness():
+    from gengraph.constructions import _complete_product
+    from gengraph.graphs import MultipartiteParams, td_bounds
+
+    # K3 x K4 x K6, the search behind C2^2 x C3^2 x C5^2, started where
+    # td_bounds starts it; the residual-coverage bound cuts only subtrees
+    # with no set of size k, so the witness is the first size-5 set in the
+    # depth-first order, the one a search without the bound finds
+    g = _complete_product((3, 4, 6))
+    res = total_domination(g, lower_hint=td_bounds(MultipartiteParams((3, 4, 6)))[0])
+    assert res.witness.vertices == (20, 31, 36, 49, 54)
+    assert verify_certificate(g, res.witness)
+    assert res.nodes <= 6_000
+    assert res.size == milp_total_domination(g) == 5
+
+
 def test_domination_product_inequality(group):
     # gamma_t(G x H) <= gamma_t(G) * gamma_t(H) on random graph pairs
     rng = np.random.default_rng(5)
