@@ -43,10 +43,19 @@ class GeneratingGraph:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.group.labels[e] for e in self.vertex_elements)
 
-    def element_edges(self) -> set[tuple[int, int]]:
-        """The edges as (smaller, larger) pairs of group elements."""
-        ve = self.vertex_elements
-        return {(min(ve[u], ve[v]), max(ve[u], ve[v])) for u, v in self.graph.edges()}
+    def element_adjacency(self) -> np.ndarray:
+        """The edges as a symmetric boolean matrix over the group's elements;
+        an edge between two vertices on one element is a diagonal entry."""
+        ve = np.asarray(self.vertex_elements, dtype=np.int64)
+        u, v = np.nonzero(self.graph.adj)
+        adj = np.zeros((self.group.n, self.group.n), dtype=bool)
+        adj[ve[u], ve[v]] = True
+        return adj
+
+
+def edge_count(adj: np.ndarray) -> int:
+    """The element pairs of an element adjacency; a diagonal entry counts once."""
+    return (int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2
 
 
 def generating_graph(G: Group) -> GeneratingGraph:
@@ -249,34 +258,30 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
     blocks over generator cosets are complete while the Frattini block (the
     identity coset, never self-generating) stays edgeless, which is the
     blow-up with deleted Frattini-internal edges in the prime-power case.
-    Passes iff the edge sets coincide exactly under the coset bijection.
+    Both sides are element adjacency matrices of G, the blocks filled from
+    np.triu_indices; passes iff the matrices are equal under the coset
+    bijection.  Edge counts are those of the element pair sets.
     """
-    delta_edges = delta_of(G).element_edges()
+    delta = delta_of(G).element_adjacency()
     Q, cmap, phi = quotient_mod_frattini(G)
     sec = coset_section(G, cmap)
     phi_sorted = sorted(phi)
     m = len(phi_sorted)
     qdelta = delta_of(Q)
     cyclic = G.is_cyclic
-    prod = lex_product(qdelta.graph, Graph.empty(m))
+    prod_graph = lex_product(qdelta.graph, Graph.empty(m))
     # vertex (i, f) of the product -> group element section(coset) * phi_f
-    mapped = []
-    for qv in qdelta.vertex_elements:
-        rep = int(sec[qv])
-        for f in phi_sorted:
-            mapped.append(int(G.table[rep, f]))
-    prod_edges = GeneratingGraph(prod, tuple(mapped), G).element_edges()
-    for qi, qv in enumerate(qdelta.vertex_elements):
-        if qi in qdelta.graph.marks:
-            block = mapped[qi * m:(qi + 1) * m]
-            prod_edges.update((min(a, b), max(a, b))
-                              for i, a in enumerate(block) for b in block[i + 1:])
-    passed = prod_edges == delta_edges
+    mapped = G.table[np.ix_(sec[list(qdelta.vertex_elements)], phi_sorted)]
+    prod = GeneratingGraph(prod_graph, tuple(mapped.ravel().tolist()), G).element_adjacency()
+    iu, ju = np.triu_indices(m, 1)
+    for qi in qdelta.graph.marks:
+        prod[mapped[qi, iu], mapped[qi, ju]] = prod[mapped[qi, ju], mapped[qi, iu]] = True
+    passed = np.array_equal(prod, delta)
     detail = "edge sets identical" if passed else (
-        f"{len(delta_edges - prod_edges)} edges only in Delta, "
-        f"{len(prod_edges - delta_edges)} only in the product")
-    return LexCheckResult(passed, cyclic, m, len(delta_edges),
-                          len(prod_edges), detail)
+        f"{edge_count(delta & ~prod)} edges only in Delta, "
+        f"{edge_count(prod & ~delta)} only in the product")
+    return LexCheckResult(passed, cyclic, m, edge_count(delta),
+                          edge_count(prod), detail)
 
 
 # ---------------------------------------------------------------------------

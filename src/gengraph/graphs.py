@@ -627,9 +627,10 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
 
     The walk starts at vertex 0, and from each vertex v it takes the least
     neighbour of v whose edge is still unused, so the circuit is a function
-    of the graph alone.  Isolated vertices are not ignored: the input is
-    expected to already be a Delta graph, so an isolated vertex means
-    "disconnected".
+    of the graph alone.  Each vertex pops the least of its unwalked
+    neighbours from a descending list; walking v -> w marks only w -> v used,
+    for w to skip.  Isolated vertices are not ignored: the input is expected
+    to already be a Delta graph, so an isolated vertex means "disconnected".
     """
     if graph.n == 0:
         return EulerResult(None, "empty graph is not connected")
@@ -642,27 +643,23 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
     if graph.edge_count == 0:
         return EulerResult(EulerCircuit((0,) if graph.n else ()), None)
     n = graph.n
-    # the neighbours of v, ascending, are nbr[nxt[v]:end[v]]; nxt[v] moves
-    # past each one whose edge is used, so it is read once per edge end
-    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[graph.adj]
-    nbr = memoryview(cols).cast("B").cast("i")
-    nxt = [0] + np.cumsum(graph.degrees).tolist()
-    end = nxt[1:]
+    flat = np.broadcast_to(np.arange(n - 1, -1, -1), (n, n))[graph.adj[:, ::-1]].tolist()
+    ends = np.cumsum(graph.degrees).tolist()
+    nbrs = [flat[a:b] for a, b in zip([0] + ends, ends)]
     used = bytearray(n * n)
     stack = [0]
     out: list[int] = []
     while stack:
         v = stack[-1]
-        p, stop = nxt[v], end[v]
-        while p < stop and used[v * n + nbr[p]]:
-            p += 1
-        nxt[v] = p
-        if p == stop:
-            out.append(stack.pop())
-            continue
-        w = nbr[p]
-        used[v * n + w] = used[w * n + v] = 1
-        stack.append(w)
+        row, left = v * n, nbrs[v]
+        while left:
+            w = left.pop()
+            if used[row + w]:
+                continue
+            used[w * n + v] = 1
+            stack.append(w)
+            v, row, left = w, w * n, nbrs[w]
+        out.append(stack.pop())
     out.reverse()
     return EulerResult(EulerCircuit(tuple(out)), None)
 
@@ -765,11 +762,13 @@ def graph_to_dot(graph: Graph, labels: Iterable[str] | None = None,
     return "\n".join(lines) + "\n"
 
 
-def certificate_to_json(cert: Certificate) -> str:
+def certificate_to_dict(cert: Certificate) -> dict:
     """The certificate's fields under their own names, plus its type tag."""
-    body = {f.name: getattr(cert, f.name) for f in fields(cert)}
-    body["type"] = _CERT_TAGS[type(cert)]
-    return json.dumps(body, separators=(",", ":"), sort_keys=True)
+    return {f.name: getattr(cert, f.name) for f in fields(cert)} | {"type": _CERT_TAGS[type(cert)]}
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(certificate_to_dict(cert), separators=(",", ":"), sort_keys=True)
 
 
 _CERT_TYPES = {tag: cls for cls, tag in _CERT_TAGS.items()}

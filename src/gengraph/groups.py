@@ -174,8 +174,7 @@ class Group:
 
             def mark(members) -> None:
                 # the cyclic subgroups inside K are those its elements generate
-                inside = ids[np.fromiter(members, dtype=np.int64, count=len(members))]
-                sub = np.unique(inside)
+                sub = _present(k, ids[np.fromiter(members, dtype=np.int64, count=len(members))])
                 known[np.ix_(sub, sub)] = True
 
             for i, cyc in enumerate(sets):
@@ -508,8 +507,7 @@ def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
     t = G.table
     m = np.fromiter(sub, dtype=np.int64, count=len(sub))
     rows = t[t[G.inverses[:, None], m[None, :]], np.arange(G.n)[:, None]]
-    rows = np.unique(np.sort(rows, axis=1), axis=0)
-    return {frozenset(row) for row in rows.tolist()}
+    return {frozenset(row) for row in set(map(tuple, np.sort(rows, axis=1).tolist()))}
 
 
 def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:
@@ -541,13 +539,12 @@ def frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
         maxs = maximal_subgroups(G, max_order)
         phi = frozenset.intersection(*maxs) if maxs else frozenset({0})
     else:
-        seeds = _commutator_elements(G)
         rad = radical(G.n)
         powers = np.zeros(G.n, dtype=np.int64)
         base = np.arange(G.n)
         for _ in range(rad):
             powers = G.table[powers, base]
-        seeds = np.union1d(seeds, powers)
+        seeds = _present(G.n, _commutator_elements(G), powers)
         phi = _closure_members(G.table, seeds.tolist())
     G._cache[key] = phi
     return phi
@@ -556,8 +553,15 @@ def frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
 def _commutator_elements(G: Group) -> np.ndarray:
     t, inv = G.table, G.inverses
     left = t[np.ix_(inv, inv)]
-    comm = t[left, t]
-    return np.unique(comm)
+    return _present(G.n, t[left, t])
+
+
+def _present(n: int, *indices: np.ndarray) -> np.ndarray:
+    """The sorted distinct values in the index arrays, all in range(n)."""
+    seen = np.zeros(n, dtype=bool)
+    for idx in indices:
+        seen[idx] = True
+    return np.flatnonzero(seen)
 
 
 def derived_subgroup(G: Group) -> frozenset[int]:
@@ -591,17 +595,20 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
     Quotient indices are ordered by the least element index of each coset, so
     the identity coset is index 0 and the minimal-index representative per
     coset is the canonical section.  When Φ(G) = 1 the quotient is G itself,
-    with the identity coset map, so G's caches serve both.
+    with the identity coset map, so G's caches serve both.  The guarded,
+    cached `frattini` is called before the cache lookup, so a cached
+    quotient of a non-nilpotent G is not returned past a smaller max_order.
     """
+    phi = frattini(G, max_order)
     key = "fratquot"
     if key not in G._cache:
-        phi = frattini(G, max_order)
         if len(phi) == 1:
             G._cache[key] = (G, np.arange(G.n, dtype=np.int64), phi)
             return G._cache[key]
         # the coset of g is table[g, phi]; its least element represents it
         rep = G.table[:, sorted(phi)].min(axis=1)
-        reps, cmap = np.unique(rep, return_inverse=True)
+        is_rep = rep == np.arange(G.n)
+        reps, cmap = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep]
         Q = Group(cmap[G.table[np.ix_(reps, reps)]],
                   labels=tuple(G.labels[int(rv)] for rv in reps),
                   name=f"{G.name}/Frat")
@@ -611,8 +618,10 @@ def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
 
 
 def coset_section(G: Group, cmap: np.ndarray) -> np.ndarray:
-    """Minimal-index representative for each quotient index of G."""
-    return np.unique(cmap, return_index=True)[1]
+    """Minimal-index representative for each quotient index of G: a stable
+    sort by quotient index puts each coset, least element first, in a run of
+    |G|/|Q| entries."""
+    return np.argsort(cmap, kind="stable").reshape(int(cmap.max()) + 1, -1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +652,7 @@ def isomorphism(G: Group, H: Group) -> np.ndarray:
                 if iso[y] < 0:
                     iso[y] = H.table[iso[x], h]
                     reached.append(y)
-        if (np.unique(iso).size == G.n
+        if (np.array_equal(np.sort(iso), np.arange(G.n))
                 and np.array_equal(iso[G.table], H.table[np.ix_(iso, iso)])):
             return iso
     raise ValueError(f"no isomorphism {G.name} -> {H.name}")

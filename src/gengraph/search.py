@@ -251,7 +251,7 @@ def greedy_coloring(graph: Graph) -> Coloring:
     if n == 0:
         return Coloring(())
     sat: list[set[int]] = [set() for _ in range(n)]
-    degs = graph.degrees
+    degs = graph.degrees.tolist()
     for _ in range(n):
         v = max((u for u in range(n) if colors[u] < 0),
                 key=lambda u: (len(sat[u]), degs[u], -u))
@@ -259,8 +259,8 @@ def greedy_coloring(graph: Graph) -> Coloring:
         while c in sat[v]:
             c += 1
         colors[v] = c
-        for w in graph.neighbors(v):
-            sat[int(w)].add(c)
+        for w in graph.neighbors(v).tolist():
+            sat[w].add(c)
     return Coloring(tuple(colors))
 
 

@@ -31,6 +31,7 @@ from .generating import (
     coprime_noncyclic_split,
     degree_profile,
     delta_of,
+    edge_count,
     formula_min_degree,
     gamma_coset_bijection,
     generating_graph,
@@ -42,7 +43,7 @@ from .graphs import (
     Graph,
     MultipartiteParams,
     bfs_distances,
-    certificate_to_json,
+    certificate_to_dict,
     direct_product,
     edge_connectivity,
     eulerian_circuit,
@@ -106,7 +107,7 @@ class CheckResult:
         if self.reason is not None:
             out["reason"] = self.reason
         if self.certificate is not None:
-            out["certificate"] = json.loads(certificate_to_json(self.certificate))
+            out["certificate"] = certificate_to_dict(self.certificate)
         return out
 
 
@@ -317,14 +318,14 @@ def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
     A, amap, B, bmap = _coprime_split(G)
     da, db = delta_of(A), delta_of(B)
     # product vertex (i, j) sits at i * |V(Delta(B))| + j
-    mapped = tuple(int(G.table[int(amap[va]), int(bmap[vb])])
-                   for va in da.vertex_elements for vb in db.vertex_elements)
-    prod_edges = GeneratingGraph(direct_product(da.graph, db.graph), mapped, G).element_edges()
+    mapped = tuple(G.table[np.ix_(amap[list(da.vertex_elements)],
+                                  bmap[list(db.vertex_elements)])].ravel().tolist())
+    prod = GeneratingGraph(direct_product(da.graph, db.graph), mapped, G).element_adjacency()
     dd = delta_of(G)
-    delta_edges = dd.element_edges()
-    ok = prod_edges == delta_edges and set(mapped) >= set(dd.vertex_elements)
-    return Outcome(ok, {"edges": len(delta_edges)},
-                   {"edges": len(prod_edges), "factors": [A.n, B.n]})
+    delta = dd.element_adjacency()
+    ok = np.array_equal(prod, delta) and set(mapped) >= set(dd.vertex_elements)
+    return Outcome(ok, {"edges": edge_count(delta)},
+                   {"edges": edge_count(prod), "factors": [A.n, B.n]})
 
 
 def _check_remark_facts(G: Group, budget: SearchBudget) -> Outcome:

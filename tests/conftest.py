@@ -27,7 +27,7 @@ import pytest
 from gengraph.build import _mixed_radix_coords, build_cached, build_group, odd_primes
 from gengraph.constructions import _complete_product
 from gengraph.errors import ConstructionError, OrderGuardError
-from gengraph.generating import GeneratingGraph, generating_graph
+from gengraph.generating import GeneratingGraph, delta_of, generating_graph
 from gengraph.graphs import (
     Clique,
     Coloring,
@@ -39,9 +39,11 @@ from gengraph.graphs import (
     VertexCut,
     _components,
     bfs_distances,
+    direct_product,
+    lex_product,
     verify_certificate,
 )
-from gengraph.groups import Group, nilpotent_structure, totient_profile
+from gengraph.groups import Group, nilpotent_structure, quotient_mod_frattini, totient_profile
 
 
 @pytest.fixture(scope="session")
@@ -331,6 +333,54 @@ def reference_euler_circuit(graph: Graph) -> tuple[int, ...]:
             out.append(stack.pop())
     out.reverse()
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Frattini lex identity and the coprime-product identity over
+# Python sets of element pairs, with the coset section from np.unique
+
+
+def unique_coset_section(cmap: np.ndarray) -> np.ndarray:
+    """The least element of each quotient index, by np.unique."""
+    return np.unique(cmap, return_index=True)[1]
+
+
+def element_edges(gg: GeneratingGraph) -> set[tuple[int, int]]:
+    """The edges as (smaller, larger) pairs of group elements."""
+    ve = gg.vertex_elements
+    return {(min(ve[u], ve[v]), max(ve[u], ve[v])) for u, v in gg.graph.edges()}
+
+
+def reference_lex_edges(G: Group, section: np.ndarray | None = None
+                        ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """(Delta(G), the Frattini blow-up) as element pair sets: vertex (i, f)
+    of Delta(G/Frat)[null] goes to section(coset i) * phi_f, and every
+    self-generating quotient vertex gets a complete block."""
+    Q, cmap, phi = quotient_mod_frattini(G)
+    sec = unique_coset_section(cmap) if section is None else section
+    phi_sorted = sorted(phi)
+    m = len(phi_sorted)
+    qdelta = delta_of(Q)
+    mapped = [int(G.table[int(sec[qv]), f])
+              for qv in qdelta.vertex_elements for f in phi_sorted]
+    prod = lex_product(qdelta.graph, Graph.empty(m))
+    prod_edges = element_edges(GeneratingGraph(prod, tuple(mapped), G))
+    for qi in qdelta.graph.marks:
+        block = mapped[qi * m:(qi + 1) * m]
+        prod_edges.update((min(a, b), max(a, b))
+                          for i, a in enumerate(block) for b in block[i + 1:])
+    return element_edges(delta_of(G)), prod_edges
+
+
+def reference_product_edges(G: Group, A: Group, amap, B: Group, bmap
+                            ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """(Delta(G), Delta(A) x Delta(B)) as element pair sets, the product
+    vertex (a, b) going to amap(a) * bmap(b)."""
+    da, db = delta_of(A), delta_of(B)
+    mapped = tuple(int(G.table[int(amap[va]), int(bmap[vb])])
+                   for va in da.vertex_elements for vb in db.vertex_elements)
+    prod = GeneratingGraph(direct_product(da.graph, db.graph), mapped, G)
+    return element_edges(delta_of(G)), element_edges(prod)
 
 
 # ---------------------------------------------------------------------------

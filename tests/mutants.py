@@ -80,6 +80,16 @@ MUTANTS = (
            "if uncovered.bit_count() > (k - len(chosen)) * gain:",
            "if uncovered.bit_count() >= (k - len(chosen)) * gain:",
            "tests/test_search.py::test_domination_matches_milp_on_products"),
+    Mutant("an edge on one element not counted by edge_count",
+           "generating.py",
+           "(int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2",
+           "int(np.count_nonzero(adj)) // 2",
+           "tests/test_generating.py::test_broken_mapping_counts_match_the_edge_set_oracle"),
+    Mutant("the Euler walk marking the near end of an edge used",
+           "graphs.py",
+           "used[w * n + v] = 1",
+           "used[row + w] = 1",
+           "tests/test_graphs.py::test_euler_k3"),
 )
 
 

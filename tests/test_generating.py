@@ -11,22 +11,28 @@ from conftest import (
     basic_metrics,
     brute_adjacency,
     componentwise_pair_matrix,
+    element_edges,
     example_family_graph,
     p_part,
+    reference_lex_edges,
+    reference_product_edges,
+    unique_coset_section,
 )
 from gengraph.build import build_group
 from gengraph.errors import NonIntegralRatioError, NotNilpotentError
 from gengraph.generating import (
+    GeneratingGraph,
     coprime_noncyclic_split,
     degree_profile,
     delta_of,
+    edge_count,
     formula_min_degree,
     gamma_coset_bijection,
     generating_graph,
     lex_decomposition_check,
     recover_cyclic_radical,
 )
-from gengraph.graphs import direct_product
+from gengraph.graphs import Graph, direct_product
 from gengraph.groups import (
     nilpotent_structure,
     quotient_mod_frattini,
@@ -192,6 +198,47 @@ def test_lex_decomposition_catalog(group):
 def test_lex_decomposition_c8_block_structure(group):
     res = lex_decomposition_check(group("C8"))
     assert res.passed and res.cyclic_case and res.phi_order == 4
+
+
+def test_identity_counts_match_the_edge_set_oracle(catalog_report, group):
+    # every EQ_LEX and COR_2_6_PROD the default catalog runs: the counts
+    # from element adjacency matrices equal those of element pair sets
+    seen = {"EQ_LEX": 0, "COR_2_6_PROD": 0}
+    for r in catalog_report.results:
+        if r.check not in seen or r.status == "skipped":
+            continue
+        G = group(r.group)
+        if r.check == "EQ_LEX":
+            delta, prod = reference_lex_edges(G)
+        else:
+            delta, prod = reference_product_edges(G, *coprime_noncyclic_split(G))
+        assert r.status == "pass" and delta == prod, (r.group, r.check)
+        assert (r.expected["edges"], r.observed["edges"]) == (len(delta), len(prod)), r.group
+        seen[r.check] += 1
+    assert seen["EQ_LEX"] >= 40 and seen["COR_2_6_PROD"] >= 3
+
+
+def test_broken_mapping_counts_match_the_edge_set_oracle(group, monkeypatch):
+    # two adjacent quotient vertices sent to one coset representative put
+    # two product vertices on one element, and their edge on the diagonal
+    from gengraph import generating
+
+    G = group("Heis3")
+    gg = GeneratingGraph(Graph.complete(3), (1, 1, 2), G)
+    assert edge_count(gg.element_adjacency()) == len(element_edges(gg)) == 2
+    Q, cmap, _ = quotient_mod_frattini(G)
+    qdelta = delta_of(Q)
+    u, v = qdelta.graph.edges()[0]
+    broken = unique_coset_section(cmap)
+    broken[qdelta.vertex_elements[v]] = broken[qdelta.vertex_elements[u]]
+    monkeypatch.setattr(generating, "coset_section", lambda G, cmap: broken)
+    res = lex_decomposition_check(G)
+    delta, prod = reference_lex_edges(G, broken)
+    assert any(a == b for a, b in prod)
+    assert not res.passed
+    assert (res.delta_edges, res.product_edges) == (len(delta), len(prod))
+    assert res.detail == (f"{len(delta - prod)} edges only in Delta, "
+                          f"{len(prod - delta)} only in the product")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from conftest import (
     extension_lattice,
     p_part,
     permutation_table,
+    unique_coset_section,
 )
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError, OrderGuardError
@@ -153,6 +154,28 @@ def test_frattini_cached_behind_the_lattice_guard(group):
         frattini(s4, max_order=20)
     big = group("C2^2 x C3^2 x C5^2")
     assert frattini(big, max_order=20) is frattini(big)
+    # the cached quotient sits behind the same guard
+    Q = quotient_mod_frattini(s4, max_order=100)[0]
+    assert quotient_mod_frattini(s4)[0] is Q
+    with pytest.raises(OrderGuardError):
+        quotient_mod_frattini(s4, max_order=20)
+    assert quotient_mod_frattini(big, max_order=20)[0] is quotient_mod_frattini(big)[0]
+
+
+def test_quotient_maps_match_np_unique(group):
+    from gengraph.verify import default_catalog
+
+    # the coset map numbers cosets by their least elements, and the section
+    # picks each coset's least element, as np.unique would
+    groups = [group(e.spec) for e in default_catalog()]
+    groups += _lattice_test_groups().values()
+    for g in groups:
+        Q, cmap, phi = quotient_mod_frattini(g, max_order=g.n)
+        reps, inverse = np.unique(g.table[:, sorted(phi)].min(axis=1), return_inverse=True)
+        assert np.array_equal(cmap, inverse), g.name
+        assert np.array_equal(coset_section(g, cmap), unique_coset_section(cmap)), g.name
+        assert np.array_equal(coset_section(g, cmap), reps), g.name
+        assert Q.labels == tuple(g.labels[r] for r in reps.tolist()), g.name
 
 
 def test_frattini_example_family_trivial(group):
