@@ -57,13 +57,18 @@ def _int_at_least(text: str, low: int) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
-                   help="order guard for group construction (default: env "
-                        "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
-                        "each catalog entry's own guard)")
-    p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0), default=10_000_000,
-                   help="search-node budget for exact searches")
+def _add_common(p: argparse.ArgumentParser, max_order: bool, budget: bool) -> None:
+    """--no-header and --output, plus --max-order and --budget-nodes where
+    the command reads them."""
+    if max_order:
+        p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
+                       help="the one order guard: no larger group is built, and "
+                            "so no larger subgroup lattice computed (default: env "
+                            "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
+                            "each catalog entry's own guard)")
+    if budget:
+        p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0),
+                       default=10_000_000, help="search-node budget for exact searches")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the timestamped header line")
     p.add_argument("--output", "-o", default=None, help="write output to a file")
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="group order, nilpotency data, Frattini order")
     p.add_argument("spec")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=False)
 
     p = sub.add_parser("graph", help="emit Gamma(G) or Delta(G)")
     p.add_argument("spec")
@@ -87,11 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--gamma", action="store_true", help="full generating graph (default)")
     which.add_argument("--delta", action="store_true", help="nonisolated vertices only")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=False)
 
     p = sub.add_parser("stats", help="degree profile vs the closed-form values")
     p.add_argument("spec")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=False)
 
     p = sub.add_parser("verify", help="run theorem checks over a catalog")
     p.add_argument("--catalog", default="default",
@@ -101,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
                    help="worker count")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=True)
 
     p = sub.add_parser("scan", help="scan an open question over groups")
     p.add_argument("--question", required=True, choices=("conn", "ham", "chrom"))
@@ -110,23 +115,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
                    help="worker count")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=True)
 
     p = sub.add_parser("tdn", help="total domination bounds and exact value "
                                    "for a product of complete graphs")
     p.add_argument("parts", nargs="+", type=partial(_int_at_least, low=2),
                    help="part sizes, each at least 2")
-    _add_common(p)
+    _add_common(p, max_order=False, budget=True)
 
     p = sub.add_parser("hamcycle", help="Hamiltonian cycle of Delta(G), "
                                         "constructed per group class")
     p.add_argument("spec")
-    _add_common(p)
+    _add_common(p, max_order=True, budget=True)
 
     p = sub.add_parser("check-cert", help="re-verify a certificate against a graph")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--cert", required=True, help="certificate JSON file")
-    _add_common(p)
+    _add_common(p, max_order=False, budget=False)
 
     return ap
 
@@ -178,7 +183,7 @@ def _cmd_info(args) -> int:
         out.emit(f"r: {st.r} (cyclic Sylow primes: {cyc})")
         out.emit(f"s: {st.s} (noncyclic Sylow primes: {noncyc})")
         out.emit(f"cyclic: {'yes' if st.is_cyclic else 'no'}")
-    phi = frattini(G, max(_max_order(args), G.n))
+    phi = frattini(G)
     out.emit(f"frattini_order: {len(phi)}")
     out.emit(f"two_generated: {'yes' if is_two_generated(G) else 'no'}")
     out.flush()

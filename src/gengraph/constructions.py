@@ -40,6 +40,7 @@ from .groups import (
     radical,
     sylow_masks,
 )
+from .memo import cached
 from .search import (
     DEFAULT_BUDGET,
     DominationResult,
@@ -232,6 +233,7 @@ def _complete_product(parts) -> Graph:
     return graph
 
 
+@cached
 def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
                  ) -> tuple[int, DominatingSet, DominationResult | None]:
     """Total domination number of Delta(G) for 2-generated nilpotent G.
@@ -242,17 +244,9 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     (cyclic coordinates pinned to fixed generators) and then to G by the
     minimal-index coset section; the lifted set is re-verified on Delta(G).
     Returns (gamma_t, witness over Delta(G) vertices, solver result).
-    The result is cached on G per node budget, so the checks that need γt
+    The result is kept on G per node budget, so the checks that need γt
     share one search.
     """
-    key = f"td{budget.max_nodes}"
-    if key not in G._cache:
-        G._cache[key] = _nilpotent_td(G, budget)
-    return G._cache[key]
-
-
-def _nilpotent_td(G: Group, budget: SearchBudget
-                  ) -> tuple[int, DominatingSet, DominationResult | None]:
     st = nilpotent_structure(G)
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")

@@ -22,8 +22,10 @@ from .groups import (
     isomorphism,
     nilpotent_structure,
     quotient_mod_frattini,
+    subgroup_as_group,
     sylow_masks,
 )
+from .memo import cached
 
 
 @dataclass(frozen=True)
@@ -58,31 +60,26 @@ def edge_count(adj: np.ndarray) -> int:
     return (int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2
 
 
+@cached
 def generating_graph(G: Group) -> GeneratingGraph:
     """Gamma(G): all elements as vertices, edges the generating pairs.
 
     Loopless; for a group needing more than two generators this is the null
-    graph on |G| vertices.  Built once per group and cached on it.
+    graph on |G| vertices.  Built once per group.
     """
-    key = "gamma"
-    if key not in G._cache:
-        gen = G.generating_pair_matrix().copy()
-        marks = np.flatnonzero(gen.diagonal())
-        np.fill_diagonal(gen, False)
-        graph = Graph(gen, marks.tolist())
-        G._cache[key] = GeneratingGraph(graph, tuple(range(G.n)), G)
-    return G._cache[key]
+    gen = G.generating_pair_matrix().copy()
+    marks = np.flatnonzero(gen.diagonal())
+    np.fill_diagonal(gen, False)
+    return GeneratingGraph(Graph(gen, marks.tolist()), tuple(range(G.n)), G)
 
 
+@cached
 def delta_of(G: Group) -> GeneratingGraph:
     """Delta(G): Gamma(G) induced on its nonisolated vertices.  Built once
-    per group and cached on it."""
-    key = "delta"
-    if key not in G._cache:
-        gamma = generating_graph(G).graph
-        sub, idx = gamma.induced(np.flatnonzero(gamma.degrees > 0).tolist())
-        G._cache[key] = GeneratingGraph(sub, tuple(idx.tolist()), G)
-    return G._cache[key]
+    per group."""
+    gamma = generating_graph(G).graph
+    sub, idx = gamma.induced(np.flatnonzero(gamma.degrees > 0).tolist())
+    return GeneratingGraph(sub, tuple(idx.tolist()), G)
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +285,14 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
 # coprime product split and bijections
 
 
+@cached
 def coprime_noncyclic_split(G: Group) -> tuple[Group, np.ndarray, Group, np.ndarray] | None:
     """Split nilpotent G as A x B with coprime orders, both noncyclic, via
-    Sylow p-parts; returns (A, A-elements, B, B-elements) or None.  Memoised
-    per group."""
-    key = "coprime_split"
-    if key not in G._cache:
-        G._cache[key] = _coprime_noncyclic_split(G)
-    return G._cache[key]
-
-
-def _coprime_noncyclic_split(G: Group) -> tuple[Group, np.ndarray, Group, np.ndarray] | None:
+    Sylow p-parts; returns (A, A-elements, B, B-elements) or None.  Computed
+    once per group."""
     masks = sylow_masks(G)
     if masks is None or len(masks) < 2:
         return None
-    from .groups import subgroup_as_group
     for p in sorted(masks):
         a_members = np.flatnonzero(masks[p])
         b_members = np.flatnonzero(G.orders % p != 0)  # the Hall p'-subgroup

@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GengraphError
+from .memo import cached
 
 
 class Graph:
@@ -47,7 +48,6 @@ class Graph:
         for m in self.marks:
             if not 0 <= m < n:
                 raise ValueError("mark out of range")
-        self._cache: dict[str, object] = {}
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -74,12 +74,11 @@ class Graph:
     # -- basic accessors -----------------------------------------------------
 
     @property
+    @cached
     def degrees(self) -> np.ndarray:
-        if "deg" not in self._cache:
-            d = self.adj.sum(axis=1).astype(np.int64)
-            d.setflags(write=False)
-            self._cache["deg"] = d
-        return self._cache["deg"]
+        d = self.adj.sum(axis=1).astype(np.int64)
+        d.setflags(write=False)
+        return d
 
     @property
     def edge_count(self) -> int:
@@ -92,13 +91,11 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adj[v])
 
+    @cached
     def bitmasks(self) -> list[int]:
         """Neighbour sets as Python int bitmasks (for the exact searches)."""
-        if "bits" not in self._cache:
-            packed = np.packbits(self.adj, axis=1, bitorder="little")
-            self._cache["bits"] = [int.from_bytes(row.tobytes(), "little")
-                                   for row in packed]
-        return self._cache["bits"]
+        packed = np.packbits(self.adj, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", np.ndarray]:
         idx = np.array(sorted(set(int(v) for v in vertices)), dtype=np.int64)
@@ -512,14 +509,14 @@ def _edge_flow(bits: list[int], a: int, b: int, limit: int) -> tuple[int, int | 
     return limit, None
 
 
+@cached
 def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     """Exact vertex connectivity with a minimum-cut witness.
 
     Vertex-split max-flow from a fixed minimum-degree vertex s to each of its
     non-neighbours, then between non-adjacent pairs of its neighbours
     (Esfahanian & Hakimi); the complete graph returns the n-1 convention, a
-    disconnected graph 0 with the empty cut.  The result is cached on the
-    graph.
+    disconnected graph 0 with the empty cut.  Computed once per graph.
 
     A pair's flow is skipped when its common-neighbour count, a lower bound
     on its local connectivity (each common neighbour is its own path of
@@ -531,12 +528,6 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     it is maximum, and its cut is read off the residual source side, which
     every maximum flow shares; the witness does not depend on the paths.
     """
-    if "kappa" not in graph._cache:
-        graph._cache["kappa"] = _vertex_connectivity(graph)
-    return graph._cache["kappa"]
-
-
-def _vertex_connectivity(graph: Graph) -> VertexConnectivity:
     n = graph.n
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")

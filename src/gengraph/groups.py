@@ -3,8 +3,11 @@
 Elements are integers 0..n-1 with the identity pinned at index 0.  All
 higher-level adjacency questions reduce to `_closure_members`, the one
 subgroup-closure kernel: the pair-generation matrix, the subgroup lattice,
-Φ(G) and G' all call it, and per-group caches memoise its results, never
-replace them with the formulas that the checks test.  The kernel assumes
+Φ(G) and G' all call it.  What is derived from a group is computed once
+and kept in the group's memo (`memo.cached`), never replaced with the
+formulas that the checks test.  No function here takes an order guard:
+the build guard (`DEFAULT_MAX_ORDER`, the command line's `--max-order`)
+bounds every group, and with it the subgroup lattice.  The kernel assumes
 the group laws, which every `Group` has passed: it grows ⟨seeds⟩ by whole
 cosets (Dimino's method) and returns all of G as soon as more than n/p
 elements are known, p the least prime dividing n, because by Lagrange no
@@ -20,17 +23,14 @@ closure smaller than G, their join lies in that subgroup and is not G.  If
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GroupLawError,
-    NotNilpotentError,
-    NotTwoGeneratedError,
-    OrderGuardError,
-)
+from .errors import GroupLawError, NotNilpotentError, NotTwoGeneratedError
+from .memo import cached
 
 DEFAULT_MAX_ORDER = 200
 
@@ -77,7 +77,6 @@ class Group:
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
         self.orders.setflags(write=False)
-        self._cache: dict[str, object] = {}
 
     # -- group laws ---------------------------------------------------------
 
@@ -119,26 +118,25 @@ class Group:
 
     # -- cached derived data --------------------------------------------------
 
+    @cached
     def _cyclic_data(self):
         """(cyc_id per element, list of subgroup frozensets, least generator per id)."""
-        key = "cyclic"
-        if key not in self._cache:
-            ids = np.empty(self.n, dtype=np.int64)
-            subs: dict[frozenset[int], int] = {}
-            reps: list[int] = []
-            sets: list[frozenset[int]] = []
-            for g in range(self.n):
-                cyc = frozenset(_power_orbit(self.table, g))
-                sid = subs.get(cyc)
-                if sid is None:
-                    sid = len(sets)
-                    subs[cyc] = sid
-                    sets.append(cyc)
-                    reps.append(g)
-                ids[g] = sid
-            self._cache[key] = (ids, sets, reps)
-        return self._cache[key]
+        ids = np.empty(self.n, dtype=np.int64)
+        subs: dict[frozenset[int], int] = {}
+        reps: list[int] = []
+        sets: list[frozenset[int]] = []
+        for g in range(self.n):
+            cyc = frozenset(_power_orbit(self.table, g))
+            sid = subs.get(cyc)
+            if sid is None:
+                sid = len(sets)
+                subs[cyc] = sid
+                sets.append(cyc)
+                reps.append(g)
+            ids[g] = sid
+        return ids, sets, reps
 
+    @cached
     def _pair_gen_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
 
@@ -150,64 +148,57 @@ class Group:
           lies in K and is not G.  The known proper subgroups are the cyclic
           subgroups of order below n and every closure that comes back
           smaller than G, so each pair skipped lies inside a subgroup that a
-          power orbit or a closure produced.  A cyclic subgroup equal to G
-          generates G with anything.
+          power orbit or a closure produced.
         - Counting: ⟨A, B⟩ contains the product set AB, and
           |AB| = |A||B|/|A∩B|.  If |A||B| > (n/p)·|A∩B|, p the least prime
           dividing n, then ⟨A, B⟩ has more than n/p elements; its index in
           G is then less than p and so 1, and it is G.  This is the
-          kernel's own Lagrange stop, applied before any enumeration.  The
-          inequality must be strict: in Heis3 two commuting cyclic
-          subgroups of order 3 have |AB| = 9 = n/p and join to a subgroup
-          of order 9.
+          kernel's own Lagrange stop, applied before any enumeration.  It
+          decides every pair with a cyclic subgroup A = G, as
+          n·|B| > (n/p)·|B|.  The inequality must be strict: in Heis3 two
+          commuting cyclic subgroups of order 3 have |AB| = 9 = n/p and
+          join to a subgroup of order 9.
 
         Pairs are visited largest cyclic subgroups first, whose non-generating
         closures are the largest subgroups and decide the most pairs.
         """
-        key = "pairgen"
-        if key not in self._cache:
-            ids, sets, reps = self._cyclic_data()
-            n, k = self.n, len(sets)
-            bound = _lagrange_stop(n)[0]
-            gen = np.zeros((k, k), dtype=bool)
-            known = np.zeros((k, k), dtype=bool)
+        ids, sets, reps = self._cyclic_data()
+        n, k = self.n, len(sets)
+        bound = _lagrange_stop(n)[0]
+        gen = np.zeros((k, k), dtype=bool)
+        known = np.zeros((k, k), dtype=bool)
 
-            def mark(members) -> None:
-                # the cyclic subgroups inside K are those its elements generate
-                sub = _present(k, ids[np.fromiter(members, dtype=np.int64, count=len(members))])
-                known[np.ix_(sub, sub)] = True
+        def mark(members) -> None:
+            # the cyclic subgroups inside K are those its elements generate
+            sub = _present(k, ids[np.fromiter(members, dtype=np.int64, count=len(members))])
+            known[np.ix_(sub, sub)] = True
 
-            for i, cyc in enumerate(sets):
-                if len(cyc) < n:
-                    mark(cyc)
-                else:  # G is cyclic and ⟨a_i, x⟩ ⊇ ⟨a_i⟩ = G
-                    gen[i, :] = gen[:, i] = known[i, :] = known[:, i] = True
-            order = sorted(range(k), key=lambda i: -len(sets[i]))
-            for pos, i in enumerate(order):
-                for j in order[pos:]:
-                    if known[i, j]:
-                        continue
-                    a, b = sets[i], sets[j]
-                    if len(a) * len(b) > bound * len(a & b):
-                        gen[i, j] = gen[j, i] = True
-                        continue
-                    members = _closure_members(self.table, (reps[i], reps[j]))
-                    if len(members) == n:
-                        gen[i, j] = gen[j, i] = True
-                    else:
-                        mark(members)
-            self._cache[key] = gen
-        return self._cache[key]
+        for cyc in sets:
+            if len(cyc) < n:
+                mark(cyc)
+        order = sorted(range(k), key=lambda i: -len(sets[i]))
+        for pos, i in enumerate(order):
+            for j in order[pos:]:
+                if known[i, j]:
+                    continue
+                a, b = sets[i], sets[j]
+                if len(a) * len(b) > bound * len(a & b):
+                    gen[i, j] = gen[j, i] = True
+                    continue
+                members = _closure_members(self.table, (reps[i], reps[j]))
+                if len(members) == n:
+                    gen[i, j] = gen[j, i] = True
+                else:
+                    mark(members)
+        return gen
 
+    @cached
     def generating_pair_matrix(self) -> np.ndarray:
         """n*n boolean matrix: ⟨g,h⟩ = G (diagonal = single-element generation)."""
-        key = "genmat"
-        if key not in self._cache:
-            ids, _, _ = self._cyclic_data()
-            m = self._pair_gen_matrix()[np.ix_(ids, ids)]
-            m.setflags(write=False)
-            self._cache[key] = m
-        return self._cache[key]
+        ids, _, _ = self._cyclic_data()
+        m = self._pair_gen_matrix()[np.ix_(ids, ids)]
+        m.setflags(write=False)
+        return m
 
 
 def _element_orders(table: np.ndarray) -> np.ndarray:
@@ -265,19 +256,12 @@ def _right_saturation(table: np.ndarray, seeds) -> set[int]:
     return seen
 
 
-# per order n: (n/p for the least prime p dividing n, all of G)
-_LAGRANGE: dict[int, tuple[int, frozenset[int]]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _lagrange_stop(n: int) -> tuple[int, frozenset[int]]:
     """(n/p, all of G) for a group of order n, p the least prime dividing n:
     by Lagrange, no proper subgroup has more than n/p elements."""
-    stop = _LAGRANGE.get(n)
-    if stop is None:
-        factors = totient_profile(n)[0]
-        stop = _LAGRANGE[n] = (n // factors[0][0] if factors else n,
-                               frozenset(range(n)))
-    return stop
+    factors = totient_profile(n)[0]
+    return n // factors[0][0] if factors else n, frozenset(range(n))
 
 
 def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
@@ -409,23 +393,20 @@ class NilpotentStructure:
         return tuple(q for q, _ in self.noncyclic_sylow)
 
 
+@cached
 def sylow_masks(G: Group) -> dict[int, np.ndarray] | None:
     """For each prime p | |G|, the set of p-power-order elements, provided
     each such set is product-closed; else None.  A closed set of p-elements
     is a p-subgroup containing a Sylow p-subgroup, so it is the unique
     Sylow p-subgroup; G is nilpotent exactly when the result is not None."""
-    key = "sylow"
-    if key not in G._cache:
-        masks: dict[int, np.ndarray] | None = {}
-        for p, e in totient_profile(G.n)[0]:
-            pm = p ** e % G.orders == 0  # element orders divide |G|
-            idx = np.flatnonzero(pm)
-            if not pm[G.table[np.ix_(idx, idx)]].all():
-                masks = None
-                break
-            masks[p] = pm
-        G._cache[key] = masks
-    return G._cache[key]
+    masks = {}
+    for p, e in totient_profile(G.n)[0]:
+        pm = p ** e % G.orders == 0  # element orders divide |G|
+        idx = np.flatnonzero(pm)
+        if not pm[G.table[np.ix_(idx, idx)]].all():
+            return None
+        masks[p] = pm
+    return masks
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -452,7 +433,8 @@ def is_two_generated(G: Group) -> bool:
 # subgroup lattice and Frattini subgroup
 
 
-def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:
+@cached
+def subgroup_lattice(G: Group) -> list[frozenset[int]]:
     """All subgroups, by cyclic extension (Neubüser 1960) over conjugacy
     classes, sorted by (order, sorted elements).
 
@@ -467,10 +449,6 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
     c' = g c g⁻¹, and ⟨c'⟩ is again a cyclic subgroup of prime-power order,
     so ⟨H, c'⟩ was closed and its class, which holds ⟨H^g, c⟩, was added.
     """
-    _lattice_guard(G, max_order)
-    key = "lattice"
-    if key in G._cache:
-        return G._cache[key]
     _, sets, reps = G._cyclic_data()
     cyclic = {s: rep for s, rep in zip(sets, reps)
               if len(totient_profile(len(s))[0]) == 1}
@@ -490,15 +468,7 @@ def subgroup_lattice(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froze
                     known |= _conjugates(G, joined)
                     gens[joined] = gen
                     work.append(joined)
-    result = sorted(known, key=lambda s: (len(s), sorted(s)))
-    G._cache[key] = result
-    return result
-
-
-def _lattice_guard(G: Group, max_order: int) -> None:
-    if G.n > max_order:
-        raise OrderGuardError(
-            f"subgroup lattice guard: |G| = {G.n} exceeds {max_order}")
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
 def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
@@ -510,8 +480,8 @@ def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
     return {frozenset(row) for row in set(map(tuple, np.sort(rows, axis=1).tolist()))}
 
 
-def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[frozenset[int]]:
-    subs = [s for s in subgroup_lattice(G, max_order) if len(s) < G.n]
+def maximal_subgroups(G: Group) -> list[frozenset[int]]:
+    subs = [s for s in subgroup_lattice(G) if len(s) < G.n]
     out = []
     for s in subs:
         if not any(s < t for t in subs):
@@ -519,35 +489,25 @@ def maximal_subgroups(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> list[froz
     return out
 
 
-def frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER) -> frozenset[int]:
+@cached
+def frattini(G: Group) -> frozenset[int]:
     """Frattini subgroup Φ(G), as the frozenset of its element indices.
 
     For nilpotent G, the closure of all commutators and all rad-th powers,
     rad the product of the distinct primes dividing |G|; otherwise the
-    intersection of all maximal subgroups over the full subgroup lattice
-    (guarded by max_order).  The result is cached on G; as in
-    `subgroup_lattice`, the guard is checked before the cache, so a cached
-    Φ(G) of a non-nilpotent G is not returned past a smaller max_order.
+    intersection of all maximal subgroups over the full subgroup lattice.
+    Computed once per group.
     """
-    nilpotent = is_nilpotent(G)
-    if not nilpotent:
-        _lattice_guard(G, max_order)
-    key = "frattini"
-    if key in G._cache:
-        return G._cache[key]
-    if not nilpotent:
-        maxs = maximal_subgroups(G, max_order)
-        phi = frozenset.intersection(*maxs) if maxs else frozenset({0})
-    else:
-        rad = radical(G.n)
-        powers = np.zeros(G.n, dtype=np.int64)
-        base = np.arange(G.n)
-        for _ in range(rad):
-            powers = G.table[powers, base]
-        seeds = _present(G.n, _commutator_elements(G), powers)
-        phi = _closure_members(G.table, seeds.tolist())
-    G._cache[key] = phi
-    return phi
+    if not is_nilpotent(G):
+        maxs = maximal_subgroups(G)
+        return frozenset.intersection(*maxs) if maxs else frozenset({0})
+    rad = radical(G.n)
+    powers = np.zeros(G.n, dtype=np.int64)
+    base = np.arange(G.n)
+    for _ in range(rad):
+        powers = G.table[powers, base]
+    seeds = _present(G.n, _commutator_elements(G), powers)
+    return _closure_members(G.table, seeds.tolist())
 
 
 def _commutator_elements(G: Group) -> np.ndarray:
@@ -588,32 +548,26 @@ def subgroup_as_group(G: Group, members) -> tuple[Group, np.ndarray]:
     return H, idx
 
 
-def quotient_mod_frattini(G: Group, max_order: int = DEFAULT_MAX_ORDER
-                          ) -> tuple[Group, np.ndarray, frozenset[int]]:
+@cached
+def quotient_mod_frattini(G: Group) -> tuple[Group, np.ndarray, frozenset[int]]:
     """(G/Φ(G), coset map element -> quotient index, Φ(G) as a frozenset).
 
     Quotient indices are ordered by the least element index of each coset, so
     the identity coset is index 0 and the minimal-index representative per
     coset is the canonical section.  When Φ(G) = 1 the quotient is G itself,
-    with the identity coset map, so G's caches serve both.  The guarded,
-    cached `frattini` is called before the cache lookup, so a cached
-    quotient of a non-nilpotent G is not returned past a smaller max_order.
+    with the identity coset map, so G's memo serves both.  Computed once
+    per group.
     """
-    phi = frattini(G, max_order)
-    key = "fratquot"
-    if key not in G._cache:
-        if len(phi) == 1:
-            G._cache[key] = (G, np.arange(G.n, dtype=np.int64), phi)
-            return G._cache[key]
-        # the coset of g is table[g, phi]; its least element represents it
-        rep = G.table[:, sorted(phi)].min(axis=1)
-        is_rep = rep == np.arange(G.n)
-        reps, cmap = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep]
-        Q = Group(cmap[G.table[np.ix_(reps, reps)]],
-                  labels=tuple(G.labels[int(rv)] for rv in reps),
-                  name=f"{G.name}/Frat")
-        G._cache[key] = (Q, cmap, phi)
-    Q, cmap, phi = G._cache[key]
+    phi = frattini(G)
+    if len(phi) == 1:
+        return G, np.arange(G.n, dtype=np.int64), phi
+    # the coset of g is table[g, phi]; its least element represents it
+    rep = G.table[:, sorted(phi)].min(axis=1)
+    is_rep = rep == np.arange(G.n)
+    reps, cmap = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep]
+    Q = Group(cmap[G.table[np.ix_(reps, reps)]],
+              labels=tuple(G.labels[int(rv)] for rv in reps),
+              name=f"{G.name}/Frat")
     return Q, cmap, phi
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationUndefinedError
-from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle
+from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of
+from .memo import cached
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
             cands = [forced]
         else:
             # most-constrained candidate first, ties by the static order
-            cands = sorted(_iter_bits(bits[end] & unvisited),
+            cands = sorted(_bits_of(bits[end] & unvisited),
                            key=lambda v: (avail_count[v], rank[v]))
         for v in cands:
             path.append(v)
@@ -149,13 +150,6 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
     return HamiltonianResult("yes", HamCycle(got), None, counter.nodes)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        vbit = mask & -mask
-        mask ^= vbit
-        yield vbit.bit_length() - 1
-
-
 # ---------------------------------------------------------------------------
 # maximum clique
 
@@ -168,19 +162,13 @@ class CliqueResult:
     exceeded: bool
 
 
+@cached
 def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with greedy colouring bounds.
 
-    The result is cached on the graph per node budget, so `chromatic_number`
+    The result is kept on the graph per node budget, so `chromatic_number`
     reuses the search that its caller already ran.
     """
-    key = f"clique{budget.max_nodes}"
-    if key not in graph._cache:
-        graph._cache[key] = _clique_search(graph, budget)
-    return graph._cache[key]
-
-
-def _clique_search(graph: Graph, budget: SearchBudget) -> CliqueResult:
     n = graph.n
     if n == 0:
         return CliqueResult(0, Clique(()), 0, False)
@@ -310,7 +298,7 @@ def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
     order_pool = [v for v in range(n) if colors[v] < 0]
     for v in range(n):
         if colors[v] >= 0:
-            for w in _iter_bits(adj[v]):
+            for w in _bits_of(adj[v]):
                 domains[w] &= ~(1 << colors[v])
 
     def assign(remaining: list[int], used: int) -> bool:
@@ -323,13 +311,13 @@ def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
         if dom == 0:
             return False
         rest = [u for u in remaining if u != v]
-        for c in _iter_bits(dom):
+        for c in _bits_of(dom):
             # introduce colours in ascending order only (symmetry break)
             if c > used and c != used + 1:
                 continue
             touched = []
             ok = True
-            for w in _iter_bits(adj[v]):
+            for w in _bits_of(adj[v]):
                 if colors[w] < 0 and (domains[w] >> c) & 1:
                     domains[w] &= ~(1 << c)
                     touched.append(w)
@@ -382,15 +370,11 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     n = graph.n
     if n == 0:
         return DominationResult(0, DominatingSet(()), 0, False)
-    covers = []  # covers[u] = bitmask of vertices dominated by choosing u
-    for u in range(n):
-        m = graph.bitmasks()[u]
-        if u in graph.marks:
-            m |= 1 << u
-        covers.append(m)
+    # covers[u] = bitmask of vertices dominated by choosing u
+    covers = [m | (1 << u if u in graph.marks else 0) for u, m in enumerate(graph.bitmasks())]
     dominators = [0] * n  # dominators[v] = bitmask of u that dominate v
     for u in range(n):
-        for v in _iter_bits(covers[u]):
+        for v in _bits_of(covers[u]):
             dominators[v] |= 1 << u
     for v in range(n):
         if dominators[v] == 0:
@@ -421,7 +405,7 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
             cnt = dominators[v].bit_count()
             if dbest is None or cnt < dbest:
                 vbest, dbest = v, cnt
-        for u in _iter_bits(dominators[vbest]):
+        for u in _bits_of(dominators[vbest]):
             chosen.append(u)
             got = search(k, chosen, covered | covers[u])
             if got is not None:

@@ -175,7 +175,7 @@ class _Skip(Exception):
 
 
 class _Budget(Exception):
-    """The node budget ran out; the arguments are (search nodes, expected)."""
+    """The node budget ran out; the argument is the search nodes spent."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +209,20 @@ def _omega_chi(G: Group, budget: SearchBudget):
     graph = generating_graph(G).graph
     cl = clique_number(graph, budget)
     if cl.exceeded:
-        raise _Budget(cl.nodes, None)
+        raise _Budget(cl.nodes)
     ch = chromatic_number(graph, budget)
     if ch.exceeded:
-        raise _Budget(ch.nodes, None)
+        raise _Budget(ch.nodes)
     return cl, ch
+
+
+def _gamma_t(G: Group, budget: SearchBudget):
+    """γt of Delta(G), its witness and the nodes of the shared γt search."""
+    gt, ds, res = nilpotent_td(G, budget)
+    nodes = res.nodes if res else 0
+    if gt is None:
+        raise _Budget(nodes)
+    return gt, ds, nodes
 
 
 def _coprime_split(G: Group):
@@ -259,10 +268,7 @@ def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
 
 def _check_tdn(G: Group, budget: SearchBudget) -> Outcome:
     st = nilpotent_structure(G)
-    gt, ds, res = nilpotent_td(G, budget)
-    nodes = res.nodes if res else 0
-    if gt is None:
-        raise _Budget(nodes, None)
+    gt, ds, nodes = _gamma_t(G, budget)
     if st.is_cyclic:
         ok = gt == 1
         expected = {"gamma_t": 1}
@@ -399,9 +405,9 @@ def _check_lem_5_3(G: Group, budget: SearchBudget) -> Outcome:
     A, _, B, _ = _coprime_split(G)
     ra = total_domination(delta_of(A).graph, budget)
     rb = total_domination(delta_of(B).graph, budget)
-    gt = nilpotent_td(G, budget)[0]
+    gt, _, res = nilpotent_td(G, budget)
     if ra.size is None or rb.size is None or gt is None:
-        raise _Budget(0, None)
+        raise _Budget(ra.nodes + rb.nodes + (res.nodes if res else 0))
     return Outcome(gt <= ra.size * rb.size, {"at_most": ra.size * rb.size},
                    {"gamma_t": gt, "factors": [ra.size, rb.size]})
 
@@ -412,12 +418,10 @@ def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:
         raise _Skip("bounds apply to noncyclic groups")
     params = MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes))
     lower, upper, t = td_bounds(params)
-    gt, _, res = nilpotent_td(G, budget)
-    if gt is None:
-        raise _Budget(0, None)
+    gt, _, nodes = _gamma_t(G, budget)
     return Outcome(lower <= gt <= upper and lower >= st.s + 1,
                    {"lower": lower, "upper": upper, "t": t}, {"gamma_t": gt},
-                   nodes=res.nodes if res else 0)
+                   nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +446,7 @@ def _question_ham(G: Group, budget: SearchBudget) -> Outcome:
     else:
         res = hamiltonian(graph, budget)
     if res.status == "budget":
-        raise _Budget(res.nodes, None)
+        raise _Budget(res.nodes)
     ok = res.status == "yes"
     return Outcome(ok, {"hamiltonian": True}, {"hamiltonian": ok}, res.cycle, res.nodes)
 
@@ -517,9 +521,8 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
     except _Skip as e:
         return CheckResult(name, check_id, "skipped", reason=str(e))
     except _Budget as e:
-        nodes, expected = e.args
-        return CheckResult(name, check_id, "budget", expected=expected,
-                           reason="node budget exhausted", nodes=nodes)
+        return CheckResult(name, check_id, "budget", reason="node budget exhausted",
+                           nodes=e.args[0])
     except (ConstructionError, InternalMismatchError) as e:
         return CheckResult(name, check_id, "fail",
                            reason=f"{type(e).__name__}: {e}")

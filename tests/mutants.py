@@ -90,6 +90,16 @@ MUTANTS = (
            "used[w * n + v] = 1",
            "used[row + w] = 1",
            "tests/test_graphs.py::test_euler_k3"),
+    Mutant("the memo keyed by the function name alone",
+           "memo.py",
+           "        key = (name, *args)\n",
+           "        key = name\n",
+           "tests/test_constructions.py::test_nilpotent_td_one_search_per_budget"),
+    Mutant("the memo never storing",
+           "memo.py",
+           "value = memo[key] = fn(obj, *args)",
+           "value = fn(obj, *args)",
+           "tests/test_constructions.py::test_nilpotent_td_one_search_per_budget"),
 )
 
 

@@ -111,7 +111,7 @@ def test_tdn(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("info", "C6", "--budget-nodes", "-1"),
+    ("scan", "--question", "conn", "--groups", "groups.txt", "--budget-nodes", "-1"),
     ("hamcycle", "C6", "--budget-nodes", "-1"),
     ("verify", "--budget-nodes", "-1"),
     ("tdn", "3", "4", "--budget-nodes", "-1"),
@@ -135,6 +135,19 @@ def test_out_of_range_input_exit_2(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "must be at least" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "C6", "--budget-nodes", "5"),
+    ("graph", "C6", "--budget-nodes", "5"),
+    ("stats", "C6", "--budget-nodes", "5"),
+    ("tdn", "3", "4", "--max-order", "9"),
+    ("check-cert", "--graph", "g.json", "--cert", "c.json", "--budget-nodes", "5"),
+    ("check-cert", "--graph", "g.json", "--cert", "c.json", "--max-order", "9"),
+])
+def test_options_only_where_read(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_hamcycle_constructed(capsys):

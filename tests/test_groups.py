@@ -19,7 +19,7 @@ from conftest import (
     unique_coset_section,
 )
 from gengraph.build import build_cached, build_group
-from gengraph.errors import GroupLawError, NotNilpotentError, OrderGuardError
+from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
     DEFAULT_MAX_ORDER,
     Group,
@@ -144,22 +144,32 @@ def test_frattini_formula_requires_nilpotent(group):
     assert frattini(ex) == frozenset({0})
 
 
-def test_frattini_cached_behind_the_lattice_guard(group):
-    # Φ(G) is computed once per group; for a non-nilpotent G the lattice
-    # guard is checked before the cache, as in subgroup_lattice
+def test_frattini_and_quotient_computed_once_per_group(monkeypatch):
+    # Φ(G) and G/Φ(G) are computed once per group, on the lattice route and
+    # on the nilpotent one, whichever of the two is asked for first
+    import gengraph.groups as groups
+
+    lattices, closures, built = [], [], []
+    lattice, closure, init = (groups.maximal_subgroups, groups._closure_members,
+                              Group.__init__)
+    monkeypatch.setattr(groups, "maximal_subgroups",
+                        lambda G: lattices.append(G) or lattice(G))
+    monkeypatch.setattr(groups, "_closure_members",
+                        lambda t, seeds: closures.append(seeds) or closure(t, seeds))
+    monkeypatch.setattr(Group, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
     s4 = Group(_lattice_test_groups()["S4"].table)
+    heis = build_group("C2^2 x Heis3")  # uncached; Φ is the centre of Heis3
+    built.clear()
     phi = frattini(s4)
-    assert phi == frozenset({0}) and frattini(s4) is phi
-    with pytest.raises(OrderGuardError):
-        frattini(s4, max_order=20)
-    big = group("C2^2 x C3^2 x C5^2")
-    assert frattini(big, max_order=20) is frattini(big)
-    # the cached quotient sits behind the same guard
-    Q = quotient_mod_frattini(s4, max_order=100)[0]
-    assert quotient_mod_frattini(s4)[0] is Q
-    with pytest.raises(OrderGuardError):
-        quotient_mod_frattini(s4, max_order=20)
-    assert quotient_mod_frattini(big, max_order=20)[0] is quotient_mod_frattini(big)[0]
+    assert phi == frozenset({0}) and len(lattices) == 1
+    assert quotient_mod_frattini(s4)[0] is s4 and quotient_mod_frattini(s4)[2] is phi
+    assert frattini(s4) is phi and len(lattices) == 1 and not built
+    closures.clear()
+    Q, _, phi = quotient_mod_frattini(heis)
+    assert len(phi) == 3 and Q.n == 36 and len(closures) == 1 and len(built) == 1
+    assert frattini(heis) is phi and quotient_mod_frattini(heis)[0] is Q
+    assert len(closures) == 1 and len(built) == 1 and len(lattices) == 1
 
 
 def test_quotient_maps_match_np_unique(group):
@@ -170,7 +180,7 @@ def test_quotient_maps_match_np_unique(group):
     groups = [group(e.spec) for e in default_catalog()]
     groups += _lattice_test_groups().values()
     for g in groups:
-        Q, cmap, phi = quotient_mod_frattini(g, max_order=g.n)
+        Q, cmap, phi = quotient_mod_frattini(g)
         reps, inverse = np.unique(g.table[:, sorted(phi)].min(axis=1), return_inverse=True)
         assert np.array_equal(cmap, inverse), g.name
         assert np.array_equal(coset_section(g, cmap), unique_coset_section(cmap)), g.name

@@ -1,6 +1,7 @@
 """Every top-level import in a package module is used in that module,
-every top-level definition is read by some package module, importing the
-command line loads no scipy, and a verify run loads no numpy.ma."""
+every top-level definition is read by some package module, only the memo
+module touches an object's memo, importing the command line loads no
+scipy, and a verify run loads no numpy.ma."""
 
 from __future__ import annotations
 
@@ -50,6 +51,18 @@ def unread_definitions(sources: list[str]) -> list[str]:
     return [name for name in defined if name not in read]
 
 
+def cache_accesses(source: str) -> list[int]:
+    """Lines that read or write an attribute `_cache`, or name it in a string
+    other than a `__slots__` entry."""
+    tree = ast.parse(source)
+    slots = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for n in ast.walk(node.value)}
+    return [n.lineno for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr == "_cache")
+            or (isinstance(n, ast.Constant) and n.value == "_cache" and id(n) not in slots)]
+
+
 def test_detector_finds_an_unused_import():
     assert unused_imports("import json\nimport os\nos.getcwd()\n") == ["json"]
     assert unused_imports("from a import b as c\nc()\n") == []
@@ -70,6 +83,20 @@ def test_no_unused_top_level_imports(path):
 def test_every_definition_is_read_by_the_package():
     unread = unread_definitions([p.read_text() for p in MODULES])
     assert sorted(unread) == sorted(UNREAD_ALLOWED)
+
+
+def test_detector_finds_a_cache_access():
+    source = ('class A:\n    __slots__ = ("_cache",)\n\n'
+              'def f(a):\n    a._cache = {}\n    return getattr(a, "_cache")\n')
+    assert cache_accesses(source) == [5, 6]
+
+
+def test_only_the_memo_module_touches_the_cache():
+    """Whatever is derived from a Group or Graph is kept by `memo.cached`
+    alone: no other module reads or writes an object's `_cache`."""
+    touched = {p.name: cache_accesses(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert touched.pop("memo.py")
+    assert {name: lines for name, lines in touched.items() if lines} == {}
 
 
 def test_cli_import_loads_no_scipy():

@@ -125,6 +125,7 @@ def test_clique_result_cached_per_budget():
     graph = complete_multipartite([3, 3, 3])
     res = clique_number(graph)
     assert clique_number(graph) is res
+    assert clique_number(graph, SearchBudget()) is res  # the default, passed
     assert clique_number(graph, SearchBudget(0)).exceeded
     assert clique_number(graph) is res
 

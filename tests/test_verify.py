@@ -278,34 +278,38 @@ def test_budget_status_from_shared_search_step(group):
         r = run_check(group("C2^2 x C3"), check, SearchBudget(1), name="G")
         assert r.status == "budget" and r.reason == "node budget exhausted"
         assert r.nodes >= 1
+    # the γt checks share one search and each reports the nodes it spent;
+    # LEM_5_3_SUB adds the searches on its two factors
+    G = group("C2^2 x C3^2")
+    for budget in (SearchBudget(1), SearchBudget(3)):
+        tdn, sandwich, sub = (run_check(G, check, budget, name="G") for check in
+                              ("THM_1_4_TDN", "SANDWICH_5_5_5_6", "LEM_5_3_SUB"))
+        for r in (tdn, sandwich, sub):
+            assert r.status == "budget" and r.reason == "node budget exhausted", r
+            assert r.expected is None
+        assert tdn.nodes == sandwich.nodes > budget.max_nodes
+        assert sub.nodes > tdn.nodes
 
 
-def test_one_clique_search_per_gamma(monkeypatch):
+def test_one_clique_search_per_gamma():
     from gengraph import search
     from gengraph.build import build_group
     from gengraph.generating import generating_graph
     from gengraph.graphs import Graph
 
-    searched = []
-    real = search._clique_search
-
-    def counting(graph, budget):
-        searched.append(graph)
-        return real(graph, budget)
-
-    monkeypatch.setattr(search, "_clique_search", counting)
     for spec in ("C12", "C2^2 x C3", "C3^2", "Heis3"):
         G = build_group(spec)  # uncached, so no search has run on its Gamma
         results = [run_check(G, check, BUDGET, name=spec) for check in ("THM_1_5", "Q_CHROM")]
         graph = generating_graph(G).graph
-        assert searched == [graph]
-        searched.clear()
+        # both checks read one clique search, kept in Gamma's memo
+        assert [key for key in graph._cache if key[0] == "clique_number"] == [
+            ("clique_number", BUDGET)]
+        cl = search.clique_number(graph, BUDGET)
+        assert (cl.size, cl.clique.vertices, cl.nodes) == reference_clique_search(graph)
         # the reported count is that of one chromatic search on a fresh
         # graph, which counts the nodes of its own clique search once
-        _, _, clique_nodes = reference_clique_search(graph)
         fresh = search.chromatic_number(Graph(graph.adj), BUDGET)
-        searched.clear()
-        assert fresh.nodes >= clique_nodes
+        assert fresh.nodes >= cl.nodes
         for r in results:
             assert r.status == "pass" and r.nodes == fresh.nodes, r
 
