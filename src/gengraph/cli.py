@@ -24,6 +24,7 @@ from .graphs import (
     MultipartiteParams,
     certificate_from_json,
     certificate_to_json,
+    complete_product,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -270,8 +271,7 @@ def _cmd_tdn(args) -> int:
     out.emit(f"parts: {' '.join(str(a) for a in parts.parts)}")
     out.emit(f"lower: {lower}")
     out.emit(f"upper: {upper}  (t = {t})")
-    from .constructions import _complete_product
-    graph = _complete_product(parts.parts)
+    graph = complete_product(parts.parts)
     res = total_domination(graph, SearchBudget(args.budget_nodes), lower_hint=lower)
     if res.size is None:
         out.emit("exact: budget exhausted")

@@ -1,14 +1,15 @@
-"""Explicit certified witnesses: Hamiltonian cycles for every 2-generated
-nilpotent group, chord certificates for the product Hamiltonicity
-criterion, and the total-domination reduction to complete-graph products.
+"""Certified witnesses on Delta(G) of a nilpotent group: Hamiltonian cycles
+for every 2-generated nilpotent group, built without search, chord
+certificates for the product Hamiltonicity criterion, and the total
+domination number, by exact search on Delta(G) itself.
 
 A nilpotent group is the product of its Sylow subgroups, and Delta of a
 coprime product is the Kronecker product of its factors' generation
 relations; nilpotent_hamiltonian folds the Sylow cycles by explicit 2-opt
 merges (Weichsel 1962, *The Kronecker product of graphs*, made explicit).
 
-Every construction re-verifies through verify_certificate before being
-returned; a failed re-verification is a hard error, never a search.
+Every witness is re-verified through verify_certificate before being
+returned; a failed re-verification is a hard error.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import numpy as np
 from .errors import ConstructionError, NotTwoGeneratedError
 from .generating import GeneratingGraph, delta_of
 from .graphs import (
-    DominatingSet,
     Graph,
     HamCycle,
     HChords,
     MultipartiteParams,
-    direct_product,
     td_bounds,
     verify_certificate,
 )
@@ -33,10 +32,8 @@ from .groups import (
     Group,
     _closure_members,
     _power_orbit,
-    coset_section,
     frattini,
     nilpotent_structure,
-    quotient_mod_frattini,
     radical,
     sylow_masks,
 )
@@ -226,24 +223,11 @@ def _require(dd: GeneratingGraph, cert, what: str) -> None:
 # total domination
 
 
-def _complete_product(parts) -> Graph:
-    graph = Graph.complete(parts[0])
-    for a in parts[1:]:
-        graph = direct_product(graph, Graph.complete(a))
-    return graph
-
-
 @cached
-def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
-                 ) -> tuple[int, DominatingSet, DominationResult | None]:
-    """Total domination number of Delta(G) for 2-generated nilpotent G.
-
-    Cyclic groups return 1 with a generator witness.  Otherwise the value is
-    computed exactly on K_{q_1+1} x ... x K_{q_s+1}, pruned by td_bounds, and
-    the optimal set is lifted through the subgroup identification to G/Frat
-    (cyclic coordinates pinned to fixed generators) and then to G by the
-    minimal-index coset section; the lifted set is re-verified on Delta(G).
-    Returns (gamma_t, witness over Delta(G) vertices, solver result).
+def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET) -> DominationResult:
+    """Total domination number of Delta(G) for 2-generated nilpotent G, by
+    `total_domination` on Delta(G) itself, started at 1 for cyclic G and at
+    td_bounds' lower bound otherwise; a witness is re-verified on Delta(G).
     The result is kept on G per node budget, so the checks that need γt
     share one search.
     """
@@ -251,53 +235,10 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     dd = delta_of(G)
-    if G.is_cyclic:
-        gens = np.flatnonzero(G.orders == G.n)
-        v = dd.vertex_elements.index(int(gens[0]))
-        ds = DominatingSet((v,))
-        if not verify_certificate(dd.graph, ds):
-            raise ConstructionError("generator witness failed re-verification")
-        return 1, ds, None
-    qs = [q for q, _ in st.noncyclic_sylow]
-    params = MultipartiteParams(tuple(q + 1 for q in qs))
-    lower = td_bounds(params)[0]
-    kprod = _complete_product(params.parts)
-    res = total_domination(kprod, budget, lower_hint=lower)
-    if res.size is None:
-        return None, None, res
-    Q, cmap, _ = quotient_mod_frattini(G)
-    sec = coset_section(G, cmap)
-    # enumerate the nontrivial cyclic subgroups of each rank-2 Sylow of Q
-    sub_gens: list[tuple[int, ...]] = []
-    ids, sets, reps = Q._cyclic_data()
-    for q in qs:
-        members = np.flatnonzero(Q.orders == q)
-        seen: dict[int, int] = {}
-        gens_q: list[int] = []
-        for g in sorted(int(x) for x in members):
-            sid = int(ids[g])
-            if sid not in seen:
-                seen[sid] = g
-                gens_q.append(g)
-        if len(gens_q) != q + 1:
-            raise ConstructionError(
-                f"expected {q + 1} cyclic subgroups at prime {q}, found {len(gens_q)}")
-        sub_gens.append(tuple(gens_q))
-    cyc_gens = []
-    for p, _ in st.cyclic_sylow:
-        members = np.flatnonzero(Q.orders == p)
-        cyc_gens.append(int(members.min()))
-    # lift each tuple to a quotient element, then to G via the section
-    lifted = []
-    for tup_index in res.witness.vertices:
-        qelem = 0
-        for j, coord in enumerate(np.unravel_index(tup_index, params.parts)):
-            qelem = Q.mul(qelem, sub_gens[j][coord])
-        for gq in cyc_gens:
-            qelem = Q.mul(qelem, gq)
-        lifted.append(int(sec[qelem]))
-    pos = {e: i for i, e in enumerate(dd.vertex_elements)}
-    ds = DominatingSet(tuple(sorted(pos[e] for e in lifted)))
-    if not verify_certificate(dd.graph, ds):
-        raise ConstructionError("lifted dominating set failed re-verification")
-    return res.size, ds, res
+    lower = 1
+    if not G.is_cyclic:
+        lower = td_bounds(MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes)))[0]
+    res = total_domination(dd.graph, budget, lower_hint=lower)
+    if res.witness is not None:
+        _require(dd, res.witness, "total dominating set")
+    return res

@@ -317,16 +317,10 @@ def gamma_coset_bijection(G: Group, H: Group) -> np.ndarray:
     if G.n != H.n or len(phiG) != len(phiH):
         raise ValueError("orders or Frattini orders differ")
     iso = isomorphism(QG, QH)
-    # enumerate each coset's elements ascending and match positionally
-    cosets_G: dict[int, list[int]] = {}
-    for g in range(G.n):
-        cosets_G.setdefault(int(cmapG[g]), []).append(g)
-    cosets_H: dict[int, list[int]] = {}
-    for h in range(H.n):
-        cosets_H.setdefault(int(cmapH[h]), []).append(h)
+    # row q lists coset q's elements ascending, as in coset_section; coset
+    # q of G goes to coset iso[q] of H, element by element
+    rows_G = np.argsort(cmapG, kind="stable").reshape(QG.n, -1)
+    rows_H = np.argsort(cmapH, kind="stable").reshape(QH.n, -1)
     out = np.empty(G.n, dtype=np.int64)
-    for qg, members in cosets_G.items():
-        targets = cosets_H[int(iso[qg])]
-        for a, b in zip(sorted(members), sorted(targets)):
-            out[a] = b
+    out[rows_G] = rows_H[iso]
     return out

@@ -94,8 +94,7 @@ class Graph:
     @cached
     def bitmasks(self) -> list[int]:
         """Neighbour sets as Python int bitmasks (for the exact searches)."""
-        packed = np.packbits(self.adj, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return _row_bits(self.adj)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", np.ndarray]:
         idx = np.array(sorted(set(int(v) for v in vertices)), dtype=np.int64)
@@ -117,6 +116,14 @@ class Graph:
 def direct_product(a: Graph, b: Graph) -> Graph:
     """Tensor product: (u1,v1) ~ (u2,v2) iff u1~u2 and v1~v2; index u*|b|+v."""
     return Graph(np.kron(a.adj, b.adj))
+
+
+def complete_product(parts) -> Graph:
+    """K_{a_1} x ... x K_{a_s}; vertex index in row-major order of the tuple."""
+    graph = Graph.complete(parts[0])
+    for a in parts[1:]:
+        graph = direct_product(graph, Graph.complete(a))
+    return graph
 
 
 def lex_product(a: Graph, b: Graph) -> Graph:
@@ -369,6 +376,12 @@ def _bits_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _row_bits(matrix: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as int bitmasks, bit j for column j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def maximum_flow(bits: list[int], a: int, b: int, vertex: bool,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationUndefinedError
-from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of
+from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of, _row_bits
 from .memo import cached
 
 
@@ -358,31 +358,47 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     self-dominating mark additionally counts as its own neighbour.  Raises
     DominationUndefinedError when some vertex has no possible dominator.
 
+    The search runs on one vertex per twin class.  Let covers be the
+    adjacency matrix with the diagonal entry of each marked vertex set, so
+    that row u holds the vertices u dominates and column v the vertices
+    that dominate v.  Vertices with equal rows can replace each other in
+    any total dominating set, so the candidates are the least vertex of
+    each distinct row.  Vertices with equal columns have the same
+    dominators, so a set covers one of them exactly when it covers all, and
+    the targets are the least vertex of each distinct column of the
+    candidates' rows.  A set of candidates that covers every target is a
+    total dominating set of the graph, and any total dominating set maps,
+    each vertex to the candidate of its row, onto one of no larger size
+    that does; so a smallest such set of candidates, as vertices of the
+    graph, is a minimum total dominating set.
+
     For each size k in turn, a depth-first search branches on the uncovered
-    vertex with fewest dominators.  A node is cut by the residual-coverage
-    bound: with `gain` the most uncovered vertices any one vertex covers,
-    the k - |S| vertices still to choose cover at most (k - |S|)·gain more,
-    so a node with more uncovered vertices than that has no total
-    dominating set of size k below it.  The bound prunes only such
-    subtrees and leaves the branching order as it is, so the first set
-    found, the witness, is the one the unpruned search finds.
+    target with fewest dominators.  A node is cut by the residual-coverage
+    bound: with `gain` the most uncovered targets any one candidate covers,
+    the k - |S| candidates still to choose cover at most (k - |S|)·gain
+    more, so a node with more uncovered targets than that has no set of
+    size k below it.  The bound prunes only such subtrees and leaves the
+    branching order as it is, so the first set found, the witness, is the
+    one the unpruned search finds.  The reported size is the witness's,
+    which is below k only when `lower_hint` exceeds the optimum.
     """
     n = graph.n
     if n == 0:
         return DominationResult(0, DominatingSet(()), 0, False)
-    # covers[u] = bitmask of vertices dominated by choosing u
-    covers = [m | (1 << u if u in graph.marks else 0) for u, m in enumerate(graph.bitmasks())]
-    dominators = [0] * n  # dominators[v] = bitmask of u that dominate v
-    for u in range(n):
-        for v in _bits_of(covers[u]):
-            dominators[v] |= 1 << u
-    for v in range(n):
-        if dominators[v] == 0:
-            raise DominationUndefinedError(
-                f"vertex {v} has no neighbours and no self-mark")
-    full = (1 << n) - 1
+    covers = graph.adj.copy()
+    marked = sorted(graph.marks)
+    covers[marked, marked] = True
+    undominated = np.flatnonzero(~covers.any(axis=0))
+    if undominated.size:
+        raise DominationUndefinedError(
+            f"vertex {undominated[0]} has no neighbours and no self-mark")
+    rows = _first_of_each_row(covers)
+    cols = _first_of_each_row(covers[rows].T)
+    reduced = covers[np.ix_(rows, cols)]
+    reach = _row_bits(reduced)  # reach[i] = targets that candidate i covers
+    dominators = _row_bits(reduced.T)  # dominators[j] = candidates covering target j
+    full = (1 << len(cols)) - 1
     counter = _Counter(budget.max_nodes)
-    max_cover = max(m.bit_count() for m in covers)
 
     def search(k: int, chosen: list[int], covered: int) -> list[int] | None:
         if counter.tick():
@@ -392,10 +408,10 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
         if len(chosen) == k:
             return None
         uncovered = full & ~covered
-        gain = max((m & uncovered).bit_count() for m in covers)
+        gain = max((m & uncovered).bit_count() for m in reach)
         if uncovered.bit_count() > (k - len(chosen)) * gain:
             return None
-        # branch on the uncovered vertex with fewest dominators
+        # branch on the uncovered target with fewest dominators
         vbest, dbest = -1, None
         rem = uncovered
         while rem:
@@ -407,20 +423,29 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
                 vbest, dbest = v, cnt
         for u in _bits_of(dominators[vbest]):
             chosen.append(u)
-            got = search(k, chosen, covered | covers[u])
+            got = search(k, chosen, covered | reach[u])
             if got is not None:
                 return got
             chosen.pop()
         return None
 
-    lower = max(lower_hint, -(-n // max_cover))
+    lower = max(lower_hint, -(-len(cols) // max(m.bit_count() for m in reach)))
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
     try:
-        for k in range(lower, n + 1):
+        for k in range(lower, len(rows) + 1):
             got = search(k, [], 0)
             if got is not None:
+                witness = sorted(rows[i] for i in got)
                 return DominationResult(
-                    k, DominatingSet(tuple(sorted(got))), counter.nodes, False)
+                    len(witness), DominatingSet(tuple(witness)), counter.nodes, False)
     except _BudgetExhausted:
         return DominationResult(None, None, counter.nodes, True)
     raise DominationUndefinedError("no dominating set exists")  # unreachable
+
+
+def _first_of_each_row(matrix: np.ndarray) -> list[int]:
+    """The least index of each distinct row of a boolean matrix, ascending."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(np.packbits(matrix, axis=1)):
+        first.setdefault(row.tobytes(), i)
+    return list(first.values())

@@ -218,11 +218,10 @@ def _omega_chi(G: Group, budget: SearchBudget):
 
 def _gamma_t(G: Group, budget: SearchBudget):
     """γt of Delta(G), its witness and the nodes of the shared γt search."""
-    gt, ds, res = nilpotent_td(G, budget)
-    nodes = res.nodes if res else 0
-    if gt is None:
-        raise _Budget(nodes)
-    return gt, ds, nodes
+    res = nilpotent_td(G, budget)
+    if res.size is None:
+        raise _Budget(res.nodes)
+    return res.size, res.witness, res.nodes
 
 
 def _coprime_split(G: Group):
@@ -405,11 +404,12 @@ def _check_lem_5_3(G: Group, budget: SearchBudget) -> Outcome:
     A, _, B, _ = _coprime_split(G)
     ra = total_domination(delta_of(A).graph, budget)
     rb = total_domination(delta_of(B).graph, budget)
-    gt, _, res = nilpotent_td(G, budget)
-    if ra.size is None or rb.size is None or gt is None:
-        raise _Budget(ra.nodes + rb.nodes + (res.nodes if res else 0))
-    return Outcome(gt <= ra.size * rb.size, {"at_most": ra.size * rb.size},
-                   {"gamma_t": gt, "factors": [ra.size, rb.size]})
+    res = nilpotent_td(G, budget)
+    nodes = ra.nodes + rb.nodes + res.nodes
+    if ra.size is None or rb.size is None or res.size is None:
+        raise _Budget(nodes)
+    return Outcome(res.size <= ra.size * rb.size, {"at_most": ra.size * rb.size},
+                   {"gamma_t": res.size, "factors": [ra.size, rb.size]}, nodes=nodes)
 
 
 def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from gengraph.build import _mixed_radix_coords, build_cached, build_group, odd_primes
-from gengraph.constructions import _complete_product
 from gengraph.errors import ConstructionError, OrderGuardError
 from gengraph.generating import GeneratingGraph, delta_of, generating_graph
 from gengraph.graphs import (
@@ -39,6 +38,7 @@ from gengraph.graphs import (
     VertexCut,
     _components,
     bfs_distances,
+    complete_product,
     direct_product,
     lex_product,
     verify_certificate,
@@ -748,7 +748,7 @@ def product_dominating_set(params: MultipartiteParams) -> DominatingSet:
     s = len(parts)
     if parts[0] <= s:
         raise ValueError(f"diagonal needs a_1 > s, got a_1 = {parts[0]}, s = {s}")
-    graph = _complete_product(parts)
+    graph = complete_product(parts)
     diagonal = (int(np.ravel_multi_index((k,) * s, parts)) for k in range(s + 1))
     ds = DominatingSet(tuple(diagonal))
     if not verify_certificate(graph, ds):

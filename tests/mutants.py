@@ -80,6 +80,21 @@ MUTANTS = (
            "if uncovered.bit_count() > (k - len(chosen)) * gain:",
            "if uncovered.bit_count() >= (k - len(chosen)) * gain:",
            "tests/test_search.py::test_domination_matches_milp_on_products"),
+    Mutant("γt targets taken from the candidates' rows, not their columns",
+           "search.py",
+           "    cols = _first_of_each_row(covers[rows].T)\n",
+           "    cols = _first_of_each_row(covers[rows])\n",
+           "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
+    Mutant("γt targets grouped before the marks are set",
+           "search.py",
+           "    cols = _first_of_each_row(covers[rows].T)\n",
+           "    cols = _first_of_each_row(graph.adj[rows].T)\n",
+           "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
+    Mutant("γt reporting the size k it searched, not its witness's",
+           "search.py",
+           "len(witness), DominatingSet(tuple(witness))",
+           "k, DominatingSet(tuple(witness))",
+           "tests/test_search.py::test_domination_reports_the_witness_size"),
     Mutant("an edge on one element not counted by edge_count",
            "generating.py",
            "(int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2",

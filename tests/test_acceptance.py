@@ -17,9 +17,10 @@ from conftest import (
     cyclic_clique_coloring,
     example_family_graph,
     kappa_product_formula,
+    milp_total_domination,
 )
 from gengraph.build import build_cached
-from gengraph.constructions import _complete_product, nilpotent_hamiltonian, nilpotent_td
+from gengraph.constructions import nilpotent_hamiltonian, nilpotent_td
 from gengraph.generating import (
     degree_profile,
     delta_of,
@@ -32,6 +33,7 @@ from gengraph.graphs import (
     HChords,
     MultipartiteParams,
     bfs_distances,
+    complete_product,
     direct_product,
     edge_connectivity,
     td_bounds,
@@ -196,15 +198,16 @@ def test_criterion_07_total_domination():
     # cyclic groups: a single generator dominates
     for n in (2, 6, 12, 30):
         g = _g(f"C{n}")
-        gt, ds, _ = nilpotent_td(g)
+        res = nilpotent_td(g)
         dd = delta_of(g)
-        ok &= gt == 1 and verify_certificate(dd.graph, ds)
-        elem = dd.vertex_elements[ds.vertices[0]]
+        ok &= res.size == 1 and verify_certificate(dd.graph, res.witness)
+        elem = dd.vertex_elements[res.witness.vertices[0]]
         ok &= int(g.orders[elem]) == n
     # the two pinned equality cases
-    ok &= nilpotent_td(_g("C2^2"))[0] == 2
-    ok &= nilpotent_td(_g("C2^2 x C3^2"))[0] == 3
-    # direct graph search equals the product reduction
+    ok &= nilpotent_td(_g("C2^2")).size == 2
+    ok &= nilpotent_td(_g("C2^2 x C3^2")).size == 3
+    # the search on Delta(G) from the formula's bound agrees with the one
+    # from 1 and with an independent ILP
     compared = 0
     for spec, g in _nilpotent_catalog_entries():
         if g.is_cyclic:
@@ -213,19 +216,18 @@ def test_criterion_07_total_domination():
         if dd.graph.n > 120:
             continue
         direct = total_domination(dd.graph, BUDGET)
-        gt, *_ = nilpotent_td(g, BUDGET)
-        ok &= direct.size == gt
+        ok &= direct.size == nilpotent_td(g, BUDGET).size == milp_total_domination(dd.graph)
         compared += 1
     # nested-ceiling lower <= exact <= upper
     sandwich = {}
     for parts in ((3, 4), (3, 4, 6), (4, 4, 4)):
         params = MultipartiteParams(parts)
         lower, upper, _ = td_bounds(params)
-        exact = total_domination(_complete_product(parts), BUDGET).size
+        exact = total_domination(complete_product(parts), BUDGET).size
         ok &= lower <= exact <= upper
         sandwich[parts] = (lower, exact, upper)
     _report(7, "total-domination", ok and compared >= 12,
-            f"{compared} direct-vs-reduction agreements; sandwiches {sandwich}")
+            f"{compared} search-vs-ILP agreements; sandwiches {sandwich}")
 
 
 def test_criterion_08_clique_chromatic():

@@ -16,14 +16,20 @@ from conftest import (
 from gengraph import constructions
 from gengraph.build import _direct_product_table
 from gengraph.constructions import (
-    _complete_product,
     h_membership,
     nilpotent_hamiltonian,
     nilpotent_td,
 )
 from gengraph.errors import NotTwoGeneratedError
 from gengraph.generating import delta_of, generating_graph
-from gengraph.graphs import HChords, Graph, MultipartiteParams, td_bounds, verify_certificate
+from gengraph.graphs import (
+    HChords,
+    Graph,
+    MultipartiteParams,
+    complete_product,
+    td_bounds,
+    verify_certificate,
+)
 from gengraph.groups import Group, frattini, is_nilpotent, sylow_masks, totient_profile
 from gengraph.search import SearchBudget, hamiltonian, total_domination
 from gengraph.verify import default_catalog, run_check
@@ -267,27 +273,39 @@ def test_nilpotent_td_values(group):
         "Heis3": 2, "Heis5": 2, "C2^2 x Heis3": 3,
     }
     for spec, want in cases.items():
-        gt, ds, _ = nilpotent_td(group(spec))
-        assert gt == want, spec
-        assert verify_certificate(delta_of(group(spec)).graph, ds), spec
+        res = nilpotent_td(group(spec))
+        assert res.size == want, spec
+        assert verify_certificate(delta_of(group(spec)).graph, res.witness), spec
 
 
 def test_nilpotent_td_cyclic_generator_witness(group):
-    g = group("C6")
-    gt, ds, res = nilpotent_td(g)
-    assert gt == 1 and res is None
-    dd = delta_of(g)
-    elem = dd.vertex_elements[ds.vertices[0]]
-    assert int(g.orders[elem]) == 6
+    # the generators are marked and pairwise twins, so the search takes the
+    # least of them at its first branch
+    for spec in ("C6", "C12", "C30"):
+        g = group(spec)
+        dd = delta_of(g)
+        res = nilpotent_td(g)
+        assert res.size == 1 and res.nodes == 2, spec
+        assert verify_certificate(dd.graph, res.witness), spec
+        elem = dd.vertex_elements[res.witness.vertices[0]]
+        assert int(g.orders[elem]) == g.n, spec
 
 
 def test_nilpotent_td_reduction_data(group):
-    # the search runs on K_3 x K_4, and its optimum lifts to Delta(G)
+    # Delta(G) has 12 twin classes, one per vertex of K_3 x K_4 (a line of
+    # C2^2 with a line of C3^2), and the witness takes the least vertex of
+    # three of them
     g = group("C2^2 x C3^2")
-    gt, ds, res = nilpotent_td(g)
-    assert gt == res.size == len(res.witness.vertices) == len(ds.vertices) == 3
-    assert verify_certificate(_complete_product((3, 4)), res.witness)
-    assert verify_certificate(delta_of(g).graph, ds)
+    graph = delta_of(g).graph
+    res = nilpotent_td(g)
+    assert res.size == len(res.witness.vertices) == 3
+    assert verify_certificate(graph, res.witness)
+    assert not graph.marks
+    rows = {}
+    for v, row in enumerate(graph.adj.tolist()):
+        rows.setdefault(tuple(row), v)
+    assert len(rows) == complete_product((3, 4)).n
+    assert set(res.witness.vertices) <= set(rows.values())
 
 
 def test_nilpotent_td_sandwich_case(group):
@@ -295,19 +313,18 @@ def test_nilpotent_td_sandwich_case(group):
     g = group("C2^2 x C3^2 x C5^2")
     params = MultipartiteParams((3, 4, 6))
     lower, upper, _ = td_bounds(params)
-    gt, ds, _ = nilpotent_td(g)
-    assert lower <= gt <= upper
-    assert gt == 5
-    assert gt == milp_total_domination(_complete_product((3, 4, 6)))
-    assert verify_certificate(delta_of(g).graph, ds)
+    res = nilpotent_td(g)
+    assert lower <= res.size <= upper
+    assert res.size == 5
+    assert res.size == milp_total_domination(complete_product((3, 4, 6)))
+    assert verify_certificate(delta_of(g).graph, res.witness)
 
 
 def test_nilpotent_td_matches_direct_search(group):
     for spec in ["C2^2", "C2^2 x C3", "C2^2 x C3^2", "Heis3", "C2 x C6"]:
         g = group(spec)
         direct = total_domination(delta_of(g).graph)
-        gt, *_ = nilpotent_td(g)
-        assert direct.size == gt, spec
+        assert direct.size == nilpotent_td(g).size, spec
 
 
 def test_nilpotent_td_one_search_per_budget(monkeypatch):
@@ -329,5 +346,5 @@ def test_nilpotent_td_one_search_per_budget(monkeypatch):
     assert [r.status for r in results] == ["pass"] * 3
     assert calls == [budget]
     # a different budget is a different search
-    assert nilpotent_td(G, SearchBudget(5_000_000))[0] == 3
+    assert nilpotent_td(G, SearchBudget(5_000_000)).size == 3
     assert len(calls) == 2

@@ -17,7 +17,7 @@ from conftest import (
 )
 from gengraph.errors import DominationUndefinedError
 from gengraph.generating import delta_of
-from gengraph.graphs import Graph, direct_product, verify_certificate
+from gengraph.graphs import Graph, complete_product, direct_product, verify_certificate
 from gengraph.search import (
     SearchBudget,
     chromatic_number,
@@ -223,28 +223,76 @@ def test_domination_matches_brute_force(seed, n):
 
 
 def test_domination_matches_milp_on_products():
-    from gengraph.constructions import _complete_product
-
     for parts in [(3, 4), (3, 4, 6), (4, 4, 4), (2, 2, 2)]:
-        g = _complete_product(parts)
+        g = complete_product(parts)
         ours = total_domination(g).size
         assert ours == milp_total_domination(g), parts
 
 
 def test_domination_coverage_bound_keeps_the_witness():
-    from gengraph.constructions import _complete_product
     from gengraph.graphs import MultipartiteParams, td_bounds
 
     # K3 x K4 x K6, the search behind C2^2 x C3^2 x C5^2, started where
     # td_bounds starts it; the residual-coverage bound cuts only subtrees
     # with no set of size k, so the witness is the first size-5 set in the
     # depth-first order, the one a search without the bound finds
-    g = _complete_product((3, 4, 6))
+    g = complete_product((3, 4, 6))
     res = total_domination(g, lower_hint=td_bounds(MultipartiteParams((3, 4, 6)))[0])
     assert res.witness.vertices == (20, 31, 36, 49, 54)
     assert verify_certificate(g, res.witness)
     assert res.nodes <= 6_000
     assert res.size == milp_total_domination(g) == 5
+
+
+def _planted_twins(rng: np.random.Generator, base: int) -> Graph:
+    """A random graph on `base` vertices with each vertex blown up into 1-3
+    copies, the copies of one vertex adjacent to each other or not, and a
+    random set of vertices marked."""
+    core = _random_graph(rng, base, 0.5).adj
+    owner = np.repeat(np.arange(base), rng.integers(1, 4, size=base))
+    adj = core[np.ix_(owner, owner)]
+    closed = rng.random(base) < 0.5
+    same = owner[:, None] == owner[None, :]
+    adj |= same & closed[owner][:, None]
+    np.fill_diagonal(adj, False)
+    order = rng.permutation(owner.size)
+    adj = adj[np.ix_(order, order)]
+    return Graph(adj, np.flatnonzero(rng.random(owner.size) < 0.3))
+
+
+def test_domination_with_twins_and_marks_matches_brute_force():
+    # both twin kinds, and marked vertices beside unmarked twins, in random
+    # vertex order: the search's one vertex per class loses no optimum
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        graph = _planted_twins(rng, int(rng.integers(2, 6)))
+        expected = brute_total_domination(graph)
+        if expected is None:
+            with pytest.raises(DominationUndefinedError):
+                total_domination(graph)
+            continue
+        res = total_domination(graph)
+        assert res.size == expected == len(res.witness.vertices)
+        assert verify_certificate(graph, res.witness)
+
+
+def test_domination_matches_milp_on_delta(group):
+    # Delta of a cyclic group marks its generators; the others have twins
+    # from Φ(G) and from elements of one cyclic subgroup
+    specs = [f"C{n}" for n in range(2, 31)] + ["C2 x C6", "Heis3", "C2^2 x C3^2"]
+    for spec in specs:
+        graph = delta_of(group(spec)).graph
+        res = total_domination(graph)
+        assert res.size == milp_total_domination(graph), spec
+        assert verify_certificate(graph, res.witness), spec
+
+
+def test_domination_reports_the_witness_size():
+    # a lower hint above the optimum: the first set found at k = 4 has two
+    # vertices, and the result says so
+    res = total_domination(Graph.complete(5), lower_hint=4)
+    assert res.witness.vertices == (0, 1)
+    assert res.size == 2
 
 
 def test_domination_product_inequality(group):

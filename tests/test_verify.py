@@ -291,6 +291,21 @@ def test_budget_status_from_shared_search_step(group):
         assert sub.nodes > tdn.nodes
 
 
+def test_lem_5_3_pass_reports_its_searches(group):
+    # a pass counts the searches on both factors and the shared γt search
+    from gengraph.constructions import nilpotent_td
+    from gengraph.generating import coprime_noncyclic_split, delta_of
+    from gengraph.search import total_domination
+
+    for spec in ("C2^2 x C3^2", "C2^2 x Heis3", "C2^2 x C9 x C3"):
+        G = group(spec)
+        A, _, B, _ = coprime_noncyclic_split(G)
+        spent = nilpotent_td(G, BUDGET).nodes + sum(
+            total_domination(delta_of(X).graph, BUDGET).nodes for X in (A, B))
+        r = run_check(G, "LEM_5_3_SUB", BUDGET, name=spec)
+        assert r.status == "pass" and r.nodes == spent == 14, spec
+
+
 def test_one_clique_search_per_gamma():
     from gengraph import search
     from gengraph.build import build_group
@@ -316,7 +331,7 @@ def test_one_clique_search_per_gamma():
 
 # sha256 of the default-catalog JSON report; a change that alters the report
 # on purpose updates the digest and records why in CHANGES.md
-CATALOG_REPORT_SHA256 = "aad7ca992c95e216a16eeb044ebc53b66ea7bead979308b061e12e8cfba17da1"
+CATALOG_REPORT_SHA256 = "f28f6f82b0ac20fe93f26cd051b97f410f5196a2056629e039982a202af28380"
 
 
 def test_catalog_report_digest(catalog_report):
