@@ -261,7 +261,7 @@ def lex_decomposition_check(G: Group) -> LexCheckResult:
     """
     delta = delta_of(G).element_adjacency()
     Q, cmap, phi = quotient_mod_frattini(G)
-    sec = coset_section(G, cmap)
+    sec = coset_section(cmap)
     phi_sorted = sorted(phi)
     m = len(phi_sorted)
     qdelta = delta_of(Q)

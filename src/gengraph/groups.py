@@ -19,6 +19,16 @@ lie in a proper subgroup already found, a cyclic subgroup or an earlier
 closure smaller than G, their join lies in that subgroup and is not G.  If
 |A||B| > (n/p)·|A∩B|, their join holds the product set AB, which has
 |A||B|/|A∩B| > n/p elements, so by the kernel's Lagrange argument it is G.
+A third rule replaces the closures once a first generating pair is found,
+on non-nilpotent G with Φ(G) = 1 only: by Hall's criterion (P. Hall, *The
+Eulerian functions of a group*, 1936), ⟨A, B⟩ ≠ G exactly when some
+maximal subgroup holds A ∪ B, and the maximal subgroups come from the
+subgroup lattice, itself built by closures.  Where Φ(G) ≠ 1 every maximal
+subgroup holds Φ(G), so the read-off would be the lex blow-up that
+`EQ_LEX` tests; on nilpotent G it would be the Burnside basis theorem that
+`EQ_LEX` and `COR_2_6_PROD` rest on.  Those groups keep closures.  The rule
+waits for a generating pair so that a group that is not 2-generated never
+builds its lattice for it.
 """
 
 from __future__ import annotations
@@ -140,8 +150,9 @@ class Group:
     def _pair_gen_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
 
-        A pair of cyclic subgroups A, B is closed only if neither rule below
-        decides it.  Both are sound for any A and B, so the matrix is the
+        A pair of cyclic subgroups A, B is closed only if neither of the
+        first two rules below decides it, and the third ends the closures
+        early.  All three are sound for any A and B, so the matrix is the
         one that closing every pair gives.
 
         - A known proper subgroup K: when A and B both lie in K, their join
@@ -158,6 +169,18 @@ class Group:
           n·|B| > (n/p)·|B|.  The inequality must be strict: in Heis3 two
           commuting cyclic subgroups of order 3 have |AB| = 9 = n/p and
           join to a subgroup of order 9.
+        - Maximal subgroups: by Hall's criterion ⟨A, B⟩ ≠ G exactly when
+          some maximal subgroup M holds A and B, that is, holds both
+          generators.  When the first generating pair is found and G is not
+          nilpotent with Φ(G) = 1, the whole matrix is read off the maximal
+          subgroups (`_hall_pair_matrix`) and no further pair is closed.
+          Only after a generating pair: a group that is not 2-generated
+          never builds its lattice here.  Only where Φ(G) = 1: every maximal
+          subgroup holds Φ(G), so on a group with Φ(G) ≠ 1 the read-off
+          would give the lex blow-up of Γ(G/Φ(G)) by construction, and
+          `EQ_LEX` would test nothing.  Only on non-nilpotent G: on
+          nilpotent G the read-off would be the Burnside basis theorem,
+          which would make `EQ_LEX` and `COR_2_6_PROD` circular.
 
         Pairs are visited largest cyclic subgroups first, whose non-generating
         closures are the largest subgroups and decide the most pairs.
@@ -177,19 +200,22 @@ class Group:
             if len(cyc) < n:
                 mark(cyc)
         order = sorted(range(k), key=lambda i: -len(sets[i]))
+        first_pair = True
         for pos, i in enumerate(order):
             for j in order[pos:]:
                 if known[i, j]:
                     continue
                 a, b = sets[i], sets[j]
-                if len(a) * len(b) > bound * len(a & b):
-                    gen[i, j] = gen[j, i] = True
-                    continue
-                members = _closure_members(self.table, (reps[i], reps[j]))
-                if len(members) == n:
-                    gen[i, j] = gen[j, i] = True
-                else:
-                    mark(members)
+                if len(a) * len(b) <= bound * len(a & b):
+                    members = _closure_members(self.table, (reps[i], reps[j]))
+                    if len(members) < n:
+                        mark(members)
+                        continue
+                if first_pair:
+                    first_pair = False
+                    if not is_nilpotent(self) and len(frattini(self)) == 1:
+                        return _hall_pair_matrix(self)
+                gen[i, j] = gen[j, i] = True
         return gen
 
     @cached
@@ -480,13 +506,25 @@ def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
     return {frozenset(row) for row in set(map(tuple, np.sort(rows, axis=1).tolist()))}
 
 
-def maximal_subgroups(G: Group) -> list[frozenset[int]]:
+@cached
+def maximal_subgroups(G: Group) -> tuple[frozenset[int], ...]:
+    """The maximal subgroups of G, in lattice order."""
     subs = [s for s in subgroup_lattice(G) if len(s) < G.n]
-    out = []
-    for s in subs:
-        if not any(s < t for t in subs):
-            out.append(s)
-    return out
+    return tuple(s for s in subs if not any(s < t for t in subs))
+
+
+def _hall_pair_matrix(G: Group) -> np.ndarray:
+    """The pair-generation matrix over G's cyclic subgroups by Hall's
+    criterion: ⟨A, B⟩ ≠ G exactly when some maximal subgroup holds A and B.
+    Row i of `inside` says which maximal subgroups hold the least generator
+    of cyclic subgroup i, and so the subgroup itself."""
+    reps = G._cyclic_data()[2]
+    maxs = maximal_subgroups(G)
+    holds = np.zeros((G.n, len(maxs)), dtype=bool)
+    for col, sub in enumerate(maxs):
+        holds[np.fromiter(sub, dtype=np.int64, count=len(sub)), col] = True
+    inside = holds[reps]
+    return ~(inside @ inside.T)
 
 
 @cached
@@ -571,8 +609,8 @@ def quotient_mod_frattini(G: Group) -> tuple[Group, np.ndarray, frozenset[int]]:
     return Q, cmap, phi
 
 
-def coset_section(G: Group, cmap: np.ndarray) -> np.ndarray:
-    """Minimal-index representative for each quotient index of G: a stable
+def coset_section(cmap: np.ndarray) -> np.ndarray:
+    """Minimal-index representative for each quotient index: a stable
     sort by quotient index puts each coset, least element first, in a run of
     |G|/|Q| entries."""
     return np.argsort(cmap, kind="stable").reshape(int(cmap.max()) + 1, -1)[:, 0]

@@ -72,9 +72,26 @@ MUTANTS = (
            "tests/test_groups.py::test_closure_matches_brute_force"),
     Mutant("the pair matrix deciding a pair by counting at exactly n/p",
            "groups.py",
-           "if len(a) * len(b) > bound * len(a & b):",
-           "if len(a) * len(b) >= bound * len(a & b):",
+           "if len(a) * len(b) <= bound * len(a & b):",
+           "if len(a) * len(b) < bound * len(a & b):",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure"),
+    Mutant("the pair matrix read off with one maximal subgroup dropped",
+           "groups.py",
+           "    for col, sub in enumerate(maxs):\n",
+           "    for col, sub in enumerate(maxs[1:]):\n",
+           "tests/test_groups.py::test_pair_matrix_read_off_matches_all_pairs_closure"),
+    Mutant("the pair matrix read off maximal subgroups where Φ(G) ≠ 1",
+           "groups.py",
+           "if not is_nilpotent(self) and len(frattini(self)) == 1:",
+           "if not is_nilpotent(self):",
+           "tests/test_groups.py::test_pair_matrix_reads_no_maximal_subgroups_off_its_route"),
+    Mutant("the pair matrix read off maximal subgroups before a generating pair",
+           "groups.py",
+           "        first_pair = True\n",
+           "        if not is_nilpotent(self) and len(frattini(self)) == 1:\n"
+           "            return _hall_pair_matrix(self)\n"
+           "        first_pair = True\n",
+           "tests/test_groups.py::test_pair_matrix_reads_no_maximal_subgroups_off_its_route"),
     Mutant("the γt coverage bound cutting a node that can just be covered",
            "search.py",
            "if uncovered.bit_count() > (k - len(chosen)) * gain:",
