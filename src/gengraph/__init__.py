@@ -23,7 +23,6 @@ from .graphs import (
     direct_product,
     edge_connectivity,
     eulerian_circuit,
-    lex_product,
     td_bounds,
     verify_certificate,
     vertex_connectivity,

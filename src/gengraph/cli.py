@@ -244,8 +244,10 @@ def _cmd_verify(args) -> int:
         entries = load_catalog_file(args.catalog)
         catalog_name = args.catalog
     checks = CHECK_IDS
-    if args.checks:
+    if args.checks is not None:
         wanted = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        if not wanted:
+            raise GengraphError(f"--checks must be at least one check id, got {args.checks!r}")
         unknown = [c for c in wanted if c not in CHECK_IDS]
         if unknown:
             raise GengraphError(f"unknown checks: {', '.join(unknown)}")

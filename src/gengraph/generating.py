@@ -3,6 +3,8 @@ structural identities that relate them to the Frattini quotient.
 
 Adjacency always comes from subgroup closure; the closed-form degree and
 count formulas are verification targets, never the source of graph edges.
+Each identity compares Gamma(G)'s matrix, which holds Delta(G)'s edges,
+with Gamma of the Frattini quotient or coprime factors lifted to G.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalMismatchError, NonIntegralRatioError, NotTwoGeneratedError
-from .graphs import Graph, lex_product
+from .errors import (
+    GengraphError,
+    InternalMismatchError,
+    NonIntegralRatioError,
+    NotTwoGeneratedError,
+)
+from .graphs import Graph
 from .groups import (
     Group,
     NilpotentStructure,
-    coset_section,
     isomorphism,
     nilpotent_structure,
     quotient_mod_frattini,
@@ -45,19 +51,10 @@ class GeneratingGraph:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.group.labels[e] for e in self.vertex_elements)
 
-    def element_adjacency(self) -> np.ndarray:
-        """The edges as a symmetric boolean matrix over the group's elements;
-        an edge between two vertices on one element is a diagonal entry."""
-        ve = np.asarray(self.vertex_elements, dtype=np.int64)
-        u, v = np.nonzero(self.graph.adj)
-        adj = np.zeros((self.group.n, self.group.n), dtype=bool)
-        adj[ve[u], ve[v]] = True
-        return adj
-
 
 def edge_count(adj: np.ndarray) -> int:
-    """The element pairs of an element adjacency; a diagonal entry counts once."""
-    return (int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2
+    """The edges of a loopless symmetric boolean adjacency matrix."""
+    return int(np.count_nonzero(adj)) // 2
 
 
 @cached
@@ -160,8 +157,10 @@ def degree_profile(G: Group) -> DegreeProfile:
     Classes are keyed by the exact order of g*Frat(G) in G/Frat(G).  Any
     observed/formula mismatch raises InternalMismatchError: the identities
     are proved for nilpotent 2-generated groups, so a mismatch falsifies
-    the implementation.
+    the implementation.  The trivial group is outside the formulas.
     """
+    if G.n == 1:
+        raise GengraphError(f"{G.name}: trivial group, outside the formulas")
     st = nilpotent_structure(G)
     if not st.two_generated:
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
@@ -239,46 +238,34 @@ def recover_cyclic_radical(gg: GeneratingGraph) -> int:
 @dataclass(frozen=True)
 class LexCheckResult:
     passed: bool
-    cyclic_case: bool
-    phi_order: int
     delta_edges: int
     product_edges: int
     detail: str
 
 
 def lex_decomposition_check(G: Group) -> LexCheckResult:
-    """Compare Delta(G) against the Frattini blow-up built via lex_product.
+    """Compare Delta(G) with the Frattini blow-up of Delta(G/Frat), both as
+    adjacency matrices over G's elements: Gamma(G)'s, and the lift below.
 
-    The blow-up is Delta(G/Frat)[null_{|Frat|}] plus a complete block over
-    every self-generating quotient vertex.  For noncyclic G no vertex is
+    The blow-up lifts Gamma(Q), Q = G/Frat, along the coset map: g ~ h iff
+    their cosets are adjacent, or g != h lie in one coset of a
+    self-generating element of Q.  For noncyclic G no element is
     self-generating, so this is the plain null blow-up; for cyclic G the
     blocks over generator cosets are complete while the Frattini block (the
-    identity coset, never self-generating) stays edgeless, which is the
-    blow-up with deleted Frattini-internal edges in the prime-power case.
-    Both sides are element adjacency matrices of G, the blocks filled from
-    np.triu_indices; passes iff the matrices are equal under the coset
-    bijection.  Edge counts are those of the element pair sets.
+    identity coset) stays edgeless.  Edge counts are those of the element
+    pair sets.
     """
-    delta = delta_of(G).element_adjacency()
-    Q, cmap, phi = quotient_mod_frattini(G)
-    sec = coset_section(cmap)
-    phi_sorted = sorted(phi)
-    m = len(phi_sorted)
-    qdelta = delta_of(Q)
-    cyclic = G.is_cyclic
-    prod_graph = lex_product(qdelta.graph, Graph.empty(m))
-    # vertex (i, f) of the product -> group element section(coset) * phi_f
-    mapped = G.table[np.ix_(sec[list(qdelta.vertex_elements)], phi_sorted)]
-    prod = GeneratingGraph(prod_graph, tuple(mapped.ravel().tolist()), G).element_adjacency()
-    iu, ju = np.triu_indices(m, 1)
-    for qi in qdelta.graph.marks:
-        prod[mapped[qi, iu], mapped[qi, ju]] = prod[mapped[qi, ju], mapped[qi, iu]] = True
-    passed = np.array_equal(prod, delta)
+    delta = generating_graph(G).graph.adj
+    Q, cmap, _ = quotient_mod_frattini(G)
+    gq = generating_graph(Q).graph
+    lift = gq.adj[np.ix_(cmap, cmap)]
+    lift |= (cmap[:, None] == cmap) & np.isin(cmap, list(gq.marks))[:, None]
+    np.fill_diagonal(lift, False)
+    passed = np.array_equal(lift, delta)
     detail = "edge sets identical" if passed else (
-        f"{edge_count(delta & ~prod)} edges only in Delta, "
-        f"{edge_count(prod & ~delta)} only in the product")
-    return LexCheckResult(passed, cyclic, m, edge_count(delta),
-                          edge_count(prod), detail)
+        f"{edge_count(delta & ~lift)} edges only in Delta, "
+        f"{edge_count(lift & ~delta)} only in the product")
+    return LexCheckResult(passed, edge_count(delta), edge_count(lift), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +304,8 @@ def gamma_coset_bijection(G: Group, H: Group) -> np.ndarray:
     if G.n != H.n or len(phiG) != len(phiH):
         raise ValueError("orders or Frattini orders differ")
     iso = isomorphism(QG, QH)
-    # row q lists coset q's elements ascending, as in coset_section; coset
-    # q of G goes to coset iso[q] of H, element by element
+    # row q lists coset q's elements ascending; coset q of G goes to coset
+    # iso[q] of H, element by element
     rows_G = np.argsort(cmapG, kind="stable").reshape(QG.n, -1)
     rows_H = np.argsort(cmapH, kind="stable").reshape(QH.n, -1)
     out = np.empty(G.n, dtype=np.int64)

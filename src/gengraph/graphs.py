@@ -126,13 +126,6 @@ def complete_product(parts) -> Graph:
     return graph
 
 
-def lex_product(a: Graph, b: Graph) -> Graph:
-    """Lexicographic product a[b]: adjacency in a, or equal in a and adjacent in b."""
-    eye = np.eye(a.n, dtype=bool)
-    ones = np.ones((b.n, b.n), dtype=bool)
-    return Graph(np.kron(a.adj, ones) | np.kron(eye, b.adj))
-
-
 # ---------------------------------------------------------------------------
 # components and distances
 

@@ -609,13 +609,6 @@ def quotient_mod_frattini(G: Group) -> tuple[Group, np.ndarray, frozenset[int]]:
     return Q, cmap, phi
 
 
-def coset_section(cmap: np.ndarray) -> np.ndarray:
-    """Minimal-index representative for each quotient index: a stable
-    sort by quotient index puts each coset, least element first, in a run of
-    |G|/|Q| entries."""
-    return np.argsort(cmap, kind="stable").reshape(int(cmap.max()) + 1, -1)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # isomorphisms of 2-generated groups (for graph bijections)
 

@@ -27,7 +27,6 @@ from .build import build_cached
 from .constructions import nilpotent_hamiltonian, nilpotent_td
 from .errors import ConstructionError, GengraphError, InternalMismatchError
 from .generating import (
-    GeneratingGraph,
     coprime_noncyclic_split,
     degree_profile,
     delta_of,
@@ -44,7 +43,6 @@ from .graphs import (
     MultipartiteParams,
     bfs_distances,
     certificate_to_dict,
-    direct_product,
     edge_connectivity,
     eulerian_circuit,
     td_bounds,
@@ -321,15 +319,13 @@ def _check_degree_frat(G: Group, budget: SearchBudget) -> Outcome:
 
 def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
     A, amap, B, bmap = _coprime_split(G)
-    da, db = delta_of(A), delta_of(B)
-    # product vertex (i, j) sits at i * |V(Delta(B))| + j
-    mapped = tuple(G.table[np.ix_(amap[list(da.vertex_elements)],
-                                  bmap[list(db.vertex_elements)])].ravel().tolist())
-    prod = GeneratingGraph(direct_product(da.graph, db.graph), mapped, G).element_adjacency()
-    dd = delta_of(G)
-    delta = dd.element_adjacency()
-    ok = np.array_equal(prod, delta) and set(mapped) >= set(dd.vertex_elements)
-    return Outcome(ok, {"edges": edge_count(delta)},
+    # where[g] = a * |B| + b for g = amap[a] * bmap[b]
+    where = np.argsort(G.table[np.ix_(amap, bmap)].ravel())
+    ia, ib = divmod(where, B.n)
+    prod = (generating_graph(A).graph.adj[np.ix_(ia, ia)]
+            & generating_graph(B).graph.adj[np.ix_(ib, ib)])
+    gamma = generating_graph(G).graph.adj
+    return Outcome(np.array_equal(prod, gamma), {"edges": edge_count(gamma)},
                    {"edges": edge_count(prod), "factors": [A.n, B.n]})
 
 

@@ -16,6 +16,7 @@ the tests compare the two.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from gengraph.graphs import (
     bfs_distances,
     complete_product,
     direct_product,
-    lex_product,
     verify_certificate,
 )
 from gengraph.groups import Group, nilpotent_structure, quotient_mod_frattini, totient_profile
@@ -337,12 +337,14 @@ def reference_euler_circuit(graph: Graph) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # oracle: the Frattini lex identity and the coprime-product identity over
-# Python sets of element pairs, with the coset section from np.unique
+# Python sets of element pairs, from the lexicographic and direct products
 
 
-def unique_coset_section(cmap: np.ndarray) -> np.ndarray:
-    """The least element of each quotient index, by np.unique."""
-    return np.unique(cmap, return_index=True)[1]
+def lex_product(a: Graph, b: Graph) -> Graph:
+    """Lexicographic product a[b]: adjacency in a, or equal in a and adjacent in b."""
+    eye = np.eye(a.n, dtype=bool)
+    ones = np.ones((b.n, b.n), dtype=bool)
+    return Graph(np.kron(a.adj, ones) | np.kron(eye, b.adj))
 
 
 def element_edges(gg: GeneratingGraph) -> set[tuple[int, int]]:
@@ -351,18 +353,19 @@ def element_edges(gg: GeneratingGraph) -> set[tuple[int, int]]:
     return {(min(ve[u], ve[v]), max(ve[u], ve[v])) for u, v in gg.graph.edges()}
 
 
-def reference_lex_edges(G: Group, section: np.ndarray | None = None
+def reference_lex_edges(G: Group, cmap: np.ndarray | None = None
                         ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """(Delta(G), the Frattini blow-up) as element pair sets: vertex (i, f)
-    of Delta(G/Frat)[null] goes to section(coset i) * phi_f, and every
+    of Delta(G/Frat)[null] goes to the f-th least element of coset i under
+    `cmap` (by default the quotient's own coset map), and every
     self-generating quotient vertex gets a complete block."""
-    Q, cmap, phi = quotient_mod_frattini(G)
-    sec = unique_coset_section(cmap) if section is None else section
-    phi_sorted = sorted(phi)
-    m = len(phi_sorted)
+    Q, own, phi = quotient_mod_frattini(G)
+    cosets = [[] for _ in range(Q.n)]
+    for g, q in enumerate((own if cmap is None else cmap).tolist()):
+        cosets[q].append(g)
+    m = len(phi)
     qdelta = delta_of(Q)
-    mapped = [int(G.table[int(sec[qv]), f])
-              for qv in qdelta.vertex_elements for f in phi_sorted]
+    mapped = [g for qv in qdelta.vertex_elements for g in cosets[qv]]
     prod = lex_product(qdelta.graph, Graph.empty(m))
     prod_edges = element_edges(GeneratingGraph(prod, tuple(mapped), G))
     for qi in qdelta.graph.marks:
@@ -534,6 +537,33 @@ def permutation_table(perm_group) -> np.ndarray:
     index = {p: i for i, p in enumerate(perms)}  # the identity sorts first
     arrays = np.array(perms)
     return np.array([[index[tuple(b[a])] for b in arrays] for a in arrays])
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_test_groups() -> dict[str, Group]:
+    """S4, A5, S5, PSL(2,7) and AGL(1,p) for p = 7, 11, 13, from sympy."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+    from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
+
+    def affine(p: int) -> PermutationGroup:
+        root = next(r for r in range(2, p)
+                    if len({pow(r, k, p) for k in range(1, p)}) == p - 1)
+        return PermutationGroup([Permutation([(x + 1) % p for x in range(p)]),
+                                 Permutation([root * x % p for x in range(p)])])
+
+    perm_groups = {
+        "S4": SymmetricGroup(4),
+        "A5": AlternatingGroup(5),
+        "S5": SymmetricGroup(5),
+        # collineations of the Fano plane with lines {x, x+1, x+3} mod 7
+        "PSL(2,7)": PermutationGroup([Permutation([1, 2, 3, 4, 5, 6, 0]),
+                                      Permutation([[1, 2], [3, 6]], size=7)]),
+        "AGL(1,7)": affine(7),
+        "AGL(1,11)": affine(11),
+        "AGL(1,13)": affine(13),
+    }
+    return {name: Group(permutation_table(pg), name=name)
+            for name, pg in perm_groups.items()}
 
 
 # ---------------------------------------------------------------------------

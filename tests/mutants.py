@@ -112,11 +112,16 @@ MUTANTS = (
            "len(witness), DominatingSet(tuple(witness))",
            "k, DominatingSet(tuple(witness))",
            "tests/test_search.py::test_domination_reports_the_witness_size"),
-    Mutant("an edge on one element not counted by edge_count",
+    Mutant("the Frattini lift without the blocks over self-generating cosets",
            "generating.py",
-           "(int(np.count_nonzero(adj)) + int(np.count_nonzero(adj.diagonal()))) // 2",
-           "int(np.count_nonzero(adj)) // 2",
-           "tests/test_generating.py::test_broken_mapping_counts_match_the_edge_set_oracle"),
+           "    lift |= (cmap[:, None] == cmap) & np.isin(cmap, list(gq.marks))[:, None]\n",
+           "",
+           "tests/test_generating.py::test_lex_decomposition_c8_block_structure"),
+    Mutant("the coprime product's factor indices taken modulo |A|",
+           "verify.py",
+           "    ia, ib = divmod(where, B.n)\n",
+           "    ia, ib = divmod(where, A.n)\n",
+           "tests/test_generating.py::test_identity_counts_match_the_edge_set_oracle"),
     Mutant("the Euler walk marking the near end of an edge used",
            "graphs.py",
            "used[w * n + v] = 1",

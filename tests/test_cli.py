@@ -66,6 +66,13 @@ def test_stats_non_nilpotent_exit_2(capsys):
     assert code == 2 and "nilpotent" in err
 
 
+def test_stats_trivial_group_exit_2(capsys):
+    # the trivial group is outside the formulas, not a falsified census
+    code, _, err = run_cli(capsys, "stats", "C1", "--no-header")
+    assert code == 2 and "trivial group" in err
+    assert "observed" not in err and "!=" not in err
+
+
 def test_verify_small_catalog(capsys, tmp_path):
     cat = tmp_path / "cat.txt"
     cat.write_text("C6\nC2^2\nHeis3\n")
@@ -125,6 +132,8 @@ def test_tdn(capsys):
     ("GENGRAPH_MAX_ORDER=-5", "verify"),
     ("GENGRAPH_MAX_ORDER=0", "info", "C6"),
     ("GENGRAPH_MAX_ORDER=0", "hamcycle", "C6"),
+    ("verify", "--checks", ","),
+    ("verify", "--checks", " "),
 ])
 def test_out_of_range_input_exit_2(capsys, monkeypatch, argv):
     # a leading NAME=value sets an environment variable, as in a shell

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,32 +9,24 @@ from conftest import (
     basic_metrics,
     brute_adjacency,
     componentwise_pair_matrix,
-    element_edges,
     example_family_graph,
     p_part,
     reference_lex_edges,
     reference_product_edges,
-    unique_coset_section,
 )
 from gengraph.build import build_group
 from gengraph.errors import NonIntegralRatioError, NotNilpotentError
 from gengraph.generating import (
-    GeneratingGraph,
     coprime_noncyclic_split,
     degree_profile,
     delta_of,
-    edge_count,
-    formula_min_degree,
     gamma_coset_bijection,
     generating_graph,
     lex_decomposition_check,
     recover_cyclic_radical,
 )
-from gengraph.graphs import Graph, direct_product
-from gengraph.groups import (
-    nilpotent_structure,
-    quotient_mod_frattini,
-)
+from gengraph.graphs import direct_product
+from gengraph.groups import quotient_mod_frattini
 
 
 def test_gamma_c2sq_triangle_plus_isolated(group):
@@ -197,7 +187,9 @@ def test_lex_decomposition_catalog(group):
 
 def test_lex_decomposition_c8_block_structure(group):
     res = lex_decomposition_check(group("C8"))
-    assert res.passed and res.cyclic_case and res.phi_order == 4
+    # Q = C2 and |Frat| = 4: the generator coset's complete block and the
+    # edges between the cosets are the 6 + 16 pairs with an odd element
+    assert res.passed and res.delta_edges == res.product_edges == 22
 
 
 def test_identity_counts_match_the_edge_set_oracle(catalog_report, group):
@@ -219,22 +211,21 @@ def test_identity_counts_match_the_edge_set_oracle(catalog_report, group):
 
 
 def test_broken_mapping_counts_match_the_edge_set_oracle(group, monkeypatch):
-    # two adjacent quotient vertices sent to one coset representative put
-    # two product vertices on one element, and their edge on the diagonal
+    # one element of each of two adjacent cosets swapped: the lift moves
+    # edges off Delta, and the counts and detail are the oracle's on that map
     from gengraph import generating
 
     G = group("Heis3")
-    gg = GeneratingGraph(Graph.complete(3), (1, 1, 2), G)
-    assert edge_count(gg.element_adjacency()) == len(element_edges(gg)) == 2
-    Q, cmap, _ = quotient_mod_frattini(G)
+    Q, cmap, phi = quotient_mod_frattini(G)
     qdelta = delta_of(Q)
-    u, v = qdelta.graph.edges()[0]
-    broken = unique_coset_section(cmap)
-    broken[qdelta.vertex_elements[v]] = broken[qdelta.vertex_elements[u]]
-    monkeypatch.setattr(generating, "coset_section", lambda cmap: broken)
+    u, v = (qdelta.vertex_elements[w] for w in qdelta.graph.edges()[0])
+    x, y = np.flatnonzero(cmap == u)[0], np.flatnonzero(cmap == v)[0]
+    broken = cmap.copy()
+    broken[[x, y]] = v, u
+    monkeypatch.setattr(generating, "quotient_mod_frattini", lambda G: (Q, broken, phi))
     res = lex_decomposition_check(G)
     delta, prod = reference_lex_edges(G, broken)
-    assert any(a == b for a, b in prod)
+    assert delta - prod and prod - delta
     assert not res.passed
     assert (res.delta_edges, res.product_edges) == (len(delta), len(prod))
     assert res.detail == (f"{len(delta - prod)} edges only in Delta, "

@@ -15,6 +15,7 @@ from conftest import (
     brute_vertex_connectivity,
     complete_multipartite,
     kappa_product_formula,
+    lex_product,
     reference_euler_circuit,
     scipy_edge_connectivity,
     scipy_flow,
@@ -41,7 +42,6 @@ from gengraph.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    lex_product,
     td_bounds,
     vertex_connectivity,
     verify_certificate,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +12,9 @@ from conftest import (
     brute_closure,
     brute_subgroups,
     extension_lattice,
+    lattice_test_groups,
     p_part,
     permutation_table,
-    unique_coset_section,
 )
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
@@ -24,7 +22,6 @@ from gengraph.groups import (
     DEFAULT_MAX_ORDER,
     Group,
     _closure_members,
-    coset_section,
     derived_subgroup,
     frattini,
     is_nilpotent,
@@ -54,7 +51,7 @@ def test_closure_matches_brute_force(group):
     # Heis3; and the non-nilpotent S4, A5, S5, PSL(2,7) and AGL(1,p), with
     # 1 to 4 seeds that may repeat or include the identity
     groups = [group(e.spec) for e in default_catalog()]
-    groups += _lattice_test_groups().values()
+    groups += lattice_test_groups().values()
     for g in groups:
         table = g.table.tolist()
         rng = np.random.default_rng(7)
@@ -71,7 +68,7 @@ def test_closure_of_generating_seeds_is_the_group(group):
     # greedy generating sets found by `brute_closure`, also with the identity
     # and a repeated seed added, and every element at once
     groups = [group(e.spec) for e in default_catalog()]
-    groups += _lattice_test_groups().values()
+    groups += lattice_test_groups().values()
     for g in groups:
         table = g.table.tolist()
         whole = set(range(g.n))
@@ -158,7 +155,7 @@ def test_frattini_and_quotient_computed_once_per_group(monkeypatch):
                         lambda t, seeds: closures.append(seeds) or closure(t, seeds))
     monkeypatch.setattr(Group, "__init__",
                         lambda self, *a, **k: built.append(a) or init(self, *a, **k))
-    s4 = Group(_lattice_test_groups()["S4"].table)
+    s4 = Group(lattice_test_groups()["S4"].table)
     heis = build_group("C2^2 x Heis3")  # uncached; Φ is the centre of Heis3
     built.clear()
     phi = frattini(s4)
@@ -175,16 +172,14 @@ def test_frattini_and_quotient_computed_once_per_group(monkeypatch):
 def test_quotient_maps_match_np_unique(group):
     from gengraph.verify import default_catalog
 
-    # the coset map numbers cosets by their least elements, and the section
-    # picks each coset's least element, as np.unique would
+    # the coset map numbers cosets by their least elements, as np.unique
+    # would, and the quotient is labelled by those elements
     groups = [group(e.spec) for e in default_catalog()]
-    groups += _lattice_test_groups().values()
+    groups += lattice_test_groups().values()
     for g in groups:
         Q, cmap, phi = quotient_mod_frattini(g)
         reps, inverse = np.unique(g.table[:, sorted(phi)].min(axis=1), return_inverse=True)
         assert np.array_equal(cmap, inverse), g.name
-        assert np.array_equal(coset_section(cmap), unique_coset_section(cmap)), g.name
-        assert np.array_equal(coset_section(cmap), reps), g.name
         assert Q.labels == tuple(g.labels[r] for r in reps.tolist()), g.name
 
 
@@ -231,8 +226,6 @@ def test_quotient_mod_frattini(group):
     assert Q.n == 6 and Q.is_cyclic
     assert len(phi) == 2
     assert cmap[0] == 0
-    sec = coset_section(cmap)
-    assert int(sec[0]) == 0
 
     c2sq = group("C2^2")
     Q2, cmap2, phi2 = quotient_mod_frattini(c2sq)
@@ -416,33 +409,6 @@ def _lattice_order(subs) -> list[frozenset[int]]:
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
-@functools.lru_cache(maxsize=None)
-def _lattice_test_groups() -> dict[str, Group]:
-    """S4, A5, S5, PSL(2,7) and AGL(1,p) for p = 7, 11, 13, from sympy."""
-    from sympy.combinatorics import Permutation, PermutationGroup
-    from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
-
-    def affine(p: int) -> PermutationGroup:
-        root = next(r for r in range(2, p)
-                    if len({pow(r, k, p) for k in range(1, p)}) == p - 1)
-        return PermutationGroup([Permutation([(x + 1) % p for x in range(p)]),
-                                 Permutation([root * x % p for x in range(p)])])
-
-    perm_groups = {
-        "S4": SymmetricGroup(4),
-        "A5": AlternatingGroup(5),
-        "S5": SymmetricGroup(5),
-        # collineations of the Fano plane with lines {x, x+1, x+3} mod 7
-        "PSL(2,7)": PermutationGroup([Permutation([1, 2, 3, 4, 5, 6, 0]),
-                                      Permutation([[1, 2], [3, 6]], size=7)]),
-        "AGL(1,7)": affine(7),
-        "AGL(1,11)": affine(11),
-        "AGL(1,13)": affine(13),
-    }
-    return {name: Group(permutation_table(pg), name=name)
-            for name, pg in perm_groups.items()}
-
-
 def test_subgroup_lattice_matches_brute_force(group):
     from gengraph.verify import default_catalog
 
@@ -466,7 +432,7 @@ def test_subgroup_lattice_of_permutation_groups():
     # known orders and subgroup counts
     counts = {"S4": (24, 30), "A5": (60, 59), "S5": (120, 156), "PSL(2,7)": (168, 179),
               "AGL(1,7)": (42, 26), "AGL(1,11)": (110, 38), "AGL(1,13)": (156, 72)}
-    for name, g in _lattice_test_groups().items():
+    for name, g in lattice_test_groups().items():
         assert (g.n, len(subgroup_lattice(g))) == counts[name], name
 
 
@@ -478,7 +444,7 @@ def test_subgroup_lattice_matches_extension_oracle(group):
     assert len(catalog) == 54  # all but C2^2 x C3^2 x C5^2 and Heis7
     for g in catalog:
         assert subgroup_lattice(g) == extension_lattice(g), g.name
-    for name, g in _lattice_test_groups().items():
+    for name, g in lattice_test_groups().items():
         assert subgroup_lattice(g) == extension_lattice(g), name
 
 
@@ -492,7 +458,7 @@ def test_subgroup_lattice_closures(monkeypatch):
         calls.append(seeds)
         return real(table, seeds)
 
-    fresh = {name: Group(_lattice_test_groups()[name].table) for name in ("S5", "PSL(2,7)")}
+    fresh = {name: Group(lattice_test_groups()[name].table) for name in ("S5", "PSL(2,7)")}
     monkeypatch.setattr(groups, "_closure_members", counting)
     # one representative per conjugacy class is extended; extending every
     # subgroup found (`extension_lattice`) makes 7,975 and 13,041 closures
@@ -503,7 +469,7 @@ def test_subgroup_lattice_closures(monkeypatch):
 
 
 def test_subgroup_lattice_closed_under_conjugation(group):
-    for g in [group("Ex(1)"), group("Heis3"), *_lattice_test_groups().values()]:
+    for g in [group("Ex(1)"), group("Heis3"), *lattice_test_groups().values()]:
         lattice = set(subgroup_lattice(g))
         t, ar = g.table, np.arange(g.n)
         for sub in lattice:
@@ -586,7 +552,7 @@ def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
     cases = [Group(permutation_table(SymmetricGroup(3)), name="S3"),
              Group(permutation_table(AlternatingGroup(4)), name="A4"),
              Group(group("Ex(1)").table, name="Ex(1)")]
-    cases += [Group(g.table, name=name) for name, g in _lattice_test_groups().items()]
+    cases += [Group(g.table, name=name) for name, g in lattice_test_groups().items()]
     cases += [_dihedral(m) for m in range(9, 16)]
     for g in cases:
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), g.name

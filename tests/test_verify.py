@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import reference_clique_search, save_cayley_file
+from conftest import (
+    lattice_test_groups,
+    permutation_table,
+    reference_clique_search,
+    save_cayley_file,
+)
 from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
@@ -337,6 +343,47 @@ CATALOG_REPORT_SHA256 = "f28f6f82b0ac20fe93f26cd051b97f410f5196a2056629e039982a2
 def test_catalog_report_digest(catalog_report):
     digest = hashlib.sha256(catalog_report.to_json().encode()).hexdigest()
     assert digest == CATALOG_REPORT_SHA256
+
+
+# sha256 of the `verify`, `scan --question conn`, `ham` and `chrom` JSON
+# reports on Cayley files of ten non-nilpotent groups; pinned like the
+# catalog digest
+NONNILPOTENT_REPORT_SHA256 = {
+    "verify": "91f699b26961c8cf1db1d7aeaa1645584339e92b1e086feeef7c1400d89136ed",
+    "conn": "03d264a59ed0a9cdad98348b00cf71c1d248427109630ca497d2dd1953997ef4",
+    "ham": "12bbec825f24355eea9061ffcd2eb477c574f4c3e8fd52d7a81b0fb5f30bd4cd",
+    "chrom": "ea3dbbd3ac6eea68b5b0e217c4a148d4bb355eed7638407c4eb4b4b4edd5f188",
+}
+
+
+def test_nonnilpotent_report_digests(tmp_path, monkeypatch):
+    from sympy.combinatorics.named_groups import (
+        AlternatingGroup,
+        DihedralGroup,
+        SymmetricGroup,
+    )
+
+    from gengraph.cli import main
+    from gengraph.groups import Group
+
+    groups = [Group(permutation_table(pg))
+              for pg in (SymmetricGroup(3), AlternatingGroup(4), DihedralGroup(9))]
+    groups += lattice_test_groups().values()
+    # relative paths, so that the reports name no temporary directory
+    monkeypatch.chdir(tmp_path)
+    names = []
+    for i, G in enumerate(groups):
+        names.append(f"nonnilpotent{i}.cayley")
+        save_cayley_file(G, names[-1])
+    Path("groups.txt").write_text("".join(f"file:{name}\n" for name in names))
+    runs = {"verify": ["verify", "--catalog", "groups.txt"]}
+    runs |= {q: ["scan", "--question", q, "--groups", "groups.txt"]
+             for q in ("conn", "ham", "chrom")}
+    digests = {}
+    for key, argv in runs.items():
+        main(argv + ["--format", "json", "--no-header", "-o", f"{key}.json"])
+        digests[key] = hashlib.sha256(Path(f"{key}.json").read_bytes()).hexdigest()
+    assert digests == NONNILPOTENT_REPORT_SHA256
 
 
 def test_cold_parallel_catalog_matches_serial(catalog_report):
