@@ -245,7 +245,8 @@ def _cmd_verify(args) -> int:
         catalog_name = args.catalog
     checks = CHECK_IDS
     if args.checks is not None:
-        wanted = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        # a repeated id runs once, at its first place
+        wanted = tuple(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         if not wanted:
             raise GengraphError(f"--checks must be at least one check id, got {args.checks!r}")
         unknown = [c for c in wanted if c not in CHECK_IDS]

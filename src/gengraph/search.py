@@ -4,6 +4,9 @@ total domination.
 All searches are deterministic: vertex orders and branching break ties by
 ascending vertex index, and budgets count search-node expansions rather
 than wall time, so identical inputs and budgets give identical outcomes.
+The clique, colouring and total-domination searches run on one vertex per
+twin class, the least of its class, so their ties break by ascending index
+within the reduced graph, whose vertices keep the order of the graph's.
 """
 
 from __future__ import annotations
@@ -166,13 +169,21 @@ class CliqueResult:
 def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with greedy colouring bounds.
 
+    The search runs on `_twin_quotient(graph)`.  Two vertices with equal
+    neighbourhoods are not adjacent, as the graph has no loops, so a clique
+    holds at most one vertex of each twin class, and any vertex of a class
+    can stand in for another; the quotient is the subgraph induced on one
+    vertex per class, so its largest clique, read back through the class
+    representatives, is a largest clique of the graph.
+
     The result is kept on the graph per node budget, so `chromatic_number`
     reuses the search that its caller already ran.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return CliqueResult(0, Clique(()), 0, False)
-    bits = graph.bitmasks()
+    quotient, reps, _ = _twin_quotient(graph)
+    n = quotient.n
+    bits = quotient.bitmasks()
     counter = _Counter(budget.max_nodes)
     best: list[int] = []
 
@@ -217,7 +228,8 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
         expand([], (1 << n) - 1)
     except _BudgetExhausted:
         return CliqueResult(None, None, counter.nodes, True)
-    return CliqueResult(len(best), Clique(tuple(sorted(best))), counter.nodes, False)
+    return CliqueResult(len(best), Clique(tuple(sorted(reps[v] for v in best))),
+                        counter.nodes, False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +267,16 @@ def greedy_coloring(graph: Graph) -> Coloring:
 def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
                      ) -> ChromaticResult:
     """Exact chromatic number, seeded with the clique lower bound and the
-    DSATUR upper bound."""
+    DSATUR upper bound.
+
+    DSATUR and the k-colouring search run on `_twin_quotient(graph)`, seeded
+    with the clique mapped to its classes.  Vertices of one class are not
+    adjacent, and two classes are adjacent exactly when their
+    representatives are, so a colouring of the quotient that gives each
+    vertex its class's colour is a proper colouring of the graph; the
+    quotient is an induced subgraph, so it needs no more colours than the
+    graph does.
+    """
     n = graph.n
     if n == 0:
         return ChromaticResult(0, Coloring(()), 0, False)
@@ -264,15 +285,16 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
     cl = clique_number(graph, budget)
     if cl.exceeded:
         return ChromaticResult(None, None, cl.nodes, True)
-    greedy = greedy_coloring(graph)
-    upper = max(greedy.colors) + 1
+    quotient, _, cls = _twin_quotient(graph)
+    seed = tuple(cls[v] for v in cl.clique.vertices)
+    best = greedy_coloring(quotient)
+    upper = max(best.colors) + 1
     nodes = cl.nodes
-    best = greedy
     counter = _Counter(max(0, budget.max_nodes - nodes))
     k = cl.size
     while k < upper:
         try:
-            got = _k_coloring(graph, k, cl.clique.vertices, counter)
+            got = _k_coloring(quotient, k, seed, counter)
         except _BudgetExhausted:
             return ChromaticResult(None, None, nodes + counter.nodes, True)
         if got is not None:
@@ -280,7 +302,8 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
             upper = k
             break
         k += 1
-    return ChromaticResult(upper, best, nodes + counter.nodes, False)
+    return ChromaticResult(upper, Coloring(tuple(best.colors[c] for c in cls)),
+                           nodes + counter.nodes, False)
 
 
 def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
@@ -392,8 +415,8 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     if undominated.size:
         raise DominationUndefinedError(
             f"vertex {undominated[0]} has no neighbours and no self-mark")
-    rows = _first_of_each_row(covers)
-    cols = _first_of_each_row(covers[rows].T)
+    rows, _ = _row_classes(covers)
+    cols, _ = _row_classes(covers[rows].T)
     reduced = covers[np.ix_(rows, cols)]
     reach = _row_bits(reduced)  # reach[i] = targets that candidate i covers
     dominators = _row_bits(reduced.T)  # dominators[j] = candidates covering target j
@@ -443,9 +466,27 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     raise DominationUndefinedError("no dominating set exists")  # unreachable
 
 
-def _first_of_each_row(matrix: np.ndarray) -> list[int]:
-    """The least index of each distinct row of a boolean matrix, ascending."""
-    first: dict[bytes, int] = {}
+@cached
+def _twin_quotient(graph: Graph) -> tuple[Graph, list[int], list[int]]:
+    """The graph reduced to one vertex per class of equal neighbourhoods.
+
+    Returns (quotient, reps, cls): reps[i] is the least vertex of class i,
+    classes numbered in the order of their least vertices, cls[v] is the
+    class of vertex v, and the quotient is the subgraph induced on reps.
+    """
+    reps, cls = _row_classes(graph.adj)
+    return Graph(graph.adj[np.ix_(reps, reps)]), reps, cls
+
+
+def _row_classes(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """The least index of each distinct row of a boolean matrix, ascending,
+    and for each row the position of its class in that list."""
+    index: dict[bytes, int] = {}
+    reps: list[int] = []
+    cls: list[int] = []
     for i, row in enumerate(np.packbits(matrix, axis=1)):
-        first.setdefault(row.tobytes(), i)
-    return list(first.values())
+        c = index.setdefault(row.tobytes(), len(reps))
+        if c == len(reps):
+            reps.append(i)
+        cls.append(c)
+    return reps, cls

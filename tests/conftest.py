@@ -403,8 +403,9 @@ def brute_hamiltonian(graph: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# oracle: clique and chromatic numbers by enumeration (tiny graphs), and
-# the clique search with a per-vertex colour bound
+# oracle: clique and chromatic numbers by enumeration (small graphs), twin
+# classes from np.unique, and the clique search with a per-vertex colour
+# bound
 
 
 def brute_clique_number(graph: Graph) -> int:
@@ -417,14 +418,31 @@ def brute_clique_number(graph: Graph) -> int:
     return best
 
 
+def twin_classes(graph: Graph) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """(quotient, reps, cls) for the classes of vertices with equal
+    neighbourhoods, from np.unique: reps holds the least vertex of each
+    class, ascending, cls[v] is the position of v's class in reps, and the
+    quotient is the subgraph induced on reps."""
+    _, first, inverse = np.unique(graph.adj, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    reps = first[order]
+    return Graph(graph.adj[np.ix_(reps, reps)]), reps, rank[inverse.ravel()]
+
+
 def reference_clique_search(graph: Graph) -> tuple[int, tuple[int, ...], int]:
     """(size, sorted clique, nodes) of the branch and bound in
     `search.clique_number`, with its colour bound computed by first-fit
-    colouring one vertex at a time instead of one class at a time."""
-    n = graph.n
-    if n == 0:
+    colouring one vertex at a time instead of one class at a time.  Like
+    that search it runs on one vertex per twin class (`twin_classes`) and
+    lifts its clique through the representatives."""
+    if graph.n == 0:
         return 0, (), 0
-    bits = graph.bitmasks()
+    quotient, reps, _ = twin_classes(graph)
+    n = quotient.n
+    bits = quotient.bitmasks()
     nodes = 0
     best: list[int] = []
 
@@ -458,21 +476,32 @@ def reference_clique_search(graph: Graph) -> tuple[int, tuple[int, ...], int]:
             cand &= ~(1 << v)
 
     expand([], (1 << n) - 1)
-    return len(best), tuple(sorted(best)), nodes
+    return len(best), tuple(sorted(int(reps[v]) for v in best)), nodes
 
 
 def brute_chromatic_number(graph: Graph) -> int:
+    """The fewest independent sets that cover the vertices: every
+    independent set of the uncovered vertices that holds the least of them
+    is tried as its colour class."""
     n = graph.n
-    if n == 0:
-        return 0
-    edges = graph.edges()
-    if not edges:
-        return 1
-    for k in range(1, n + 1):
-        for assign in itertools.product(range(k), repeat=n):
-            if all(assign[u] != assign[v] for u, v in edges):
-                return k
-    return n
+    bits = [sum(1 << int(w) for w in graph.neighbors(v)) for v in range(n)]
+
+    @functools.lru_cache(maxsize=None)
+    def fewest(rest: int) -> int:
+        if not rest:
+            return 0
+        low = rest & -rest
+        pool = rest & ~low & ~bits[low.bit_length() - 1]
+        best = n
+        sub = pool
+        while True:
+            if all(not (bits[w] & sub) for w in range(n) if sub >> w & 1):
+                best = min(best, 1 + fewest(rest & ~low & ~sub))
+            if not sub:
+                return best
+            sub = (sub - 1) & pool
+
+    return fewest((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,14 +99,24 @@ MUTANTS = (
            "tests/test_search.py::test_domination_matches_milp_on_products"),
     Mutant("γt targets taken from the candidates' rows, not their columns",
            "search.py",
-           "    cols = _first_of_each_row(covers[rows].T)\n",
-           "    cols = _first_of_each_row(covers[rows])\n",
+           "    cols, _ = _row_classes(covers[rows].T)\n",
+           "    cols, _ = _row_classes(covers[rows])\n",
            "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
     Mutant("γt targets grouped before the marks are set",
            "search.py",
-           "    cols = _first_of_each_row(covers[rows].T)\n",
-           "    cols = _first_of_each_row(graph.adj[rows].T)\n",
+           "    cols, _ = _row_classes(covers[rows].T)\n",
+           "    cols, _ = _row_classes(graph.adj[rows].T)\n",
            "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
+    Mutant("twin classes keyed by degree instead of by row",
+           "search.py",
+           "    reps, cls = _row_classes(graph.adj)\n",
+           "    reps, cls = _row_classes(np.sort(graph.adj, axis=1))\n",
+           "tests/test_search.py::test_clique_and_coloring_with_planted_twins"),
+    Mutant("the clique witness returned in quotient indices",
+           "search.py",
+           "Clique(tuple(sorted(reps[v] for v in best)))",
+           "Clique(tuple(sorted(best)))",
+           "tests/test_search.py::test_clique_and_coloring_with_planted_twins"),
     Mutant("γt reporting the size k it searched, not its witness's",
            "search.py",
            "len(witness), DominatingSet(tuple(witness))",

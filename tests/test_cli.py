@@ -83,6 +83,18 @@ def test_verify_small_catalog(capsys, tmp_path):
     assert "summary:" in out and "fail=0" in out
 
 
+def test_verify_repeated_check_runs_once(capsys, tmp_path):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("C6\n")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(cat),
+                           "--checks", "EQ_LEX,EQ_LEX", "--format", "json",
+                           "--no-header")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["check"] for r in doc["results"]] == ["EQ_LEX"]
+    assert doc["summary"]["pass"] == 1
+
+
 def test_verify_unknown_check_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "BOGUS", "--no-header")
     assert code == 2 and "unknown checks" in err

@@ -13,13 +13,16 @@ from conftest import (
     brute_total_domination,
     complete_multipartite,
     milp_total_domination,
+    permutation_table,
     reference_clique_search,
+    twin_classes,
 )
 from gengraph.errors import DominationUndefinedError
 from gengraph.generating import delta_of
 from gengraph.graphs import Graph, complete_product, direct_product, verify_certificate
 from gengraph.search import (
     SearchBudget,
+    _twin_quotient,
     chromatic_number,
     clique_number,
     greedy_coloring,
@@ -274,6 +277,59 @@ def test_domination_with_twins_and_marks_matches_brute_force():
         res = total_domination(graph)
         assert res.size == expected == len(res.witness.vertices)
         assert verify_certificate(graph, res.witness)
+
+
+def test_twin_quotient_matches_np_unique(group):
+    from gengraph.generating import generating_graph
+
+    rng = np.random.default_rng(29)
+    graphs = [_planted_twins(rng, int(rng.integers(1, 8))) for _ in range(20)]
+    graphs += [generating_graph(group(spec)).graph for spec in ("C12", "C2^2 x C3", "Heis3")]
+    for graph in graphs:
+        quotient, reps, cls = _twin_quotient(graph)
+        want, want_reps, want_cls = twin_classes(graph)
+        assert reps == want_reps.tolist() and cls == want_cls.tolist()
+        assert np.array_equal(quotient.adj, want.adj)
+
+
+def test_clique_and_coloring_with_planted_twins():
+    # vertices with equal neighbourhoods, beside adjacent copies that are
+    # not twins, in random vertex order: the searches' one vertex per twin
+    # class loses no clique and no colour, and both witnesses hold on the
+    # graph itself
+    import networkx as nx
+
+    rng = np.random.default_rng(23)
+    for _ in range(80):
+        graph = _planted_twins(rng, int(rng.integers(1, 5)))  # at most 12 vertices
+        other = nx.empty_graph(graph.n)
+        other.add_edges_from(graph.edges())
+        cl = clique_number(graph)
+        assert cl.size == len(cl.clique.vertices) == max(map(len, nx.find_cliques(other)))
+        assert verify_certificate(graph, cl.clique)
+        ch = chromatic_number(graph)
+        assert ch.chi == max(ch.coloring.colors) + 1 == brute_chromatic_number(graph)
+        assert verify_certificate(graph, ch.coloring)
+
+
+def test_s5_searches_under_relabelling():
+    # Gamma(S5) has 120 vertices in 67 twin classes; searched vertex by
+    # vertex, these three labellings took 4,829 to 13,785 nodes
+    from sympy.combinatorics.named_groups import SymmetricGroup
+
+    from gengraph.generating import generating_graph
+    from gengraph.groups import Group
+
+    table = permutation_table(SymmetricGroup(5))
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        perm = np.concatenate(([0], 1 + rng.permutation(table.shape[0] - 1)))
+        relabelled = np.empty_like(table)
+        relabelled[np.ix_(perm, perm)] = perm[table]
+        graph = generating_graph(Group(relabelled)).graph
+        ch = chromatic_number(graph)
+        assert (clique_number(graph).size, ch.chi) == (13, 15)
+        assert ch.nodes <= 500
 
 
 def test_domination_matches_milp_on_delta(group):

@@ -337,7 +337,7 @@ def test_one_clique_search_per_gamma():
 
 # sha256 of the default-catalog JSON report; a change that alters the report
 # on purpose updates the digest and records why in CHANGES.md
-CATALOG_REPORT_SHA256 = "f28f6f82b0ac20fe93f26cd051b97f410f5196a2056629e039982a202af28380"
+CATALOG_REPORT_SHA256 = "da4d97ac9331adf79592c9f0856dfb11cec91b69c4a16b401cce03848eec433c"
 
 
 def test_catalog_report_digest(catalog_report):
@@ -352,7 +352,7 @@ NONNILPOTENT_REPORT_SHA256 = {
     "verify": "91f699b26961c8cf1db1d7aeaa1645584339e92b1e086feeef7c1400d89136ed",
     "conn": "03d264a59ed0a9cdad98348b00cf71c1d248427109630ca497d2dd1953997ef4",
     "ham": "12bbec825f24355eea9061ffcd2eb477c574f4c3e8fd52d7a81b0fb5f30bd4cd",
-    "chrom": "ea3dbbd3ac6eea68b5b0e217c4a148d4bb355eed7638407c4eb4b4b4edd5f188",
+    "chrom": "266e9815c30db8b2ff43dfe1a1a8d1daedf6fb98da080266a9fe5c1fda03a55b",
 }
 
 
