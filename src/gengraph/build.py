@@ -369,16 +369,21 @@ def load_cayley_file(path: str | Path, max_order: int = DEFAULT_MAX_ORDER) -> Gr
         raise OrderGuardError(f"{path}: order {n} exceeds guard {max_order}")
     if len(lines) < 2 + n:
         raise CayleyFileError(f"{path}: expected {n} table rows")
-    rows = []
-    for i in range(n):
-        parts = lines[2 + i].split()
+    rows = [ln.split() for ln in lines[2:2 + n]]
+    for i, parts in enumerate(rows):
         if len(parts) != n:
             raise CayleyFileError(f"{path}: row {i} has {len(parts)} entries, wanted {n}")
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError as e:
-            raise CayleyFileError(f"{path}: row {i} has a non-integer entry") from e
-    table = np.array(rows, dtype=np.int64)
+    try:
+        table = np.array(rows, dtype=np.int64)  # parses each entry as int() does
+    except OverflowError as e:
+        raise CayleyFileError(f"{path}: table entry out of range") from e
+    except ValueError as e:
+        for i, parts in enumerate(rows):
+            try:
+                [int(x) for x in parts]
+            except ValueError:
+                raise CayleyFileError(f"{path}: row {i} has a non-integer entry") from e
+        raise
     if table.min() < 0 or table.max() >= n:
         raise CayleyFileError(f"{path}: table entry out of range")
     labels = [str(i) for i in range(n)]

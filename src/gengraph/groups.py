@@ -28,7 +28,13 @@ subgroup holds Φ(G), so the read-off would be the lex blow-up that
 `EQ_LEX` tests; on nilpotent G it would be the Burnside basis theorem that
 `EQ_LEX` and `COR_2_6_PROD` rest on.  Those groups keep closures.  The rule
 waits for a generating pair so that a group that is not 2-generated never
-builds its lattice for it.
+builds its lattice for it.  The lattice itself is Neubüser's cyclic
+extension, pruned twice by conjugation: one subgroup H per conjugacy class
+is joined with one cyclic subgroup ⟨c⟩ of prime-power order per orbit of
+its normaliser N_G(H), because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and
+every join brings in its whole class.  Each subgroup is still a closure
+result.  The maximal subgroups come from one pass over the proper
+subgroups, largest first, that keeps each one no kept subgroup contains.
 """
 
 from __future__ import annotations
@@ -64,14 +70,18 @@ class Group:
 
     def __init__(self, table: np.ndarray, labels: tuple[str, ...] | None = None,
                  name: str = "G"):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        n = table.shape[0]
+        table = np.asarray(table)
+        n = table.shape[0] if table.ndim else 0
         if table.shape != (n, n):
             raise GroupLawError("multiplication table must be square")
         if n == 0:
             raise GroupLawError("empty table")
+        # checked before the int32 cast, which would wrap or truncate
+        if not np.issubdtype(table.dtype, np.integer):
+            raise GroupLawError("table entries must be integers")
         if table.min() < 0 or table.max() >= n:
             raise GroupLawError("table entries out of range")
+        table = np.ascontiguousarray(table, dtype=np.int32)
         self.n = n
         self.table = table
         self._validate()
@@ -462,55 +472,80 @@ def is_two_generated(G: Group) -> bool:
 @cached
 def subgroup_lattice(G: Group) -> list[frozenset[int]]:
     """All subgroups, by cyclic extension (Neubüser 1960) over conjugacy
-    classes, sorted by (order, sorted elements).
+    classes and normaliser orbits, sorted by (order, sorted elements).
 
     Every subgroup is generated by its elements of prime-power order: each
     element is the product of its p-parts, and those are powers of it.  So
     a family of subgroups that holds the cyclic subgroups of prime-power
     order and is closed under joining with each of them holds every
-    subgroup.  Only one representative H per conjugacy class is joined with
-    each such ⟨c⟩ it does not contain; each new subgroup found brings its
-    whole conjugacy class in, so the family stays closed under conjugation.
-    That suffices: for a conjugate H^g, ⟨H^g, c⟩ = ⟨H, c'⟩^g with
-    c' = g c g⁻¹, and ⟨c'⟩ is again a cyclic subgroup of prime-power order,
-    so ⟨H, c'⟩ was closed and its class, which holds ⟨H^g, c⟩, was added.
+    subgroup.  Only one representative H per conjugacy class is joined, and
+    only with one ⟨c⟩ per orbit of the normaliser N_G(H) on the cyclic
+    subgroups of prime-power order that H does not contain; each new
+    subgroup found brings its whole conjugacy class in, so the family stays
+    closed under conjugation.  That suffices.  For h in N_G(H),
+    ⟨H, c^h⟩ = ⟨H^h, c^h⟩ = ⟨H, c⟩^h, so the join with any ⟨c⟩ in the orbit
+    lies in the class of the join with the orbit's representative, the
+    ⟨c⟩ of least cyclic id.  For a conjugate H^g, ⟨H^g, c⟩ = ⟨H, c'⟩^g with
+    c' = g c g⁻¹, and ⟨c'⟩ is again a cyclic subgroup of prime-power
+    order, so the class of ⟨H, c'⟩, which holds ⟨H^g, c⟩, was added.
     """
-    _, sets, reps = G._cyclic_data()
-    cyclic = {s: rep for s, rep in zip(sets, reps)
-              if len(totient_profile(len(s))[0]) == 1}
+    ids, sets, reps = G._cyclic_data()
+    prime_power = [i for i, s in enumerate(sets) if len(totient_profile(len(s))[0]) == 1]
+    cyc_ids = np.array(prime_power, dtype=np.int64)
+    cyc_reps = np.array([reps[i] for i in prime_power], dtype=np.int64)
+    conj = _conjugation(G)
     known = {frozenset({0})}
-    gens: dict[frozenset[int], tuple[int, ...]] = {}  # class representatives
-    for s, rep in cyclic.items():
-        if s not in known:
-            known |= _conjugates(G, s)
-            gens[s] = (rep,)
-    work = list(gens)
-    for sub in work:
-        for c in cyclic.values():
+    work: list[tuple[frozenset[int], tuple[int, ...], np.ndarray]] = []
+
+    def add(sub: frozenset[int], gen: tuple[int, ...]) -> None:
+        cls, norm = _class_and_normaliser(conj, sub)
+        known.update(cls)
+        work.append((sub, gen, norm))
+
+    for i in prime_power:
+        if sets[i] not in known:
+            add(sets[i], (reps[i],))
+    for sub, gen, norm in work:
+        # column j: the cyclic ids of the N_G(sub)-conjugates of ⟨cyc_reps[j]⟩
+        least = ids[conj[np.ix_(norm, cyc_reps)]].min(axis=0)
+        for c in cyc_reps[least == cyc_ids].tolist():
             if c not in sub:
-                gen = gens[sub] + (c,)
-                joined = _closure_members(G.table, gen)
+                joined = _closure_members(G.table, gen + (c,))
                 if joined not in known:
-                    known |= _conjugates(G, joined)
-                    gens[joined] = gen
-                    work.append(joined)
+                    add(joined, gen + (c,))
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
-def _conjugates(G: Group, sub: frozenset[int]) -> set[frozenset[int]]:
-    """The conjugacy class of the subgroup `sub`: row g of the array below
-    is g⁻¹·sub·g."""
-    t = G.table
-    m = np.fromiter(sub, dtype=np.int64, count=len(sub))
-    rows = t[t[G.inverses[:, None], m[None, :]], np.arange(G.n)[:, None]]
-    return {frozenset(row) for row in set(map(tuple, np.sort(rows, axis=1).tolist()))}
+def _conjugation(G: Group) -> np.ndarray:
+    """The n*n array whose entry [g, x] is g⁻¹·x·g."""
+    t, ar = G.table, np.arange(G.n)
+    return t[t[G.inverses[:, None], ar], ar[:, None]]
+
+
+def _class_and_normaliser(conj: np.ndarray, sub: frozenset[int]
+                          ) -> tuple[set[frozenset[int]], np.ndarray]:
+    """(the conjugacy class of the subgroup `sub`, its normaliser N_G(sub)
+    as an index array), from `_conjugation`'s array: row g of conj[:, sub]
+    is g⁻¹·sub·g, and g normalises sub when that row is sub itself."""
+    m = np.fromiter(sorted(sub), dtype=np.int64, count=len(sub))
+    rows = np.sort(conj[:, m], axis=1)
+    norm = np.flatnonzero((rows == m).all(axis=1))
+    return {frozenset(row) for row in set(map(tuple, rows.tolist()))}, norm
 
 
 @cached
 def maximal_subgroups(G: Group) -> tuple[frozenset[int], ...]:
-    """The maximal subgroups of G, in lattice order."""
-    subs = [s for s in subgroup_lattice(G) if len(s) < G.n]
-    return tuple(s for s in subs if not any(s < t for t in subs))
+    """The maximal subgroups of G, in lattice order.
+
+    One pass over the proper subgroups from the largest to the smallest
+    keeps each one that no subgroup kept so far contains.  A proper subgroup
+    that is not maximal lies in a larger maximal subgroup, which the pass
+    has already kept; a maximal one lies in no larger proper subgroup."""
+    kept: list[frozenset[int]] = []
+    for s in reversed(subgroup_lattice(G)):
+        if len(s) < G.n and not any(s < m for m in kept):
+            kept.append(s)
+    return tuple(reversed(kept))
 
 
 def _hall_pair_matrix(G: Group) -> np.ndarray:

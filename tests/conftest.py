@@ -138,12 +138,14 @@ def brute_subgroups(table) -> set[frozenset[int]]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def extension_lattice(G: Group) -> list[frozenset[int]]:
     """Every subgroup by cyclic extension of every subgroup found, not of one
-    per conjugacy class: each subgroup is joined with each cyclic subgroup
-    of prime-power order it does not contain, starting from those cyclic
-    subgroups.  Joins are closed by `brute_closure`.  Sorted by (order,
-    sorted elements)."""
+    per conjugacy class and normaliser orbit: each subgroup is joined with
+    each cyclic subgroup of prime-power order it does not contain, starting
+    from those cyclic subgroups.  Joins are closed by `brute_closure`.
+    Sorted by (order, sorted elements); kept per group object, as a group
+    is immutable."""
     _, sets, reps = G._cyclic_data()
     table = G.table.tolist()
     cyclic = {s: rep for s, rep in zip(sets, reps) if len(totient_profile(len(s))[0]) == 1}

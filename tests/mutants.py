@@ -92,6 +92,16 @@ MUTANTS = (
            "            return _hall_pair_matrix(self)\n"
            "        first_pair = True\n",
            "tests/test_groups.py::test_pair_matrix_reads_no_maximal_subgroups_off_its_route"),
+    Mutant("the lattice joining one cyclic subgroup per G-class, not per normaliser orbit",
+           "groups.py",
+           "    norm = np.flatnonzero((rows == m).all(axis=1))\n",
+           "    norm = np.arange(len(rows))\n",
+           "tests/test_groups.py::test_subgroup_lattice_matches_extension_oracle_under_relabelling"),
+    Mutant("the lattice taking each normaliser as the trivial subgroup",
+           "groups.py",
+           "    norm = np.flatnonzero((rows == m).all(axis=1))\n",
+           "    norm = np.zeros(1, dtype=np.int64)\n",
+           "tests/test_groups.py::test_subgroup_lattice_closures"),
     Mutant("the γt coverage bound cutting a node that can just be covered",
            "search.py",
            "if uncovered.bit_count() > (k - len(chosen)) * gain:",

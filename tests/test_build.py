@@ -125,6 +125,20 @@ def test_cayley_file_rejects_bad_header(tmp_path):
         load_cayley_file(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1 99999999999999999999", "table entry out of range"),  # beyond int64
+    ("1 -99999999999999999999", "table entry out of range"),
+    ("1 2", "table entry out of range"),
+    ("1 0.5", "row 1 has a non-integer entry"),
+    ("1 0 0", "row 1 has 3 entries, wanted 2"),
+])
+def test_cayley_file_rejects_bad_entries(tmp_path, row, message):
+    path = tmp_path / "bad.cayley"
+    path.write_text(f"cayley 1\n2\n0 1\n{row}\n")
+    with pytest.raises(CayleyFileError, match=message):
+        load_cayley_file(path)
+
+
 def test_cayley_file_labels(tmp_path):
     path = tmp_path / "lbl.cayley"
     path.write_text("cayley 1\n2\n0 1\n1 0\nlabel 1 flip\n")

@@ -31,6 +31,14 @@ def test_info_bad_spec_exit_2(capsys):
     assert "odd prime" in err
 
 
+def test_info_oversized_cayley_entry_exit_2(capsys, tmp_path):
+    path = tmp_path / "big.cayley"
+    path.write_text("cayley 1\n2\n0 1\n1 99999999999999999999\n")
+    code, _, err = run_cli(capsys, "info", f"file:{path}")
+    assert code == 2
+    assert "table entry out of range" in err and "Traceback" not in err
+
+
 def test_graph_json_and_dot(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "graph", "C6", "--delta", "--format", "json",
                            "--no-header")

@@ -21,7 +21,9 @@ from gengraph.errors import GroupLawError, NotNilpotentError
 from gengraph.groups import (
     DEFAULT_MAX_ORDER,
     Group,
+    _class_and_normaliser,
     _closure_members,
+    _conjugation,
     derived_subgroup,
     frattini,
     is_nilpotent,
@@ -305,11 +307,7 @@ def test_isomorphism_refuses_non_isomorphic_groups(group):
 
 def test_isomorphism_of_relabelled_heisenberg(group):
     h = group("Heis3")
-    rng = np.random.default_rng(5)
-    relabel = np.concatenate([[0], 1 + rng.permutation(h.n - 1)])  # old -> new
-    table = np.empty_like(h.table)
-    table[np.ix_(relabel, relabel)] = relabel[h.table]
-    copy = Group(table, name="Heis3 relabelled")
+    copy, _ = _relabelled(h, 5)
     assert _is_isomorphism(isomorphism(h, copy), h, copy)
     assert _is_isomorphism(isomorphism(copy, h), copy, h)
 
@@ -336,6 +334,15 @@ def test_group_laws_validated():
         Group(np.array([[0, 1], [1, 1]]))  # no inverse for element 1
     with pytest.raises(GroupLawError):
         Group(np.array([[1, 0], [0, 1]]))  # index 0 not the identity
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 2**32]],  # 2**32 wraps to 0 in int32
+    [[0, 1], [1, 0.5]],  # 0.5 truncates to 0
+])
+def test_group_rejects_table_before_int32_cast(table):
+    with pytest.raises(GroupLawError):
+        Group(np.array(table))
 
 
 # a loop of order 5 (a Latin square with identity 0) that is not a group
@@ -448,6 +455,61 @@ def test_subgroup_lattice_matches_extension_oracle(group):
         assert subgroup_lattice(g) == extension_lattice(g), name
 
 
+def _relabelled(g: Group, seed: int) -> tuple[Group, np.ndarray]:
+    """A copy of g with its non-identity elements renumbered at random, and
+    the map from old to new indices."""
+    relabel = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.n - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(relabel, relabel)] = relabel[g.table]
+    return Group(table, name=f"{g.name} relabelled {seed}"), relabel
+
+
+def test_subgroup_lattice_matches_extension_oracle_under_relabelling():
+    """S4, A5, S5, PSL(2,7) and AGL(1,13), each under three fixed
+    relabellings, and C2^3 x S3.  The relabellings move the least cyclic id
+    of each normaliser orbit, and so the ⟨c⟩ that `subgroup_lattice` joins.
+    `extension_lattice` runs once per group: renumbering maps subgroups to
+    subgroups, so a relabelled group's subgroups are the images of the
+    original's."""
+    from sympy.combinatorics.group_constructs import DirectProduct
+    from sympy.combinatorics.named_groups import CyclicGroup, SymmetricGroup
+
+    cases = []
+    for name in ("S4", "A5", "S5", "PSL(2,7)", "AGL(1,13)"):
+        g = lattice_test_groups()[name]
+        oracle = extension_lattice(g)
+        for seed in (0, 1, 2):
+            copy, relabel = _relabelled(g, seed)
+            cases.append((copy, _lattice_order(frozenset(relabel[sorted(s)].tolist())
+                                               for s in oracle)))
+    c2 = CyclicGroup(2)
+    g = Group(permutation_table(DirectProduct(c2, c2, c2, SymmetricGroup(3))), name="C2^3 x S3")
+    cases.append((g, extension_lattice(g)))
+    assert [len(subs) for _, subs in cases[-2:]] == [72, 236]  # AGL(1,13), C2^3 x S3
+    for g, subs in cases:
+        assert subgroup_lattice(g) == subs, g.name
+        proper = [s for s in subs if len(s) < g.n]
+        by_containment = tuple(s for s in proper if not any(s < t for t in proper))
+        assert maximal_subgroups(g) == by_containment, g.name
+
+
+def test_normaliser_matches_brute_force():
+    for name in ("S4", "A5"):
+        g = lattice_test_groups()[name]
+        t, inv, conj = g.table.tolist(), g.inverses.tolist(), _conjugation(g)
+        for sub in subgroup_lattice(g):
+            conjugates = [frozenset(t[t[inv[x]][h]][x] for h in sub) for x in range(g.n)]
+            cls, norm = _class_and_normaliser(conj, sub)
+            assert cls == set(conjugates), name
+            assert norm.tolist() == [x for x in range(g.n) if conjugates[x] == sub], name
+
+
+def test_subgroup_lattice_of_trivial_group():
+    g = build_group("C1")
+    assert subgroup_lattice(g) == [frozenset({0})]
+    assert maximal_subgroups(g) == ()
+
+
 def test_subgroup_lattice_closures(monkeypatch):
     from gengraph import groups
 
@@ -460,9 +522,11 @@ def test_subgroup_lattice_closures(monkeypatch):
 
     fresh = {name: Group(lattice_test_groups()[name].table) for name in ("S5", "PSL(2,7)")}
     monkeypatch.setattr(groups, "_closure_members", counting)
-    # one representative per conjugacy class is extended; extending every
-    # subgroup found (`extension_lattice`) makes 7,975 and 13,041 closures
-    for name, closures in (("S5", 845), ("PSL(2,7)", 939)):
+    # one representative per conjugacy class is joined with one cyclic
+    # subgroup per orbit of its normaliser.  Joining it with every cyclic
+    # subgroup it misses made 845 and 939 closures, and extending every
+    # subgroup found (`extension_lattice`) makes 7,975 and 13,041
+    for name, closures in (("S5", 161), ("PSL(2,7)", 144)):
         calls.clear()
         subgroup_lattice(fresh[name])
         assert len(calls) == closures, name

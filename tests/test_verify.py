@@ -120,6 +120,16 @@ def test_catalog_build_failure_recorded(tmp_path):
     assert report.results[1].status == "pass"
 
 
+def test_catalog_oversized_cayley_entry_recorded(tmp_path):
+    path = tmp_path / "big.cayley"
+    path.write_text("cayley 1\n2\n0 1\n1 99999999999999999999\n")
+    report = run_catalog((CatalogEntry(f"file:{path}"),), ("THM_1_1",), jobs=1,
+                         budget=BUDGET)
+    assert report.results[0].status == "skipped"
+    assert "build failed" in report.results[0].reason
+    assert "table entry out of range" in report.results[0].reason
+
+
 def test_catalog_file_loader(tmp_path):
     path = tmp_path / "groups.txt"
     path.write_text("# a comment\nC6\nC2^2 x C9  # inline comment\n"
