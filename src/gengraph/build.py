@@ -272,63 +272,32 @@ def example_family_table(d: int) -> Table:
     index is (block coordinates, most significant first) * 4 + h, so the
     identity is index 0.
     """
-    primes = odd_primes(d)
-    nn = math.prod(p ** 3 for p in primes)
-    n = 4 * nn
-    coords = _mixed_radix_coords(nn, [p for p in primes for _ in range(3)])
-    # action of h_j on N-coordinates: fix residue-j coordinate in each block
+    radices = [p for p in odd_primes(d) for _ in range(3)]
+    nn = math.prod(radices)
+    coords = np.unravel_index(np.arange(nn), radices)
+    # action of h_j on N: fix the residue-j coordinate of each block, invert the others
     acted = np.empty((4, nn), dtype=np.int64)
     acted[0] = np.arange(nn)
-    radices = [p for p in primes for _ in range(3)]
     for j in (1, 2, 3):
-        new_coords = coords.copy()
-        for cpos, p in enumerate(radices):
-            if cpos % 3 != j - 1:
-                new_coords[:, cpos] = (-coords[:, cpos]) % p
-        acted[j] = _coords_to_index(new_coords, radices)
-    nadd = _abelian_sum_index(coords, radices)
-    idx = np.arange(n)
-    na, ha = np.divmod(idx, 4)
-    lhs_n, lhs_h = na[:, None], ha[:, None]
-    rhs_n, rhs_h = na[None, :], ha[None, :]
-    table = nadd[lhs_n, acted[lhs_h, rhs_n]] * 4 + (lhs_h ^ rhs_h)
+        acted[j] = np.ravel_multi_index(
+            [c if pos % 3 == j - 1 else -c % p
+             for pos, (c, p) in enumerate(zip(coords, radices))], radices)
+    nadd = _direct_product_table([cyclic_table(p)[0] for p in radices])
+    na, ha = np.divmod(np.arange(4 * nn), 4)
+    table = nadd[na[:, None], acted[ha[:, None], na[None, :]]] * 4 + (ha[:, None] ^ ha[None, :])
+    rows = np.stack(coords, axis=1).tolist()
     labels = []
-    for i in range(n):
-        cvec = ",".join(str(v) for v in coords[na[i]])
-        labels.append(f"({cvec};h{ha[i]})" if ha[i] else f"({cvec};1)")
+    for a, h in zip(na.tolist(), ha.tolist()):
+        cvec = ",".join(map(str, rows[a]))
+        labels.append(f"({cvec};h{h})" if h else f"({cvec};1)")
     return table, tuple(labels)
-
-
-def _mixed_radix_coords(n: int, radices: list[int]) -> np.ndarray:
-    coords = np.empty((n, len(radices)), dtype=np.int64)
-    idx = np.arange(n)
-    for pos in range(len(radices) - 1, -1, -1):
-        idx, coords[:, pos] = np.divmod(idx, radices[pos])
-    return coords
-
-
-def _coords_to_index(coords: np.ndarray, radices: list[int]) -> np.ndarray:
-    idx = np.zeros(coords.shape[0], dtype=np.int64)
-    for pos, p in enumerate(radices):
-        idx = idx * p + coords[:, pos]
-    return idx
-
-
-def _abelian_sum_index(coords: np.ndarray, radices: list[int]) -> np.ndarray:
-    n = coords.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for pos, p in enumerate(radices):
-        out = out * p + (coords[:, pos][:, None] + coords[:, pos][None, :]) % p
-    return out
 
 
 def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
     sizes = [t.shape[0] for t in tables]
     n = math.prod(sizes)
-    coords = _mixed_radix_coords(n, sizes)
     table = np.zeros((n, n), dtype=np.int64)
-    for j, t in enumerate(tables):
-        c = coords[:, j]
+    for c, t in zip(np.unravel_index(np.arange(n), sizes), tables):
         table = table * t.shape[0] + t[c[:, None], c[None, :]]
     return table
 

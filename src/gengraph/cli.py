@@ -280,6 +280,10 @@ def _cmd_tdn(args) -> int:
         out.emit("exact: budget exhausted")
         out.flush()
         return EXIT_BUDGET
+    if not verify_certificate(graph, res.witness):
+        out.emit("status: certificate failed re-verification")
+        out.flush()
+        return EXIT_FAIL
     witness = " ".join(_tuple_label(v, parts.parts) for v in res.witness.vertices)
     out.emit(f"exact: {res.size}")
     out.emit(f"witness: {witness}")
@@ -308,6 +312,10 @@ def _cmd_hamcycle(args) -> int:
         out.flush()
         return EXIT_FAIL
     dd = delta_of(G)
+    if not verify_certificate(dd.graph, res.cycle):
+        out.emit("status: certificate failed re-verification")
+        out.flush()
+        return EXIT_FAIL
     labels = [dd.group.labels[dd.vertex_elements[v]] for v in res.cycle.vertices]
     out.emit("status: hamiltonian")
     out.emit("cycle: " + " ".join(labels))

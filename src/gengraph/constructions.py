@@ -8,8 +8,9 @@ coprime product is the Kronecker product of its factors' generation
 relations; nilpotent_hamiltonian folds the Sylow cycles by explicit 2-opt
 merges (Weichsel 1962, *The Kronecker product of graphs*, made explicit).
 
-Every witness is re-verified through verify_certificate before being
-returned; a failed re-verification is a hard error.
+Every reported witness is re-verified in one place, `verify.run_check` (the
+CLI checks what it prints), so nilpotent_hamiltonian returns its cycle
+unverified; nilpotent_td verifies its set before it memoises it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, NotTwoGeneratedError
-from .generating import GeneratingGraph, delta_of
+from .generating import delta_of
 from .graphs import (
     Graph,
     HamCycle,
@@ -112,7 +113,8 @@ def nilpotent_hamiltonian(G: Group) -> HamiltonianResult:
     chords sit at positions (0, 2) and (1, 3).  C2 enters as the closed
     walk (1, x), the one factor of length 2.
 
-    Nothing is searched.  Only the final cycle is verified, on Delta(G).
+    Nothing is searched, and the cycle is returned unverified: its
+    callers verify it on Delta(G).
     """
     st = nilpotent_structure(G)
     if not st.two_generated:
@@ -134,7 +136,6 @@ def nilpotent_hamiltonian(G: Group) -> HamiltonianResult:
         cycle = HamCycle(tuple(pos[e] for e in walk))
     except KeyError as e:
         raise ConstructionError(f"Sylow product meets an isolated vertex: {e}") from e
-    _require(dd, cycle, "Sylow product cycle")
     return HamiltonianResult("yes", cycle, None, 0)
 
 
@@ -214,11 +215,6 @@ def _fold(table: np.ndarray, x: list[int], y: list[int]) -> list[int]:
     return [int(table[x[c // k], y[c % k]]) for c in walk]
 
 
-def _require(dd: GeneratingGraph, cert, what: str) -> None:
-    if not verify_certificate(dd.graph, cert):
-        raise ConstructionError(f"{what} failed re-verification on {dd.group.name}")
-
-
 # ---------------------------------------------------------------------------
 # total domination
 
@@ -227,9 +223,9 @@ def _require(dd: GeneratingGraph, cert, what: str) -> None:
 def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET) -> DominationResult:
     """Total domination number of Delta(G) for 2-generated nilpotent G, by
     `total_domination` on Delta(G) itself, started at 1 for cyclic G and at
-    td_bounds' lower bound otherwise; a witness is re-verified on Delta(G).
-    The result is kept on G per node budget, so the checks that need γt
-    share one search.
+    td_bounds' lower bound otherwise.  The result is kept on G per node
+    budget, so the checks that need γt share one search; two of them use
+    only the size, so the set is verified on Delta(G) before it is kept.
     """
     st = nilpotent_structure(G)
     if not st.two_generated:
@@ -239,6 +235,6 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET) -> DominationR
     if not G.is_cyclic:
         lower = td_bounds(MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes)))[0]
     res = total_domination(dd.graph, budget, lower_hint=lower)
-    if res.witness is not None:
-        _require(dd, res.witness, "total dominating set")
+    if res.witness is not None and not verify_certificate(dd.graph, res.witness):
+        raise ConstructionError(f"total dominating set failed re-verification on {G.name}")
     return res

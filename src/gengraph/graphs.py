@@ -12,7 +12,9 @@ length 3) and stops once it reaches the best cut found so far, since such
 a pair cannot lower it.  A cut is read only after a failed augmenting
 search, that is off a maximum flow, and from its residual source side,
 which every maximum flow shares: the witnesses do not depend on which
-paths the flow took.
+paths the flow took.  Every reported witness is re-checked from its
+definition by `verify_certificate`, in `verify.run_check` or the CLI;
+connectedness, there and in the algorithms, is one bitmask traversal, `_reach`.
 """
 
 from __future__ import annotations
@@ -127,24 +129,25 @@ def complete_product(parts) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# components and distances
+# reachability and distances
 
 
-def _components(graph: Graph) -> np.ndarray:
-    comp = -np.ones(graph.n, dtype=np.int64)
-    nxt = 0
-    for v in range(graph.n):
-        if comp[v] >= 0:
-            continue
-        comp[v] = nxt
-        frontier = np.array([v])
-        while frontier.size:
-            reach = graph.adj[frontier].any(axis=0)
-            fresh = np.flatnonzero(reach & (comp < 0))
-            comp[fresh] = nxt
-            frontier = fresh
-        nxt += 1
-    return comp
+def _reach(bits: list[int], start: int, within: int) -> int:
+    """The vertices that `start` reaches along the neighbour bitmasks `bits`
+    inside the vertex set `within`, `start` included, as a bitmask."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in _bits_of(frontier):
+            nxt |= bits[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _connected(graph: Graph) -> bool:
+    full = (1 << graph.n) - 1
+    return _reach(graph.bitmasks(), 0, full) == full
 
 
 def bfs_distances(graph: Graph) -> np.ndarray:
@@ -262,25 +265,25 @@ def verify_certificate(graph: Graph, cert: Certificate) -> bool:
 
 
 def _verify_vertex_cut(graph: Graph, cert: VertexCut) -> bool:
-    cut = set(cert.vertices)
-    if not all(0 <= v < graph.n for v in cut):
+    """At least two vertices are left, and the least does not reach them all."""
+    if not all(0 <= v < graph.n for v in cert.vertices):
         return False
-    rest = [v for v in range(graph.n) if v not in cut]
-    if len(rest) < 2:
+    rest = ((1 << graph.n) - 1) & ~sum(1 << v for v in set(cert.vertices))
+    if rest.bit_count() < 2:
         return False
-    sub, _ = graph.induced(rest)
-    return _components(sub).max() >= 1
+    return _reach(graph.bitmasks(), (rest & -rest).bit_length() - 1, rest) != rest
 
 
 def _verify_edge_cut(graph: Graph, cert: EdgeCut) -> bool:
-    adj = graph.adj.copy()
+    """Every entry an edge, none twice, and the graph less them disconnected."""
+    n = graph.n
+    bits = list(graph.bitmasks())
     for u, v in cert.edges:
-        if not (0 <= u < graph.n and 0 <= v < graph.n and adj[u, v]):
+        if not (0 <= u < n and 0 <= v < n and bits[u] >> v & 1):
             return False
-        adj[u, v] = adj[v, u] = False
-    if graph.n < 2:
-        return False
-    return _components(Graph(adj)).max() >= 1
+        bits[u], bits[v] = bits[u] & ~(1 << v), bits[v] & ~(1 << u)
+    full = (1 << n) - 1
+    return n >= 2 and _reach(bits, 0, full) != full
 
 
 def _verify_euler(graph: Graph, cert: EulerCircuit) -> bool:
@@ -539,8 +542,7 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
         raise ValueError("connectivity of the empty graph is undefined")
     if graph.is_complete():
         return VertexConnectivity(n - 1, None, True)
-    comp = _components(graph)
-    if comp.max() >= 1:
+    if not _connected(graph):
         return VertexConnectivity(0, VertexCut(()), False)
 
     bits = graph.bitmasks()
@@ -585,10 +587,7 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     n = graph.n
     if n == 0:
         raise ValueError("edge connectivity of the empty graph is undefined")
-    if n == 1:
-        return 0, EdgeCut(())
-    comp = _components(graph)
-    if comp.max() >= 1:
+    if n == 1 or not _connected(graph):
         return 0, EdgeCut(())
     bits = graph.bitmasks()
     iu, ju = np.nonzero(np.triu(graph.adj, 1))
@@ -631,8 +630,7 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
     """
     if graph.n == 0:
         return EulerResult(None, "empty graph is not connected")
-    comp = _components(graph)
-    if comp.max() >= 1:
+    if not _connected(graph):
         return EulerResult(None, "graph is disconnected")
     odd = np.flatnonzero(graph.degrees % 2 == 1)
     if odd.size:
@@ -735,16 +733,24 @@ def _json_object(text: str, what: str) -> dict:
 
 
 def graph_from_json(text: str) -> tuple[Graph, list[str]]:
-    """Inverse of graph_to_json; malformed input raises GengraphError."""
+    """Inverse of graph_to_json; malformed input, or a graph too large for
+    memory, raises GengraphError."""
     doc = _json_object(text, "graph")
+    n, edges, marks = doc.get("order"), doc.get("edges"), doc.get("self_dominating", [])
+    if not (_is_int(n) and _well_formed("edges", edges)
+            and _well_formed("self_dominating", marks)):
+        raise GengraphError("malformed graph: order must be an int, edges a list of int "
+                            "pairs and self_dominating a list of ints")
     try:
-        n = int(doc["order"])
-        labels = [str(x) for x in doc.get("vertices", [str(i) for i in range(n)])]
-        graph = Graph.from_edges(n, [tuple(e) for e in doc["edges"]],
-                                 doc.get("self_dominating", ()))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise GengraphError(f"malformed graph: {type(e).__name__}: {e}") from e
-    return graph, labels
+        graph = Graph.from_edges(n, edges, marks)
+    except ValueError as e:
+        raise GengraphError(f"malformed graph: {e}") from e
+    except MemoryError as e:
+        raise GengraphError(f"a graph of order {n} does not fit in memory") from e
+    labels = doc.get("vertices", [str(i) for i in range(n)])
+    if not (isinstance(labels, list) and len(labels) == n):
+        raise GengraphError(f"malformed graph: vertices must be a list of {n} labels")
+    return graph, [str(x) for x in labels]
 
 
 def graph_to_dot(graph: Graph, labels: Iterable[str] | None = None,

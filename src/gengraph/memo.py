@@ -9,6 +9,7 @@ compute a value twice; every cached function is deterministic.
 from __future__ import annotations
 
 import functools
+import inspect
 
 _MISSING = object()
 
@@ -18,12 +19,18 @@ def cached(fn):
 
     The key is fn's name and its positional arguments, omitted trailing
     arguments filled from fn's defaults first, so `f(x)` and
-    `f(x, default)` share one entry.  Arguments are passed by position.
+    `f(x, default)` share one entry.  Keyword arguments, when given, are
+    first moved to their positions, so `f(x, budget=b)` shares the entry
+    of `f(x, b)`.
     """
     name, arity, defaults = fn.__name__, fn.__code__.co_argcount - 1, fn.__defaults__ or ()
 
     @functools.wraps(fn)
-    def memoised(obj, *args):
+    def memoised(obj, *args, **kwargs):
+        if kwargs:
+            bound = inspect.signature(fn).bind(obj, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
         if len(args) < arity:
             args += defaults[len(args) - arity:]
         key = (name, *args)

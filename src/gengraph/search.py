@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationUndefinedError
-from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of, _row_bits
+from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of, _reach, _row_bits
 from .memo import cached
 
 
@@ -102,11 +102,7 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
         at_root = len(path) == 1
         forced = -1
         avail_count = {}
-        rem = unvisited
-        while rem:
-            vbit = rem & -rem
-            rem ^= vbit
-            v = vbit.bit_length() - 1
+        for v in _bits_of(unvisited):
             avail = bits[v] & (unvisited | sbit | ebit)
             cnt = avail.bit_count()
             if cnt < 2:
@@ -116,19 +112,9 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
                 if forced >= 0:
                     return None
                 forced = v
-        # connectivity of unvisited + endpoint
-        seen = ebit
-        frontier = ebit
+        # the endpoint must reach every unvisited vertex through unvisited ones
         region = unvisited | ebit
-        while frontier:
-            nxt = 0
-            while frontier:
-                vbit = frontier & -frontier
-                frontier ^= vbit
-                nxt |= bits[vbit.bit_length() - 1] & region & ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen != region:
+        if _reach(bits, end, region) != region:
             return None
         if forced >= 0:
             cands = [forced]
@@ -434,16 +420,8 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
         gain = max((m & uncovered).bit_count() for m in reach)
         if uncovered.bit_count() > (k - len(chosen)) * gain:
             return None
-        # branch on the uncovered target with fewest dominators
-        vbest, dbest = -1, None
-        rem = uncovered
-        while rem:
-            vbit = rem & -rem
-            rem ^= vbit
-            v = vbit.bit_length() - 1
-            cnt = dominators[v].bit_count()
-            if dbest is None or cnt < dbest:
-                vbest, dbest = v, cnt
+        # branch on the uncovered target with fewest dominators, the least such
+        vbest = min(_bits_of(uncovered), key=lambda v: dominators[v].bit_count())
         for u in _bits_of(dominators[vbest]):
             chosen.append(u)
             got = search(k, chosen, covered | reach[u])

@@ -9,6 +9,8 @@ apply to a group are Skipped with a reason.
 Theorem checks and open-question scans are records of one registry, run by
 one driver, `run_check`: it applies each record's gate, and turns guards,
 budget exhaustion, package errors and any other exception into statuses.
+It is also the one place where reported witnesses are checked: each is
+re-verified by `verify_certificate`, and one that fails is a fail.
 """
 
 from __future__ import annotations
@@ -245,14 +247,10 @@ def _check_thm_1_1(G: Group, budget: SearchBudget) -> Outcome:
 def _check_euler(G: Group, budget: SearchBudget) -> Outcome:
     st = nilpotent_structure(G)
     expected = not (st.is_cyclic and G.n % 2 == 0)
-    graph = delta_of(G).graph
-    res = eulerian_circuit(graph)
+    res = eulerian_circuit(delta_of(G).graph)
     observed = res.circuit is not None
-    if observed and not verify_certificate(graph, res.circuit):
-        observed = None  # invalid circuit: force a visible failure
     return Outcome(observed is expected, {"eulerian": expected},
-                   {"eulerian": bool(observed), "reason": res.reason},
-                   res.circuit if observed else None)
+                   {"eulerian": observed, "reason": res.reason}, res.circuit)
 
 
 def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
@@ -465,6 +463,7 @@ class Check:
     nilpotent: bool             # gate: nilpotent and 2-generated, else 2-generated
     formula_only: bool = False  # cheap enough for oversized formula-only entries
     false_status: str = "fail"  # "counterexample" for an open question
+    on_gamma: bool = False      # its certificate is on Gamma(G), not Delta(G)
 
 
 REGISTRY = {
@@ -472,7 +471,7 @@ REGISTRY = {
     "THM_1_3_EULER": Check(_check_euler, nilpotent=True, formula_only=True),
     "THM_1_3_HAM": Check(_check_ham, nilpotent=True),
     "THM_1_4_TDN": Check(_check_tdn, nilpotent=True, formula_only=True),
-    "THM_1_5": Check(_check_clique_chromatic, nilpotent=True),
+    "THM_1_5": Check(_check_clique_chromatic, nilpotent=True, on_gamma=True),
     "LEM_2_1": Check(_check_complete, nilpotent=False),
     "EQ_LEX": Check(_check_eq_lex, nilpotent=False),
     "LEM_2_2_DEG": Check(_check_degree_frat, nilpotent=False),
@@ -485,7 +484,8 @@ REGISTRY = {
     "SANDWICH_5_5_5_6": Check(_check_sandwich, nilpotent=True, formula_only=True),
     "Q_CONN": Check(_question_conn, nilpotent=False, false_status="counterexample"),
     "Q_HAM": Check(_question_ham, nilpotent=False, false_status="counterexample"),
-    "Q_CHROM": Check(_question_chrom, nilpotent=False, false_status="counterexample"),
+    "Q_CHROM": Check(_question_chrom, nilpotent=False, false_status="counterexample",
+                     on_gamma=True),
 }
 
 CHECK_IDS = tuple(c for c, rec in REGISTRY.items() if rec.false_status == "fail")
@@ -503,10 +503,12 @@ def _gate(G: Group, nilpotent: bool) -> None:
 
 def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
               name: str | None = None) -> CheckResult:
-    """Run one registered check or question on one group.  Errors that
-    falsify the implementation are a fail; other package errors mean the
-    check does not apply and are a skip; any other exception is a defect of
-    the program, reported as an error so the rest of the run goes on."""
+    """Run one registered check or question on one group.  A certificate
+    that fails re-verification, on Gamma(G) or Delta(G) as its record says,
+    and errors that falsify the implementation are a fail; other package
+    errors mean the check does not apply and are a skip; any other exception
+    is a defect of the program, reported as an error so the rest of the run
+    goes on."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check {check_id!r}")
     check = REGISTRY[check_id]
@@ -514,6 +516,11 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
     try:
         _gate(G, check.nilpotent)
         out = check.compute(G, budget)
+        cert = out.certificate
+        if cert is not None and not verify_certificate(
+                (generating_graph(G) if check.on_gamma else delta_of(G)).graph, cert):
+            return CheckResult(name, check_id, "fail", out.expected, out.observed,
+                               "certificate failed re-verification", nodes=out.nodes)
     except _Skip as e:
         return CheckResult(name, check_id, "skipped", reason=str(e))
     except _Budget as e:
@@ -529,7 +536,7 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
         log.exception("%s on %s raised", check_id, name)
         return CheckResult(name, check_id, "error",
                            reason=f"{type(e).__name__}: {e}")
-    cert = out.certificate  # its size is the length of its first field
+    # a certificate's size is the length of its first field
     if cert is not None and len(getattr(cert, fields(cert)[0].name)) > CERT_SIZE_LIMIT:
         cert = None
     return CheckResult(name, check_id, "pass" if out.ok else check.false_status,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gengraph.build import _mixed_radix_coords, build_cached, build_group, odd_primes
+from gengraph.build import build_cached, build_group, odd_primes
 from gengraph.errors import ConstructionError, OrderGuardError
 from gengraph.generating import GeneratingGraph, delta_of, generating_graph
 from gengraph.graphs import (
@@ -37,7 +37,6 @@ from gengraph.graphs import (
     MultipartiteParams,
     VertexConnectivity,
     VertexCut,
-    _components,
     bfs_distances,
     complete_product,
     direct_product,
@@ -214,6 +213,13 @@ def _connected_subset(graph: Graph, vertices: list[int]) -> bool:
 # oracle: connectivity by scipy's max-flow over a CSR network
 
 
+def scipy_component_count(graph: Graph) -> int:
+    """The number of connected components, by scipy."""
+    from scipy.sparse.csgraph import connected_components
+
+    return int(connected_components(graph.adj, directed=False)[0])
+
+
 def scipy_network(graph: Graph, vertex: bool):
     """The CSR network of vertex flows (node 2v is v's entry, 2v+1 its exit,
     one unit between them, n+1 from an exit to each neighbour's entry) or of
@@ -254,7 +260,7 @@ def scipy_vertex_connectivity(graph: Graph) -> VertexConnectivity:
     n = graph.n
     if graph.is_complete():
         return VertexConnectivity(n - 1, None, True)
-    if _components(graph).max() >= 1:
+    if scipy_component_count(graph) > 1:
         return VertexConnectivity(0, VertexCut(()), False)
     net = scipy_network(graph, True)
     degs = graph.degrees
@@ -288,7 +294,7 @@ def scipy_edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     flows skipped in the package's order, each run to the end and its cut
     read off the residual source side."""
     n = graph.n
-    if n == 1 or _components(graph).max() >= 1:
+    if n == 1 or scipy_component_count(graph) > 1:
         return 0, EdgeCut(())
     net = scipy_network(graph, False)
     iu, ju = np.nonzero(np.triu(graph.adj, 1))
@@ -626,8 +632,7 @@ def basic_metrics(graph: Graph) -> Metrics:
     """
     if graph.n == 0:
         return Metrics(None, False, 0, None)
-    comp = _components(graph)
-    ncomp = int(comp.max()) + 1
+    ncomp = scipy_component_count(graph)
     connected = ncomp == 1
     diameter = None
     if connected:
@@ -716,7 +721,7 @@ def example_family_graph(d: int, max_vertices: int = 10_000) -> GeneratingGraph:
             f"rule-based graph has {total} vertices, guard is {max_vertices}")
     radices = [p for p in primes for _ in range(3)]
     nn = math.prod(p ** 3 for p in primes)
-    coords = _mixed_radix_coords(nn, radices)
+    coords = np.stack(np.unravel_index(np.arange(nn), radices), axis=1)
     vert_coords = []
     vert_elements = []
     for j in (1, 2, 3):

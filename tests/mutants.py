@@ -147,6 +147,16 @@ MUTANTS = (
            "used[w * n + v] = 1",
            "used[row + w] = 1",
            "tests/test_graphs.py::test_euler_k3"),
+    Mutant("run_check reporting a certificate without re-verifying it",
+           "verify.py",
+           "        if cert is not None and not verify_certificate(\n",
+           "        if False and not verify_certificate(\n",
+           "tests/test_verify.py::test_broken_certificate_is_a_fail"),
+    Mutant("_reach ignoring its within mask",
+           "graphs.py",
+           "        frontier = nxt & within & ~seen\n",
+           "        frontier = nxt & ~seen\n",
+           "tests/test_graphs.py::test_cut_verifiers_match_networkx"),
     Mutant("the memo keyed by the function name alone",
            "memo.py",
            "        key = (name, *args)\n",

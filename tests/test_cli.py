@@ -271,9 +271,9 @@ def test_scan_jobs_2_matches_jobs_1(capsys, tmp_path):
 
 
 def test_scan_construction_error_is_a_fail(capsys, tmp_path, monkeypatch):
-    import gengraph.constructions as C
+    import gengraph.verify as V
 
-    monkeypatch.setattr(C, "verify_certificate", lambda *args, **kwargs: False)
+    monkeypatch.setattr(V, "verify_certificate", lambda *args, **kwargs: False)
     groups = tmp_path / "groups.txt"
     groups.write_text("C6\n")
     code, out, _ = run_cli(capsys, "scan", "--question", "ham", "--groups",
@@ -281,7 +281,21 @@ def test_scan_construction_error_is_a_fail(capsys, tmp_path, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["summary"]["fail"] == 1
-    assert doc["results"][0]["reason"].startswith("ConstructionError: ")
+    assert doc["results"][0]["reason"] == "certificate failed re-verification"
+    assert "certificate" not in doc["results"][0]
+
+
+@pytest.mark.parametrize("argv", [("hamcycle", "C6"), ("hamcycle", "C2^2 x C3"),
+                                  ("tdn", "2", "3")])
+def test_unverified_witness_is_not_printed(capsys, monkeypatch, argv):
+    import gengraph.cli as cli
+
+    monkeypatch.setattr(cli, "verify_certificate", lambda *args, **kwargs: False)
+    code, out, err = run_cli(capsys, *argv, "--no-header")
+    assert code == 1
+    assert "status: certificate failed re-verification" in out
+    assert "certificate: {" not in out and "cycle:" not in out and "witness:" not in out
+    assert "Traceback" not in err
 
 
 def test_scan_skips_formula_only_and_names_build_errors(capsys, tmp_path):
@@ -308,6 +322,16 @@ def test_scan_skips_formula_only_and_names_build_errors(capsys, tmp_path):
     ('{"order": 3, "edges": [[0, 1], [1, 2]]}',
      '{"type": "h_chords", "cycle": [0, 1, 2], "chord_odd": [1], "chord_even": null}'),
     ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "clique", "vertices": [true]}'),
+    # numpy refuses the order-10^7 matrix at once, so nothing is allocated
+    ('{"order": 10000000, "edges": []}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": true, "edges": []}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 2.7, "edges": []}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": -1, "edges": []}', '{"type": "clique", "vertices": [0]}'),
+    ('{"edges": []}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [[0, true]]}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [], "vertices": ["a", "b"]}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [], "vertices": "abc"}', '{"type": "clique", "vertices": [0]}'),
+    ('{"order": 3, "edges": [], "self_dominating": [1.5]}', '{"type": "clique", "vertices": [0]}'),
 ])
 def test_check_cert_malformed_input_exit_2(capsys, tmp_path, graph, cert):
     gpath = tmp_path / "g.json"

@@ -348,3 +348,19 @@ def test_nilpotent_td_one_search_per_budget(monkeypatch):
     # a different budget is a different search
     assert nilpotent_td(G, SearchBudget(5_000_000)).size == 3
     assert len(calls) == 2
+
+
+def test_memoised_functions_take_keywords():
+    """f(x), f(x, b) and f(x, budget=b) share one memo entry."""
+    from gengraph.build import build_group
+    from gengraph.search import DEFAULT_BUDGET, clique_number
+
+    G = build_group("C2^2 x C3")
+    small = SearchBudget(10)
+    for fn, obj in ((nilpotent_td, G), (clique_number, generating_graph(G).graph)):
+        first = fn(obj)
+        assert fn(obj, DEFAULT_BUDGET) is first
+        assert fn(obj, budget=DEFAULT_BUDGET) is first
+        assert fn(obj, budget=small) is fn(obj, small) is not first
+        with pytest.raises(TypeError):
+            fn(obj, bound=small)

@@ -19,6 +19,7 @@ from conftest import (
     reference_euler_circuit,
     scipy_edge_connectivity,
     scipy_flow,
+    scipy_component_count,
     scipy_network,
     scipy_vertex_connectivity,
 )
@@ -399,7 +400,7 @@ def test_euler_circuit_matches_reference(seed, n, p):
     for u, v in zip(odd[0::2], odd[1::2]):
         adj[u, v] = adj[v, u] = not adj[u, v]
     graph = Graph(adj)
-    assume(graphs._components(graph).max() == 0)
+    assume(scipy_component_count(graph) == 1)
     res = eulerian_circuit(graph)
     assert res.circuit is not None
     assert res.circuit.vertices == reference_euler_circuit(graph)
@@ -439,6 +440,38 @@ def test_verify_certificate_negatives():
     # a walk over every edge of a path, but not closed
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert not verify_certificate(path, EulerCircuit((0, 1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 12), p=st.floats(0.0, 1.0))
+def test_cut_verifiers_match_networkx(seed, n, p):
+    """Random vertex sets and edge lists on random graphs of at most 12
+    vertices, disconnected ones included.  A vertex cut is valid when at
+    least two vertices are left and they are disconnected; an edge cut when
+    its entries are distinct edges of a graph of at least two vertices that
+    is disconnected without them.  Edge lists sometimes carry a repeated
+    edge, a non-edge or an endpoint out of range."""
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(rng, n, p)
+    nxg = nx.from_numpy_array(graph.adj.astype(int))
+    edges = graph.edges()
+    for _ in range(10):
+        cut = np.flatnonzero(rng.random(n) < rng.random()).tolist()
+        rest = nxg.subgraph(set(range(n)) - set(cut))
+        valid = len(rest) >= 2 and not nx.is_connected(rest)
+        assert verify_certificate(graph, VertexCut(tuple(cut))) == valid
+        keep = rng.random()
+        chosen = [e for e in edges if rng.random() < keep]
+        if rng.random() < 0.3:
+            chosen.append(tuple(rng.integers(0, n + 1, size=2).tolist()))
+        if chosen and rng.random() < 0.2:
+            chosen.append(chosen[0][::-1])
+        less = nxg.copy()
+        less.remove_edges_from(chosen)
+        valid = (all(nxg.has_edge(u, v) for u, v in chosen)
+                 and len({frozenset(e) for e in chosen}) == len(chosen)
+                 and n >= 2 and not nx.is_connected(less))
+        assert verify_certificate(graph, EdgeCut(tuple(chosen))) == valid
 
 
 def test_certificate_json_round_trip():

@@ -14,6 +14,15 @@ from conftest import (
     reference_clique_search,
     save_cayley_file,
 )
+from gengraph.graphs import (
+    Clique,
+    Coloring,
+    DominatingSet,
+    EdgeCut,
+    EulerCircuit,
+    HamCycle,
+    VertexCut,
+)
 from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
@@ -185,6 +194,56 @@ def test_failed_reverification_is_a_fail(monkeypatch, capsys, tmp_path):
                  "--no-header"])
     assert code == 1
     assert "fail=1" in capsys.readouterr().out
+
+
+# a certificate of the same type that its graph rejects: a minimum cut less
+# one entry, a walk that is no longer closed, a cycle or clique that repeats
+# a vertex, a colouring with one colour, an empty dominating set
+_BROKEN = {
+    VertexCut: lambda c: VertexCut(c.vertices[1:]),
+    EdgeCut: lambda c: EdgeCut(c.edges[1:]),
+    EulerCircuit: lambda c: EulerCircuit(c.vertices[1:]),
+    HamCycle: lambda c: HamCycle(c.vertices[:-1] + c.vertices[:1]),
+    Clique: lambda c: Clique(c.vertices + c.vertices[:1]),
+    Coloring: lambda c: Coloring((0,) * len(c.colors)),
+    DominatingSet: lambda c: DominatingSet(()),
+}
+
+
+@pytest.mark.parametrize("check_id, spec, cert_type", [
+    ("THM_1_1", "C2^2 x C3", VertexCut),
+    ("Q_CONN", "C2^2 x C3", VertexCut),
+    ("REM_3_5", "C2^2 x C3", EdgeCut),
+    ("THM_1_5", "C6", Clique),
+    ("Q_CHROM", "A5", Coloring),
+    ("THM_1_3_EULER", "C9", EulerCircuit),
+    ("THM_1_3_HAM", "C2^2 x C3", HamCycle),
+    ("THM_1_4_TDN", "C2^2 x C3", DominatingSet),
+    ("Q_HAM", "S4", HamCycle),
+])
+def test_broken_certificate_is_a_fail(group, monkeypatch, check_id, spec, cert_type):
+    """Each check that reports a certificate, its certificate swapped for a
+    broken one of the same type: run_check re-verifies it and fails, with
+    both sides kept and the certificate left out.  A5 and S4 are sympy's,
+    so Q_CHROM is the counterexample ω < χ and Q_HAM runs the search."""
+    import dataclasses
+
+    import gengraph.verify as V
+
+    G = lattice_test_groups()[spec] if spec in ("A5", "S4") else group(spec)
+    check = V.REGISTRY[check_id]
+    good = run_check(G, check_id, BUDGET)
+    assert good.status == ("counterexample" if spec == "A5" else "pass")
+    assert type(good.certificate) is cert_type
+
+    def broken(G, budget):
+        out = check.compute(G, budget)
+        return dataclasses.replace(out, certificate=_BROKEN[cert_type](out.certificate))
+
+    monkeypatch.setitem(V.REGISTRY, check_id, dataclasses.replace(check, compute=broken))
+    r = run_check(G, check_id, BUDGET)
+    assert (r.status, r.reason) == ("fail", "certificate failed re-verification")
+    assert (r.expected, r.observed, r.certificate) == (good.expected, good.observed, None)
 
 
 @pytest.mark.parametrize("error, status", [
