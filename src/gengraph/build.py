@@ -296,9 +296,10 @@ def example_family_table(d: int) -> Table:
 def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
     sizes = [t.shape[0] for t in tables]
     n = math.prod(sizes)
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.int32)  # Group's own dtype: no cast copy
     for c, t in zip(np.unravel_index(np.arange(n), sizes), tables):
-        table = table * t.shape[0] + t[c[:, None], c[None, :]]
+        table *= t.shape[0]
+        table += t[c[:, None], c[None, :]]
     return table
 
 

@@ -15,6 +15,9 @@ which every maximum flow shares: the witnesses do not depend on which
 paths the flow took.  Every reported witness is re-checked from its
 definition by `verify_certificate`, in `verify.run_check` or the CLI;
 connectedness, there and in the algorithms, is one bitmask traversal, `_reach`.
+Every walk (the flows, `_reach`, the Euler circuit, the connectivity pair
+bounds) reads the memoised `Graph.bitmasks()` and copies no adjacency; matrix
+work (`diameter`, degrees) and the verifiers, but for the cuts', read `adj`.
 """
 
 from __future__ import annotations
@@ -150,21 +153,20 @@ def _connected(graph: Graph) -> bool:
     return _reach(graph.bitmasks(), 0, full) == full
 
 
-def bfs_distances(graph: Graph) -> np.ndarray:
-    """All-pairs distances by layered expansion; -1 encodes unreachable."""
-    n = graph.n
-    dist = -np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reach = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
+def diameter(graph: Graph) -> int | None:
+    """The greatest distance between two vertices: 0 for one vertex, None for
+    a disconnected graph and for the empty graph, as in `eulerian_circuit`."""
+    if graph.n == 0:
+        return None
+    reach = np.eye(graph.n, dtype=bool)
     d = 0
-    while frontier.any():
+    while not reach.all():
+        known = np.count_nonzero(reach)
+        reach |= reach @ graph.adj  # v within d + 1 steps of u
+        if np.count_nonzero(reach) == known:
+            return None
         d += 1
-        nxt = (frontier @ graph.adj) & ~reach
-        dist[nxt] = d
-        reach |= nxt
-        frontier = nxt
-    return dist
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +548,9 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
         return VertexConnectivity(0, VertexCut(()), False)
 
     bits = graph.bitmasks()
-    degs = graph.degrees
-    s = int(np.lexsort((np.arange(n), degs))[0])
-    best = int(degs[s])
-    best_cut = tuple(graph.neighbors(s).tolist())
+    s = int(np.argmin(graph.degrees))
+    best = bits[s].bit_count()
+    best_cut = tuple(_bits_of(bits[s]))
 
     def try_pair(a: int, b: int, bound: int):
         nonlocal best, best_cut
@@ -560,15 +561,11 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
             best = value
             best_cut = tuple(_bits_of(cut))
 
-    adj = graph.adj.astype(np.int32)
-    common = adj @ adj[s]
-    for t in np.flatnonzero(~graph.adj[s]).tolist():
-        if t != s:
-            try_pair(s, t, int(common[t]))
-    nbrs = graph.neighbors(s)
-    common = adj[nbrs] @ adj[nbrs].T
-    for i, j in zip(*np.nonzero(np.triu(~graph.adj[np.ix_(nbrs, nbrs)], 1))):
-        try_pair(int(nbrs[i]), int(nbrs[j]), int(common[i, j]))
+    for t in _bits_of(((1 << n) - 1) & ~bits[s] & ~(1 << s)):
+        try_pair(s, t, (bits[s] & bits[t]).bit_count())
+    for a in _bits_of(bits[s]):
+        for b in _bits_of(bits[s] & ~bits[a] & -(2 << a)):
+            try_pair(a, b, (bits[a] & bits[b]).bit_count())
     return VertexConnectivity(best, VertexCut(best_cut), False)
 
 
@@ -590,21 +587,16 @@ def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     if n == 1 or not _connected(graph):
         return 0, EdgeCut(())
     bits = graph.bitmasks()
-    iu, ju = np.nonzero(np.triu(graph.adj, 1))
-    adj = graph.adj.astype(np.int32)
-    bound = adj @ adj[0] + adj[0]
     best = None
     best_cut: tuple = ()
     for t in range(1, n):
-        if best is not None and bound[t] >= best:
+        if best is not None and (bits[0] & bits[t]).bit_count() + (bits[0] >> t & 1) >= best:
             continue
         value, side = maximum_flow(bits, 0, t, False, best)
         if best is None or value < best:
             best = value
-            seen = np.zeros(n, dtype=bool)
-            seen[_bits_of(side)] = True
-            crossing = seen[iu] != seen[ju]
-            best_cut = tuple(zip(iu[crossing].tolist(), ju[crossing].tolist()))
+            best_cut = tuple(sorted((min(u, w), max(u, w)) for u in _bits_of(side)
+                                    for w in _bits_of(bits[u] & ~side)))
     return best, EdgeCut(best_cut)
 
 
@@ -623,10 +615,9 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
 
     The walk starts at vertex 0, and from each vertex v it takes the least
     neighbour of v whose edge is still unused, so the circuit is a function
-    of the graph alone.  Each vertex pops the least of its unwalked
-    neighbours from a descending list; walking v -> w marks only w -> v used,
-    for w to skip.  Isolated vertices are not ignored: the input is expected
-    to already be a Delta graph, so an isolated vertex means "disconnected".
+    of the graph alone.  Isolated vertices are not ignored: the input is
+    expected to already be a Delta graph, so an isolated vertex means
+    "disconnected".
     """
     if graph.n == 0:
         return EulerResult(None, "empty graph is not connected")
@@ -635,25 +626,17 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
     odd = np.flatnonzero(graph.degrees % 2 == 1)
     if odd.size:
         return EulerResult(None, f"vertex {int(odd[0])} has odd degree {int(graph.degrees[odd[0]])}")
-    if graph.edge_count == 0:
-        return EulerResult(EulerCircuit((0,) if graph.n else ()), None)
-    n = graph.n
-    flat = np.broadcast_to(np.arange(n - 1, -1, -1), (n, n))[graph.adj[:, ::-1]].tolist()
-    ends = np.cumsum(graph.degrees).tolist()
-    nbrs = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    used = bytearray(n * n)
+    bits = list(graph.bitmasks())  # the unwalked edges at each vertex
     stack = [0]
     out: list[int] = []
     while stack:
         v = stack[-1]
-        row, left = v * n, nbrs[v]
-        while left:
-            w = left.pop()
-            if used[row + w]:
-                continue
-            used[w * n + v] = 1
+        while bits[v]:
+            w = (bits[v] & -bits[v]).bit_length() - 1
+            bits[v] ^= 1 << w
+            bits[w] ^= 1 << v
             stack.append(w)
-            v, row, left = w, w * n, nbrs[w]
+            v = w
         out.append(stack.pop())
     out.reverse()
     return EulerResult(EulerCircuit(tuple(out)), None)

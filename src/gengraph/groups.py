@@ -117,8 +117,12 @@ class Group:
         while len(reached) < n:
             basis.append(next(g for g in range(n) if g not in reached))
             reached = _right_saturation(t, basis)
+        # buffers reused over the basis: fresh n x n ones fault their pages in again
+        left, right = np.empty_like(t), np.empty_like(t)
         for s in basis:
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+            np.take(t, t[:, s], axis=0, out=left)
+            np.take(t, t[s], axis=1, out=right)
+            if not np.array_equal(left, right):
                 raise GroupLawError(f"associativity fails for element {s}")
 
     # -- basic arithmetic ----------------------------------------------------
@@ -129,9 +133,6 @@ class Group:
     @property
     def is_cyclic(self) -> bool:
         return int(self.orders.max()) == self.n
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"Group({self.name}, order={self.n})"

@@ -43,8 +43,8 @@ from .graphs import (
     Certificate,
     Graph,
     MultipartiteParams,
-    bfs_distances,
     certificate_to_dict,
+    diameter,
     edge_connectivity,
     eulerian_circuit,
     td_bounds,
@@ -388,8 +388,8 @@ def _check_rem_3_5(G: Group, budget: SearchBudget) -> Outcome:
     graph = _guarded_delta(G)
     delta = int(graph.degrees.min())
     lam, cut = edge_connectivity(graph)
-    diam = int(bfs_distances(graph).max())
-    return Outcome(lam == delta and 0 <= diam <= 2,
+    diam = diameter(graph)
+    return Outcome(lam == delta and diam is not None and diam <= 2,
                    {"lambda": delta, "diameter_at_most": 2},
                    {"lambda": lam, "diameter": diam}, cut)
 

@@ -37,7 +37,6 @@ from gengraph.graphs import (
     MultipartiteParams,
     VertexConnectivity,
     VertexCut,
-    bfs_distances,
     complete_product,
     direct_product,
     verify_certificate,
@@ -628,15 +627,18 @@ def basic_metrics(graph: Graph) -> Metrics:
     """Min degree, connectivity, component count, diameter (None if disconnected).
 
     The empty graph reports min_degree None and is connected=False by
-    convention; a single vertex is connected with diameter 0.
+    convention; a single vertex is connected with diameter 0.  The diameter
+    is scipy's, not `gengraph.graphs.diameter`, which it checks.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     if graph.n == 0:
         return Metrics(None, False, 0, None)
     ncomp = scipy_component_count(graph)
     connected = ncomp == 1
     diameter = None
     if connected:
-        diameter = int(bfs_distances(graph).max())
+        diameter = int(shortest_path(graph.adj, unweighted=True).max())
     return Metrics(int(graph.degrees.min()), connected, ncomp, diameter)
 
 

@@ -142,11 +142,21 @@ MUTANTS = (
            "    ia, ib = divmod(where, B.n)\n",
            "    ia, ib = divmod(where, A.n)\n",
            "tests/test_generating.py::test_identity_counts_match_the_edge_set_oracle"),
-    Mutant("the Euler walk marking the near end of an edge used",
+    Mutant("the Euler walk clearing an edge at its near end only",
            "graphs.py",
-           "used[w * n + v] = 1",
-           "used[row + w] = 1",
+           "            bits[w] ^= 1 << v\n",
+           "",
            "tests/test_graphs.py::test_euler_k3"),
+    Mutant("κ's source-pair bound loosened by one",
+           "graphs.py",
+           "try_pair(s, t, (bits[s] & bits[t]).bit_count())",
+           "try_pair(s, t, (bits[s] & bits[t]).bit_count() + 1)",
+           "tests/test_graphs.py::test_connectivity_found_by_a_source_pair"),
+    Mutant("the diameter of a disconnected graph reported as a number",
+           "graphs.py",
+           "            return None\n        d += 1\n",
+           "            return d\n        d += 1\n",
+           "tests/test_graphs.py::test_diameter_matches_scipy"),
     Mutant("run_check reporting a certificate without re-verifying it",
            "verify.py",
            "        if cert is not None and not verify_certificate(\n",

@@ -32,8 +32,8 @@ from gengraph.graphs import (
     Graph,
     HChords,
     MultipartiteParams,
-    bfs_distances,
     complete_product,
+    diameter,
     direct_product,
     edge_connectivity,
     td_bounds,
@@ -309,8 +309,8 @@ def test_criterion_12_edge_connectivity_diameter():
             continue
         lam, cut = edge_connectivity(dd.graph)
         delta_obs = int(dd.graph.degrees.min())
-        diam = int(bfs_distances(dd.graph).max())
-        ok &= lam == delta_obs and diam <= 2
+        diam = diameter(dd.graph)
+        ok &= lam == delta_obs and diam is not None and diam <= 2
         checked += 1
     _report(12, "edge-connectivity-diameter", ok and checked >= 50,
             f"{checked} groups, lambda = delta and diam <= 2")

@@ -34,9 +34,11 @@ from gengraph.graphs import (
     Graph,
     HamCycle,
     MultipartiteParams,
+    VertexConnectivity,
     VertexCut,
     certificate_from_json,
     certificate_to_json,
+    diameter,
     direct_product,
     edge_connectivity,
     eulerian_circuit,
@@ -111,6 +113,22 @@ def test_basic_metrics_examples(group):
     empty = basic_metrics(Graph.empty(0))
     assert empty.min_degree is None and not empty.is_connected
     assert empty.diameter is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 12), p=st.floats(0.0, 1.0),
+       split=st.booleans())
+def test_diameter_matches_scipy(seed, n, p, split):
+    """A split graph loses every edge between its two halves, so with two
+    or more vertices it is disconnected and its diameter is None."""
+    adj = _random_graph(np.random.default_rng(seed), n, p).adj.copy()
+    if split:
+        half = np.arange(n) < n // 2
+        adj &= half[:, None] == half[None, :]
+    graph = Graph(adj)
+    assert diameter(graph) == basic_metrics(graph).diameter
+    if split and n >= 2:
+        assert diameter(graph) is None
 
 
 def test_graph_keeps_its_own_adjacency():
@@ -239,6 +257,20 @@ def test_connectivity_improved_only_by_a_neighbour_pair():
                                  if e not in missing])
     assert int(graph.degrees.min()) == 5
     assert vertex_connectivity(graph).cut.vertices == (0, 1, 2, 5)
+    _assert_matches_networkx(graph)
+
+
+def test_connectivity_found_by_a_source_pair():
+    """The edge A = {0, 1}, the independent C = {2, 3} and the triangle
+    B = {4, 5, 6}, each vertex of C joined to every vertex of A and B.
+
+    Vertex 0 is the first of minimum degree 3.  Its non-neighbours in B
+    share only C with it, two common neighbours, so their flows run and
+    find kappa = 2; its neighbour pair 2, 3 has five and is skipped."""
+    edges = [(0, 1), (4, 5), (4, 6), (5, 6)]
+    edges += [(c, v) for c in (2, 3) for v in (0, 1, 4, 5, 6)]
+    graph = Graph.from_edges(7, edges)
+    assert vertex_connectivity(graph) == VertexConnectivity(2, VertexCut((2, 3)), False)
     _assert_matches_networkx(graph)
 
 
