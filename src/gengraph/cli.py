@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import sys
 from functools import partial
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .build import build_group
 from .constructions import h_membership, nilpotent_hamiltonian
-from .errors import GengraphError
+from .errors import GengraphError, OrderGuardError
 from .generating import degree_profile, delta_of, generating_graph, recover_cyclic_radical
 from .graphs import (
     MultipartiteParams,
@@ -58,15 +59,15 @@ def _int_at_least(text: str, low: int) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, max_order: bool, budget: bool) -> None:
-    """--no-header and --output, plus --max-order and --budget-nodes where
-    the command reads them."""
-    if max_order:
-        p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
-                       help="the one order guard: no larger group is built, and "
-                            "so no larger subgroup lattice computed (default: env "
-                            "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
-                            "each catalog entry's own guard)")
+def _add_common(p: argparse.ArgumentParser, budget: bool) -> None:
+    """--max-order, --no-header and --output, plus --budget-nodes where the
+    command reads it."""
+    p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
+                   help="the one order guard: no larger group is built, and so "
+                        "no larger subgroup lattice computed, graph file read or "
+                        "product of complete graphs formed (default: env "
+                        "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
+                        "each catalog entry's own guard)")
     if budget:
         p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0),
                        default=10_000_000, help="search-node budget for exact searches")
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="group order, nilpotency data, Frattini order")
     p.add_argument("spec")
-    _add_common(p, max_order=True, budget=False)
+    _add_common(p, budget=False)
 
     p = sub.add_parser("graph", help="emit Gamma(G) or Delta(G)")
     p.add_argument("spec")
@@ -93,11 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--gamma", action="store_true", help="full generating graph (default)")
     which.add_argument("--delta", action="store_true", help="nonisolated vertices only")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    _add_common(p, max_order=True, budget=False)
+    _add_common(p, budget=False)
 
     p = sub.add_parser("stats", help="degree profile vs the closed-form values")
     p.add_argument("spec")
-    _add_common(p, max_order=True, budget=False)
+    _add_common(p, budget=False)
 
     p = sub.add_parser("verify", help="run theorem checks over a catalog")
     p.add_argument("--catalog", default="default",
@@ -105,34 +106,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=None,
                    help="comma-separated list of check ids (default: all)")
     p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
-                   help="worker count")
+                   help="accepted for older scripts; every run is serial")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_common(p, max_order=True, budget=True)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("scan", help="scan an open question over groups")
     p.add_argument("--question", required=True, choices=("conn", "ham", "chrom"))
     p.add_argument("--groups", required=True,
                    help="file with one group spec per line")
     p.add_argument("--jobs", type=partial(_int_at_least, low=1), default=1,
-                   help="worker count")
+                   help="accepted for older scripts; every run is serial")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    _add_common(p, max_order=True, budget=True)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("tdn", help="total domination bounds and exact value "
                                    "for a product of complete graphs")
     p.add_argument("parts", nargs="+", type=partial(_int_at_least, low=2),
                    help="part sizes, each at least 2")
-    _add_common(p, max_order=False, budget=True)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("hamcycle", help="Hamiltonian cycle of Delta(G), "
                                         "constructed per group class")
     p.add_argument("spec")
-    _add_common(p, max_order=True, budget=True)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("check-cert", help="re-verify a certificate against a graph")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--cert", required=True, help="certificate JSON file")
-    _add_common(p, max_order=False, budget=False)
+    _add_common(p, budget=False)
 
     return ap
 
@@ -253,21 +254,23 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise GengraphError(f"unknown checks: {', '.join(unknown)}")
         checks = wanted
-    report = run_catalog(entries, checks, jobs=args.jobs,
-                         budget=SearchBudget(args.budget_nodes),
+    report = run_catalog(entries, checks, budget=SearchBudget(args.budget_nodes),
                          max_order=_max_order(args, None), catalog_name=catalog_name)
     return _emit_report(args, report)
 
 
 def _cmd_scan(args) -> int:
     question = {"conn": "Q_CONN", "ham": "Q_HAM", "chrom": "Q_CHROM"}[args.question]
-    report = run_catalog(load_catalog_file(args.groups), (question,), jobs=args.jobs,
+    report = run_catalog(load_catalog_file(args.groups), (question,),
                          budget=SearchBudget(args.budget_nodes),
                          max_order=_max_order(args, None), catalog_name=args.groups)
     return _emit_report(args, report)
 
 
 def _cmd_tdn(args) -> int:
+    order, guard = math.prod(args.parts), _max_order(args)
+    if order > guard:
+        raise OrderGuardError(f"product order {order} exceeds guard {guard}")
     out = _Out(args)
     parts = MultipartiteParams(tuple(sorted(args.parts)))
     lower, upper, t = td_bounds(parts)
@@ -330,7 +333,7 @@ def _cmd_hamcycle(args) -> int:
 def _cmd_check_cert(args) -> int:
     out = _Out(args)
     with open(args.graph) as fh:
-        graph, _ = graph_from_json(fh.read())
+        graph, _ = graph_from_json(fh.read(), _max_order(args))
     with open(args.cert) as fh:
         cert = certificate_from_json(fh.read())
     ok = verify_certificate(graph, cert)

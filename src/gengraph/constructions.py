@@ -32,7 +32,6 @@ from .graphs import (
 from .groups import (
     Group,
     _closure_members,
-    _power_orbit,
     frattini,
     nilpotent_structure,
     radical,
@@ -167,7 +166,7 @@ def _sylow_cycle(G: Group, members: np.ndarray, phi: frozenset[int]) -> list[int
     """
     gens = members[G.orders[members] == members.size]
     if gens.size:
-        return _power_orbit(G.table, int(gens[0]))
+        return G.powers()[:members.size, gens[0]].tolist()
     t = G.table
     rest = [g for g in members.tolist() if g not in phi]
     a, b = next((a, b) for i, a in enumerate(rest) for b in rest[i + 1:]

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GengraphError
+from .errors import GengraphError, OrderGuardError
 from .memo import cached
 
 
@@ -715,15 +715,18 @@ def _json_object(text: str, what: str) -> dict:
     return doc
 
 
-def graph_from_json(text: str) -> tuple[Graph, list[str]]:
+def graph_from_json(text: str, max_order: int) -> tuple[Graph, list[str]]:
     """Inverse of graph_to_json; malformed input, or a graph too large for
-    memory, raises GengraphError."""
+    memory, raises GengraphError.  An order above `max_order` raises
+    OrderGuardError before any n x n matrix is allocated."""
     doc = _json_object(text, "graph")
     n, edges, marks = doc.get("order"), doc.get("edges"), doc.get("self_dominating", [])
     if not (_is_int(n) and _well_formed("edges", edges)
             and _well_formed("self_dominating", marks)):
         raise GengraphError("malformed graph: order must be an int, edges a list of int "
                             "pairs and self_dominating a list of ints")
+    if n > max_order:
+        raise OrderGuardError(f"graph order {n} exceeds guard {max_order}")
     try:
         graph = Graph.from_edges(n, edges, marks)
     except ValueError as e:

@@ -87,7 +87,8 @@ class Group:
         self._validate()
         inv = np.argmin(table != 0, axis=1).astype(np.int32)
         self.inverses = inv
-        self.orders = _element_orders(table)
+        # the order of g is the first k >= 1 with g^k = 1
+        self.orders = (np.argmax(self.powers()[1:] == 0, axis=0) + 1).astype(np.int32)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         if len(labels) != n:
@@ -140,14 +141,27 @@ class Group:
     # -- cached derived data --------------------------------------------------
 
     @cached
+    def powers(self) -> np.ndarray:
+        """(e + 1) x n array, e the exponent of G: row k holds every
+        element's k-th power, so rows 0 and e are all identity."""
+        ar = np.arange(self.n, dtype=np.int32)
+        rows = [np.zeros_like(ar), ar]
+        while rows[-1].any():
+            rows.append(self.table[rows[-1], ar])
+        out = np.stack(rows)
+        out.setflags(write=False)
+        return out
+
+    @cached
     def _cyclic_data(self):
         """(cyc_id per element, list of subgroup frozensets, least generator per id)."""
         ids = np.empty(self.n, dtype=np.int64)
         subs: dict[frozenset[int], int] = {}
         reps: list[int] = []
         sets: list[frozenset[int]] = []
+        powers = self.powers()
         for g in range(self.n):
-            cyc = frozenset(_power_orbit(self.table, g))
+            cyc = frozenset(powers[:self.orders[g], g].tolist())
             sid = subs.get(cyc)
             if sid is None:
                 sid = len(sets)
@@ -236,34 +250,6 @@ class Group:
         m = self._pair_gen_matrix()[np.ix_(ids, ids)]
         m.setflags(write=False)
         return m
-
-
-def _element_orders(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    orders = np.zeros(n, dtype=np.int32)
-    cur = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    k = 1
-    while alive.any():
-        done = alive & (cur == 0)
-        orders[done] = k
-        alive &= ~done
-        idx = np.flatnonzero(alive)
-        if idx.size:
-            cur[idx] = table[cur[idx], idx]
-        k += 1
-        if k > n + 1:
-            raise GroupLawError("element powers never reach the identity")
-    return orders
-
-
-def _power_orbit(table: np.ndarray, g: int) -> list[int]:
-    out = [0]
-    cur = g
-    while cur != 0:
-        out.append(cur)
-        cur = int(table[cur, g])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +561,7 @@ def frattini(G: Group) -> frozenset[int]:
     if not is_nilpotent(G):
         maxs = maximal_subgroups(G)
         return frozenset.intersection(*maxs) if maxs else frozenset({0})
-    rad = radical(G.n)
-    powers = np.zeros(G.n, dtype=np.int64)
-    base = np.arange(G.n)
-    for _ in range(rad):
-        powers = G.table[powers, base]
+    powers = G.powers()[radical(G.n) % G.orders, np.arange(G.n)]
     seeds = _present(G.n, _commutator_elements(G), powers)
     return _closure_members(G.table, seeds.tolist())
 

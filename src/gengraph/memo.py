@@ -2,8 +2,7 @@
 
 Both types are immutable, so a value computed from one can be kept on it.
 `cached` keeps each such value in the object's `_cache` slot, a dict made
-on first use.  Two threads that fill one object's memo at once can at worst
-compute a value twice; every cached function is deterministic.
+on first use.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -608,52 +607,34 @@ def load_catalog_file(path: str) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def run_catalog(entries, checks=CHECK_IDS, jobs: int = 1,
-                budget: SearchBudget = DEFAULT_BUDGET,
+def run_catalog(entries, checks=CHECK_IDS, budget: SearchBudget = DEFAULT_BUDGET,
                 max_order: int | None = None,
                 catalog_name: str = "custom") -> Report:
-    """Evaluate all (group, check) pairs; build failures become Skipped.
+    """Evaluate all (group, check) pairs in catalog order; build failures
+    become Skipped.
 
     `max_order`, when given, is the order guard for every entry; otherwise
     each entry's own `max_order` is its guard.
-
-    Each group is one task that runs its checks in sequence, so no two
-    workers fill the same group's caches.  The report is deterministic and
-    independent of the worker count: results are assembled in catalog order.
     """
     entries = tuple(entries)
     checks = tuple(checks)
     for check in checks:
         if check not in REGISTRY:
             raise ValueError(f"unknown check {check!r}")
-    groups: dict[str, Group | str] = {}
+    results = []
     for e in entries:
-        if e.spec in groups:
-            continue
         try:
-            groups[e.spec] = build_cached(
-                e.spec, e.max_order if max_order is None else max_order)
+            G = build_cached(e.spec, e.max_order if max_order is None else max_order)
         except GengraphError as err:
-            groups[e.spec] = f"{type(err).__name__}: {err}"
-
-    def evaluate(entry: CatalogEntry) -> list[CheckResult]:
-        built = groups[entry.spec]
-        results = []
+            results += [CheckResult(e.spec, check, "skipped",
+                                    reason=f"build failed: {type(err).__name__}: {err}")
+                        for check in checks]
+            continue
         for check in checks:
-            if isinstance(built, str):
-                results.append(CheckResult(entry.spec, check, "skipped",
-                                           reason=f"build failed: {built}"))
-            elif entry.formula_only and not REGISTRY[check].formula_only:
-                results.append(CheckResult(entry.spec, check, "skipped",
+            if e.formula_only and not REGISTRY[check].formula_only:
+                results.append(CheckResult(e.spec, check, "skipped",
                                            reason="formula-only catalog entry"))
             else:
-                results.append(run_check(built, check, budget, name=entry.spec))
-        return results
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_group = list(pool.map(evaluate, entries))
-    else:
-        per_group = [evaluate(e) for e in entries]
-    results = tuple(r for rows in per_group for r in rows)
+                results.append(run_check(G, check, budget, name=e.spec))
+    results = tuple(results)
     return Report(__version__, catalog_name, results, summarize(results))

@@ -56,7 +56,7 @@ def catalog_report():
     """One full default-catalog run, shared by every test that only reads it."""
     from gengraph.verify import default_catalog, run_catalog
 
-    return run_catalog(default_catalog(), jobs=1, catalog_name="default")
+    return run_catalog(default_catalog(), catalog_name="default")
 
 
 # ---------------------------------------------------------------------------

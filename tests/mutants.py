@@ -172,6 +172,16 @@ MUTANTS = (
            "        key = (name, *args)\n",
            "        key = name\n",
            "tests/test_constructions.py::test_nilpotent_td_one_search_per_budget"),
+    Mutant("the power table stopping before its identity row",
+           "groups.py",
+           "        out = np.stack(rows)\n",
+           "        out = np.stack(rows[:-1])\n",
+           "tests/test_groups.py::test_powers_by_repeated_products"),
+    Mutant("a build failure reported for the first check only",
+           "verify.py",
+           "                        for check in checks]\n",
+           "                        for check in checks[:1]]\n",
+           "tests/test_verify.py::test_catalog_build_failure_recorded"),
     Mutant("the memo never storing",
            "memo.py",
            "value = memo[key] = fn(obj, *args)",

@@ -170,9 +170,8 @@ def test_out_of_range_input_exit_2(capsys, monkeypatch, argv):
     ("info", "C6", "--budget-nodes", "5"),
     ("graph", "C6", "--budget-nodes", "5"),
     ("stats", "C6", "--budget-nodes", "5"),
-    ("tdn", "3", "4", "--max-order", "9"),
+    ("hamcycle", "C6", "--jobs", "2"),
     ("check-cert", "--graph", "g.json", "--cert", "c.json", "--budget-nodes", "5"),
-    ("check-cert", "--graph", "g.json", "--cert", "c.json", "--max-order", "9"),
 ])
 def test_options_only_where_read(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -218,6 +217,25 @@ def test_check_cert_rejects_wrong_cert(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-cert", "--graph", str(gpath),
                            "--cert", str(cpath), "--no-header")
     assert code == 1 and "INVALID" in out
+
+
+def test_outside_input_order_guard(capsys, tmp_path, monkeypatch):
+    import gengraph.cli as cli
+    from gengraph.graphs import Graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph beyond the order guard")
+    monkeypatch.setattr(cli, "complete_product", refuse)
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"order": 100000, "edges": []}')
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"type": "clique", "vertices": [0]}')
+    for argv in (("tdn", "300", "300"),
+                 ("check-cert", "--graph", str(gpath), "--cert", str(cpath)),
+                 ("tdn", "3", "4", "--max-order", "11")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "exceeds guard" in err and "Traceback" not in err
 
 
 def test_max_order_env(capsys, monkeypatch):
@@ -322,7 +340,7 @@ def test_scan_skips_formula_only_and_names_build_errors(capsys, tmp_path):
     ('{"order": 3, "edges": [[0, 1], [1, 2]]}',
      '{"type": "h_chords", "cycle": [0, 1, 2], "chord_odd": [1], "chord_even": null}'),
     ('{"order": 3, "edges": [[0, 1], [1, 2]]}', '{"type": "clique", "vertices": [true]}'),
-    # numpy refuses the order-10^7 matrix at once, so nothing is allocated
+    # the order guard refuses the order-10^7 matrix before it is allocated
     ('{"order": 10000000, "edges": []}', '{"type": "clique", "vertices": [0]}'),
     ('{"order": true, "edges": []}', '{"type": "clique", "vertices": [0]}'),
     ('{"order": 2.7, "edges": []}', '{"type": "clique", "vertices": [0]}'),

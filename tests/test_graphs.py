@@ -522,7 +522,7 @@ def test_certificate_json_round_trip():
 def test_graph_json_round_trip(group):
     d6 = delta_of(group("C6"))
     text = graph_to_json(d6.graph, d6.labels)
-    g2, labels = graph_from_json(text)
+    g2, labels = graph_from_json(text, max_order=6)
     assert np.array_equal(g2.adj, d6.graph.adj)
     assert tuple(labels) == d6.labels
     assert g2.marks == d6.graph.marks

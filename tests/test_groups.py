@@ -287,6 +287,23 @@ def test_p_part(group):
     assert c12.mul(g3, g2) == g or c12.mul(g2, g3) == g
 
 
+@pytest.mark.parametrize("spec", ["C1", "C2", "C12", "C2^2 x C9", "Heis3", "Ex(1)"])
+def test_powers_by_repeated_products(group, spec):
+    G = group(spec)
+    P = G.powers()
+    exponent = int(np.lcm.reduce(G.orders))
+    assert P.shape == (exponent + 1, G.n)
+    assert not P[0].any() and not P[-1].any()
+    for g in range(G.n):
+        x, order = 0, None
+        for k in range(exponent + 1):
+            assert P[k, g] == x
+            if k and x == 0 and order is None:
+                order = k
+            x = G.mul(x, g)
+        assert G.orders[g] == order
+
+
 def _is_isomorphism(iso: np.ndarray, g: Group, h: Group) -> bool:
     return (sorted(iso.tolist()) == list(range(g.n))
             and np.array_equal(iso[g.table], h.table[np.ix_(iso, iso)]))

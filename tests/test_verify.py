@@ -69,7 +69,7 @@ def test_run_check_unknown_id(group):
 
 
 def test_every_check_covers_three_catalog_groups():
-    report = run_catalog(default_catalog(), CHECK_IDS, jobs=1, budget=BUDGET,
+    report = run_catalog(default_catalog(), CHECK_IDS, budget=BUDGET,
                          catalog_name="default")
     applicable: dict[str, int] = {c: 0 for c in CHECK_IDS}
     for r in report.results:
@@ -105,7 +105,7 @@ def test_scan_non_2gen_skipped(group):
 
 
 def test_empty_catalog():
-    report = run_catalog((), CHECK_IDS, jobs=1, budget=BUDGET)
+    report = run_catalog((), CHECK_IDS, budget=BUDGET)
     assert report.results == ()
     assert report.summary == {"pass": 0, "fail": 0, "skipped": 0,
                               "budget": 0, "counterexample": 0, "error": 0}
@@ -115,7 +115,7 @@ def test_catalog_with_non_2gen_cayley_file(tmp_path, group):
     path = tmp_path / "c2cubed.cayley"
     save_cayley_file(group("C2^3"), path)
     entries = (CatalogEntry(f"file:{path}"),)
-    report = run_catalog(entries, ("THM_1_1",), jobs=1, budget=BUDGET)
+    report = run_catalog(entries, ("THM_1_1",), budget=BUDGET)
     assert report.results[0].status == "skipped"
     assert "TwoGenerated" in report.results[0].reason
 
@@ -123,16 +123,18 @@ def test_catalog_with_non_2gen_cayley_file(tmp_path, group):
 def test_catalog_build_failure_recorded(tmp_path):
     entries = (CatalogEntry("file:/nonexistent/nothing.cayley"),
                CatalogEntry("C6"))
-    report = run_catalog(entries, ("THM_1_3_EULER",), jobs=1, budget=BUDGET)
-    assert report.results[0].status == "skipped"
-    assert "build failed" in report.results[0].reason
-    assert report.results[1].status == "pass"
+    report = run_catalog(entries, ("THM_1_3_EULER", "LEM_2_1"), budget=BUDGET)
+    # one skipped row per check of the failed entry
+    for r in report.results[:2]:
+        assert r.status == "skipped"
+        assert r.reason.startswith("build failed: CayleyFileError: ")
+    assert [r.status for r in report.results[2:]] == ["pass", "pass"]
 
 
 def test_catalog_oversized_cayley_entry_recorded(tmp_path):
     path = tmp_path / "big.cayley"
     path.write_text("cayley 1\n2\n0 1\n1 99999999999999999999\n")
-    report = run_catalog((CatalogEntry(f"file:{path}"),), ("THM_1_1",), jobs=1,
+    report = run_catalog((CatalogEntry(f"file:{path}"),), ("THM_1_1",),
                          budget=BUDGET)
     assert report.results[0].status == "skipped"
     assert "build failed" in report.results[0].reason
@@ -277,7 +279,7 @@ def test_unexpected_exception_is_an_error(monkeypatch, tmp_path, capsys, jobs):
     from gengraph.cli import main
 
     entries = (CatalogEntry("C5"), CatalogEntry("C6"), CatalogEntry("C2^2"))
-    clean = run_catalog(entries, jobs=jobs, budget=BUDGET)
+    clean = run_catalog(entries, budget=BUDGET)
     real = V.REGISTRY["THM_1_1"].compute
 
     def broken(G, budget):
@@ -286,7 +288,7 @@ def test_unexpected_exception_is_an_error(monkeypatch, tmp_path, capsys, jobs):
         return real(G, budget)
     record = dataclasses.replace(V.REGISTRY["THM_1_1"], compute=broken)
     monkeypatch.setitem(V.REGISTRY, "THM_1_1", record)
-    report = run_catalog(entries, jobs=jobs, budget=BUDGET)
+    report = run_catalog(entries, budget=BUDGET)
     assert len(report.results) == len(clean.results)
     for got, want in zip(report.results, clean.results):
         if (got.group, got.check) == ("C6", "THM_1_1"):
@@ -455,9 +457,24 @@ def test_nonnilpotent_report_digests(tmp_path, monkeypatch):
     assert digests == NONNILPOTENT_REPORT_SHA256
 
 
-def test_cold_parallel_catalog_matches_serial(catalog_report):
+def test_cold_catalog_matches_cached(catalog_report):
     from gengraph.build import build_cached
 
     build_cached.cache_clear()
-    cold = run_catalog(default_catalog(), jobs=2, catalog_name="default")
+    cold = run_catalog(default_catalog(), catalog_name="default")
     assert cold.to_json() == catalog_report.to_json()
+
+
+def test_verify_starts_no_thread(monkeypatch, capsys):
+    import threading
+
+    from gengraph.cli import main
+
+    def refuse(self):
+        raise AssertionError("verify started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["verify", "--jobs", jobs, "--format", "json", "--no-header"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
