@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = all requested checks passed / computation succeeded;
-1 = at least one Fail (including a conjecture counterexample) or error;
+1 = at least one Fail (including a conjecture counterexample) or error,
+or a `stats` census that differs from its closed-form values;
 2 = usage or input error; 3 = budget exhausted on a requested exact value.
 """
 
@@ -217,9 +218,14 @@ def _cmd_stats(args) -> int:
     out.emit("classes (I = primes with cyclic Sylow in the coset order):")
     for c in prof.classes:
         subset = "{" + ",".join(str(p) for p in c.subset) + "}"
+        degree = "mixed" if c.observed_degree is None else c.observed_degree
         out.emit(f"  I={subset:12s} coset_order={c.coset_order:<4d} "
-                 f"count={c.observed_count:<5d} degree={c.observed_degree:<5d} "
+                 f"count={c.observed_count:<5d} degree={degree:<5} "
                  f"alpha={c.alpha:<5d} beta={c.beta:<5d} eps={c.epsilon}")
+    if not prof.holds:
+        out.emit("status: the census differs from the closed-form values")
+        out.flush()
+        return EXIT_FAIL
     if not G.is_cyclic:
         out.emit(f"radical_statistic: {recover_cyclic_radical(generating_graph(G))}")
     out.flush()

@@ -35,14 +35,6 @@ class NotTwoGeneratedError(GengraphError, ValueError):
     """Operation requires a 2-generated group; more than 2 generators needed."""
 
 
-class InternalMismatchError(GengraphError, AssertionError):
-    """An observed graph quantity disagrees with its closed-form value.
-
-    Raised when a brute-force census contradicts a formula that is proved to
-    hold; this falsifies the implementation, not the formula.
-    """
-
-
 class DominationUndefinedError(GengraphError, ValueError):
     """Some vertex has no possible dominator, so gamma_t is undefined."""
 

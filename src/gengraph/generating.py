@@ -15,12 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    GengraphError,
-    InternalMismatchError,
-    NonIntegralRatioError,
-    NotTwoGeneratedError,
-)
+from .errors import GengraphError, NonIntegralRatioError, NotTwoGeneratedError
 from .graphs import Graph
 from .groups import (
     Group,
@@ -90,7 +85,7 @@ class ProfileClass:
     subset: tuple[int, ...]  # the primes p_i included in I
     coset_order: int
     observed_count: int
-    observed_degree: int
+    observed_degree: int | None  # None when the members' degrees differ
     alpha: int
     beta: int
     epsilon: int
@@ -106,6 +101,15 @@ class DegreeProfile:
     nonisolated_observed: int
     min_degree: int
     min_degree_observed: int
+
+    @property
+    def holds(self) -> bool:
+        """Whether every observed value equals its closed-form value."""
+        return (all(c.observed_count == c.alpha and c.observed_degree == c.beta
+                    for c in self.classes)
+                and self.gen_probability_observed == self.gen_probability
+                and self.nonisolated_observed == self.nonisolated_count
+                and self.min_degree_observed == self.min_degree)
 
 
 def formula_gen_probability(st: NilpotentStructure) -> Fraction:
@@ -154,10 +158,11 @@ def formula_min_degree(st: NilpotentStructure) -> int:
 def degree_profile(G: Group) -> DegreeProfile:
     """Observed degree census of Gamma(G) against the closed-form values.
 
-    Classes are keyed by the exact order of g*Frat(G) in G/Frat(G).  Any
-    observed/formula mismatch raises InternalMismatchError: the identities
-    are proved for nilpotent 2-generated groups, so a mismatch falsifies
-    the implementation.  The trivial group is outside the formulas.
+    Classes are keyed by the exact order of g*Frat(G) in G/Frat(G).  The
+    census is recorded as observed, next to each formula value; `holds`
+    says whether they agree.  The identities are proved for nilpotent
+    2-generated groups, so a mismatch falsifies the implementation.  The
+    trivial group is outside the formulas.
     """
     if G.n == 1:
         raise GengraphError(f"{G.name}: trivial group, outside the formulas")
@@ -176,40 +181,17 @@ def degree_profile(G: Group) -> DegreeProfile:
         members = np.flatnonzero(coset_orders == target)
         # distinct subsets give distinct orders, so the class is well defined
         degs = set(int(degrees[m]) for m in members)
-        if len(degs) != 1:
-            raise InternalMismatchError(
-                f"{G.name}: class {subset} has mixed degrees {sorted(degs)}")
-        observed_degree = degs.pop()
-        alpha = formula_alpha(st, subset)
-        beta = formula_beta(st, subset)
         eps = 1 if st.is_cyclic and len(subset) == st.r else 0
-        if len(members) != alpha:
-            raise InternalMismatchError(
-                f"{G.name}: class {subset} count {len(members)} != alpha {alpha}")
-        if observed_degree != beta:
-            raise InternalMismatchError(
-                f"{G.name}: class {subset} degree {observed_degree} != beta {beta}")
         classes.append(ProfileClass(subset, target, len(members),
-                                    observed_degree, alpha, beta, eps))
+                                    degs.pop() if len(degs) == 1 else None,
+                                    formula_alpha(st, subset),
+                                    formula_beta(st, subset), eps))
     ordered_pairs = 2 * gg.graph.edge_count + len(gg.graph.marks)
-    p_obs = Fraction(ordered_pairs, G.n * G.n)
-    p_formula = formula_gen_probability(st)
-    if p_obs != p_formula:
-        raise InternalMismatchError(
-            f"{G.name}: P(2) observed {p_obs} != formula {p_formula}")
-    v_obs = int((degrees > 0).sum())
-    v_formula = formula_nonisolated(st)
-    if v_obs != v_formula:
-        raise InternalMismatchError(
-            f"{G.name}: |V(Delta)| observed {v_obs} != formula {v_formula}")
     pos = degrees[degrees > 0]
-    d_obs = int(pos.min()) if pos.size else 0
-    d_formula = formula_min_degree(st)
-    if v_obs and d_obs != d_formula:
-        raise InternalMismatchError(
-            f"{G.name}: min degree observed {d_obs} != formula {d_formula}")
-    return DegreeProfile(st, tuple(classes), p_formula, p_obs,
-                         v_formula, v_obs, d_formula, d_obs)
+    return DegreeProfile(st, tuple(classes),
+                         formula_gen_probability(st), Fraction(ordered_pairs, G.n * G.n),
+                         formula_nonisolated(st), int(pos.size),
+                         formula_min_degree(st), int(pos.min()) if pos.size else 0)
 
 
 def recover_cyclic_radical(gg: GeneratingGraph) -> int:

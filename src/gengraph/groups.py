@@ -49,6 +49,7 @@ from .errors import GroupLawError, NotNilpotentError, NotTwoGeneratedError
 from .memo import cached
 
 DEFAULT_MAX_ORDER = 200
+COMMUTATOR_BLOCK = 1 << 16  # entries of g⁻¹h⁻¹gh formed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +128,6 @@ class Group:
                 raise GroupLawError(f"associativity fails for element {s}")
 
     # -- basic arithmetic ----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
     @property
     def is_cyclic(self) -> bool:
@@ -567,9 +565,15 @@ def frattini(G: Group) -> frozenset[int]:
 
 
 def _commutator_elements(G: Group) -> np.ndarray:
+    """The sorted distinct commutators g⁻¹h⁻¹gh, formed for a block of rows
+    g at a time, at most COMMUTATOR_BLOCK entries a block (one row at
+    least), so that no n x n array is built."""
     t, inv = G.table, G.inverses
-    left = t[np.ix_(inv, inv)]
-    return _present(G.n, t[left, t])
+    seen = np.zeros(G.n, dtype=bool)
+    rows = max(1, COMMUTATOR_BLOCK // G.n)
+    for lo in range(0, G.n, rows):
+        seen[t[t[inv[lo:lo + rows]][:, inv], t[lo:lo + rows]]] = True
+    return np.flatnonzero(seen)
 
 
 def _present(n: int, *indices: np.ndarray) -> np.ndarray:

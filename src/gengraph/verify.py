@@ -3,14 +3,20 @@
 Every check computes an expected value from a closed-form criterion and an
 observed value from the independent exact algorithms on the realised graph,
 and passes only when they agree (or when the inequality holds, for bound
-checks).  All failures are values, never exceptions; checks that do not
-apply to a group are Skipped with a reason.
+checks).  All failures are values, never exceptions.
 
 Theorem checks and open-question scans are records of one registry, run by
-one driver, `run_check`: it applies each record's gate, and turns guards,
-budget exhaustion, package errors and any other exception into statuses.
-It is also the one place where reported witnesses are checked: each is
-re-verified by `verify_certificate`, and one that fails is a fail.
+one driver, `run_check`, which gives each result its status:
+
+- `skipped`: the record's gate, or a guard of the check raising `_Skip`,
+  declines the group;
+- `fail`: a theorem check computes a false outcome, a reported witness
+  fails re-verification by `verify_certificate`, or the check raises a
+  package error (`GengraphError`), which on a gated group means the
+  implementation is at fault;
+- `budget`: a search ran out of nodes (`_Budget`);
+- `counterexample`: an open question computes a false outcome;
+- `error`: any other exception, a defect reported so that the run goes on.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from . import __version__
 from .build import build_cached
 from .constructions import nilpotent_hamiltonian, nilpotent_td
-from .errors import ConstructionError, GengraphError, InternalMismatchError
+from .errors import GengraphError
 from .generating import (
     coprime_noncyclic_split,
     degree_profile,
@@ -130,11 +136,10 @@ class Report:
         width = max((len(r.group) for r in self.results), default=5)
         lines = [f"{'group':<{width}}  {'check':<16} {'status':<14} detail"]
         for r in self.results:
-            detail = ""
-            if r.status in ("pass", "fail", "counterexample"):
-                detail = f"expected={_short(r.expected)} observed={_short(r.observed)}"
-            elif r.reason:
-                detail = r.reason
+            detail = r.reason or ""
+            if r.expected is not None or r.observed is not None:
+                values = f"expected={_short(r.expected)} observed={_short(r.observed)}"
+                detail = f"{values} ({detail})" if detail else values
             lines.append(f"{r.group:<{width}}  {r.check:<16} {r.status:<14} {detail}")
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.summary.items()))
         lines.append(f"summary: {counts}")
@@ -328,7 +333,7 @@ def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
 
 def _check_remark_facts(G: Group, budget: SearchBudget) -> Outcome:
     prof = degree_profile(G)
-    return Outcome(True,
+    return Outcome(prof.holds,
                    {"P2": str(prof.gen_probability),
                     "V_delta": prof.nonisolated_count,
                     "min_degree": prof.min_degree},
@@ -502,12 +507,15 @@ def _gate(G: Group, nilpotent: bool) -> None:
 
 def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
               name: str | None = None) -> CheckResult:
-    """Run one registered check or question on one group.  A certificate
+    """Run one registered check or question on one group.
+
+    Only the gate and a check's own `_Skip` give `skipped`.  A certificate
     that fails re-verification, on Gamma(G) or Delta(G) as its record says,
-    and errors that falsify the implementation are a fail; other package
-    errors mean the check does not apply and are a skip; any other exception
-    is a defect of the program, reported as an error so the rest of the run
-    goes on."""
+    and any package error are a `fail`, with the error's type and message as
+    the reason.  `_Budget` gives `budget`; a false outcome gives the
+    record's `false_status`, `fail` or `counterexample`.  Any other
+    exception is a defect of the program, reported as an `error` so that
+    the rest of the run goes on."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check {check_id!r}")
     check = REGISTRY[check_id]
@@ -525,12 +533,8 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
     except _Budget as e:
         return CheckResult(name, check_id, "budget", reason="node budget exhausted",
                            nodes=e.args[0])
-    except (ConstructionError, InternalMismatchError) as e:
-        return CheckResult(name, check_id, "fail",
-                           reason=f"{type(e).__name__}: {e}")
     except GengraphError as e:
-        return CheckResult(name, check_id, "skipped",
-                           reason=f"{type(e).__name__}: {e}")
+        return CheckResult(name, check_id, "fail", reason=f"{type(e).__name__}: {e}")
     except Exception as e:
         log.exception("%s on %s raised", check_id, name)
         return CheckResult(name, check_id, "error",

@@ -551,6 +551,26 @@ def milp_total_domination(graph: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
+# a census that contradicts the formulas
+
+
+def drop_first_gamma_edge(monkeypatch) -> None:
+    """Make `degree_profile` take its census on Gamma(G) less its first
+    edge, so that the classes of the edge's ends hold two degrees."""
+    import gengraph.generating as GEN
+
+    real = GEN.generating_graph
+
+    def less_one_edge(G: Group) -> GeneratingGraph:
+        gg = real(G)
+        adj = gg.graph.adj.copy()
+        u, v = np.argwhere(adj)[0]
+        adj[u, v] = adj[v, u] = False
+        return GeneratingGraph(Graph(adj, gg.graph.marks), gg.vertex_elements, G)
+    monkeypatch.setattr(GEN, "generating_graph", less_one_edge)
+
+
+# ---------------------------------------------------------------------------
 # Cayley-table files
 
 

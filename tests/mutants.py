@@ -187,6 +187,16 @@ MUTANTS = (
            "value = memo[key] = fn(obj, *args)",
            "value = fn(obj, *args)",
            "tests/test_constructions.py::test_nilpotent_td_one_search_per_budget"),
+    Mutant("the Frattini quotient built from its table with sorted rows",
+           "groups.py",
+           "    Q = Group(cmap[G.table[np.ix_(reps, reps)]],\n",
+           "    Q = Group(np.sort(cmap[G.table[np.ix_(reps, reps)]], axis=1),\n",
+           "tests/test_verify.py::test_broken_frattini_quotient_is_a_fail"),
+    Mutant("REMARK_FACTS holding whatever its census observes",
+           "verify.py",
+           "    return Outcome(prof.holds,\n",
+           "    return Outcome(True,\n",
+           "tests/test_verify.py::test_census_mismatch_is_a_fail"),
 )
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import drop_first_gamma_edge
 from gengraph.cli import main
 
 
@@ -67,6 +68,30 @@ def test_stats(capsys):
     assert "gen_probability: 1/3" in out
     assert "nonisolated: 27" in out
     assert "min_degree: 12" in out
+
+
+def test_stats_census_mismatch_exit_1(capsys, monkeypatch):
+    import gengraph.generating as GEN
+
+    real = GEN.formula_nonisolated
+    monkeypatch.setattr(GEN, "formula_nonisolated", lambda st: real(st) + 1)
+    code, out, _ = run_cli(capsys, "stats", "C2^2 x C9", "--no-header")
+    assert code == 1
+    assert "nonisolated: 28 (observed 27)" in out
+    assert "status: the census differs from the closed-form values" in out
+
+
+def test_stats_prints_a_class_of_mixed_degrees(capsys, monkeypatch):
+    """On C2^2 less one edge of Gamma the recovery ratio is 3/2: `stats`
+    reports the census and exits 1 without computing it."""
+    import gengraph.cli as CLI
+    import gengraph.generating as GEN
+
+    drop_first_gamma_edge(monkeypatch)
+    monkeypatch.setattr(CLI, "generating_graph", GEN.generating_graph)
+    code, out, err = run_cli(capsys, "stats", "C2^2", "--no-header")
+    assert (code, err) == (1, "")
+    assert "degree=mixed" in out and "radical_statistic" not in out
 
 
 def test_stats_non_nilpotent_exit_2(capsys):

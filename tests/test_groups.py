@@ -23,6 +23,7 @@ from gengraph.groups import (
     Group,
     _class_and_normaliser,
     _closure_members,
+    _commutator_elements,
     _conjugation,
     derived_subgroup,
     frattini,
@@ -121,7 +122,7 @@ def test_frattini_heisenberg_is_centre(group):
     lat = _maximal_intersection(h)
     assert frattini(h) == lat
     centre = {z for z in range(27)
-              if all(h.mul(z, x) == h.mul(x, z) for x in range(27))}
+              if all(int(h.table[z, x]) == int(h.table[x, z]) for x in range(27))}
     assert lat == frozenset(centre)
     assert len(lat) == 3
 
@@ -284,7 +285,7 @@ def test_p_part(group):
     g3 = p_part(c12, g, 3)
     g2 = p_part(c12, g, 2)
     assert c12.orders[g3] == 3 and c12.orders[g2] == 4
-    assert c12.mul(g3, g2) == g or c12.mul(g2, g3) == g
+    assert int(c12.table[g3, g2]) == g or int(c12.table[g2, g3]) == g
 
 
 @pytest.mark.parametrize("spec", ["C1", "C2", "C12", "C2^2 x C9", "Heis3", "Ex(1)"])
@@ -300,7 +301,7 @@ def test_powers_by_repeated_products(group, spec):
             assert P[k, g] == x
             if k and x == 0 and order is None:
                 order = k
-            x = G.mul(x, g)
+            x = int(G.table[x, g])
         assert G.orders[g] == order
 
 
@@ -336,6 +337,22 @@ def test_derived_subgroup(group):
     assert len(der) == 3
     ex = group("Ex(1)")
     assert len(derived_subgroup(ex)) == 27  # the normal C_3^3
+
+
+@pytest.mark.parametrize("spec, block", [
+    ("C12", 1 << 16), ("Heis3", 1 << 16), ("Ex(1)", 1 << 16), ("Ex(1)", 1000),
+    ("Ex(1)", 1), ("Heis7", 1 << 16)])
+def test_commutators_match_all_pairs(group, monkeypatch, spec, block):
+    """The commutators, formed in blocks of rows, against all n² at once:
+    Ex(1) (n = 54) in one block, in blocks of 18 rows and of one row, and
+    Heis7 (n = 343) in two blocks, the second one short."""
+    import gengraph.groups as GR
+
+    monkeypatch.setattr(GR, "COMMUTATOR_BLOCK", block)
+    G = group(spec)
+    t, inv = G.table, G.inverses
+    every = t[t[np.ix_(inv, inv)], t]
+    assert _commutator_elements(G).tolist() == np.unique(every).tolist()
 
 
 def test_subgroup_as_group(group):
@@ -585,7 +602,7 @@ def test_pair_matrix_counting_is_strict(group):
     gen, oracle = h._pair_gen_matrix(), all_pairs_gen_matrix(h)
     pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
              if len(sets[i]) == len(sets[j]) == 3
-             and h.mul(reps[i], reps[j]) == h.mul(reps[j], reps[i])]
+             and int(h.table[reps[i], reps[j]]) == int(h.table[reps[j], reps[i]])]
     assert pairs
     for i, j in pairs:
         assert len(sets[i]) * len(sets[j]) == 9 * len(sets[i] & sets[j])

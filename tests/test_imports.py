@@ -1,7 +1,7 @@
 """Every top-level import in a package module is used in that module,
-every top-level definition is read by some package module, only the memo
-module touches an object's memo, importing the command line loads no
-scipy, and a verify run loads no numpy.ma."""
+every top-level definition and every method is read by some package
+module, only the memo module touches an object's memo, importing the
+command line loads no scipy, and a verify run loads no numpy.ma."""
 
 from __future__ import annotations
 
@@ -51,6 +51,25 @@ def unread_definitions(sources: list[str]) -> list[str]:
     return [name for name in defined if name not in read]
 
 
+def unread_methods(sources: list[str]) -> list[str]:
+    """Methods of top-level classes, dunder methods aside, that no module
+    reads as an attribute outside their own body, as `Class.method`."""
+    defined = []
+    read = set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+                own = None
+                if (isinstance(node, ast.ClassDef)
+                        and isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    own = item.name
+                    defined.append((node.name, own))
+                read |= {n.attr for n in ast.walk(item)
+                         if isinstance(n, ast.Attribute) and n.attr != own}
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
 def cache_accesses(source: str) -> list[int]:
     """Lines that read or write an attribute `_cache`, or name it in a string
     other than a `__slots__` entry."""
@@ -75,6 +94,16 @@ def test_detector_finds_an_unread_definition():
     assert unread_definitions([caller + "\nmain()\n", "def used():\n    pass\n"]) == []
 
 
+def test_detector_finds_an_unread_method():
+    caller = "def main(a):\n    return a.used()\n"
+    defs = ("class A:\n    def __init__(self):\n        self.n = 1\n\n"
+            "    def used(self):\n        return self.n\n\n"
+            "    def dead(self, n):\n        return self.dead(n - 1)\n\n"
+            "    @property\n    def unread(self):\n        return 1\n")
+    assert unread_methods([caller, defs]) == ["A.dead", "A.unread"]
+    assert unread_methods(["class A:\n    def f(self):\n        pass\n", "x.f()\n"]) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -83,6 +112,10 @@ def test_no_unused_top_level_imports(path):
 def test_every_definition_is_read_by_the_package():
     unread = unread_definitions([p.read_text() for p in MODULES])
     assert sorted(unread) == sorted(UNREAD_ALLOWED)
+
+
+def test_every_method_is_read_by_the_package():
+    assert unread_methods([p.read_text() for p in MODULES]) == []
 
 
 def test_detector_finds_a_cache_access():

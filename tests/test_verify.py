@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -27,6 +28,7 @@ from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
     CatalogEntry,
+    Report,
     default_catalog,
     load_catalog_file,
     run_catalog,
@@ -249,13 +251,18 @@ def test_broken_certificate_is_a_fail(group, monkeypatch, check_id, spec, cert_t
 
 
 @pytest.mark.parametrize("error, status", [
-    ("InternalMismatchError", "fail"),
     ("ConstructionError", "fail"),
-    ("NotNilpotentError", "skipped"),
-    ("NotTwoGeneratedError", "skipped"),
-    ("OrderGuardError", "skipped"),
+    ("NotNilpotentError", "fail"),
+    ("NotTwoGeneratedError", "fail"),
+    ("OrderGuardError", "fail"),
+    ("GroupLawError", "fail"),
+    ("NonIntegralRatioError", "fail"),
+    ("DominationUndefinedError", "fail"),
 ])
 def test_error_status_mapping(group, monkeypatch, error, status):
+    """A package error raised inside a check that passed its gate is a fail,
+    on a theorem check and on an open question alike: never a skip, and
+    never a counterexample."""
     import dataclasses
 
     import gengraph.errors as E
@@ -269,6 +276,7 @@ def test_error_status_mapping(group, monkeypatch, error, status):
         r = run_check(group("C6"), check, BUDGET, name="C6")
         assert r.status == status
         assert r.reason == f"{error}: injected"
+        assert r.reason in Report("v", "c", (r,), summarize((r,))).to_table()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -336,8 +344,42 @@ def test_census_mismatch_is_a_fail(group, monkeypatch):
     real = GEN.formula_nonisolated
     monkeypatch.setattr(GEN, "formula_nonisolated", lambda st: real(st) + 1)
     r = V.run_check(group("C2^2 x C3"), "REMARK_FACTS", BUDGET, name="C2^2 x C3")
-    assert r.status == "fail"
-    assert r.reason.startswith("InternalMismatchError: ")
+    assert (r.status, r.reason) == ("fail", None)
+    assert (r.expected["V_delta"], r.observed["V_delta"]) == (10, 9)
+
+
+def test_broken_frattini_quotient_is_a_fail(monkeypatch, capsys, tmp_path):
+    """The checks on C2^2 x C9 that read its Frattini quotient pass.  With
+    the quotient built from its table with sorted rows, which fails the
+    group laws, each is a fail with the GroupLawError as its reason, not a
+    skip, and `verify` exits 1."""
+    import gengraph.groups as GR
+    from gengraph.build import build_cached
+    from gengraph.cli import main
+
+    checks = ("EQ_LEX", "LEM_2_2_DEG", "REMARK_FACTS", "LEM_3_1_KAPPA")
+    cat = tmp_path / "cat.txt"
+    cat.write_text("C2^2 x C9\n")
+    argv = ["verify", "--catalog", str(cat), "--checks", ",".join(checks),
+            "--format", "json", "--no-header"]
+
+    def run() -> tuple[int, list]:
+        build_cached.cache_clear()  # a fresh group, whose quotient is not memoised
+        code = main(argv)
+        results = json.loads(capsys.readouterr().out)["results"]
+        return code, [(r["status"], r.get("reason")) for r in results]
+
+    assert run() == (0, [("pass", None)] * len(checks))
+    real = GR.Group
+
+    def sorted_rows(table, **kwargs):
+        if kwargs["name"].endswith("/Frat"):
+            table = np.sort(table, axis=1)
+        return real(table, **kwargs)
+    monkeypatch.setattr(GR, "Group", sorted_rows)
+    reason = "GroupLawError: index 0 is not a two-sided identity"
+    assert run() == (1, [("fail", reason)] * len(checks))
+    build_cached.cache_clear()
 
 
 def test_certificate_cap(group, monkeypatch):
