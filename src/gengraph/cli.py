@@ -40,7 +40,7 @@ from .groups import (
     is_two_generated,
     nilpotent_structure,
 )
-from .search import SearchBudget, hamiltonian, total_domination
+from .search import DEFAULT_BUDGET, SearchBudget, hamiltonian, total_domination
 from .verify import CHECK_IDS, Report, default_catalog, load_catalog_file, run_catalog
 
 EXIT_OK = 0
@@ -71,7 +71,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool) -> None:
                         "each catalog entry's own guard)")
     if budget:
         p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0),
-                       default=10_000_000, help="search-node budget for exact searches")
+                       default=DEFAULT_BUDGET.max_nodes,
+                       help="search-node budget for exact searches")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the timestamped header line")
     p.add_argument("--output", "-o", default=None, help="write output to a file")

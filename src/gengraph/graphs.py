@@ -5,14 +5,15 @@ boolean adjacency matrix.  Vertices can optionally carry a self-dominating
 mark: a marked vertex counts as its own neighbour for total-domination
 feasibility only (the graph structure itself stays loopless).
 
-Vertex and edge connectivity come from one exact unit-capacity max-flow
-over the neighbour bitmasks, `maximum_flow`.  Each flow starts from short
-disjoint paths (the direct edge, the common neighbours, greedy paths of
-length 3) and stops once it reaches the best cut found so far, since such
-a pair cannot lower it.  A cut is read only after a failed augmenting
-search, that is off a maximum flow, and from its residual source side,
-which every maximum flow shares: the witnesses do not depend on which
-paths the flow took.  Every reported witness is re-checked from its
+Vertex and edge connectivity share one minimum-cut loop, `_least_cut`, over
+one exact unit-capacity max-flow on the neighbour bitmasks, `maximum_flow`,
+which starts from short disjoint paths (the direct edge, the common
+neighbours, greedy paths of length 3).  kappa seeds the loop with the
+neighbourhood of a minimum-degree vertex (Esfahanian & Hakimi), lambda with
+the star of vertex 0; `_least_cut` states why the seed, the skipped pairs
+and the stopped flows leave the witness a function of the graph alone: a
+cut is read only off a maximum flow, as its residual source side, which
+every maximum flow shares.  Every reported witness is re-checked from its
 definition by `verify_certificate`, in `verify.run_check` or the CLI;
 connectedness, there and in the algorithms, is one bitmask traversal, `_reach`.
 Every walk (the flows, `_reach`, the Euler circuit, the connectivity pair
@@ -520,84 +521,73 @@ def _edge_flow(bits: list[int], a: int, b: int, limit: int) -> tuple[int, int | 
     return limit, None
 
 
+def _least_cut(bits: list[int], pairs: Iterable[tuple[int, int]], vertex: bool,
+               best: int, cut: int) -> tuple[int, int]:
+    """The least of the seed `best` and the a-b flows over `pairs`, with its cut.
+
+    The seed is a cut the caller already holds, `cut` as a bitmask.  A pair
+    is skipped when |N(a) & N(b)| + [a ~ b], a lower bound on its flow (each
+    common neighbour w is a path a-w-b, the edge a-b one more), is at least
+    the best so far; otherwise its flow stops once it reaches the best.
+    Neither can strictly improve, and only a strict improvement replaces the
+    best and its cut, so the result is the seed, or the cut of the first
+    pair whose flow is least and below the seed.  An improving flow ran to a
+    failed search, so it is maximum, and its cut is its residual source side
+    (`maximum_flow`), which every maximum flow shares: the result does not
+    depend on the paths the flows took, nor on which pairs were skipped.  A
+    flow of 0 joins two components: its vertex cut is empty, and no edge
+    leaves its side.
+    """
+    for a, b in pairs:
+        if (bits[a] & bits[b]).bit_count() + (bits[a] >> b & 1) >= best:
+            continue
+        value, side = maximum_flow(bits, a, b, vertex, best)
+        if value < best:
+            best, cut = value, side
+    return best, cut
+
+
 @cached
 def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     """Exact vertex connectivity with a minimum-cut witness.
 
-    Vertex-split max-flow from a fixed minimum-degree vertex s to each of its
-    non-neighbours, then between non-adjacent pairs of its neighbours
-    (Esfahanian & Hakimi); the complete graph returns the n-1 convention, a
-    disconnected graph 0 with the empty cut.  Computed once per graph.
-
-    A pair's flow is skipped when its common-neighbour count, a lower bound
-    on its local connectivity (each common neighbour is its own path of
-    length 2), is already at least the best cut so far.  Otherwise the flow
-    starts from those paths and greedy paths of length 3 (`maximum_flow`)
-    and stops once it reaches the best cut.  This is exact: the best value
-    and its witness change only on a strict improvement, which a skipped or
-    stopped pair cannot give.  An improving flow ran to a failed search, so
-    it is maximum, and its cut is read off the residual source side, which
-    every maximum flow shares; the witness does not depend on the paths.
+    `_least_cut` over vertex-split flows from a fixed minimum-degree vertex
+    s to each of its non-neighbours, then between the non-adjacent pairs of
+    its neighbours (Esfahanian & Hakimi), seeded with the cut N(s).  The
+    complete graph returns the n-1 convention, a disconnected graph 0 with
+    the empty cut.  Computed once per graph.
     """
     n = graph.n
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
     if graph.is_complete():
         return VertexConnectivity(n - 1, None, True)
-    if not _connected(graph):
-        return VertexConnectivity(0, VertexCut(()), False)
-
     bits = graph.bitmasks()
     s = int(np.argmin(graph.degrees))
-    best = bits[s].bit_count()
-    best_cut = tuple(_bits_of(bits[s]))
-
-    def try_pair(a: int, b: int, bound: int):
-        nonlocal best, best_cut
-        if bound >= best:
-            return
-        value, cut = maximum_flow(bits, a, b, True, best)
-        if value < best:
-            best = value
-            best_cut = tuple(_bits_of(cut))
-
-    for t in _bits_of(((1 << n) - 1) & ~bits[s] & ~(1 << s)):
-        try_pair(s, t, (bits[s] & bits[t]).bit_count())
-    for a in _bits_of(bits[s]):
-        for b in _bits_of(bits[s] & ~bits[a] & -(2 << a)):
-            try_pair(a, b, (bits[a] & bits[b]).bit_count())
-    return VertexConnectivity(best, VertexCut(best_cut), False)
+    pairs = [(s, t) for t in _bits_of(((1 << n) - 1) & ~bits[s] & ~(1 << s))]
+    pairs += [(a, b) for a in _bits_of(bits[s])
+              for b in _bits_of(bits[s] & ~bits[a] & -(2 << a))]
+    best, cut = _least_cut(bits, pairs, True, bits[s].bit_count(), bits[s])
+    return VertexConnectivity(best, VertexCut(tuple(_bits_of(cut))), False)
 
 
 def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
-    """Exact edge connectivity via fixed-source edge max-flows.
+    """Exact edge connectivity with a minimum-cut witness.
 
-    The flow from vertex 0 to t is skipped, except the first, when
-    |N(0) & N(t)| + [0 ~ t], a lower bound on the number of edge-disjoint
-    0-t paths, is already at least the best cut so far: the best value and
-    its witness change only on a strict improvement, which that flow cannot
-    give.  For the same reason every flow after the first stops once it
-    reaches the best cut.  The first runs to a failed search, as does every
-    improving flow, so each cut is read off a maximum flow's residual source
-    side, which every maximum flow shares.
+    `_least_cut` over edge flows from vertex 0 to each other vertex, seeded
+    with the star of 0, the side {0}.  That is also the residual source side
+    of any flow from 0 of value deg(0), which saturates every edge at 0, so
+    the seed gives the witness that such a flow would.  The witness is the
+    edges that leave the final side; a disconnected graph, or one vertex,
+    gives 0 with the empty cut.
     """
     n = graph.n
     if n == 0:
         raise ValueError("edge connectivity of the empty graph is undefined")
-    if n == 1 or not _connected(graph):
-        return 0, EdgeCut(())
     bits = graph.bitmasks()
-    best = None
-    best_cut: tuple = ()
-    for t in range(1, n):
-        if best is not None and (bits[0] & bits[t]).bit_count() + (bits[0] >> t & 1) >= best:
-            continue
-        value, side = maximum_flow(bits, 0, t, False, best)
-        if best is None or value < best:
-            best = value
-            best_cut = tuple(sorted((min(u, w), max(u, w)) for u in _bits_of(side)
-                                    for w in _bits_of(bits[u] & ~side)))
-    return best, EdgeCut(best_cut)
+    best, side = _least_cut(bits, [(0, t) for t in range(1, n)], False, bits[0].bit_count(), 1)
+    return best, EdgeCut(tuple(sorted((min(u, w), max(u, w)) for u in _bits_of(side)
+                                      for w in _bits_of(bits[u] & ~side))))
 
 
 # ---------------------------------------------------------------------------

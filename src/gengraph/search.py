@@ -151,7 +151,6 @@ class CliqueResult:
     exceeded: bool
 
 
-@cached
 def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with greedy colouring bounds.
 
@@ -161,9 +160,6 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
     can stand in for another; the quotient is the subgraph induced on one
     vertex per class, so its largest clique, read back through the class
     representatives, is a largest clique of the graph.
-
-    The result is kept on the graph per node budget, so `chromatic_number`
-    reuses the search that its caller already ran.
     """
     if graph.n == 0:
         return CliqueResult(0, Clique(()), 0, False)
@@ -226,8 +222,9 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
 class ChromaticResult:
     chi: int | None
     coloring: Coloring | None
-    nodes: int
+    nodes: int  # the clique search's included
     exceeded: bool
+    clique: CliqueResult  # the search that gave the lower bound
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
@@ -250,10 +247,12 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring(tuple(colors))
 
 
+@cached
 def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
                      ) -> ChromaticResult:
     """Exact chromatic number, seeded with the clique lower bound and the
-    DSATUR upper bound.
+    DSATUR upper bound.  The result, its clique search included, is kept
+    on the graph per node budget.
 
     DSATUR and the k-colouring search run on `_twin_quotient(graph)`, seeded
     with the clique mapped to its classes.  Vertices of one class are not
@@ -263,14 +262,11 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
     quotient is an induced subgraph, so it needs no more colours than the
     graph does.
     """
-    n = graph.n
-    if n == 0:
-        return ChromaticResult(0, Coloring(()), 0, False)
-    if graph.edge_count == 0:
-        return ChromaticResult(1, Coloring((0,) * n), 0, False)
     cl = clique_number(graph, budget)
     if cl.exceeded:
-        return ChromaticResult(None, None, cl.nodes, True)
+        return ChromaticResult(None, None, cl.nodes, True, cl)
+    if graph.n == 0:
+        return ChromaticResult(0, Coloring(()), 0, False, cl)
     quotient, _, cls = _twin_quotient(graph)
     seed = tuple(cls[v] for v in cl.clique.vertices)
     best = greedy_coloring(quotient)
@@ -282,14 +278,14 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
         try:
             got = _k_coloring(quotient, k, seed, counter)
         except _BudgetExhausted:
-            return ChromaticResult(None, None, nodes + counter.nodes, True)
+            return ChromaticResult(None, None, nodes + counter.nodes, True, cl)
         if got is not None:
             best = got
             upper = k
             break
         k += 1
     return ChromaticResult(upper, Coloring(tuple(best.colors[c] for c in cls)),
-                           nodes + counter.nodes, False)
+                           nodes + counter.nodes, False, cl)
 
 
 def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],

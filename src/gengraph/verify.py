@@ -71,7 +71,6 @@ from .search import (
     DEFAULT_BUDGET,
     SearchBudget,
     chromatic_number,
-    clique_number,
     hamiltonian,
     total_domination,
 )
@@ -187,12 +186,12 @@ class _Budget(Exception):
 
 
 def _guarded_delta(G: Group) -> Graph:
-    """Delta(G), provided it is nonempty and within the flow guard."""
+    """Delta(G), provided it is within the flow guard.  It is never empty:
+    a gated group is 2-generated of order > 1, and a generating pair is an
+    edge."""
     graph = delta_of(G).graph
     if graph.n > FLOW_GUARD:
         raise _Skip(f"flow guard: |V(Delta)| = {graph.n} > {FLOW_GUARD}")
-    if graph.n == 0:
-        raise _Skip("Delta is empty")
     return graph
 
 
@@ -205,19 +204,15 @@ def _connectivity(G: Group):
 def _omega_chi(G: Group, budget: SearchBudget):
     """Clique and chromatic search results on Gamma(G), under the search guard.
 
-    `chromatic_number` reuses the clique search and counts its nodes, so
-    `ch.nodes` is the node count of both searches.
+    Both come from one memoised `chromatic_number`, which carries its clique
+    search, so `ch.nodes` is the node count of both searches.
     """
     if G.n > SEARCH_GROUP_GUARD:
         raise _Skip(f"search guard: |G| = {G.n} > {SEARCH_GROUP_GUARD}")
-    graph = generating_graph(G).graph
-    cl = clique_number(graph, budget)
-    if cl.exceeded:
-        raise _Budget(cl.nodes)
-    ch = chromatic_number(graph, budget)
+    ch = chromatic_number(generating_graph(G).graph, budget)
     if ch.exceeded:
         raise _Budget(ch.nodes)
-    return cl, ch
+    return ch.clique, ch
 
 
 def _gamma_t(G: Group, budget: SearchBudget):

@@ -147,10 +147,10 @@ MUTANTS = (
            "            bits[w] ^= 1 << v\n",
            "",
            "tests/test_graphs.py::test_euler_k3"),
-    Mutant("κ's source-pair bound loosened by one",
+    Mutant("the minimum-cut loop's pair bound loosened by one",
            "graphs.py",
-           "try_pair(s, t, (bits[s] & bits[t]).bit_count())",
-           "try_pair(s, t, (bits[s] & bits[t]).bit_count() + 1)",
+           "if (bits[a] & bits[b]).bit_count() + (bits[a] >> b & 1) >= best:",
+           "if (bits[a] & bits[b]).bit_count() + (bits[a] >> b & 1) + 1 >= best:",
            "tests/test_graphs.py::test_connectivity_found_by_a_source_pair"),
     Mutant("the diameter of a disconnected graph reported as a number",
            "graphs.py",

@@ -353,11 +353,11 @@ def test_nilpotent_td_one_search_per_budget(monkeypatch):
 def test_memoised_functions_take_keywords():
     """f(x), f(x, b) and f(x, budget=b) share one memo entry."""
     from gengraph.build import build_group
-    from gengraph.search import DEFAULT_BUDGET, clique_number
+    from gengraph.search import DEFAULT_BUDGET, chromatic_number
 
     G = build_group("C2^2 x C3")
     small = SearchBudget(10)
-    for fn, obj in ((nilpotent_td, G), (clique_number, generating_graph(G).graph)):
+    for fn, obj in ((nilpotent_td, G), (chromatic_number, generating_graph(G).graph)):
         first = fn(obj)
         assert fn(obj, DEFAULT_BUDGET) is first
         assert fn(obj, budget=DEFAULT_BUDGET) is first

@@ -174,13 +174,22 @@ def test_disconnected_conventions():
     assert verify_certificate(two, vc.cut)
     lam, cut = edge_connectivity(two)
     assert lam == 0 and cut.edges == ()
+    k1 = Graph.complete(1)
+    assert vertex_connectivity(k1) == VertexConnectivity(0, None, True)
+    assert edge_connectivity(k1) == (0, EdgeCut(()))
+    # a triangle and the isolated vertex 3: kappa's seed is N(3), empty;
+    # lambda skips its flows from 0 to 1 and 2, and that to 3 is 0
+    lone = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert vertex_connectivity(lone) == VertexConnectivity(0, VertexCut(()), False)
+    assert edge_connectivity(lone) == (0, EdgeCut(()))
+    assert verify_certificate(lone, EdgeCut(()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
-def test_connectivity_matches_brute_force(seed, n):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 8), p=st.floats(0.05, 0.9))
+def test_connectivity_matches_brute_force(seed, n, p):
     rng = np.random.default_rng(seed)
-    graph = _random_graph(rng, n, 0.55)
+    graph = _random_graph(rng, n, p)
     vc = vertex_connectivity(graph)
     assert vc.value == brute_vertex_connectivity(graph)
     if vc.cut is not None:
@@ -188,7 +197,7 @@ def test_connectivity_matches_brute_force(seed, n):
         assert verify_certificate(graph, vc.cut)
     lam, cut = edge_connectivity(graph)
     assert lam == brute_edge_connectivity(graph)
-    if lam > 0:
+    if n >= 2:
         assert len(cut.edges) == lam
         assert verify_certificate(graph, cut)
     assert vc == scipy_vertex_connectivity(graph)

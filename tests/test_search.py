@@ -125,12 +125,14 @@ def test_clique_matches_reference_search_on_gamma(group):
 
 
 def test_clique_result_cached_per_budget():
+    # the clique search is kept on the graph inside the chromatic result
     graph = complete_multipartite([3, 3, 3])
-    res = clique_number(graph)
-    assert clique_number(graph) is res
-    assert clique_number(graph, SearchBudget()) is res  # the default, passed
-    assert clique_number(graph, SearchBudget(0)).exceeded
-    assert clique_number(graph) is res
+    res = chromatic_number(graph)
+    assert res.clique == clique_number(graph)
+    assert chromatic_number(graph) is res
+    assert chromatic_number(graph, SearchBudget()) is res  # the default, passed
+    assert chromatic_number(graph, SearchBudget(0)).clique.exceeded
+    assert chromatic_number(graph) is res
 
 
 def test_clique_budget():

@@ -435,15 +435,17 @@ def test_one_clique_search_per_gamma():
         G = build_group(spec)  # uncached, so no search has run on its Gamma
         results = [run_check(G, check, BUDGET, name=spec) for check in ("THM_1_5", "Q_CHROM")]
         graph = generating_graph(G).graph
-        # both checks read one clique search, kept in Gamma's memo
-        assert [key for key in graph._cache if key[0] == "clique_number"] == [
-            ("clique_number", BUDGET)]
-        cl = search.clique_number(graph, BUDGET)
+        # both checks read one chromatic search, its clique search
+        # included, kept in Gamma's memo
+        assert [key for key in graph._cache if key[0] == "chromatic_number"] == [
+            ("chromatic_number", BUDGET)]
+        ch = search.chromatic_number(graph, BUDGET)
+        cl = ch.clique
         assert (cl.size, cl.clique.vertices, cl.nodes) == reference_clique_search(graph)
         # the reported count is that of one chromatic search on a fresh
         # graph, which counts the nodes of its own clique search once
         fresh = search.chromatic_number(Graph(graph.adj), BUDGET)
-        assert fresh.nodes >= cl.nodes
+        assert fresh == ch and fresh.nodes >= cl.nodes
         for r in results:
             assert r.status == "pass" and r.nodes == fresh.nodes, r
 
