@@ -4,22 +4,38 @@ Grammar:  spec := factor { ("x"|"×") factor }
           factor := "C" int ["^" int] | "Heis" int | "Ex(" int ")" | "file:" path
 Whitespace around the separator is ignored; a file path runs to the next
 whitespace.
+
+A factor kind is a named group of `_FACTOR_RE`, a branch of
+`_factor_from_match` that checks its parameters and makes its `Factor`
+record, and a table function.
+
+The order guard refuses a spec whose order is known from its text before any
+table is built.  A Cayley file's order is known only once the file is read,
+so a spec with a file factor is refused after its factors' tables are built
+and before their product table is.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CayleyFileError, GroupSpecError, OrderGuardError
-from .groups import DEFAULT_MAX_ORDER, Group
+from .groups import DEFAULT_MAX_ORDER, Group, totient_profile
 
-Table = tuple[np.ndarray, tuple[str, ...]]  # a multiplication table and its labels
+
+class Table(NamedTuple):
+    """A multiplication table and its labels."""
+
+    table: np.ndarray
+    labels: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -27,62 +43,17 @@ Table = tuple[np.ndarray, tuple[str, ...]]  # a multiplication table and its lab
 
 
 @dataclass(frozen=True)
-class Cyclic:
-    n: int
+class Factor:
+    """One factor of a spec: its canonical text, its order, and its builder.
 
-    def order(self) -> int:
-        return self.n
+    `order` is None for a Cayley file, whose order is known only once the
+    file is read.  `build(max_order)` makes the factor's table and labels; a
+    file factor's returns the loaded `Group`, which was validated on loading.
+    """
 
-    def canonical(self) -> str:
-        return f"C{self.n}"
-
-
-@dataclass(frozen=True)
-class CyclicPower:
-    n: int
-    k: int
-
-    def order(self) -> int:
-        return self.n ** self.k
-
-    def canonical(self) -> str:
-        return f"C{self.n}^{self.k}"
-
-
-@dataclass(frozen=True)
-class Heisenberg:
-    p: int
-
-    def order(self) -> int:
-        return self.p ** 3
-
-    def canonical(self) -> str:
-        return f"Heis{self.p}"
-
-
-@dataclass(frozen=True)
-class ExampleFamily:
-    d: int
-
-    def order(self) -> int:
-        return 4 * math.prod(p ** 3 for p in odd_primes(self.d))
-
-    def canonical(self) -> str:
-        return f"Ex({self.d})"
-
-
-@dataclass(frozen=True)
-class CayleyFile:
-    path: str
-
-    def order(self) -> int | None:
-        return None
-
-    def canonical(self) -> str:
-        return f"file:{self.path}"
-
-
-Factor = Cyclic | CyclicPower | Heisenberg | ExampleFamily | CayleyFile
+    text: str
+    order: int | None
+    build: Callable[[int], Table | Group] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -90,34 +61,20 @@ class GroupSpec:
     factors: tuple[Factor, ...]
 
     def canonical(self) -> str:
-        return " x ".join(f.canonical() for f in self.factors)
+        return " x ".join(f.text for f in self.factors)
 
     def known_order(self) -> int | None:
-        total = 1
-        for f in self.factors:
-            o = f.order()
-            if o is None:
-                return None
-            total *= o
-        return total
+        orders = [f.order for f in self.factors]
+        return None if None in orders else math.prod(orders)
 
 
 def odd_primes(count: int) -> list[int]:
     out, c = [], 3
     while len(out) < count:
-        if _is_prime(c):
+        if totient_profile(c)[1] == c - 1:  # c is prime
             out.append(c)
         c += 2
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +118,31 @@ def parse_spec(text: str) -> GroupSpec:
 
 def _factor_from_match(m: re.Match, pos: int) -> Factor:
     if m.group("n") is not None:
-        nval = int(m.group("n"))
-        if nval < 1:
+        n = int(m.group("n"))
+        if n < 1:
             raise GroupSpecError("cyclic order must be >= 1", pos)
-        if m.group("k") is not None:
-            kval = int(m.group("k"))
-            if kval < 1:
-                raise GroupSpecError("power must be >= 1", pos)
-            return CyclicPower(nval, kval)
-        return Cyclic(nval)
+        if m.group("k") is None:
+            return Factor(f"C{n}", n, lambda _: cyclic_table(n))
+        k = int(m.group("k"))
+        if k < 1:
+            raise GroupSpecError("power must be >= 1", pos)
+        return Factor(f"C{n}^{k}", n ** k,
+                      lambda _: _direct_product([cyclic_table(n)] * k))
     if m.group("p") is not None:
-        pval = int(m.group("p"))
-        if pval == 2 or not _is_prime(pval):
-            raise GroupSpecError(f"Heisenberg parameter {pval} is not an odd prime", pos)
-        return Heisenberg(pval)
+        p = int(m.group("p"))
+        # p >= 2 is prime exactly when phi(p) = p - 1
+        if p < 3 or totient_profile(p)[1] != p - 1:
+            raise GroupSpecError(f"Heisenberg parameter {p} is not an odd prime", pos)
+        return Factor(f"Heis{p}", p ** 3, lambda _: heisenberg_table(p))
     if m.group("d") is not None:
-        dval = int(m.group("d"))
-        if dval < 1:
+        d = int(m.group("d"))
+        if d < 1:
             raise GroupSpecError("example-family index must be >= 1", pos)
-        return ExampleFamily(dval)
-    return CayleyFile(m.group("path"))
+        order = 4 * math.prod(p ** 3 for p in odd_primes(d))
+        return Factor(f"Ex({d})", order, lambda _: example_family_table(d))
+    path = m.group("path")
+    return Factor(f"file:{path}", None,
+                  lambda max_order: load_cayley_file(path, max_order=max_order))
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +153,25 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
     """Build the group described by `spec`, subject to the order guard.
 
     The factors are plain tables and labels: only the result is validated,
-    once, as a `Group` (a Cayley-file factor is also validated on loading).
+    once, as a `Group`.  A Cayley-file factor is validated on loading, so a
+    lone one is renamed, not validated again.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    known = spec.known_order()
-    if known is not None and known > max_order:
-        raise OrderGuardError(
-            f"order {known} of {spec.canonical()} exceeds guard {max_order}")
-    if len(spec.factors) == 1 and isinstance(spec.factors[0], CayleyFile):
-        G = load_cayley_file(spec.factors[0].path, max_order=max_order)
-        G.name = spec.canonical()  # already validated: rename it, do not validate again
-        return G
-    parts = [_factor_table(f, max_order) for f in spec.factors]
-    if len(parts) == 1:
-        table, labels = parts[0]
-    else:
-        table = _direct_product_table([t for t, _ in parts])
-        labels = _product_labels([lbl for _, lbl in parts])
-    if table.shape[0] > max_order:
-        raise OrderGuardError(
-            f"order {table.shape[0]} exceeds guard {max_order}")
+    _guard(spec.known_order(), spec, max_order)
+    parts = [f.build(max_order) for f in spec.factors]
+    _guard(math.prod(len(p.labels) for p in parts), spec, max_order)
+    if len(parts) == 1 and isinstance(parts[0], Group):
+        parts[0].name = spec.canonical()
+        return parts[0]
+    table, labels = parts[0] if len(parts) == 1 else _direct_product(parts)
     return Group(table, labels=labels, name=spec.canonical())
+
+
+def _guard(order: int | None, spec: GroupSpec, max_order: int) -> None:
+    if order is not None and order > max_order:
+        raise OrderGuardError(
+            f"order {order} of {spec.canonical()} exceeds guard {max_order}")
 
 
 @lru_cache(maxsize=None)
@@ -221,27 +180,10 @@ def build_cached(spec_text: str, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     return build_group(parse_spec(spec_text), max_order)
 
 
-def _factor_table(f: Factor, max_order: int) -> Table:
-    """The factor's multiplication table and labels."""
-    if isinstance(f, Cyclic):
-        return cyclic_table(f.n)
-    if isinstance(f, CyclicPower):
-        table, labels = cyclic_table(f.n)
-        return _direct_product_table([table] * f.k), _product_labels([labels] * f.k)
-    if isinstance(f, Heisenberg):
-        return heisenberg_table(f.p)
-    if isinstance(f, ExampleFamily):
-        return example_family_table(f.d)
-    if isinstance(f, CayleyFile):
-        G = load_cayley_file(f.path, max_order=max_order)
-        return G.table, G.labels
-    raise TypeError(f"unknown factor {f!r}")
-
-
 def cyclic_table(n: int) -> Table:
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
-    return table, labels
+    return Table(table, labels)
 
 
 def heisenberg_table(p: int) -> Table:
@@ -261,7 +203,7 @@ def heisenberg_table(p: int) -> Table:
              + ((b1 + b2) % p) * p
              + (c1 + c2 + a1 * b2) % p)
     labels = tuple(f"({ai},{bi},{ci})" for ai, bi, ci in zip(a, b, c))
-    return table, labels
+    return Table(table, labels)
 
 
 def example_family_table(d: int) -> Table:
@@ -282,7 +224,7 @@ def example_family_table(d: int) -> Table:
         acted[j] = np.ravel_multi_index(
             [c if pos % 3 == j - 1 else -c % p
              for pos, (c, p) in enumerate(zip(coords, radices))], radices)
-    nadd = _direct_product_table([cyclic_table(p)[0] for p in radices])
+    nadd = _direct_product_table([cyclic_table(p).table for p in radices])
     na, ha = np.divmod(np.arange(4 * nn), 4)
     table = nadd[na[:, None], acted[ha[:, None], na[None, :]]] * 4 + (ha[:, None] ^ ha[None, :])
     rows = np.stack(coords, axis=1).tolist()
@@ -290,7 +232,7 @@ def example_family_table(d: int) -> Table:
     for a, h in zip(na.tolist(), ha.tolist()):
         cvec = ",".join(map(str, rows[a]))
         labels.append(f"({cvec};h{h})" if h else f"({cvec};1)")
-    return table, tuple(labels)
+    return Table(table, tuple(labels))
 
 
 def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
@@ -303,11 +245,14 @@ def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _product_labels(label_lists: list[tuple[str, ...]]) -> tuple[str, ...]:
-    out = [""]
-    for labels in label_lists:
-        out = [f"{a},{b}" if a else b for a in out for b in labels]
-    return tuple(f"({s})" for s in out)
+def _direct_product(parts: list[Table | Group]) -> Table:
+    """The direct product's table and labels; the first factor is the most
+    significant digit of an element's index."""
+    labels = [""]
+    for part in parts:
+        labels = [f"{a},{b}" if a else b for a in labels for b in part.labels]
+    return Table(_direct_product_table([part.table for part in parts]),
+                 tuple(f"({s})" for s in labels))
 
 
 # ---------------------------------------------------------------------------

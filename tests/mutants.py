@@ -35,6 +35,11 @@ class Mutant:
 
 
 MUTANTS = (
+    Mutant("a power factor's order taken as n·k",
+           "build.py",
+           'return Factor(f"C{n}^{k}", n ** k,',
+           'return Factor(f"C{n}^{k}", n * k,',
+           "tests/test_build.py::test_parse_single_factors"),
     Mutant("the parity crossing of the Sylow fold skipped",
            "constructions.py",
            "        two_opt(cell(t, 0), cell(t + 1, 1), cell(t + 1, 2), cell(t + 2, 3))\n",

@@ -2,59 +2,69 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import save_cayley_file
-from gengraph.build import (
-    Cyclic,
-    CyclicPower,
-    ExampleFamily,
-    Heisenberg,
-    build_group,
-    load_cayley_file,
-    parse_spec,
-)
+import gengraph.build
+from gengraph.build import build_group, load_cayley_file, parse_spec
 from gengraph.errors import CayleyFileError, GroupSpecError, OrderGuardError
 from gengraph.groups import is_nilpotent
 
 
 def test_parse_single_factors():
-    assert parse_spec("C12").factors == (Cyclic(12),)
-    assert parse_spec("C2^2 x C9").factors == (CyclicPower(2, 2), Cyclic(9))
-    assert parse_spec("Heis3").factors == (Heisenberg(3),)
-    assert parse_spec("Ex(2)").factors == (ExampleFamily(2),)
+    for text, factors in [("C12", ["C12"]), ("C3^2", ["C3^2"]),
+                          ("C2^2 x C9", ["C2^2", "C9"]), ("Heis5", ["Heis5"]),
+                          ("Ex(1)", ["Ex(1)"])]:
+        spec = parse_spec(text)
+        assert [f.text for f in spec.factors] == factors
+        assert spec.known_order() == build_group(spec).n, text
 
 
 def test_parse_whitespace_and_unicode_separator():
     assert parse_spec("C2^2xC9").canonical() == "C2^2 x C9"
     assert parse_spec("C2 × C9").canonical() == "C2 x C9"
     assert parse_spec("  C4 x C3 ").canonical() == "C4 x C3"
+    assert parse_spec("C2 × C9") == parse_spec("C2 x C9")
+
+
+# every GroupSpecError branch: (text, message, position)
+SPEC_ERRORS = [
+    ("", "empty group spec", 0),
+    ("   ", "empty group spec", 0),
+    ("Q8", "expected a factor (C.., Heis.., Ex(..), file:..)", 0),
+    ("C0", "cyclic order must be >= 1", 0),
+    ("C2^0", "power must be >= 1", 0),
+    ("Heis0", "Heisenberg parameter 0 is not an odd prime", 0),
+    ("Heis1", "Heisenberg parameter 1 is not an odd prime", 0),
+    ("Heis2", "Heisenberg parameter 2 is not an odd prime", 0),
+    ("Heis4", "Heisenberg parameter 4 is not an odd prime", 0),
+    ("Ex(0)", "example-family index must be >= 1", 0),
+    ("C2 y C3", "trailing characters after group spec", 3),
+    ("C2 x", "trailing characters after group spec", 3),
+    ("C2 x Heis4", "Heisenberg parameter 4 is not an odd prime", 5),
+    ("C2 x C0", "cyclic order must be >= 1", 5),
+    ("  C3^2 x Ex(0)", "example-family index must be >= 1", 9),
+]
 
 
 def test_parse_rejects_bad_input():
-    with pytest.raises(GroupSpecError):
-        parse_spec("")
-    with pytest.raises(GroupSpecError):
-        parse_spec("Q8")
-    with pytest.raises(GroupSpecError):
-        parse_spec("C2 y C3")
-    with pytest.raises(GroupSpecError):
-        parse_spec("C2 x")
-    err = None
-    try:
-        parse_spec("Heis4")
-    except GroupSpecError as e:
-        err = e
-    assert err is not None and err.position == 0
+    for text, message, position in SPEC_ERRORS:
+        with pytest.raises(GroupSpecError) as info:
+            parse_spec(text)
+        assert (info.value.position, str(info.value)) == (
+            position, f"{message} (at position {position})"), text
 
 
 def test_parse_heisenberg_odd_prime_only():
-    with pytest.raises(GroupSpecError):
-        parse_spec("Heis9")
-    with pytest.raises(GroupSpecError):
-        parse_spec("Heis2")
-    assert parse_spec("Heis5").factors == (Heisenberg(5),)
+    for p in range(14):
+        if p in (3, 5, 7, 11, 13):
+            assert parse_spec(f"Heis{p}").known_order() == p ** 3
+        else:
+            with pytest.raises(GroupSpecError, match=f"parameter {p} is not an odd prime"):
+                parse_spec(f"Heis{p}")
 
 
 def test_cyclic_group_order_profile():
@@ -84,6 +94,27 @@ def test_order_guard():
     build_group("C500", max_order=500)
 
 
+def test_order_guard_before_any_product_table(tmp_path, monkeypatch):
+    """A known order is refused before any table is built, and a file
+    factor's before the product table is allocated."""
+    save_cayley_file(build_group("C10"), tmp_path / "c10.cayley")
+    built = []
+    real = gengraph.build._direct_product_table
+    monkeypatch.setattr(gengraph.build, "_direct_product_table",
+                        lambda tables: built.append(len(tables)) or real(tables))
+    cases = [("C2^2 x C20", 10, "order 80 of C2^2 x C20 exceeds guard 10"),
+             ("file:c10.cayley x C10", 10, "order 100 of file:c10.cayley x C10 exceeds guard 10"),
+             ("file:c10.cayley x file:c10.cayley x file:c10.cayley", 999, "order 1000 of"),
+             ("file:c10.cayley", 9, "c10.cayley: order 10 exceeds guard 9")]
+    monkeypatch.chdir(tmp_path)
+    for text, guard, message in cases:
+        with pytest.raises(OrderGuardError, match=re.escape(message)):
+            build_group(text, max_order=guard)
+    assert built == []
+    assert build_group("file:c10.cayley x C10", max_order=100).n == 100
+    assert built == [2]
+
+
 def test_direct_product_identity_first():
     g = build_group("C4 x C3")
     assert g.n == 12
@@ -99,8 +130,10 @@ def test_cayley_file_round_trip(tmp_path, group):
     assert np.array_equal(g.table, g2.table)
     assert g.labels == g2.labels
     spec = parse_spec(f"file:{path}")
+    assert spec.known_order() is None
     g3 = build_group(spec)
     assert np.array_equal(g.table, g3.table)
+    assert g3.name == f"file:{path}"
 
 
 def test_cayley_file_rejects_nonassociative(tmp_path):
