@@ -105,10 +105,9 @@ def parse_spec(text: str) -> GroupSpec:
         factors.append(_factor_from_match(m, pos))
         pos = m.end()
         sep = _SEP_RE.match(text, pos)
-        if sep and sep.end() > pos and _FACTOR_RE.match(text, sep.end()):
-            pos = sep.end()
-            continue
-        break
+        if not sep:
+            break
+        pos = sep.end()  # a separator must be followed by a factor
     while pos < n and text[pos].isspace():
         pos += 1
     if pos != n:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import sys
 from functools import partial
 
@@ -66,9 +65,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool) -> None:
     p.add_argument("--max-order", type=partial(_int_at_least, low=1), default=None,
                    help="the one order guard: no larger group is built, and so "
                         "no larger subgroup lattice computed, graph file read or "
-                        "product of complete graphs formed (default: env "
-                        "GENGRAPH_MAX_ORDER, else 200, or in verify and scan "
-                        "each catalog entry's own guard)")
+                        "product of complete graphs formed (default: 200, or "
+                        "in verify and scan each catalog entry's own guard)")
     if budget:
         p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0),
                        default=DEFAULT_BUDGET.max_nodes,
@@ -141,102 +139,65 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _max_order(args, default: int | None = DEFAULT_MAX_ORDER) -> int | None:
-    """--max-order, else GENGRAPH_MAX_ORDER, else `default`."""
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get("GENGRAPH_MAX_ORDER")
-    if env:
-        try:
-            return _int_at_least(env, low=1)
-        except argparse.ArgumentTypeError as e:
-            raise GengraphError(f"bad GENGRAPH_MAX_ORDER value: {e}") from None
-    return default
+    """--max-order, else `default`."""
+    return default if args.max_order is None else args.max_order
 
 
-class _Out:
-    def __init__(self, args):
-        self.path = args.output
-        self.lines: list[str] = []
-        if not args.no_header:
-            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-            self.lines.append(f"# gengraph {__version__} {stamp}")
-
-    def emit(self, text: str) -> None:
-        self.lines.append(text.rstrip("\n"))
-
-    def flush(self) -> None:
-        body = "\n".join(self.lines) + "\n" if self.lines else ""
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
-
-
-def _cmd_info(args) -> int:
-    out = _Out(args)
+def _cmd_info(args, out: list[str]) -> int:
     G = build_group(args.spec, _max_order(args))
-    out.emit(f"group: {G.name}")
-    out.emit(f"order: {G.n}")
+    out.append(f"group: {G.name}")
+    out.append(f"order: {G.n}")
     nil = is_nilpotent(G)
-    out.emit(f"nilpotent: {'yes' if nil else 'no'}")
+    out.append(f"nilpotent: {'yes' if nil else 'no'}")
     if nil:
         st = nilpotent_structure(G)
         cyc = " ".join(f"{p}^{a}" for p, a in st.cyclic_sylow) or "-"
         noncyc = " ".join(f"{q}^{b}" for q, b in st.noncyclic_sylow) or "-"
-        out.emit(f"r: {st.r} (cyclic Sylow primes: {cyc})")
-        out.emit(f"s: {st.s} (noncyclic Sylow primes: {noncyc})")
-        out.emit(f"cyclic: {'yes' if st.is_cyclic else 'no'}")
+        out.append(f"r: {st.r} (cyclic Sylow primes: {cyc})")
+        out.append(f"s: {st.s} (noncyclic Sylow primes: {noncyc})")
+        out.append(f"cyclic: {'yes' if st.is_cyclic else 'no'}")
     phi = frattini(G)
-    out.emit(f"frattini_order: {len(phi)}")
-    out.emit(f"two_generated: {'yes' if is_two_generated(G) else 'no'}")
-    out.flush()
+    out.append(f"frattini_order: {len(phi)}")
+    out.append(f"two_generated: {'yes' if is_two_generated(G) else 'no'}")
     return EXIT_OK
 
 
-def _cmd_graph(args) -> int:
-    out = _Out(args)
+def _cmd_graph(args, out: list[str]) -> int:
     G = build_group(args.spec, _max_order(args))
     gg = delta_of(G) if args.delta else generating_graph(G)
     if args.format == "dot":
-        out.emit(graph_to_dot(gg.graph, gg.labels, name=G.name))
+        out.append(graph_to_dot(gg.graph, gg.labels, name=G.name))
     else:
-        out.emit(graph_to_json(gg.graph, gg.labels))
-    out.flush()
+        out.append(graph_to_json(gg.graph, gg.labels))
     return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    out = _Out(args)
+def _cmd_stats(args, out: list[str]) -> int:
     G = build_group(args.spec, _max_order(args))
     prof = degree_profile(G)
-    out.emit(f"group: {G.name}  order: {G.n}")
-    out.emit(f"gen_probability: {prof.gen_probability} "
-             f"(observed {prof.gen_probability_observed})")
-    out.emit(f"nonisolated: {prof.nonisolated_count} "
-             f"(observed {prof.nonisolated_observed})")
-    out.emit(f"min_degree: {prof.min_degree} (observed {prof.min_degree_observed})")
-    out.emit("classes (I = primes with cyclic Sylow in the coset order):")
+    out.append(f"group: {G.name}  order: {G.n}")
+    out.append(f"gen_probability: {prof.gen_probability} "
+               f"(observed {prof.gen_probability_observed})")
+    out.append(f"nonisolated: {prof.nonisolated_count} "
+               f"(observed {prof.nonisolated_observed})")
+    out.append(f"min_degree: {prof.min_degree} (observed {prof.min_degree_observed})")
+    out.append("classes (I = primes with cyclic Sylow in the coset order):")
     for c in prof.classes:
         subset = "{" + ",".join(str(p) for p in c.subset) + "}"
         degree = "mixed" if c.observed_degree is None else c.observed_degree
-        out.emit(f"  I={subset:12s} coset_order={c.coset_order:<4d} "
-                 f"count={c.observed_count:<5d} degree={degree:<5} "
-                 f"alpha={c.alpha:<5d} beta={c.beta:<5d} eps={c.epsilon}")
+        out.append(f"  I={subset:12s} coset_order={c.coset_order:<4d} "
+                   f"count={c.observed_count:<5d} degree={degree:<5} "
+                   f"alpha={c.alpha:<5d} beta={c.beta:<5d} eps={c.epsilon}")
     if not prof.holds:
-        out.emit("status: the census differs from the closed-form values")
-        out.flush()
+        out.append("status: the census differs from the closed-form values")
         return EXIT_FAIL
     if not G.is_cyclic:
-        out.emit(f"radical_statistic: {recover_cyclic_radical(generating_graph(G))}")
-    out.flush()
+        out.append(f"radical_statistic: {recover_cyclic_radical(generating_graph(G))}")
     return EXIT_OK
 
 
-def _emit_report(args, report: Report) -> int:
-    out = _Out(args)
-    out.emit(report.to_json() if args.format == "json" else report.to_table())
-    out.flush()
+def _emit_report(args, out: list[str], report: Report) -> int:
+    out.append(report.to_json() if args.format == "json" else report.to_table())
     if report.summary["fail"] or report.summary["counterexample"] or report.summary["error"]:
         return EXIT_FAIL
     if report.summary["budget"]:
@@ -244,7 +205,7 @@ def _emit_report(args, report: Report) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out: list[str]) -> int:
     if args.catalog == "default":
         entries = default_catalog()
         catalog_name = "default"
@@ -263,42 +224,38 @@ def _cmd_verify(args) -> int:
         checks = wanted
     report = run_catalog(entries, checks, budget=SearchBudget(args.budget_nodes),
                          max_order=_max_order(args, None), catalog_name=catalog_name)
-    return _emit_report(args, report)
+    return _emit_report(args, out, report)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, out: list[str]) -> int:
     question = {"conn": "Q_CONN", "ham": "Q_HAM", "chrom": "Q_CHROM"}[args.question]
     report = run_catalog(load_catalog_file(args.groups), (question,),
                          budget=SearchBudget(args.budget_nodes),
                          max_order=_max_order(args, None), catalog_name=args.groups)
-    return _emit_report(args, report)
+    return _emit_report(args, out, report)
 
 
-def _cmd_tdn(args) -> int:
+def _cmd_tdn(args, out: list[str]) -> int:
     order, guard = math.prod(args.parts), _max_order(args)
     if order > guard:
         raise OrderGuardError(f"product order {order} exceeds guard {guard}")
-    out = _Out(args)
     parts = MultipartiteParams(tuple(sorted(args.parts)))
     lower, upper, t = td_bounds(parts)
-    out.emit(f"parts: {' '.join(str(a) for a in parts.parts)}")
-    out.emit(f"lower: {lower}")
-    out.emit(f"upper: {upper}  (t = {t})")
+    out.append(f"parts: {' '.join(str(a) for a in parts.parts)}")
+    out.append(f"lower: {lower}")
+    out.append(f"upper: {upper}  (t = {t})")
     graph = complete_product(parts.parts)
     res = total_domination(graph, SearchBudget(args.budget_nodes), lower_hint=lower)
     if res.size is None:
-        out.emit("exact: budget exhausted")
-        out.flush()
+        out.append("exact: budget exhausted")
         return EXIT_BUDGET
     if not verify_certificate(graph, res.witness):
-        out.emit("status: certificate failed re-verification")
-        out.flush()
+        out.append("status: certificate failed re-verification")
         return EXIT_FAIL
     witness = " ".join(_tuple_label(v, parts.parts) for v in res.witness.vertices)
-    out.emit(f"exact: {res.size}")
-    out.emit(f"witness: {witness}")
-    out.emit(f"certificate: {certificate_to_json(res.witness)}")
-    out.flush()
+    out.append(f"exact: {res.size}")
+    out.append(f"witness: {witness}")
+    out.append(f"certificate: {certificate_to_json(res.witness)}")
     return EXIT_OK
 
 
@@ -306,46 +263,39 @@ def _tuple_label(v: int, parts: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c + 1) for c in np.unravel_index(v, parts)) + ")"
 
 
-def _cmd_hamcycle(args) -> int:
-    out = _Out(args)
+def _cmd_hamcycle(args, out: list[str]) -> int:
     G = build_group(args.spec, _max_order(args))
     if is_nilpotent(G):
         res = nilpotent_hamiltonian(G)
     else:
         res = hamiltonian(delta_of(G).graph, SearchBudget(args.budget_nodes))
     if res.status == "budget":
-        out.emit("status: budget exhausted")
-        out.flush()
+        out.append("status: budget exhausted")
         return EXIT_BUDGET
     if res.status == "no":
-        out.emit(f"status: not hamiltonian ({res.reason})")
-        out.flush()
+        out.append(f"status: not hamiltonian ({res.reason})")
         return EXIT_FAIL
     dd = delta_of(G)
     if not verify_certificate(dd.graph, res.cycle):
-        out.emit("status: certificate failed re-verification")
-        out.flush()
+        out.append("status: certificate failed re-verification")
         return EXIT_FAIL
     labels = [dd.group.labels[dd.vertex_elements[v]] for v in res.cycle.vertices]
-    out.emit("status: hamiltonian")
-    out.emit("cycle: " + " ".join(labels))
+    out.append("status: hamiltonian")
+    out.append("cycle: " + " ".join(labels))
     witness = h_membership(dd.graph, res.cycle)
     if witness is not None and witness.chord_odd is not None:
-        out.emit(f"chords: odd {witness.chord_odd} even {witness.chord_even}")
-    out.emit(f"certificate: {certificate_to_json(res.cycle)}")
-    out.flush()
+        out.append(f"chords: odd {witness.chord_odd} even {witness.chord_even}")
+    out.append(f"certificate: {certificate_to_json(res.cycle)}")
     return EXIT_OK
 
 
-def _cmd_check_cert(args) -> int:
-    out = _Out(args)
+def _cmd_check_cert(args, out: list[str]) -> int:
     with open(args.graph) as fh:
         graph, _ = graph_from_json(fh.read(), _max_order(args))
     with open(args.cert) as fh:
         cert = certificate_from_json(fh.read())
     ok = verify_certificate(graph, cert)
-    out.emit(f"certificate: {'valid' if ok else 'INVALID'}")
-    out.flush()
+    out.append(f"certificate: {'valid' if ok else 'INVALID'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -367,12 +317,20 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    out: list[str] = []  # a command appends its lines; one that raises writes none
     try:
-        return _COMMANDS[args.command](args)
-    except GengraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+        code = _COMMANDS[args.command](args, out)
+        if not args.no_header:
+            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+            out.insert(0, f"# gengraph {__version__} {stamp}")
+        body = "".join(line.rstrip("\n") + "\n" for line in out)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(body)
+        else:
+            sys.stdout.write(body)
+        return code
+    except (GengraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

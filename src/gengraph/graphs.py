@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import ClassVar, Iterable, get_args
 
 import numpy as np
 
@@ -177,36 +177,115 @@ def diameter(graph: Graph) -> int | None:
 @dataclass(frozen=True)
 class VertexCut:
     vertices: tuple[int, ...]
+    tag: ClassVar[str] = "vertex_cut"
+
+    def holds(self, graph: Graph) -> bool:
+        """At least two vertices are left, and the least does not reach them all."""
+        if not all(0 <= v < graph.n for v in self.vertices):
+            return False
+        rest = ((1 << graph.n) - 1) & ~sum(1 << v for v in set(self.vertices))
+        if rest.bit_count() < 2:
+            return False
+        return _reach(graph.bitmasks(), (rest & -rest).bit_length() - 1, rest) != rest
 
 
 @dataclass(frozen=True)
 class EdgeCut:
     edges: tuple[tuple[int, int], ...]
+    tag: ClassVar[str] = "edge_cut"
+
+    def holds(self, graph: Graph) -> bool:
+        """Every entry an edge, none twice, and the graph less them disconnected."""
+        n = graph.n
+        bits = list(graph.bitmasks())
+        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n and bits[u] >> v & 1):
+                return False
+            bits[u], bits[v] = bits[u] & ~(1 << v), bits[v] & ~(1 << u)
+        full = (1 << n) - 1
+        return n >= 2 and _reach(bits, 0, full) != full
 
 
 @dataclass(frozen=True)
 class EulerCircuit:
     vertices: tuple[int, ...]  # closed walk, first == last unless empty
+    tag: ClassVar[str] = "euler_circuit"
+
+    def holds(self, graph: Graph) -> bool:
+        """A closed walk of m steps, each along an edge, with no edge twice.
+
+        The walked entries are set in an n*n boolean matrix: m steps set 2m
+        entries exactly when no edge repeats.
+        """
+        walk = self.vertices
+        n, m = graph.n, graph.edge_count
+        if walk and not (0 <= min(walk) and max(walk) < n):
+            return False
+        if m == 0:
+            return len(walk) <= 1
+        if len(walk) != m + 1 or walk[0] != walk[-1]:
+            return False
+        steps = np.array(walk, dtype=np.int32)
+        u, v = steps[:-1], steps[1:]
+        if not graph.adj[u, v].all():
+            return False
+        walked = np.zeros((n, n), dtype=bool)
+        walked[u, v] = walked[v, u] = True
+        return int(np.count_nonzero(walked)) == 2 * m
 
 
 @dataclass(frozen=True)
 class HamCycle:
     vertices: tuple[int, ...]  # each vertex once; wrap edge implied
+    tag: ClassVar[str] = "ham_cycle"
+
+    def holds(self, graph: Graph) -> bool:
+        cyc = self.vertices
+        if graph.n < 3 or sorted(cyc) != list(range(graph.n)):
+            return False
+        return all(graph.adj[cyc[i], cyc[(i + 1) % graph.n]] for i in range(graph.n))
 
 
 @dataclass(frozen=True)
 class Clique:
     vertices: tuple[int, ...]
+    tag: ClassVar[str] = "clique"
+
+    def holds(self, graph: Graph) -> bool:
+        """Every two entries adjacent; a repeated v gives (v, v), no edge."""
+        vs = self.vertices
+        return (all(0 <= v < graph.n for v in vs)
+                and all(graph.adj[u, v] for i, u in enumerate(vs) for v in vs[i + 1:]))
 
 
 @dataclass(frozen=True)
 class Coloring:
     colors: tuple[int, ...]  # class index per vertex
+    tag: ClassVar[str] = "coloring"
+
+    def holds(self, graph: Graph) -> bool:
+        if len(self.colors) != graph.n or min(self.colors, default=0) < 0:
+            return False
+        cols = np.asarray(self.colors)
+        iu, ju = np.nonzero(np.triu(graph.adj, 1))
+        return bool((cols[iu] != cols[ju]).all())
 
 
 @dataclass(frozen=True)
 class DominatingSet:
     vertices: tuple[int, ...]
+    tag: ClassVar[str] = "dominating_set"
+
+    def holds(self, graph: Graph) -> bool:
+        sel = set(self.vertices)
+        if not all(0 <= v < graph.n for v in sel):
+            return False
+        covered = np.zeros(graph.n, dtype=bool)
+        for s in sel:
+            covered |= graph.adj[s]
+            if s in graph.marks:
+                covered[s] = True
+        return bool(covered.all())
 
 
 @dataclass(frozen=True)
@@ -220,140 +299,37 @@ class HChords:
     cycle: tuple[int, ...]
     chord_odd: tuple[int, int] | None
     chord_even: tuple[int, int] | None
+    tag: ClassVar[str] = "h_chords"
+
+    def holds(self, graph: Graph) -> bool:
+        """Each chord joins two positions of its parity that are adjacent in
+        the graph: two such positions on an even cycle are never adjacent on
+        it, and (r, r) is no edge."""
+        if not HamCycle(self.cycle).holds(graph):
+            return False
+        n = len(self.cycle)
+        if n % 2 == 1:
+            return self.chord_odd is None and self.chord_even is None
+        if self.chord_odd is None or self.chord_even is None:
+            return False
+        for chord, parity in ((self.chord_odd, 1), (self.chord_even, 0)):
+            r, s = chord
+            if not (0 <= r < n and 0 <= s < n and r % 2 == parity == s % 2):
+                return False
+            if not graph.adj[self.cycle[r], self.cycle[s]]:
+                return False
+        return True
 
 
 Certificate = (VertexCut | EdgeCut | EulerCircuit | HamCycle | Clique
                | Coloring | DominatingSet | HChords)
 
-_CERT_TAGS = {
-    VertexCut: "vertex_cut",
-    EdgeCut: "edge_cut",
-    EulerCircuit: "euler_circuit",
-    HamCycle: "ham_cycle",
-    Clique: "clique",
-    Coloring: "coloring",
-    DominatingSet: "dominating_set",
-    HChords: "h_chords",
-}
-
 
 def verify_certificate(graph: Graph, cert: Certificate) -> bool:
     """Definitional re-check of a certificate against its graph."""
-    if isinstance(cert, VertexCut):
-        return _verify_vertex_cut(graph, cert)
-    if isinstance(cert, EdgeCut):
-        return _verify_edge_cut(graph, cert)
-    if isinstance(cert, EulerCircuit):
-        return _verify_euler(graph, cert)
-    if isinstance(cert, HamCycle):
-        return _verify_ham(graph, cert)
-    if isinstance(cert, Clique):
-        vs = cert.vertices
-        return (len(set(vs)) == len(vs)
-                and all(0 <= v < graph.n for v in vs)
-                and all(graph.adj[u, v] for i, u in enumerate(vs) for v in vs[i + 1:]))
-    if isinstance(cert, Coloring):
-        if len(cert.colors) != graph.n:
-            return False
-        cols = np.asarray(cert.colors) if graph.n else np.zeros(0, dtype=np.int64)
-        if graph.n and cols.min() < 0:
-            return False
-        iu, ju = np.nonzero(np.triu(graph.adj, 1))
-        return bool((cols[iu] != cols[ju]).all())
-    if isinstance(cert, DominatingSet):
-        return _verify_domination(graph, cert)
-    if isinstance(cert, HChords):
-        return _verify_hchords(graph, cert)
-    raise TypeError(f"unknown certificate {cert!r}")
-
-
-def _verify_vertex_cut(graph: Graph, cert: VertexCut) -> bool:
-    """At least two vertices are left, and the least does not reach them all."""
-    if not all(0 <= v < graph.n for v in cert.vertices):
-        return False
-    rest = ((1 << graph.n) - 1) & ~sum(1 << v for v in set(cert.vertices))
-    if rest.bit_count() < 2:
-        return False
-    return _reach(graph.bitmasks(), (rest & -rest).bit_length() - 1, rest) != rest
-
-
-def _verify_edge_cut(graph: Graph, cert: EdgeCut) -> bool:
-    """Every entry an edge, none twice, and the graph less them disconnected."""
-    n = graph.n
-    bits = list(graph.bitmasks())
-    for u, v in cert.edges:
-        if not (0 <= u < n and 0 <= v < n and bits[u] >> v & 1):
-            return False
-        bits[u], bits[v] = bits[u] & ~(1 << v), bits[v] & ~(1 << u)
-    full = (1 << n) - 1
-    return n >= 2 and _reach(bits, 0, full) != full
-
-
-def _verify_euler(graph: Graph, cert: EulerCircuit) -> bool:
-    """A closed walk of m steps, each along an edge, with no edge twice.
-
-    The walked entries are set in an n*n boolean matrix: m steps set 2m
-    entries exactly when no edge repeats.
-    """
-    walk = cert.vertices
-    n, m = graph.n, graph.edge_count
-    if walk and not (0 <= min(walk) and max(walk) < n):
-        return False
-    if m == 0:
-        return len(walk) <= 1
-    if len(walk) != m + 1 or walk[0] != walk[-1]:
-        return False
-    steps = np.array(walk, dtype=np.int32)
-    u, v = steps[:-1], steps[1:]
-    if not graph.adj[u, v].all():
-        return False
-    walked = np.zeros((n, n), dtype=bool)
-    walked[u, v] = walked[v, u] = True
-    return int(np.count_nonzero(walked)) == 2 * m
-
-
-def _verify_ham(graph: Graph, cert: HamCycle) -> bool:
-    cyc = cert.vertices
-    if len(cyc) != graph.n or graph.n < 3:
-        return False
-    if sorted(cyc) != list(range(graph.n)):
-        return False
-    return all(graph.adj[cyc[i], cyc[(i + 1) % graph.n]] for i in range(graph.n))
-
-
-def _verify_domination(graph: Graph, cert: DominatingSet) -> bool:
-    sel = set(cert.vertices)
-    if not all(0 <= v < graph.n for v in sel):
-        return False
-    if graph.n == 0:
-        return True
-    covered = np.zeros(graph.n, dtype=bool)
-    for s in sel:
-        covered |= graph.adj[s]
-        if s in graph.marks:
-            covered[s] = True
-    return bool(covered.all())
-
-
-def _verify_hchords(graph: Graph, cert: HChords) -> bool:
-    if not _verify_ham(graph, HamCycle(cert.cycle)):
-        return False
-    n = len(cert.cycle)
-    if n % 2 == 1:
-        return cert.chord_odd is None and cert.chord_even is None
-    if cert.chord_odd is None or cert.chord_even is None:
-        return False
-    for chord, parity in ((cert.chord_odd, 1), (cert.chord_even, 0)):
-        r, s = chord
-        if not (0 <= r < n and 0 <= s < n and r != s):
-            return False
-        if r % 2 != parity or s % 2 != parity:
-            return False
-        if (r - s) % n in (1, n - 1):
-            return False  # a cycle edge, not a chord
-        if not graph.adj[cert.cycle[r], cert.cycle[s]]:
-            return False
-    return True
+    if not isinstance(cert, Certificate):
+        raise TypeError(f"unknown certificate {cert!r}")
+    return cert.holds(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -743,14 +719,14 @@ def graph_to_dot(graph: Graph, labels: Iterable[str] | None = None,
 
 def certificate_to_dict(cert: Certificate) -> dict:
     """The certificate's fields under their own names, plus its type tag."""
-    return {f.name: getattr(cert, f.name) for f in fields(cert)} | {"type": _CERT_TAGS[type(cert)]}
+    return {f.name: getattr(cert, f.name) for f in fields(cert)} | {"type": cert.tag}
 
 
 def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), separators=(",", ":"), sort_keys=True)
 
 
-_CERT_TYPES = {tag: cls for cls, tag in _CERT_TAGS.items()}
+_CERT_TYPES = {cls.tag: cls for cls in get_args(Certificate)}
 
 
 def _tuples(value):

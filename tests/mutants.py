@@ -162,6 +162,21 @@ MUTANTS = (
            "            return None\n        d += 1\n",
            "            return d\n        d += 1\n",
            "tests/test_graphs.py::test_diameter_matches_scipy"),
+    Mutant("a chord on a cycle edge accepted: the parity read off one end only",
+           "graphs.py",
+           "r % 2 == parity == s % 2",
+           "r % 2 == parity",
+           "tests/test_graphs.py::test_verify_hchords_negatives"),
+    Mutant("a colouring of the wrong length accepted",
+           "graphs.py",
+           "if len(self.colors) != graph.n or min(",
+           "if min(",
+           "tests/test_graphs.py::test_verify_certificate_negatives"),
+    Mutant("a two-vertex Hamiltonian cycle accepted",
+           "graphs.py",
+           "if graph.n < 3 or sorted(cyc)",
+           "if sorted(cyc)",
+           "tests/test_graphs.py::test_verify_certificate_negatives"),
     Mutant("run_check reporting a certificate without re-verifying it",
            "verify.py",
            "        if cert is not None and not verify_certificate(\n",

@@ -43,7 +43,9 @@ SPEC_ERRORS = [
     ("Heis4", "Heisenberg parameter 4 is not an odd prime", 0),
     ("Ex(0)", "example-family index must be >= 1", 0),
     ("C2 y C3", "trailing characters after group spec", 3),
-    ("C2 x", "trailing characters after group spec", 3),
+    ("C2 x", "expected a factor (C.., Heis.., Ex(..), file:..)", 4),
+    ("C2 x Q8", "expected a factor (C.., Heis.., Ex(..), file:..)", 5),
+    ("C2x", "expected a factor (C.., Heis.., Ex(..), file:..)", 3),
     ("C2 x Heis4", "Heisenberg parameter 4 is not an odd prime", 5),
     ("C2 x C0", "cyclic order must be >= 1", 5),
     ("  C3^2 x Ex(0)", "example-family index must be >= 1", 9),

@@ -174,18 +174,10 @@ def test_tdn(capsys):
     ("scan", "--question", "conn", "--groups", "groups.txt", "--jobs", "0"),
     ("info", "C6", "--max-order", "-5"),
     ("verify", "--max-order", "0"),
-    ("GENGRAPH_MAX_ORDER=-5", "verify"),
-    ("GENGRAPH_MAX_ORDER=0", "info", "C6"),
-    ("GENGRAPH_MAX_ORDER=0", "hamcycle", "C6"),
     ("verify", "--checks", ","),
     ("verify", "--checks", " "),
 ])
-def test_out_of_range_input_exit_2(capsys, monkeypatch, argv):
-    # a leading NAME=value sets an environment variable, as in a shell
-    if "=" in argv[0]:
-        name, value = argv[0].split("=")
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_out_of_range_input_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "must be at least" in err and "Traceback" not in err
@@ -263,26 +255,11 @@ def test_outside_input_order_guard(capsys, tmp_path, monkeypatch):
         assert code == 2 and "exceeds guard" in err and "Traceback" not in err
 
 
-def test_max_order_env(capsys, monkeypatch):
-    monkeypatch.setenv("GENGRAPH_MAX_ORDER", "10")
-    code, _, err = run_cli(capsys, "info", "C12")
-    assert code == 2 and "guard" in err
-    monkeypatch.setenv("GENGRAPH_MAX_ORDER", "300")
-    code, _, _ = run_cli(capsys, "info", "C12")
-    assert code == 0
-
-
-@pytest.mark.parametrize("how", ["flag", "env"])
-def test_max_order_guards_every_catalog_entry(capsys, monkeypatch, tmp_path, how):
+def test_max_order_guards_every_catalog_entry(capsys, tmp_path):
     catalog = tmp_path / "groups.txt"
     catalog.write_text("C6\nC3\n")
-    argv = ["verify", "--catalog", str(catalog), "--checks", "THM_1_1",
-            "--format", "json", "--no-header"]
-    if how == "flag":
-        argv += ["--max-order", "3"]
-    else:
-        monkeypatch.setenv("GENGRAPH_MAX_ORDER", "3")
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(catalog), "--checks", "THM_1_1",
+                           "--format", "json", "--no-header", "--max-order", "3")
     c6, c3 = json.loads(out)["results"]
     assert c6["status"] == "skipped" and "exceeds guard 3" in c6["reason"]
     assert c3["status"] == "pass" and code == 0

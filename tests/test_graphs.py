@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import typing
 
 import networkx as nx
 import numpy as np
@@ -27,12 +29,15 @@ from gengraph import graphs
 from gengraph.build import build_group
 from gengraph.generating import delta_of
 from gengraph.graphs import (
+    Certificate,
+    Clique,
     Coloring,
     DominatingSet,
     EdgeCut,
     EulerCircuit,
     Graph,
     HamCycle,
+    HChords,
     MultipartiteParams,
     VertexConnectivity,
     VertexCut,
@@ -453,18 +458,36 @@ def test_euler_circuit_matches_reference(seed, n, p):
 
 
 def test_verify_certificate_negatives():
-    from gengraph.graphs import Clique
-
     k3 = Graph.complete(3)
     assert verify_certificate(k3, HamCycle((0, 1, 2)))
     assert not verify_certificate(k3, HamCycle((0, 1, 1)))
     assert not verify_certificate(k3, HamCycle((0, 1)))
+    assert not verify_certificate(Graph.complete(4), HamCycle((0, 1, 0, 1)))
+    # fewer than three vertices have no Hamiltonian cycle
+    assert not verify_certificate(Graph.complete(2), HamCycle((0, 1)))
+    assert not verify_certificate(Graph.empty(0), HamCycle(()))
+    assert verify_certificate(k3, Clique((0, 2)))
     assert not verify_certificate(k3, Clique((0, 3)))
+    assert not verify_certificate(k3, Clique((-1, 0)))
+    assert not verify_certificate(k3, Clique((0, 0)))  # (0, 0) is no edge
     assert not verify_certificate(k3, VertexCut((0, 1, 2)))
+    # a cut names a set of vertices of the graph
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert verify_certificate(path, VertexCut((1, 1)))
+    assert not verify_certificate(path, VertexCut((1, 7)))
+    assert not verify_certificate(path, VertexCut((-1, 1)))
     assert not verify_certificate(k3, Coloring((0, 0, 1)))
     assert verify_certificate(k3, Coloring((0, 1, 2)))
+    assert verify_certificate(Graph.empty(0), Coloring(()))
+    assert not verify_certificate(k3, Coloring((0, 1)))
+    assert not verify_certificate(k3, Coloring((0, 1, 2, 3)))
+    assert not verify_certificate(k3, Coloring((-1, 0, 1)))
     assert not verify_certificate(k3, DominatingSet((0,)))
     assert verify_certificate(k3, DominatingSet((0, 1)))
+    assert not verify_certificate(k3, DominatingSet((-1, 0)))
+    # a marked vertex counts as its own neighbour
+    assert verify_certificate(Graph.from_edges(2, [(0, 1)], marks=[0]), DominatingSet((0,)))
+    assert not verify_certificate(Graph.complete(2), DominatingSet((0,)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2)))
     assert verify_certificate(k3, EulerCircuit((0, 1, 2, 0)))
     # walk vertices outside 0..n-1, also on edgeless graphs
@@ -472,15 +495,50 @@ def test_verify_certificate_negatives():
     assert not verify_certificate(Graph.empty(3), EulerCircuit((-1,)))
     assert not verify_certificate(Graph.empty(0), EulerCircuit((5,)))
     assert verify_certificate(Graph.empty(3), EulerCircuit((2,)))
+    assert verify_certificate(Graph.empty(3), EulerCircuit(()))
+    assert not verify_certificate(Graph.empty(3), EulerCircuit((0, 1)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 3, 0)))
+    # every edge walked, and one of them twice
+    assert not verify_certificate(k3, EulerCircuit((0, 1, 2, 0, 1, 0)))
     # two triangles on vertex 0: a repeated edge, a non-edge step
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
     assert verify_certificate(bowtie, EulerCircuit((0, 1, 2, 0, 3, 4, 0)))
     assert not verify_certificate(bowtie, EulerCircuit((0, 1, 2, 0, 1, 2, 0)))
     assert not verify_certificate(bowtie, EulerCircuit((0, 1, 2, 3, 4, 0, 0)))
     # a walk over every edge of a path, but not closed
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert not verify_certificate(path, EulerCircuit((0, 1, 2)))
+    # three steps on three edges, closed, but the step {2, 0} is no edge
+    path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert not verify_certificate(path4, EulerCircuit((0, 1, 2, 0)))
+
+
+def test_verify_hchords_negatives():
+    """A 4-cycle 0-1-2-3 whose odd chord {1, 3} is an edge of `kite` and
+    whose even chord {0, 2} is not."""
+    k4, c4 = Graph.complete(4), (0, 1, 2, 3)
+    kite = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    assert verify_certificate(k4, HChords(c4, (1, 3), (0, 2)))
+    assert verify_certificate(k4, HChords(c4, (3, 1), (2, 0)))
+    assert not verify_certificate(kite, HChords(c4, (1, 3), (0, 2)))
+    assert not verify_certificate(k4, HChords(c4, None, None))
+    assert not verify_certificate(k4, HChords(c4, (1, 3), None))
+    assert not verify_certificate(k4, HChords(c4, (0, 2), (1, 3)))  # wrong parity
+    assert not verify_certificate(k4, HChords(c4, (1, 2), (0, 2)))  # a cycle edge
+    assert not verify_certificate(k4, HChords(c4, (1, 3), (0, 3)))  # a cycle edge
+    assert not verify_certificate(k4, HChords(c4, (1, 1), (0, 2)))
+    assert not verify_certificate(k4, HChords(c4, (-1, 1), (0, 2)))
+    assert not verify_certificate(k4, HChords(c4, (1, 5), (0, 2)))
+    assert not verify_certificate(k4, HChords((0, 1, 3), (1, 3), (0, 2)))
+    # both chords are edges, but the cycle's closing edge {3, 0} is not
+    open4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
+    assert not verify_certificate(open4, HChords(c4, (1, 3), (0, 2)))
+    # an odd cycle carries no chords
+    k3 = Graph.complete(3)
+    assert verify_certificate(k3, HChords((0, 1, 2), None, None))
+    assert not verify_certificate(k3, HChords((0, 1, 2), (1, 1), None))
+    assert not verify_certificate(k3, HChords((0, 1, 2), None, (0, 2)))
+    with pytest.raises(TypeError, match="unknown certificate"):
+        verify_certificate(k4, c4)
 
 
 @settings(max_examples=80, deadline=None)
@@ -521,9 +579,17 @@ def test_certificate_json_round_trip():
         EdgeCut(((0, 1), (2, 3))),
         EulerCircuit((0, 1, 2, 0)),
         HamCycle((0, 1, 2)),
-        DominatingSet((0, 4)),
+        Clique((0, 3)),
         Coloring((0, 1, 0)),
+        DominatingSet((0, 4)),
+        HChords((0, 1, 2, 3), (1, 3), (0, 2)),
+        HChords((0, 1, 2), None, None),
     ]
+    assert tuple(dict.fromkeys(map(type, certs))) == typing.get_args(Certificate)
+    # the tags that reports and certificate files carry
+    assert [json.loads(certificate_to_json(c))["type"] for c in certs] == [
+        "vertex_cut", "edge_cut", "euler_circuit", "ham_cycle", "clique",
+        "coloring", "dominating_set", "h_chords", "h_chords"]
     for c in certs:
         assert certificate_from_json(certificate_to_json(c)) == c
 
