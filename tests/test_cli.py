@@ -174,6 +174,9 @@ def test_tdn(capsys):
     ("scan", "--question", "conn", "--groups", "groups.txt", "--jobs", "0"),
     ("info", "C6", "--max-order", "-5"),
     ("verify", "--max-order", "0"),
+    ("hamcycle", "C6", "--max-order", "0"),
+    ("graph", "C6", "--max-order", "-5"),
+    ("scan", "--question", "conn", "--groups", "groups.txt", "--max-order", "0"),
     ("verify", "--checks", ","),
     ("verify", "--checks", " "),
 ])
