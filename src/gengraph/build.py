@@ -3,7 +3,7 @@
 Grammar:  spec := factor { ("x"|"×") factor }
           factor := "C" int ["^" int] | "Heis" int | "Ex(" int ")" | "file:" path
 Whitespace around the separator is ignored; a file path runs to the next
-whitespace.
+whitespace or "×", so an ASCII "x" stays part of it.
 
 A factor kind is a named group of `_FACTOR_RE`, a branch of
 `_factor_from_match` that checks its parameters and makes its `Factor`
@@ -84,7 +84,7 @@ _FACTOR_RE = re.compile(
     r"C(?P<n>\d+)(\^(?P<k>\d+))?"
     r"|Heis(?P<p>\d+)"
     r"|Ex\((?P<d>\d+)\)"
-    r"|file:(?P<path>\S+)"
+    r"|file:(?P<path>[^\s×]+)"
 )
 _SEP_RE = re.compile(r"\s*[x×]\s*")
 
@@ -192,7 +192,7 @@ def heisenberg_table(p: int) -> Table:
     for odd p.
     """
     n = p ** 3
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)  # Group's own dtype: no cast copy
     a, rem = np.divmod(idx, p * p)
     b, c = np.divmod(rem, p)
     a1, a2 = a[:, None], a[None, :]
@@ -235,13 +235,18 @@ def example_family_table(d: int) -> Table:
 
 
 def _direct_product_table(tables: list[np.ndarray]) -> np.ndarray:
-    sizes = [t.shape[0] for t in tables]
-    n = math.prod(sizes)
-    table = np.zeros((n, n), dtype=np.int32)  # Group's own dtype: no cast copy
-    for c, t in zip(np.unravel_index(np.arange(n), sizes), tables):
-        table *= t.shape[0]
-        table += t[c[:, None], c[None, :]]
-    return table
+    """The factors folded in one at a time, each as the new least
+    significant digit: (i, a)(j, b) = (ij, ab) sits at [i·k + a, j·k + b],
+    so one broadcast add writes each fold into a fresh int32 table (Group's
+    own dtype: no cast copy) with no n x n temporary."""
+    out = np.zeros((1, 1), dtype=np.int32)
+    for t in tables:
+        m, k = out.shape[0], t.shape[0]
+        nxt = np.empty((m * k, m * k), dtype=np.int32)
+        np.add((out * k)[:, None, :, None], t.astype(np.int32)[None, :, None, :],
+               out=nxt.reshape(m, k, m, k))
+        out = nxt
+    return out
 
 
 def _direct_product(parts: list[Table | Group]) -> Table:

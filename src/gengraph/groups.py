@@ -49,7 +49,7 @@ from .errors import GroupLawError, NotNilpotentError, NotTwoGeneratedError
 from .memo import cached
 
 DEFAULT_MAX_ORDER = 200
-COMMUTATOR_BLOCK = 1 << 16  # entries of g⁻¹h⁻¹gh formed at a time
+BLOCK_ENTRIES = 1 << 16  # entries of a block of rows formed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +119,20 @@ class Group:
         while len(reached) < n:
             basis.append(next(g for g in range(n) if g not in reached))
             reached = _right_saturation(t, basis)
-        # buffers reused over the basis: fresh n x n ones fault their pages in again
-        left, right = np.empty_like(t), np.empty_like(t)
+        # (xs)y = x(sy) compared on a block of rows x at a time, at most
+        # BLOCK_ENTRIES entries a block (one row at least): the blocks cover
+        # every row, so the test stays exact, and no n x n buffer is held.
+        # The two block buffers are reused over the basis and the blocks
+        rows = min(n, max(1, BLOCK_ENTRIES // n))
+        left, right = np.empty((rows, n), t.dtype), np.empty((rows, n), t.dtype)
         for s in basis:
-            np.take(t, t[:, s], axis=0, out=left)
-            np.take(t, t[s], axis=1, out=right)
-            if not np.array_equal(left, right):
-                raise GroupLawError(f"associativity fails for element {s}")
+            for lo in range(0, n, rows):
+                x = t[lo:lo + rows]
+                xs_y, x_sy = left[:len(x)], right[:len(x)]
+                np.take(t, x[:, s], axis=0, out=xs_y)
+                np.take(x, t[s], axis=1, out=x_sy)
+                if not np.array_equal(xs_y, x_sy):
+                    raise GroupLawError(f"associativity fails for element {s}")
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -566,11 +573,11 @@ def frattini(G: Group) -> frozenset[int]:
 
 def _commutator_elements(G: Group) -> np.ndarray:
     """The sorted distinct commutators g⁻¹h⁻¹gh, formed for a block of rows
-    g at a time, at most COMMUTATOR_BLOCK entries a block (one row at
+    g at a time, at most BLOCK_ENTRIES entries a block (one row at
     least), so that no n x n array is built."""
     t, inv = G.table, G.inverses
     seen = np.zeros(G.n, dtype=bool)
-    rows = max(1, COMMUTATOR_BLOCK // G.n)
+    rows = max(1, BLOCK_ENTRIES // G.n)
     for lo in range(0, G.n, rows):
         seen[t[t[inv[lo:lo + rows]][:, inv], t[lo:lo + rows]]] = True
     return np.flatnonzero(seen)

@@ -123,13 +123,20 @@ class Report:
     summary: dict
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.tool_version,
-            "catalog": self.catalog,
-            "results": [r.to_dict() for r in self.results],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """`json.dumps(doc, indent=2, sort_keys=True) + "\\n"` of the report,
+        with the document's keys written in sorted order and each result
+        encoded on its own and moved to its depth, so that no encoder chunk
+        list for the whole report is built."""
+        enc = _ENCODER.encode
+        parts = ['{\n  "catalog": ', enc(self.catalog), ',\n  "results": [']
+        sep = "\n    "
+        for r in self.results:
+            parts += [sep, _indented(enc(r.to_dict()), 4)]
+            sep = ",\n    "
+        parts += ["\n  ]" if self.results else "]",
+                  ',\n  "summary": ', _indented(enc(self.summary), 2),
+                  ',\n  "version": ', enc(self.tool_version), "\n}\n"]
+        return "".join(parts)
 
     def to_table(self) -> str:
         width = max((len(r.group) for r in self.results), default=5)
@@ -143,6 +150,15 @@ class Report:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.summary.items()))
         lines.append(f"summary: {counts}")
         return "\n".join(lines) + "\n"
+
+
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _indented(text: str, depth: int) -> str:
+    """Encoded JSON moved `depth` spaces right.  JSON text holds no raw
+    newline but the encoder's own, one before each of its lines."""
+    return text.replace("\n", "\n" + " " * depth)
 
 
 def _short(value) -> str:

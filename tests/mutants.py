@@ -65,6 +65,16 @@ MUTANTS = (
            "            walk += [int(t[bj, f]), int(t[cur, f])]\n",
            "            walk.append(int(t[bj, f]))\n",
            "tests/test_constructions.py::test_nonabelian_2groups_from_permutations"),
+    Mutant("the product fold taking the first factor as the least significant digit",
+           "build.py",
+           "    for t in tables:\n",
+           "    for t in reversed(tables):\n",
+           "tests/test_build.py::test_direct_product_table_matches_mixed_radix_oracle"),
+    Mutant("Light's test skipping the last partial block of rows",
+           "groups.py",
+           "            for lo in range(0, n, rows):\n",
+           "            for lo in range(0, n - n % rows, rows):\n",
+           "tests/test_groups.py::test_validation_across_row_blocks"),
     Mutant("the closure kernel stopping at exactly n/p elements",
            "groups.py",
            "                    if len(elems) > bound:\n",

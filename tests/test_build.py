@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import save_cayley_file
+from conftest import lattice_test_groups, permutation_table, save_cayley_file
 import gengraph.build
-from gengraph.build import build_group, load_cayley_file, parse_spec
+from gengraph.build import (
+    _direct_product_table,
+    build_group,
+    cyclic_table,
+    heisenberg_table,
+    load_cayley_file,
+    parse_spec,
+)
 from gengraph.errors import CayleyFileError, GroupSpecError, OrderGuardError
 from gengraph.groups import is_nilpotent
 
@@ -28,6 +39,11 @@ def test_parse_whitespace_and_unicode_separator():
     assert parse_spec("C2 × C9").canonical() == "C2 x C9"
     assert parse_spec("  C4 x C3 ").canonical() == "C4 x C3"
     assert parse_spec("C2 × C9") == parse_spec("C2 x C9")
+    # "×" ends a file path as whitespace does; an ASCII "x" is part of it
+    assert parse_spec("file:g.cayley×C2") == parse_spec("file:g.cayley × C2")
+    assert [f.text for f in parse_spec("file:g.cayley×C2").factors] == [
+        "file:g.cayley", "C2"]
+    assert [f.text for f in parse_spec("file:x.cayley").factors] == ["file:x.cayley"]
 
 
 # every GroupSpecError branch: (text, message, position)
@@ -122,6 +138,64 @@ def test_direct_product_identity_first():
     assert g.n == 12
     assert g.is_cyclic
     assert int(g.orders[0]) == 1
+
+
+FACTOR_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "S3": 6, "S4": 24, "Heis3": 27}
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_table(name: str) -> np.ndarray:
+    """Small factor tables, the non-abelian S3 and S4 from sympy."""
+    if name == "S3":
+        from sympy.combinatorics.named_groups import SymmetricGroup
+        return permutation_table(SymmetricGroup(3))
+    if name == "S4":
+        return lattice_test_groups()["S4"].table
+    if name == "Heis3":
+        return heisenberg_table(3).table
+    return cyclic_table(FACTOR_ORDERS[name]).table
+
+
+def _mixed_radix_product(tables: list[list[list[int]]], i: int, j: int) -> int:
+    """The product of elements i and j of the direct product, element by
+    element: the first factor is the most significant digit."""
+    digits = []
+    for t in reversed(tables):
+        (i, a), (j, b) = divmod(i, len(t)), divmod(j, len(t))
+        digits.append(t[a][b])
+    out = 0
+    for t, d in zip(tables, reversed(digits)):
+        out = out * len(t) + d
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(FACTOR_ORDERS)), min_size=1, max_size=3)
+       .filter(lambda names: math.prod(FACTOR_ORDERS[n] for n in names) <= 144))
+@example(names=["S3", "C4", "C2"])
+def test_direct_product_table_matches_mixed_radix_oracle(names):
+    tables = [_factor_table(name) for name in names]
+    got = _direct_product_table(tables)
+    assert got.dtype == np.int32
+    lists = [t.tolist() for t in tables]
+    n = math.prod(len(t) for t in lists)
+    assert got.tolist() == [[_mixed_radix_product(lists, i, j) for j in range(n)]
+                            for i in range(n)]
+
+
+def test_product_build_peak_memory():
+    """Building the n = 900 product, Light's test included, holds no n x n
+    temporary beside the table: tracemalloc, which counts numpy's buffers,
+    peaks at no more than 1.5 times the table's bytes."""
+    build_group("C2 x C3")  # first calls, outside the measure
+    tracemalloc.start()
+    try:
+        g = build_group("C2^2 x C3^2 x C5^2", max_order=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 900
+    assert peak <= 1.5 * g.table.nbytes
 
 
 def test_cayley_file_round_trip(tmp_path, group):

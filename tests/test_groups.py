@@ -348,7 +348,7 @@ def test_commutators_match_all_pairs(group, monkeypatch, spec, block):
     Heis7 (n = 343) in two blocks, the second one short."""
     import gengraph.groups as GR
 
-    monkeypatch.setattr(GR, "COMMUTATOR_BLOCK", block)
+    monkeypatch.setattr(GR, "BLOCK_ENTRIES", block)
     G = group(spec)
     t, inv = G.table, G.inverses
     every = t[t[np.ix_(inv, inv)], t]
@@ -417,6 +417,30 @@ def test_validation_does_not_assume_the_group_laws(table):
 
 SMALL_SPECS = ["C2", "C5", "C6", "C8", "C2^2", "C2 x C4", "C2^3", "C3^2",
                "C2^2 x C3", "Heis3"]
+
+
+def test_validation_across_row_blocks(monkeypatch):
+    """Light's test compares a block of rows at a time.  With blocks of
+    40 // n rows (one at least), every small group still validates, and a
+    table whose only failing rows lie in the last, partial block is
+    refused."""
+    import gengraph.groups as GR
+
+    monkeypatch.setattr(GR, "BLOCK_ENTRIES", 40)
+    for spec in SMALL_SPECS:
+        Group(build_cached(spec).table)
+    # C10 with the entries 9·2 and 9·4 swapped: its right products with 1
+    # still reach every element, so S = {1}, and (x·1)y = x(1·y) fails only
+    # on rows 8 and 9, the last block of 10 rows taken 40 // 10 = 4 at a
+    # time.  Every element's powers still reach 0, so a Group that wrongly
+    # accepts the table finishes its construction
+    t = np.add.outer(np.arange(10), np.arange(10)) % 10
+    t[9, [2, 4]] = t[9, [4, 2]]
+    assert not brute_associative(t)
+    assert brute_closure(t, [1]) == set(range(10))
+    assert np.flatnonzero((t[t[:, 1]] != t[:, t[1]]).any(axis=1)).tolist() == [8, 9]
+    with pytest.raises(GroupLawError, match="associativity fails for element 1"):
+        Group(t)
 
 
 @settings(max_examples=200, deadline=None)

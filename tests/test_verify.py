@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,38 @@ def test_report_json_schema(catalog_report):
     assert {"group", "check", "status", "expected", "observed", "nodes"} <= set(row)
     table = catalog_report.to_table()
     assert table.endswith("\n") and "summary:" in table
+
+
+def _reference_json(report: Report) -> str:
+    doc = {"version": report.tool_version, "catalog": report.catalog,
+           "results": [r.to_dict() for r in report.results],
+           "summary": report.summary}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_is_json_dumps(catalog_report):
+    """`to_json` writes the document's head and tail itself and encodes one
+    result at a time; its text is json's own encoding of the whole report."""
+    empty = run_catalog((), CHECK_IDS, budget=BUDGET)
+    results = catalog_report.results[:20]
+    quoted = Report("0.1.0", 'a "quoted"\nname, Φ(G) ≠ 1 \\ über', results,
+                    summarize(results))
+    assert any(r.certificate is not None for r in catalog_report.results)
+    for report in (empty, quoted, catalog_report):
+        assert report.to_json() == _reference_json(report)
+
+
+def test_report_json_peak_memory(catalog_report):
+    """Encoding the default-catalog report holds no whole-report chunk list:
+    tracemalloc peaks at no more than 4 times the text's length."""
+    catalog_report.to_json()  # first calls, outside the measure
+    tracemalloc.start()
+    try:
+        text = catalog_report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_formula_only_entries_skip_heavy_checks(catalog_report):
