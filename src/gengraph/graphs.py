@@ -13,7 +13,9 @@ neighbourhood of a minimum-degree vertex (Esfahanian & Hakimi), lambda with
 the star of vertex 0; `_least_cut` states why the seed, the skipped pairs
 and the stopped flows leave the witness a function of the graph alone: a
 cut is read only off a maximum flow, as its residual source side, which
-every maximum flow shares.  Every reported witness is re-checked from its
+every maximum flow shares; it flows once per orbit of pairs under swaps of
+false twins, whose classes, `twin_classes`, the clique and colouring
+searches read too.  Every reported witness is re-checked from its
 definition by `verify_certificate`, in `verify.run_check` or the CLI;
 connectedness, there and in the algorithms, is one bitmask traversal, `_reach`.
 Every walk (the flows, `_reach`, the Euler circuit, the connectivity pair
@@ -54,10 +56,6 @@ class Graph:
         for m in self.marks:
             if not 0 <= m < n:
                 raise ValueError("mark out of range")
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(np.zeros((n, n), dtype=bool))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -359,6 +357,28 @@ def _row_bits(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _row_classes(matrix: np.ndarray) -> tuple[list[int], list[int]]:
+    """The least index of each distinct row of a boolean matrix, ascending,
+    and for each row the position of its class in that list."""
+    index: dict[bytes, int] = {}
+    reps: list[int] = []
+    cls: list[int] = []
+    for i, row in enumerate(np.packbits(matrix, axis=1)):
+        c = index.setdefault(row.tobytes(), len(reps))
+        if c == len(reps):
+            reps.append(i)
+        cls.append(c)
+    return reps, cls
+
+
+@cached
+def twin_classes(graph: Graph) -> tuple[list[int], list[int]]:
+    """The classes of false twins, vertices with equal adjacency rows, which
+    any swap of two of them preserves: (reps, cls), reps[i] the least vertex
+    of class i, ascending, and cls[v] the class of v.  Computed once."""
+    return _row_classes(graph.adj)
+
+
 def maximum_flow(bits: list[int], a: int, b: int, vertex: bool,
                  limit: int | None = None) -> tuple[int, int | None]:
     """Unit-capacity a-b max-flow over the neighbour bitmasks `bits`.
@@ -498,23 +518,30 @@ def _edge_flow(bits: list[int], a: int, b: int, limit: int) -> tuple[int, int | 
 
 
 def _least_cut(bits: list[int], pairs: Iterable[tuple[int, int]], vertex: bool,
-               best: int, cut: int) -> tuple[int, int]:
+               best: int, cut: int, cls: list[int]) -> tuple[int, int]:
     """The least of the seed `best` and the a-b flows over `pairs`, with its cut.
 
     The seed is a cut the caller already holds, `cut` as a bitmask.  A pair
-    is skipped when |N(a) & N(b)| + [a ~ b], a lower bound on its flow (each
-    common neighbour w is a path a-w-b, the edge a-b one more), is at least
-    the best so far; otherwise its flow stops once it reaches the best.
-    Neither can strictly improve, and only a strict improvement replaces the
-    best and its cut, so the result is the seed, or the cut of the first
-    pair whose flow is least and below the seed.  An improving flow ran to a
-    failed search, so it is maximum, and its cut is its residual source side
-    (`maximum_flow`), which every maximum flow shares: the result does not
-    depend on the paths the flows took, nor on which pairs were skipped.  A
-    flow of 0 joins two components: its vertex cut is empty, and no edge
-    leaves its side.
+    is skipped when its unordered pair of twin classes `cls` was met before,
+    or when |N(a) & N(b)| + [a ~ b], a lower bound on its flow (each common
+    neighbour w is a path a-w-b, the edge a-b one more), is at least the
+    best so far; otherwise its flow stops once it reaches the best.  None
+    can strictly improve (twin swaps are automorphisms, so a pair's flow is
+    that of the first of its class pair, which left the best at most that),
+    and only a strict improvement replaces the best and its cut, so the
+    result is the seed, or the cut of the first pair whose flow is least
+    and below the seed.  An improving flow ran to a failed search, so it is
+    maximum, and its cut is its residual source side (`maximum_flow`), which
+    every maximum flow shares: the result does not depend on the paths the
+    flows took, nor on which pairs were skipped.  A flow of 0 joins two
+    components: its vertex cut is empty, and no edge leaves its side.
     """
+    met = set()
     for a, b in pairs:
+        orbit = (cls[a], cls[b]) if cls[a] < cls[b] else (cls[b], cls[a])
+        if orbit in met:
+            continue
+        met.add(orbit)
         if (bits[a] & bits[b]).bit_count() + (bits[a] >> b & 1) >= best:
             continue
         value, side = maximum_flow(bits, a, b, vertex, best)
@@ -529,7 +556,8 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
 
     `_least_cut` over vertex-split flows from a fixed minimum-degree vertex
     s to each of its non-neighbours, then between the non-adjacent pairs of
-    its neighbours (Esfahanian & Hakimi), seeded with the cut N(s).  The
+    its neighbours (Esfahanian & Hakimi), seeded with the cut N(s), one flow
+    per twin orbit of pairs: twin swaps preserve local connectivity.  The
     complete graph returns the n-1 convention, a disconnected graph 0 with
     the empty cut.  Computed once per graph.
     """
@@ -543,25 +571,27 @@ def vertex_connectivity(graph: Graph) -> VertexConnectivity:
     pairs = [(s, t) for t in _bits_of(((1 << n) - 1) & ~bits[s] & ~(1 << s))]
     pairs += [(a, b) for a in _bits_of(bits[s])
               for b in _bits_of(bits[s] & ~bits[a] & -(2 << a))]
-    best, cut = _least_cut(bits, pairs, True, bits[s].bit_count(), bits[s])
+    best, cut = _least_cut(bits, pairs, True, bits[s].bit_count(), bits[s],
+                           twin_classes(graph)[1])
     return VertexConnectivity(best, VertexCut(tuple(_bits_of(cut))), False)
 
 
 def edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
     """Exact edge connectivity with a minimum-cut witness.
 
-    `_least_cut` over edge flows from vertex 0 to each other vertex, seeded
-    with the star of 0, the side {0}.  That is also the residual source side
-    of any flow from 0 of value deg(0), which saturates every edge at 0, so
-    the seed gives the witness that such a flow would.  The witness is the
-    edges that leave the final side; a disconnected graph, or one vertex,
-    gives 0 with the empty cut.
+    `_least_cut` over edge flows from vertex 0 to each other vertex, once
+    per twin orbit of pairs, seeded with the star of 0, the side {0}.  That
+    is also the residual source side of any flow from 0 of value deg(0),
+    which saturates every edge at 0, so the seed gives the witness that
+    such a flow would.  The witness is the edges that leave the final side;
+    a disconnected graph, or one vertex, gives 0 with the empty cut.
     """
     n = graph.n
     if n == 0:
         raise ValueError("edge connectivity of the empty graph is undefined")
     bits = graph.bitmasks()
-    best, side = _least_cut(bits, [(0, t) for t in range(1, n)], False, bits[0].bit_count(), 1)
+    best, side = _least_cut(bits, [(0, t) for t in range(1, n)], False, bits[0].bit_count(), 1,
+                            twin_classes(graph)[1])
     return best, EdgeCut(tuple(sorted((min(u, w), max(u, w)) for u in _bits_of(side)
                                       for w in _bits_of(bits[u] & ~side))))
 

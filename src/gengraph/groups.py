@@ -152,6 +152,8 @@ class Group:
         ar = np.arange(self.n, dtype=np.int32)
         rows = [np.zeros_like(ar), ar]
         while rows[-1].any():
+            if len(rows) > self.n:
+                raise GroupLawError("some element's powers never reach the identity")
             rows.append(self.table[rows[-1], ar])
         out = np.stack(rows)
         out.setflags(write=False)

@@ -5,8 +5,9 @@ All searches are deterministic: vertex orders and branching break ties by
 ascending vertex index, and budgets count search-node expansions rather
 than wall time, so identical inputs and budgets give identical outcomes.
 The clique, colouring and total-domination searches run on one vertex per
-twin class, the least of its class, so their ties break by ascending index
-within the reduced graph, whose vertices keep the order of the graph's.
+twin class (`graphs.twin_classes`, or for γt the rows of its covers matrix),
+the least of its class, so their ties break by ascending index within the
+reduced graph, whose vertices keep the order of the graph's.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationUndefinedError
-from .graphs import Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of, _reach, _row_bits
+from .graphs import (Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of, _reach,
+                     _row_bits, _row_classes, twin_classes)
 from .memo import cached
 
 
@@ -154,16 +156,17 @@ class CliqueResult:
 def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with greedy colouring bounds.
 
-    The search runs on `_twin_quotient(graph)`.  Two vertices with equal
-    neighbourhoods are not adjacent, as the graph has no loops, so a clique
-    holds at most one vertex of each twin class, and any vertex of a class
-    can stand in for another; the quotient is the subgraph induced on one
-    vertex per class, so its largest clique, read back through the class
-    representatives, is a largest clique of the graph.
+    The search runs on the quotient, the subgraph induced on one vertex per
+    class of `twin_classes(graph)`.  Two vertices with equal neighbourhoods
+    are not adjacent, as the graph has no loops, so a clique holds at most
+    one vertex of each twin class, and any vertex of a class can stand in
+    for another, so the quotient's largest clique, read back through the
+    class representatives, is a largest clique of the graph.
     """
     if graph.n == 0:
         return CliqueResult(0, Clique(()), 0, False)
-    quotient, reps, _ = _twin_quotient(graph)
+    reps, _ = twin_classes(graph)
+    quotient, _ = graph.induced(reps)
     n = quotient.n
     bits = quotient.bitmasks()
     counter = _Counter(budget.max_nodes)
@@ -254,20 +257,21 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
     DSATUR upper bound.  The result, its clique search included, is kept
     on the graph per node budget.
 
-    DSATUR and the k-colouring search run on `_twin_quotient(graph)`, seeded
-    with the clique mapped to its classes.  Vertices of one class are not
-    adjacent, and two classes are adjacent exactly when their
-    representatives are, so a colouring of the quotient that gives each
-    vertex its class's colour is a proper colouring of the graph; the
-    quotient is an induced subgraph, so it needs no more colours than the
-    graph does.
+    DSATUR and the k-colouring search run on the quotient of
+    `clique_number`, seeded with the clique mapped to its classes.
+    Vertices of one class are not adjacent, and two classes are adjacent
+    exactly when their representatives are, so a colouring of the quotient
+    that gives each vertex its class's colour is a proper colouring of the
+    graph; the quotient is an induced subgraph, so it needs no more colours
+    than the graph does.
     """
     cl = clique_number(graph, budget)
     if cl.exceeded:
         return ChromaticResult(None, None, cl.nodes, True, cl)
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), 0, False, cl)
-    quotient, _, cls = _twin_quotient(graph)
+    reps, cls = twin_classes(graph)
+    quotient, _ = graph.induced(reps)
     seed = tuple(cls[v] for v in cl.clique.vertices)
     best = greedy_coloring(quotient)
     upper = max(best.colors) + 1
@@ -438,29 +442,3 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     except _BudgetExhausted:
         return DominationResult(None, None, counter.nodes, True)
     raise DominationUndefinedError("no dominating set exists")  # unreachable
-
-
-@cached
-def _twin_quotient(graph: Graph) -> tuple[Graph, list[int], list[int]]:
-    """The graph reduced to one vertex per class of equal neighbourhoods.
-
-    Returns (quotient, reps, cls): reps[i] is the least vertex of class i,
-    classes numbered in the order of their least vertices, cls[v] is the
-    class of vertex v, and the quotient is the subgraph induced on reps.
-    """
-    reps, cls = _row_classes(graph.adj)
-    return Graph(graph.adj[np.ix_(reps, reps)]), reps, cls
-
-
-def _row_classes(matrix: np.ndarray) -> tuple[list[int], list[int]]:
-    """The least index of each distinct row of a boolean matrix, ascending,
-    and for each row the position of its class in that list."""
-    index: dict[bytes, int] = {}
-    reps: list[int] = []
-    cls: list[int] = []
-    for i, row in enumerate(np.packbits(matrix, axis=1)):
-        c = index.setdefault(row.tobytes(), len(reps))
-        if c == len(reps):
-            reps.append(i)
-        cls.append(c)
-    return reps, cls

@@ -373,7 +373,7 @@ def reference_lex_edges(G: Group, cmap: np.ndarray | None = None
     m = len(phi)
     qdelta = delta_of(Q)
     mapped = [g for qv in qdelta.vertex_elements for g in cosets[qv]]
-    prod = lex_product(qdelta.graph, Graph.empty(m))
+    prod = lex_product(qdelta.graph, Graph.from_edges(m, ()))
     prod_edges = element_edges(GeneratingGraph(prod, tuple(mapped), G))
     for qi in qdelta.graph.marks:
         block = mapped[qi * m:(qi + 1) * m]
@@ -410,6 +410,28 @@ def brute_hamiltonian(graph: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# random graphs with planted false twins
+
+
+def planted_twins(rng: np.random.Generator, base: int) -> Graph:
+    """A random graph on `base` vertices, edges with probability 1/2, with
+    each vertex blown up into 1-3 copies, the copies of one vertex adjacent
+    to each other or not, in random vertex order, and a random set of
+    vertices marked."""
+    core = np.triu(rng.random((base, base)) < 0.5, 1)
+    core |= core.T
+    owner = np.repeat(np.arange(base), rng.integers(1, 4, size=base))
+    adj = core[np.ix_(owner, owner)]
+    closed = rng.random(base) < 0.5
+    same = owner[:, None] == owner[None, :]
+    adj |= same & closed[owner][:, None]
+    np.fill_diagonal(adj, False)
+    order = rng.permutation(owner.size)
+    adj = adj[np.ix_(order, order)]
+    return Graph(adj, np.flatnonzero(rng.random(owner.size) < 0.3))
+
+
+# ---------------------------------------------------------------------------
 # oracle: clique and chromatic numbers by enumeration (small graphs), twin
 # classes from np.unique, and the clique search with a per-vertex colour
 # bound
@@ -425,7 +447,7 @@ def brute_clique_number(graph: Graph) -> int:
     return best
 
 
-def twin_classes(graph: Graph) -> tuple[Graph, np.ndarray, np.ndarray]:
+def unique_twin_classes(graph: Graph) -> tuple[Graph, np.ndarray, np.ndarray]:
     """(quotient, reps, cls) for the classes of vertices with equal
     neighbourhoods, from np.unique: reps holds the least vertex of each
     class, ascending, cls[v] is the position of v's class in reps, and the
@@ -443,11 +465,11 @@ def reference_clique_search(graph: Graph) -> tuple[int, tuple[int, ...], int]:
     """(size, sorted clique, nodes) of the branch and bound in
     `search.clique_number`, with its colour bound computed by first-fit
     colouring one vertex at a time instead of one class at a time.  Like
-    that search it runs on one vertex per twin class (`twin_classes`) and
+    that search it runs on one vertex per twin class (`unique_twin_classes`) and
     lifts its clique through the representatives."""
     if graph.n == 0:
         return 0, (), 0
-    quotient, reps, _ = twin_classes(graph)
+    quotient, reps, _ = unique_twin_classes(graph)
     n = quotient.n
     bits = quotient.bitmasks()
     nodes = 0

@@ -9,7 +9,9 @@ The runner copies src/ to a temporary directory and runs every named test
 against that copy, which must pass.  Then, for each mutant, it applies the
 edit to a fresh copy (the old text must occur exactly once in the file) and
 runs the named test with that copy first on PYTHONPATH.  A mutant is killed
-when its test fails.  The exit status is 0 only when every mutant is killed.
+when its test fails, or when its run outlasts TIMEOUT_S seconds, which is
+reported as a timeout; the run on the unmodified copy must pass within it.
+The exit status is 0 only when every mutant is killed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run; all named tests together take about 30 s
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,15 @@ MUTANTS = (
            "    cols, _ = _row_classes(graph.adj[rows].T)\n",
            "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
     Mutant("twin classes keyed by degree instead of by row",
-           "search.py",
-           "    reps, cls = _row_classes(graph.adj)\n",
-           "    reps, cls = _row_classes(np.sort(graph.adj, axis=1))\n",
+           "graphs.py",
+           "    return _row_classes(graph.adj)\n",
+           "    return _row_classes(np.sort(graph.adj, axis=1))\n",
            "tests/test_search.py::test_clique_and_coloring_with_planted_twins"),
+    Mutant("κ's twin orbits keyed by degree instead of by twin class",
+           "graphs.py",
+           "bits[s].bit_count(), bits[s],\n                           twin_classes(graph)[1])",
+           "bits[s].bit_count(), bits[s],\n                           graph.degrees.tolist())",
+           "tests/test_graphs.py::test_twin_orbits_keep_connectivity_and_cuts"),
     Mutant("the clique witness returned in quotient indices",
            "search.py",
            "Clique(tuple(sorted(reps[v] for v in best)))",
@@ -236,20 +244,26 @@ def _copy_src(dest: Path) -> Path:
     return src
 
 
-def _passes(src: Path, tests: list[str]) -> bool:
+def _outcome(src: Path, tests: list[str]) -> str:
+    """"pass", "fail" or "timeout" for one pytest run of `tests` on `src`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return run.returncode == 0
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "pass" if run.returncode == 0 else "fail"
 
 
 def main() -> int:
     tests = sorted({m.test for m in MUTANTS})
     with tempfile.TemporaryDirectory() as tmp:
-        if not _passes(_copy_src(Path(tmp) / "clean"), tests):
-            print("the named tests do not pass on the unmodified package")
+        clean = _outcome(_copy_src(Path(tmp) / "clean"), tests)
+        if clean != "pass":
+            print(f"the named tests give {clean} on the unmodified package")
             return 1
         survivors = 0
         for i, m in enumerate(MUTANTS):
@@ -261,9 +275,10 @@ def main() -> int:
                 survivors += 1
                 continue
             path.write_text(text.replace(m.old, m.new))
-            killed = not _passes(src, [m.test])
-            survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'} {m.what} ({m.test})")
+            outcome = _outcome(src, [m.test])
+            survivors += outcome == "pass"
+            word = {"fail": "killed", "timeout": "timeout", "pass": "SURVIVED"}[outcome]
+            print(f"{word} {m.what} ({m.test})")
     return 1 if survivors else 0
 
 

@@ -17,7 +17,9 @@ from conftest import (
     brute_vertex_connectivity,
     complete_multipartite,
     kappa_product_formula,
+    lattice_test_groups,
     lex_product,
+    planted_twins,
     reference_euler_circuit,
     scipy_edge_connectivity,
     scipy_flow,
@@ -80,16 +82,16 @@ def test_direct_product():
     assert two_edges.edge_count == 2 and basic_metrics(two_edges).component_count == 2
     k33 = direct_product(Graph.complete(3), Graph.complete(3))
     assert k33.n == 9 and set(k33.degrees.tolist()) == {4}
-    null = direct_product(Graph.complete(3), Graph.empty(2))
+    null = direct_product(Graph.complete(3), Graph.from_edges(2, ()))
     assert null.edge_count == 0
 
 
 def test_lex_product():
-    k22 = lex_product(Graph.complete(2), Graph.empty(2))
+    k22 = lex_product(Graph.complete(2), Graph.from_edges(2, ()))
     assert k22.n == 4 and sorted(k22.degrees.tolist()) == [2, 2, 2, 2]
-    k333 = lex_product(Graph.complete(3), Graph.empty(3))
+    k333 = lex_product(Graph.complete(3), Graph.from_edges(3, ()))
     assert set(k333.degrees.tolist()) == {6}
-    two_edges = lex_product(Graph.empty(2), Graph.complete(2))
+    two_edges = lex_product(Graph.from_edges(2, ()), Graph.complete(2))
     assert two_edges.edge_count == 2
 
 
@@ -115,7 +117,7 @@ def test_basic_metrics_examples(group):
     assert (m6.min_degree, m6.is_connected, m6.diameter) == (2, True, 2)
     two = direct_product(Graph.complete(2), Graph.complete(2))
     assert basic_metrics(two).component_count == 2
-    empty = basic_metrics(Graph.empty(0))
+    empty = basic_metrics(Graph.from_edges(0, ()))
     assert empty.min_degree is None and not empty.is_connected
     assert empty.diameter is None
 
@@ -288,20 +290,66 @@ def test_connectivity_found_by_a_source_pair():
     _assert_matches_networkx(graph)
 
 
+SCIPY_ORACLE_MAX_VERTICES = 150  # scipy's flows take minutes on the 576-vertex Delta
+EVERY_PAIR_MAX_VERTICES = 400  # the loop over every pair takes over 30 s on the 576-vertex Delta
+
+
 def test_connectivity_matches_scipy_on_catalog(group):
     """The same value and the same cut as scipy's max-flow, on every
-    default-catalog Delta(G) within the flow guard."""
-    from gengraph.verify import FLOW_GUARD, default_catalog
+    default-catalog Delta(G) of at most SCIPY_ORACLE_MAX_VERTICES vertices."""
+    from gengraph.verify import default_catalog
 
     checked = 0
     for entry in default_catalog():
         graph = delta_of(group(entry.spec, entry.max_order)).graph
-        if not 0 < graph.n <= FLOW_GUARD:
+        if not 0 < graph.n <= SCIPY_ORACLE_MAX_VERTICES:
             continue
         assert vertex_connectivity(graph) == scipy_vertex_connectivity(graph), entry.spec
         assert edge_connectivity(graph) == scipy_edge_connectivity(graph), entry.spec
         checked += 1
     assert checked >= 50
+
+
+def test_connectivity_matches_scipy_on_lattice_groups():
+    """The same value and the same cut as scipy's max-flow on Delta(G) of
+    S4, A5, S5, PSL(2,7) and AGL(1,p) for p = 7, 11, 13, up to 167 vertices."""
+    sizes = {}
+    for name, G in lattice_test_groups().items():
+        graph = delta_of(G).graph
+        assert vertex_connectivity(graph) == scipy_vertex_connectivity(graph), name
+        assert edge_connectivity(graph) == scipy_edge_connectivity(graph), name
+        sizes[name] = graph.n
+    assert (sizes["AGL(1,13)"], sizes["PSL(2,7)"]) == (155, 167)
+
+
+def _every_pair(monkeypatch, graph: Graph) -> tuple:
+    """kappa and lambda of a fresh copy of `graph`, `_least_cut` given one
+    class per vertex, so that no pair is skipped as a repeated twin orbit."""
+    least_cut = graphs._least_cut
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_least_cut", lambda bits, pairs, vertex, best, cut, cls:
+                  least_cut(bits, pairs, vertex, best, cut, list(range(len(bits)))))
+        copy = Graph(graph.adj)
+        return vertex_connectivity(copy), edge_connectivity(copy)
+
+
+def test_twin_orbits_keep_connectivity_and_cuts(monkeypatch, group):
+    """One flow per twin orbit gives the values and the cuts of the loop
+    over every pair: on random graphs with planted twins, and on every
+    default-catalog Delta(G) of at most EVERY_PAIR_MAX_VERTICES vertices."""
+    from gengraph.verify import default_catalog
+
+    rng = np.random.default_rng(31)
+    cases = [planted_twins(rng, int(rng.integers(1, 7))) for _ in range(600)]
+    cases += [delta_of(group(e.spec, e.max_order)).graph for e in default_catalog()]
+    checked = 0
+    for graph in cases:
+        if not 0 < graph.n <= EVERY_PAIR_MAX_VERTICES:
+            continue
+        got = vertex_connectivity(graph), edge_connectivity(graph)
+        assert got == _every_pair(monkeypatch, graph)
+        checked += 1
+    assert checked >= 650
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,7 +447,7 @@ def test_euler_refusals(group):
     assert res.circuit is None and "odd degree" in res.reason
     two = direct_product(Graph.complete(2), Graph.complete(2))
     assert eulerian_circuit(two).circuit is None
-    assert eulerian_circuit(Graph.empty(0)).circuit is None
+    assert eulerian_circuit(Graph.from_edges(0, ())).circuit is None
 
 
 def test_euler_delta_c9(group):
@@ -465,7 +513,7 @@ def test_verify_certificate_negatives():
     assert not verify_certificate(Graph.complete(4), HamCycle((0, 1, 0, 1)))
     # fewer than three vertices have no Hamiltonian cycle
     assert not verify_certificate(Graph.complete(2), HamCycle((0, 1)))
-    assert not verify_certificate(Graph.empty(0), HamCycle(()))
+    assert not verify_certificate(Graph.from_edges(0, ()), HamCycle(()))
     assert verify_certificate(k3, Clique((0, 2)))
     assert not verify_certificate(k3, Clique((0, 3)))
     assert not verify_certificate(k3, Clique((-1, 0)))
@@ -478,7 +526,7 @@ def test_verify_certificate_negatives():
     assert not verify_certificate(path, VertexCut((-1, 1)))
     assert not verify_certificate(k3, Coloring((0, 0, 1)))
     assert verify_certificate(k3, Coloring((0, 1, 2)))
-    assert verify_certificate(Graph.empty(0), Coloring(()))
+    assert verify_certificate(Graph.from_edges(0, ()), Coloring(()))
     assert not verify_certificate(k3, Coloring((0, 1)))
     assert not verify_certificate(k3, Coloring((0, 1, 2, 3)))
     assert not verify_certificate(k3, Coloring((-1, 0, 1)))
@@ -491,12 +539,12 @@ def test_verify_certificate_negatives():
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2)))
     assert verify_certificate(k3, EulerCircuit((0, 1, 2, 0)))
     # walk vertices outside 0..n-1, also on edgeless graphs
-    assert not verify_certificate(Graph.empty(3), EulerCircuit((7,)))
-    assert not verify_certificate(Graph.empty(3), EulerCircuit((-1,)))
-    assert not verify_certificate(Graph.empty(0), EulerCircuit((5,)))
-    assert verify_certificate(Graph.empty(3), EulerCircuit((2,)))
-    assert verify_certificate(Graph.empty(3), EulerCircuit(()))
-    assert not verify_certificate(Graph.empty(3), EulerCircuit((0, 1)))
+    assert not verify_certificate(Graph.from_edges(3, ()), EulerCircuit((7,)))
+    assert not verify_certificate(Graph.from_edges(3, ()), EulerCircuit((-1,)))
+    assert not verify_certificate(Graph.from_edges(0, ()), EulerCircuit((5,)))
+    assert verify_certificate(Graph.from_edges(3, ()), EulerCircuit((2,)))
+    assert verify_certificate(Graph.from_edges(3, ()), EulerCircuit(()))
+    assert not verify_certificate(Graph.from_edges(3, ()), EulerCircuit((0, 1)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 3, 0)))
     # every edge walked, and one of them twice
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2, 0, 1, 0)))

@@ -443,6 +443,17 @@ def test_validation_across_row_blocks(monkeypatch):
         Group(t)
 
 
+def test_powers_refuse_a_table_whose_powers_never_reach_the_identity(monkeypatch):
+    """With validation switched off, C10 with 9·1 and 9·2 swapped: element
+    1's powers run 1, 2, ..., 9, 1, ... and never reach 0, so the power
+    table stops after n + 1 rows and the construction raises, not hangs."""
+    monkeypatch.setattr(Group, "_validate", lambda self: None)
+    t = np.add.outer(np.arange(10), np.arange(10)) % 10
+    t[9, [1, 2]] = t[9, [2, 1]]
+    with pytest.raises(GroupLawError, match="powers never reach the identity"):
+        Group(t)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_validation_matches_cubic_oracle(data):

@@ -14,15 +14,16 @@ from conftest import (
     complete_multipartite,
     milp_total_domination,
     permutation_table,
+    planted_twins,
     reference_clique_search,
-    twin_classes,
+    unique_twin_classes,
 )
 from gengraph.errors import DominationUndefinedError
 from gengraph.generating import delta_of
-from gengraph.graphs import Graph, complete_product, direct_product, verify_certificate
+from gengraph.graphs import (Graph, complete_product, direct_product, twin_classes,
+                             verify_certificate)
 from gengraph.search import (
     SearchBudget,
-    _twin_quotient,
     chromatic_number,
     clique_number,
     greedy_coloring,
@@ -201,7 +202,7 @@ def test_total_domination_examples(group):
 
 
 def test_total_domination_undefined():
-    g = Graph.empty(3)
+    g = Graph.from_edges(3, ())
     with pytest.raises(DominationUndefinedError):
         total_domination(g)
 
@@ -249,28 +250,12 @@ def test_domination_coverage_bound_keeps_the_witness():
     assert res.size == milp_total_domination(g) == 5
 
 
-def _planted_twins(rng: np.random.Generator, base: int) -> Graph:
-    """A random graph on `base` vertices with each vertex blown up into 1-3
-    copies, the copies of one vertex adjacent to each other or not, and a
-    random set of vertices marked."""
-    core = _random_graph(rng, base, 0.5).adj
-    owner = np.repeat(np.arange(base), rng.integers(1, 4, size=base))
-    adj = core[np.ix_(owner, owner)]
-    closed = rng.random(base) < 0.5
-    same = owner[:, None] == owner[None, :]
-    adj |= same & closed[owner][:, None]
-    np.fill_diagonal(adj, False)
-    order = rng.permutation(owner.size)
-    adj = adj[np.ix_(order, order)]
-    return Graph(adj, np.flatnonzero(rng.random(owner.size) < 0.3))
-
-
 def test_domination_with_twins_and_marks_matches_brute_force():
     # both twin kinds, and marked vertices beside unmarked twins, in random
     # vertex order: the search's one vertex per class loses no optimum
     rng = np.random.default_rng(17)
     for _ in range(60):
-        graph = _planted_twins(rng, int(rng.integers(2, 6)))
+        graph = planted_twins(rng, int(rng.integers(2, 6)))
         expected = brute_total_domination(graph)
         if expected is None:
             with pytest.raises(DominationUndefinedError):
@@ -285,13 +270,13 @@ def test_twin_quotient_matches_np_unique(group):
     from gengraph.generating import generating_graph
 
     rng = np.random.default_rng(29)
-    graphs = [_planted_twins(rng, int(rng.integers(1, 8))) for _ in range(20)]
+    graphs = [planted_twins(rng, int(rng.integers(1, 8))) for _ in range(20)]
     graphs += [generating_graph(group(spec)).graph for spec in ("C12", "C2^2 x C3", "Heis3")]
     for graph in graphs:
-        quotient, reps, cls = _twin_quotient(graph)
-        want, want_reps, want_cls = twin_classes(graph)
+        reps, cls = twin_classes(graph)
+        want, want_reps, want_cls = unique_twin_classes(graph)
         assert reps == want_reps.tolist() and cls == want_cls.tolist()
-        assert np.array_equal(quotient.adj, want.adj)
+        assert np.array_equal(graph.induced(reps)[0].adj, want.adj)
 
 
 def test_clique_and_coloring_with_planted_twins():
@@ -303,7 +288,7 @@ def test_clique_and_coloring_with_planted_twins():
 
     rng = np.random.default_rng(23)
     for _ in range(80):
-        graph = _planted_twins(rng, int(rng.integers(1, 5)))  # at most 12 vertices
+        graph = planted_twins(rng, int(rng.integers(1, 5)))  # at most 12 vertices
         other = nx.empty_graph(graph.n)
         other.add_edges_from(graph.edges())
         cl = clique_number(graph)
@@ -371,7 +356,7 @@ def test_domination_product_inequality(group):
 
 def test_domination_marks_semantics():
     # a marked vertex dominates itself but still needs to dominate others
-    k1 = Graph.empty(1)
+    k1 = Graph.from_edges(1, ())
     with pytest.raises(DominationUndefinedError):
         total_domination(k1)
     k1m = Graph(np.zeros((1, 1), dtype=bool), marks=[0])
