@@ -18,14 +18,16 @@ false twins, whose classes, `twin_classes`, the clique and colouring
 searches read too.  Every reported witness is re-checked from its
 definition by `verify_certificate`, in `verify.run_check` or the CLI;
 connectedness, there and in the algorithms, is one bitmask traversal, `_reach`.
-Every walk (the flows, `_reach`, the Euler circuit, the connectivity pair
-bounds) reads the memoised `Graph.bitmasks()` and copies no adjacency; matrix
-work (`diameter`, degrees) and the verifiers, but for the cuts', read `adj`.
+Every walk but the Euler circuit's (the flows, `_reach`, the connectivity
+pair bounds) reads the memoised `Graph.bitmasks()` and copies no adjacency;
+the Euler circuit, matrix work (`diameter`, degrees) and the verifiers, but
+for the cuts', read `adj`.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterable, get_args
 
@@ -213,17 +215,21 @@ class EulerCircuit:
         """A closed walk of m steps, each along an edge, with no edge twice.
 
         The walked entries are set in an n*n boolean matrix: m steps set 2m
-        entries exactly when no edge repeats.
+        entries exactly when no edge repeats.  The range is read off the
+        walk as an int32 array; an entry beyond int32 is out of range too.
         """
         walk = self.vertices
         n, m = graph.n, graph.edge_count
-        if walk and not (0 <= min(walk) and max(walk) < n):
+        try:
+            steps = np.array(walk, dtype=np.int32)
+        except OverflowError:
+            return False
+        if walk and not (0 <= steps.min() and steps.max() < n):
             return False
         if m == 0:
             return len(walk) <= 1
         if len(walk) != m + 1 or walk[0] != walk[-1]:
             return False
-        steps = np.array(walk, dtype=np.int32)
         u, v = steps[:-1], steps[1:]
         if not graph.adj[u, v].all():
             return False
@@ -611,29 +617,40 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
 
     The walk starts at vertex 0, and from each vertex v it takes the least
     neighbour of v whose edge is still unused, so the circuit is a function
-    of the graph alone.  Isolated vertices are not ignored: the input is
-    expected to already be a Delta graph, so an isolated vertex means
-    "disconnected".
+    of the graph alone.  Each vertex reads its ascending neighbours once,
+    through an iterator over an `array('I')`, so an edge walked from v is
+    behind v's iterator; walking it marks it at its far end w in an n*n
+    `bytearray`, and w's iterator skips the marked entry when it reaches
+    it.  Isolated vertices are not ignored: the input is expected to
+    already be a Delta graph, so an isolated vertex means "disconnected".
     """
-    if graph.n == 0:
+    n = graph.n
+    if n == 0:
         return EulerResult(None, "empty graph is not connected")
     if not _connected(graph):
         return EulerResult(None, "graph is disconnected")
     odd = np.flatnonzero(graph.degrees % 2 == 1)
     if odd.size:
         return EulerResult(None, f"vertex {int(odd[0])} has odd degree {int(graph.degrees[odd[0]])}")
-    bits = list(graph.bitmasks())  # the unwalked edges at each vertex
-    stack = [0]
+    unwalked = [iter(array("I", np.flatnonzero(row).astype(np.uint32).tobytes()))
+                for row in graph.adj]
+    walked = bytearray(n * n)  # walked[w*n + v]: the edge {v, w} was walked from v
+    vertex = list(range(n))  # one int object per vertex, shared by every visit
+    stack: list[int] = []  # the walk to v, v excluded
     out: list[int] = []
-    while stack:
-        v = stack[-1]
-        while bits[v]:
-            w = (bits[v] & -bits[v]).bit_length() - 1
-            bits[v] ^= 1 << w
-            bits[w] ^= 1 << v
-            stack.append(w)
-            v = w
-        out.append(stack.pop())
+    v = 0
+    while True:
+        for w in unwalked[v]:
+            if not walked[v * n + w]:
+                walked[w * n + v] = 1
+                stack.append(v)
+                v = vertex[w]
+                break
+        else:
+            out.append(v)
+            if not stack:
+                break
+            v = stack.pop()
     out.reverse()
     return EulerResult(EulerCircuit(tuple(out)), None)
 

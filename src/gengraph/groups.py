@@ -19,22 +19,25 @@ lie in a proper subgroup already found, a cyclic subgroup or an earlier
 closure smaller than G, their join lies in that subgroup and is not G.  If
 |A||B| > (n/p)·|A∩B|, their join holds the product set AB, which has
 |A||B|/|A∩B| > n/p elements, so by the kernel's Lagrange argument it is G.
-A third rule replaces the closures once a first generating pair is found,
-on non-nilpotent G with Φ(G) = 1 only: by Hall's criterion (P. Hall, *The
-Eulerian functions of a group*, 1936), ⟨A, B⟩ ≠ G exactly when some
-maximal subgroup holds A ∪ B, and the maximal subgroups come from the
-subgroup lattice, itself built by closures.  Where Φ(G) ≠ 1 every maximal
-subgroup holds Φ(G), so the read-off would be the lex blow-up that
-`EQ_LEX` tests; on nilpotent G it would be the Burnside basis theorem that
-`EQ_LEX` and `COR_2_6_PROD` rest on.  Those groups keep closures.  The rule
-waits for a generating pair so that a group that is not 2-generated never
-builds its lattice for it.  The lattice itself is Neubüser's cyclic
-extension, pruned twice by conjugation: one subgroup H per conjugacy class
-is joined with one cyclic subgroup ⟨c⟩ of prime-power order per orbit of
-its normaliser N_G(H), because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and
-every join brings in its whole class.  Each subgroup is still a closure
-result.  The maximal subgroups come from one pass over the proper
-subgroups, largest first, that keeps each one no kept subgroup contains.
+Once a first generating pair is found, a third argument spreads each
+answer over its pair's orbit under conjugation, as ⟨A, B⟩^g = ⟨A^g, B^g⟩,
+so on non-abelian G one pair per orbit is closed.  A fourth rule replaces
+the closures at that first generating pair, on non-nilpotent G with
+Φ(G) = 1 only: by Hall's criterion (P. Hall, *The Eulerian functions of a
+group*, 1936), ⟨A, B⟩ ≠ G exactly when some maximal subgroup holds A ∪ B,
+and the maximal subgroups come from the subgroup lattice, itself built by
+closures.  Where Φ(G) ≠ 1 every maximal subgroup holds Φ(G), so the
+read-off would be the lex blow-up that `EQ_LEX` tests; on nilpotent G it
+would be the Burnside basis theorem that `EQ_LEX` and `COR_2_6_PROD` rest
+on.  Those groups keep closures.  The rule waits for a generating pair so
+that a group that is not 2-generated never builds its lattice for it.
+The lattice itself is Neubüser's cyclic extension, pruned twice by
+conjugation: one subgroup H per conjugacy class is joined with one cyclic
+subgroup ⟨c⟩ of prime-power order per orbit of its normaliser N_G(H),
+because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and every join brings in its
+whole class.  Each subgroup is still a closure result.  The maximal
+subgroups come from one pass over the proper subgroups, largest first,
+that keeps each one no kept subgroup contains.
 """
 
 from __future__ import annotations
@@ -182,16 +185,18 @@ class Group:
     def _pair_gen_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
 
-        A pair of cyclic subgroups A, B is closed only if neither of the
-        first two rules below decides it, and the third ends the closures
-        early.  All three are sound for any A and B, so the matrix is the
+        A pair of cyclic subgroups A, B is closed only if none of the first
+        three rules below decides it, and the fourth ends the closures
+        early.  All four are sound for any A and B, so the matrix is the
         one that closing every pair gives.
 
         - A known proper subgroup K: when A and B both lie in K, their join
           lies in K and is not G.  The known proper subgroups are the cyclic
-          subgroups of order below n and every closure that comes back
-          smaller than G, so each pair skipped lies inside a subgroup that a
-          power orbit or a closure produced.
+          subgroups of order below n, every closure that comes back smaller
+          than G, and, once the conjugation rule below is in force, every
+          conjugate of such a closure, so each pair skipped lies inside a
+          subgroup that a power orbit or a closure produced, or a conjugate
+          of one.
         - Counting: ⟨A, B⟩ contains the product set AB, and
           |AB| = |A||B|/|A∩B|.  If |A||B| > (n/p)·|A∩B|, p the least prime
           dividing n, then ⟨A, B⟩ has more than n/p elements; its index in
@@ -201,6 +206,17 @@ class Group:
           n·|B| > (n/p)·|B|.  The inequality must be strict: in Heis3 two
           commuting cyclic subgroups of order 3 have |AB| = 9 = n/p and
           join to a subgroup of order 9.
+        - Conjugation: ⟨A, B⟩^g = ⟨A^g, B^g⟩, so a pair generates G exactly
+          when each of its conjugate pairs does, and a proper closure K
+          makes every K^g a known proper subgroup.  So a generating pair
+          marks its whole orbit under conjugation, and only one pair of
+          each orbit is closed.  The orbits are read off
+          `_cyclic_conjugates`, the distinct permutations of the cyclic ids
+          by conjugation.  The table is built only after the first
+          generating pair, once the maximal-subgroup rule has declined, as
+          it costs more than it saves on the groups that rule reads off.
+          An abelian G builds no table: every conjugation is the identity
+          there, so each orbit is one pair.
         - Maximal subgroups: by Hall's criterion ⟨A, B⟩ ≠ G exactly when
           some maximal subgroup M holds A and B, that is, holds both
           generators.  When the first generating pair is found and G is not
@@ -222,11 +238,14 @@ class Group:
         bound = _lagrange_stop(n)[0]
         gen = np.zeros((k, k), dtype=bool)
         known = np.zeros((k, k), dtype=bool)
+        images = np.arange(k)[None, :]  # the conjugation rule's table; identity until built
 
         def mark(members) -> None:
-            # the cyclic subgroups inside K are those its elements generate
+            # the cyclic subgroups inside K are those its elements generate;
+            # mark the pairs of them, inside K and inside each conjugate of K
             sub = _present(k, ids[np.fromiter(members, dtype=np.int64, count=len(members))])
-            known[np.ix_(sub, sub)] = True
+            img = images[:, sub]
+            known[img[:, :, None], img[:, None, :]] = True
 
         for cyc in sets:
             if len(cyc) < n:
@@ -235,7 +254,7 @@ class Group:
         first_pair = True
         for pos, i in enumerate(order):
             for j in order[pos:]:
-                if known[i, j]:
+                if known[i, j] or gen[i, j]:
                     continue
                 a, b = sets[i], sets[j]
                 if len(a) * len(b) <= bound * len(a & b):
@@ -247,7 +266,9 @@ class Group:
                     first_pair = False
                     if not is_nilpotent(self) and len(frattini(self)) == 1:
                         return _hall_pair_matrix(self)
-                gen[i, j] = gen[j, i] = True
+                    images = _cyclic_conjugates(self)
+                orbit = (images[:, i], images[:, j]) if len(images) > 1 else (i, j)
+                gen[orbit] = gen[orbit[::-1]] = True
         return gen
 
     @cached
@@ -510,10 +531,28 @@ def subgroup_lattice(G: Group) -> list[frozenset[int]]:
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
-def _conjugation(G: Group) -> np.ndarray:
-    """The n*n array whose entry [g, x] is g⁻¹·x·g."""
+def _conjugation(G: Group, xs: np.ndarray | None = None) -> np.ndarray:
+    """The n x len(xs) array whose entry [g, c] is g⁻¹·x·g for x = xs[c],
+    xs all of G by default."""
     t, ar = G.table, np.arange(G.n)
-    return t[t[G.inverses[:, None], ar], ar[:, None]]
+    xs = ar if xs is None else xs
+    return t[t[G.inverses[:, None], xs], ar[:, None]]
+
+
+def _cyclic_conjugates(G: Group) -> np.ndarray:
+    """The distinct permutations of G's cyclic-subgroup ids by conjugation,
+    one row each: row π maps cyclic id i to π[i], the id of ⟨reps[i]⟩^g.
+
+    The rows of ids[g⁻¹·reps·g] over all g, an n x k gather, deduplicated
+    by their bytes.  On abelian G, which the k x k products of the least
+    generators decide, as they generate G, the one row is the identity."""
+    ids, _, reps = G._cyclic_data()
+    r = np.array(reps, dtype=np.int64)
+    products = G.table[np.ix_(r, r)]
+    if np.array_equal(products, products.T):
+        return np.arange(len(reps))[None, :]
+    perms = ids[_conjugation(G, r)]
+    return np.array(list({row.tobytes(): row for row in perms}.values()))
 
 
 def _class_and_normaliser(conj: np.ndarray, sub: frozenset[int]

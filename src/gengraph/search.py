@@ -382,14 +382,25 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     graph, is a minimum total dominating set.
 
     For each size k in turn, a depth-first search branches on the uncovered
-    target with fewest dominators.  A node is cut by the residual-coverage
-    bound: with `gain` the most uncovered targets any one candidate covers,
-    the k - |S| candidates still to choose cover at most (k - |S|)·gain
-    more, so a node with more uncovered targets than that has no set of
-    size k below it.  The bound prunes only such subtrees and leaves the
-    branching order as it is, so the first set found, the witness, is the
-    one the unpruned search finds.  The reported size is the witness's,
-    which is below k only when `lower_hint` exceeds the optimum.
+    target with fewest dominators, the least such; the targets are
+    renumbered once by (dominator count, index), so that target is the
+    lowest uncovered bit, and each target's dominators are listed once.  A
+    node is cut by the residual-coverage bound: the k - |S| candidates
+    still to choose cover at most k - |S| times the most uncovered targets
+    any one candidate covers, so a node whose uncovered targets no
+    candidate covers ⌈uncovered / (k - |S|)⌉ of has no set of size k below
+    it.  The scan for such a candidate runs over the candidates by
+    descending coverage and stops at the first that covers enough, or at
+    the first whose whole coverage is too small.  With one candidate left
+    to choose, the bound asks for one that covers every uncovered target,
+    that is, a common dominator of them all, found by intersecting their
+    dominator sets.  The node's children are then leaves: those before
+    the least common dominator fail and it succeeds, so they are counted
+    as nodes, not visited.  The bound prunes only such subtrees and leaves
+    the branching order as it is, so the first set found, the witness, is
+    the one the unpruned search finds, after as many nodes.  The reported
+    size is the witness's, which is below k only when `lower_hint`
+    exceeds the optimum.
     """
     n = graph.n
     if n == 0:
@@ -404,8 +415,14 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     rows, _ = _row_classes(covers)
     cols, _ = _row_classes(covers[rows].T)
     reduced = covers[np.ix_(rows, cols)]
+    # the targets renumbered by (dominator count, index), so that the
+    # target to branch on is the lowest uncovered bit
+    reduced = reduced[:, np.argsort(reduced.sum(axis=0), kind="stable")]
     reach = _row_bits(reduced)  # reach[i] = targets that candidate i covers
     dominators = _row_bits(reduced.T)  # dominators[j] = candidates covering target j
+    branches = [_bits_of(m) for m in dominators]  # the same, as ascending lists
+    # (coverage, reach) by descending coverage, for the bound's scan
+    widest = sorted(((m.bit_count(), m) for m in reach), key=lambda cm: -cm[0])
     full = (1 << len(cols)) - 1
     counter = _Counter(budget.max_nodes)
 
@@ -414,15 +431,34 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
             raise _BudgetExhausted
         if covered == full:
             return chosen.copy()
-        if len(chosen) == k:
-            return None
         uncovered = full & ~covered
-        gain = max((m & uncovered).bit_count() for m in reach)
-        if uncovered.bit_count() > (k - len(chosen)) * gain:
+        target = (uncovered & -uncovered).bit_length() - 1
+        left = k - len(chosen)
+        if left == 1:
+            # the last choice must cover every uncovered target; the
+            # children are the target's dominators up to u: those below u
+            # fail, and u succeeds
+            common, rest = dominators[target], uncovered
+            while common and rest:
+                low = rest & -rest
+                common &= dominators[low.bit_length() - 1]
+                rest ^= low
+            if not common:
+                return None
+            u = (common & -common).bit_length() - 1
+            for _ in range((dominators[target] & ((1 << u) - 1)).bit_count() + 1):
+                if counter.tick():
+                    raise _BudgetExhausted
+            return chosen + [u]
+        need = -(-uncovered.bit_count() // left)
+        for size, m in widest:
+            if size < need:
+                return None
+            if (m & uncovered).bit_count() >= need:
+                break
+        else:
             return None
-        # branch on the uncovered target with fewest dominators, the least such
-        vbest = min(_bits_of(uncovered), key=lambda v: dominators[v].bit_count())
-        for u in _bits_of(dominators[vbest]):
+        for u in branches[target]:
             chosen.append(u)
             got = search(k, chosen, covered | reach[u])
             if got is not None:

@@ -554,6 +554,68 @@ def brute_total_domination(graph: Graph) -> int | None:
     return None
 
 
+def reference_total_domination(graph: Graph, max_nodes: int = 10_000_000,
+                               lower_hint: int = 1):
+    """(size, witness, nodes, exceeded) of the search in
+    `search.total_domination`, written plainly: classes from np.unique, the
+    coverage bound taken as the most uncovered targets any candidate covers,
+    the branching target found by scanning every uncovered target, and
+    every leaf visited.  size and witness are None when the budget runs
+    out; the graph must have a total dominating set."""
+    covers = graph.adj.copy()
+    for m in graph.marks:
+        covers[m, m] = True
+
+    def least_of_each_class(matrix: np.ndarray) -> list[int]:
+        return sorted(np.unique(matrix, axis=0, return_index=True)[1].tolist())
+
+    rows = least_of_each_class(covers)
+    cols = least_of_each_class(covers[rows].T)
+    reduced = covers[np.ix_(rows, cols)]
+    reach = [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in reduced]
+    dominators = [sum(1 << i for i in np.flatnonzero(c).tolist()) for c in reduced.T]
+    full = (1 << len(cols)) - 1
+    nodes = 0
+
+    class OutOfBudget(Exception):
+        pass
+
+    def search(k: int, chosen: list[int], covered: int) -> list[int] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise OutOfBudget
+        if covered == full:
+            return chosen.copy()
+        if len(chosen) == k:
+            return None
+        uncovered = full & ~covered
+        gain = max((m & uncovered).bit_count() for m in reach)
+        if uncovered.bit_count() > (k - len(chosen)) * gain:
+            return None
+        targets = [j for j in range(len(cols)) if uncovered >> j & 1]
+        best = min(targets, key=lambda j: dominators[j].bit_count())
+        for u in range(len(rows)):
+            if dominators[best] >> u & 1:
+                chosen.append(u)
+                got = search(k, chosen, covered | reach[u])
+                if got is not None:
+                    return got
+                chosen.pop()
+        return None
+
+    lower = max(lower_hint, -(-len(cols) // max(m.bit_count() for m in reach)))
+    try:
+        for k in range(lower, len(rows) + 1):
+            got = search(k, [], 0)
+            if got is not None:
+                witness = tuple(sorted(rows[i] for i in got))
+                return len(witness), witness, nodes, False
+    except OutOfBudget:
+        return None, None, nodes, True
+    raise AssertionError("no total dominating set")
+
+
 def milp_total_domination(graph: Graph) -> int:
     """Independent ILP oracle (HiGHS via scipy.optimize.milp)."""
     from scipy.optimize import LinearConstraint, milp

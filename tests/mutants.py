@@ -93,6 +93,11 @@ MUTANTS = (
            "if len(a) * len(b) <= bound * len(a & b):",
            "if len(a) * len(b) < bound * len(a & b):",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure"),
+    Mutant("a generating pair's orbit pairing A's and B's conjugates by different elements",
+           "groups.py",
+           "orbit = (images[:, i], images[:, j]) if len(images) > 1 else (i, j)",
+           "orbit = (images[:, i], images[::-1, j]) if len(images) > 1 else (i, j)",
+           "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
     Mutant("the pair matrix read off with one maximal subgroup dropped",
            "groups.py",
            "    for col, sub in enumerate(maxs):\n",
@@ -122,9 +127,19 @@ MUTANTS = (
            "tests/test_groups.py::test_subgroup_lattice_closures"),
     Mutant("the γt coverage bound cutting a node that can just be covered",
            "search.py",
-           "if uncovered.bit_count() > (k - len(chosen)) * gain:",
-           "if uncovered.bit_count() >= (k - len(chosen)) * gain:",
+           "            if (m & uncovered).bit_count() >= need:\n",
+           "            if (m & uncovered).bit_count() > need:\n",
            "tests/test_search.py::test_domination_matches_milp_on_products"),
+    Mutant("γt counting the last choice's failed leaves but not the one that succeeds",
+           "search.py",
+           "            for _ in range((dominators[target] & ((1 << u) - 1)).bit_count() + 1):\n",
+           "            for _ in range((dominators[target] & ((1 << u) - 1)).bit_count()):\n",
+           "tests/test_search.py::test_domination_coverage_bound_keeps_the_witness"),
+    Mutant("γt branching on the target with the most dominators",
+           "search.py",
+           'reduced = reduced[:, np.argsort(reduced.sum(axis=0), kind="stable")]',
+           'reduced = reduced[:, np.argsort(-reduced.sum(axis=0), kind="stable")]',
+           "tests/test_search.py::test_domination_matches_the_plain_search"),
     Mutant("γt targets taken from the candidates' rows, not their columns",
            "search.py",
            "    cols, _ = _row_classes(covers[rows].T)\n",
@@ -165,10 +180,10 @@ MUTANTS = (
            "    ia, ib = divmod(where, B.n)\n",
            "    ia, ib = divmod(where, A.n)\n",
            "tests/test_generating.py::test_identity_counts_match_the_edge_set_oracle"),
-    Mutant("the Euler walk clearing an edge at its near end only",
+    Mutant("the Euler walk marking an edge at its near end only",
            "graphs.py",
-           "            bits[w] ^= 1 << v\n",
-           "",
+           "                walked[w * n + v] = 1\n",
+           "                walked[v * n + w] = 1\n",
            "tests/test_graphs.py::test_euler_k3"),
     Mutant("the minimum-cut loop's pair bound loosened by one",
            "graphs.py",

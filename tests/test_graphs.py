@@ -501,6 +501,24 @@ def test_euler_circuit_matches_reference(seed, n, p):
     assert verify_certificate(graph, res.circuit)
 
 
+@pytest.mark.parametrize("seed, n, p", [(1, 257, 0.05), (2, 300, 0.5), (3, 512, 0.02),
+                                        (4, 700, 0.1)])
+def test_euler_circuit_matches_reference_beyond_256_vertices(seed, n, p):
+    # the hypothesis test above stops at 30 vertices; these graphs number
+    # their vertices past one byte, sparse and dense
+    rng = np.random.default_rng(seed)
+    adj = _random_graph(rng, n, p).adj.copy()
+    odd = np.flatnonzero(adj.sum(axis=1) % 2).tolist()
+    for u, v in zip(odd[0::2], odd[1::2]):
+        adj[u, v] = adj[v, u] = not adj[u, v]
+    graph = Graph(adj)
+    assert scipy_component_count(graph) == 1
+    res = eulerian_circuit(graph)
+    assert res.circuit is not None
+    assert res.circuit.vertices == reference_euler_circuit(graph)
+    assert verify_certificate(graph, res.circuit)
+
+
 # ---------------------------------------------------------------------------
 # certificates and serialization
 
@@ -546,6 +564,9 @@ def test_verify_certificate_negatives():
     assert verify_certificate(Graph.from_edges(3, ()), EulerCircuit(()))
     assert not verify_certificate(Graph.from_edges(3, ()), EulerCircuit((0, 1)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 3, 0)))
+    # entries beyond int32 and int64, either sign, in a walk of the right length
+    for far in (2 ** 40, -2 ** 40, 2 ** 70, -2 ** 70):
+        assert not verify_certificate(k3, EulerCircuit((0, 1, far, 0)))
     # every edge walked, and one of them twice
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2, 0, 1, 0)))
     # two triangles on vertex 0: a repeated edge, a non-edge step

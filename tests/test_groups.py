@@ -620,6 +620,20 @@ def test_pair_matrix_matches_all_pairs_closure(group):
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), spec
 
 
+def test_pair_matrix_matches_all_pairs_closure_under_relabelling(group):
+    """The lattice test groups, Ex(1), the abelian C2^2 x C9 x C3 and the
+    non-abelian nilpotent Heis3, Heis5 and C2^2 x Heis3, which close pairs
+    by conjugation orbits, each as built and under three fixed
+    relabellings.  The relabellings reorder the cyclic ids, and so which
+    pair of each orbit is closed and which pairs its orbit marks."""
+    cases = dict(lattice_test_groups())
+    for spec in ("Heis3", "Heis5", "C2^2 x Heis3", "Ex(1)", "C2^2 x C9 x C3"):
+        cases[spec] = group(spec)
+    for name, g in cases.items():
+        for copy in [Group(g.table, name=name)] + [_relabelled(g, seed)[0] for seed in (1, 2, 3)]:
+            assert np.array_equal(copy._pair_gen_matrix(), all_pairs_gen_matrix(copy)), copy.name
+
+
 def _counted_pairs(g: Group) -> np.ndarray:
     """The pairs of cyclic subgroups A, B with |A||B| > (n/p)·|A∩B|, p the
     least prime dividing n: those the pair matrix decides by counting."""

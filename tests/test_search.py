@@ -16,6 +16,7 @@ from conftest import (
     permutation_table,
     planted_twins,
     reference_clique_search,
+    reference_total_domination,
     unique_twin_classes,
 )
 from gengraph.errors import DominationUndefinedError
@@ -239,15 +240,47 @@ def test_domination_coverage_bound_keeps_the_witness():
     from gengraph.graphs import MultipartiteParams, td_bounds
 
     # K3 x K4 x K6, the search behind C2^2 x C3^2 x C5^2, started where
-    # td_bounds starts it; the residual-coverage bound cuts only subtrees
-    # with no set of size k, so the witness is the first size-5 set in the
-    # depth-first order, the one a search without the bound finds
+    # td_bounds starts it, one below, and at 1; the residual-coverage bound
+    # cuts only subtrees with no set of size k, so the witness is the first
+    # size-5 set in the depth-first order, the one a search without the
+    # bound finds.  The node counts are exact: a bound that cut less, or a
+    # branching order that moved, would change them
     g = complete_product((3, 4, 6))
-    res = total_domination(g, lower_hint=td_bounds(MultipartiteParams((3, 4, 6)))[0])
-    assert res.witness.vertices == (20, 31, 36, 49, 54)
+    lower = td_bounds(MultipartiteParams((3, 4, 6)))[0]
+    assert lower == 5
+    for hint, nodes in ((lower, 5_157), (lower - 1, 33_088), (1, 34_019)):
+        res = total_domination(g, lower_hint=hint)
+        assert res.witness.vertices == (20, 31, 36, 49, 54), hint
+        assert res.nodes == nodes, hint
     assert verify_certificate(g, res.witness)
-    assert res.nodes <= 6_000
     assert res.size == milp_total_domination(g) == 5
+
+
+def test_domination_matches_the_plain_search(group):
+    """Size, witness, node count and budget outcome equal those of
+    `conftest.reference_total_domination`, on planted-twin graphs, random
+    graphs with marks, and Δ(C2^2 x C9 x C3), under budgets that run out
+    at the root, inside the search and not at all."""
+    rng = np.random.default_rng(23)
+    graphs = [planted_twins(rng, int(rng.integers(2, 6))) for _ in range(40)]
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.5), 1)
+        marks = rng.choice(n, size=int(rng.integers(0, 3)), replace=False).tolist()
+        graphs.append(Graph(adj | adj.T, marks))
+    graphs.append(delta_of(group("C2^2 x C9 x C3")).graph)
+    checked = 0
+    for graph in graphs:
+        marked = np.isin(np.arange(graph.n), list(graph.marks))
+        if not (graph.adj.any(axis=0) | marked).all():
+            continue  # some vertex has no dominator
+        for budget in (0, 3, 10_000_000):
+            res = total_domination(graph, SearchBudget(budget))
+            witness = res.witness.vertices if res.witness is not None else None
+            assert (res.size, witness, res.nodes, res.exceeded) == \
+                reference_total_domination(graph, budget)
+        checked += 1
+    assert checked >= 50
 
 
 def test_domination_with_twins_and_marks_matches_brute_force():
