@@ -216,12 +216,13 @@ class EulerCircuit:
 
         The walked entries are set in an n*n boolean matrix: m steps set 2m
         entries exactly when no edge repeats.  The range is read off the
-        walk as an int32 array; an entry beyond int32 is out of range too.
+        walk as an int64 array, before any narrower use of it; an entry
+        beyond int64 is out of range too.
         """
         walk = self.vertices
         n, m = graph.n, graph.edge_count
         try:
-            steps = np.array(walk, dtype=np.int32)
+            steps = np.fromiter(walk, dtype=np.int64, count=len(walk))
         except OverflowError:
             return False
         if walk and not (0 <= steps.min() and steps.max() < n):
@@ -635,7 +636,6 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
     unwalked = [iter(array("I", np.flatnonzero(row).astype(np.uint32).tobytes()))
                 for row in graph.adj]
     walked = bytearray(n * n)  # walked[w*n + v]: the edge {v, w} was walked from v
-    vertex = list(range(n))  # one int object per vertex, shared by every visit
     stack: list[int] = []  # the walk to v, v excluded
     out: list[int] = []
     v = 0
@@ -644,7 +644,7 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
             if not walked[v * n + w]:
                 walked[w * n + v] = 1
                 stack.append(v)
-                v = vertex[w]
+                v = w
                 break
         else:
             out.append(v)

@@ -267,7 +267,7 @@ class Group:
                     if not is_nilpotent(self) and len(frattini(self)) == 1:
                         return _hall_pair_matrix(self)
                     images = _cyclic_conjugates(self)
-                orbit = (images[:, i], images[:, j]) if len(images) > 1 else (i, j)
+                orbit = (images[:, i], images[:, j])
                 gen[orbit] = gen[orbit[::-1]] = True
         return gen
 

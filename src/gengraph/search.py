@@ -385,18 +385,15 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     target with fewest dominators, the least such; the targets are
     renumbered once by (dominator count, index), so that target is the
     lowest uncovered bit, and each target's dominators are listed once.  A
-    node is cut by the residual-coverage bound: the k - |S| candidates
-    still to choose cover at most k - |S| times the most uncovered targets
-    any one candidate covers, so a node whose uncovered targets no
-    candidate covers ⌈uncovered / (k - |S|)⌉ of has no set of size k below
-    it.  The scan for such a candidate runs over the candidates by
-    descending coverage and stops at the first that covers enough, or at
-    the first whose whole coverage is too small.  With one candidate left
-    to choose, the bound asks for one that covers every uncovered target,
-    that is, a common dominator of them all, found by intersecting their
-    dominator sets.  The node's children are then leaves: those before
-    the least common dominator fail and it succeeds, so they are counted
-    as nodes, not visited.  The bound prunes only such subtrees and leaves
+    node is cut by the residual-coverage bound: with `gain` the most
+    uncovered targets any one candidate covers, the k - |S| candidates
+    still to choose cover at most (k - |S|)·gain more, so a node with more
+    uncovered targets than that has no set of size k below it.  With one
+    candidate left to choose, the bound asks for one that covers every
+    uncovered target, that is, a common dominator of them all, found by
+    intersecting their dominator sets.  The node's children are then
+    leaves: those before the least common dominator fail and it succeeds,
+    so they are counted as nodes, not visited.  The bound prunes only such subtrees and leaves
     the branching order as it is, so the first set found, the witness, is
     the one the unpruned search finds, after as many nodes.  The reported
     size is the witness's, which is below k only when `lower_hint`
@@ -421,8 +418,6 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     reach = _row_bits(reduced)  # reach[i] = targets that candidate i covers
     dominators = _row_bits(reduced.T)  # dominators[j] = candidates covering target j
     branches = [_bits_of(m) for m in dominators]  # the same, as ascending lists
-    # (coverage, reach) by descending coverage, for the bound's scan
-    widest = sorted(((m.bit_count(), m) for m in reach), key=lambda cm: -cm[0])
     full = (1 << len(cols)) - 1
     counter = _Counter(budget.max_nodes)
 
@@ -450,13 +445,8 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
                 if counter.tick():
                     raise _BudgetExhausted
             return chosen + [u]
-        need = -(-uncovered.bit_count() // left)
-        for size, m in widest:
-            if size < need:
-                return None
-            if (m & uncovered).bit_count() >= need:
-                break
-        else:
+        gain = max((m & uncovered).bit_count() for m in reach)
+        if uncovered.bit_count() > left * gain:
             return None
         for u in branches[target]:
             chosen.append(u)

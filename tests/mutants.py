@@ -95,8 +95,8 @@ MUTANTS = (
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure"),
     Mutant("a generating pair's orbit pairing A's and B's conjugates by different elements",
            "groups.py",
-           "orbit = (images[:, i], images[:, j]) if len(images) > 1 else (i, j)",
-           "orbit = (images[:, i], images[::-1, j]) if len(images) > 1 else (i, j)",
+           "orbit = (images[:, i], images[:, j])",
+           "orbit = (images[:, i], images[::-1, j])",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
     Mutant("the pair matrix read off with one maximal subgroup dropped",
            "groups.py",
@@ -127,8 +127,8 @@ MUTANTS = (
            "tests/test_groups.py::test_subgroup_lattice_closures"),
     Mutant("the γt coverage bound cutting a node that can just be covered",
            "search.py",
-           "            if (m & uncovered).bit_count() >= need:\n",
-           "            if (m & uncovered).bit_count() > need:\n",
+           "if uncovered.bit_count() > left * gain:",
+           "if uncovered.bit_count() >= left * gain:",
            "tests/test_search.py::test_domination_matches_milp_on_products"),
     Mutant("γt counting the last choice's failed leaves but not the one that succeeds",
            "search.py",
@@ -204,6 +204,11 @@ MUTANTS = (
            "graphs.py",
            "if len(self.colors) != graph.n or min(",
            "if min(",
+           "tests/test_graphs.py::test_verify_certificate_negatives"),
+    Mutant("an Euler walk narrowed to int32 before its range check",
+           "graphs.py",
+           "steps = np.fromiter(walk, dtype=np.int64, count=len(walk))",
+           "steps = np.fromiter(walk, dtype=np.int64, count=len(walk)).astype(np.int32)",
            "tests/test_graphs.py::test_verify_certificate_negatives"),
     Mutant("a two-vertex Hamiltonian cycle accepted",
            "graphs.py",

@@ -564,8 +564,9 @@ def test_verify_certificate_negatives():
     assert verify_certificate(Graph.from_edges(3, ()), EulerCircuit(()))
     assert not verify_certificate(Graph.from_edges(3, ()), EulerCircuit((0, 1)))
     assert not verify_certificate(k3, EulerCircuit((0, 1, 3, 0)))
-    # entries beyond int32 and int64, either sign, in a walk of the right length
-    for far in (2 ** 40, -2 ** 40, 2 ** 70, -2 ** 70):
+    # entries beyond int32 and int64, either sign, in a walk of the right
+    # length; 2 + 2**32 and 1 - 2**32 wrap onto vertices 2 and 1 in int32
+    for far in (2 + 2 ** 32, 1 - 2 ** 32, 2 ** 40, -2 ** 40, 2 ** 70, -2 ** 70):
         assert not verify_certificate(k3, EulerCircuit((0, 1, far, 0)))
     # every edge walked, and one of them twice
     assert not verify_certificate(k3, EulerCircuit((0, 1, 2, 0, 1, 0)))
