@@ -21,23 +21,14 @@ closure smaller than G, their join lies in that subgroup and is not G.  If
 |A||B|/|A∩B| > n/p elements, so by the kernel's Lagrange argument it is G.
 Once a first generating pair is found, a third argument spreads each
 answer over its pair's orbit under conjugation, as ⟨A, B⟩^g = ⟨A^g, B^g⟩,
-so on non-abelian G one pair per orbit is closed.  A fourth rule replaces
-the closures at that first generating pair, on non-nilpotent G with
-Φ(G) = 1 only: by Hall's criterion (P. Hall, *The Eulerian functions of a
-group*, 1936), ⟨A, B⟩ ≠ G exactly when some maximal subgroup holds A ∪ B,
-and the maximal subgroups come from the subgroup lattice, itself built by
-closures.  Where Φ(G) ≠ 1 every maximal subgroup holds Φ(G), so the
-read-off would be the lex blow-up that `EQ_LEX` tests; on nilpotent G it
-would be the Burnside basis theorem that `EQ_LEX` and `COR_2_6_PROD` rest
-on.  Those groups keep closures.  The rule waits for a generating pair so
-that a group that is not 2-generated never builds its lattice for it.
-The lattice itself is Neubüser's cyclic extension, pruned twice by
-conjugation: one subgroup H per conjugacy class is joined with one cyclic
-subgroup ⟨c⟩ of prime-power order per orbit of its normaliser N_G(H),
-because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and every join brings in its
-whole class.  Each subgroup is still a closure result.  The maximal
-subgroups come from one pass over the proper subgroups, largest first,
-that keeps each one no kept subgroup contains.
+so on non-abelian G one pair per orbit is closed.  The pair matrix never
+reads the subgroup lattice.  The lattice is Neubüser's cyclic extension,
+pruned twice by conjugation: one subgroup H per conjugacy class is joined
+with one cyclic subgroup ⟨c⟩ of prime-power order per orbit of its
+normaliser N_G(H), because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and every
+join brings in its whole class.  Each subgroup is still a closure result.
+The maximal subgroups come from one pass over the proper subgroups,
+largest first, that keeps each one no kept subgroup contains.
 """
 
 from __future__ import annotations
@@ -185,10 +176,9 @@ class Group:
     def _pair_gen_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
 
-        A pair of cyclic subgroups A, B is closed only if none of the first
-        three rules below decides it, and the fourth ends the closures
-        early.  All four are sound for any A and B, so the matrix is the
-        one that closing every pair gives.
+        A pair of cyclic subgroups A, B is closed only if none of the three
+        rules below decides it.  All three are sound for any A and B, so the
+        matrix is the one that closing every pair gives.
 
         - A known proper subgroup K: when A and B both lie in K, their join
           lies in K and is not G.  The known proper subgroups are the cyclic
@@ -212,23 +202,10 @@ class Group:
           marks its whole orbit under conjugation, and only one pair of
           each orbit is closed.  The orbits are read off
           `_cyclic_conjugates`, the distinct permutations of the cyclic ids
-          by conjugation.  The table is built only after the first
-          generating pair, once the maximal-subgroup rule has declined, as
-          it costs more than it saves on the groups that rule reads off.
-          An abelian G builds no table: every conjugation is the identity
+          by conjugation.  The table is built only at the first generating
+          pair: a group that is not 2-generated never builds it.  An
+          abelian G builds no table: every conjugation is the identity
           there, so each orbit is one pair.
-        - Maximal subgroups: by Hall's criterion ⟨A, B⟩ ≠ G exactly when
-          some maximal subgroup M holds A and B, that is, holds both
-          generators.  When the first generating pair is found and G is not
-          nilpotent with Φ(G) = 1, the whole matrix is read off the maximal
-          subgroups (`_hall_pair_matrix`) and no further pair is closed.
-          Only after a generating pair: a group that is not 2-generated
-          never builds its lattice here.  Only where Φ(G) = 1: every maximal
-          subgroup holds Φ(G), so on a group with Φ(G) ≠ 1 the read-off
-          would give the lex blow-up of Γ(G/Φ(G)) by construction, and
-          `EQ_LEX` would test nothing.  Only on non-nilpotent G: on
-          nilpotent G the read-off would be the Burnside basis theorem,
-          which would make `EQ_LEX` and `COR_2_6_PROD` circular.
 
         Pairs are visited largest cyclic subgroups first, whose non-generating
         closures are the largest subgroups and decide the most pairs.
@@ -264,8 +241,6 @@ class Group:
                         continue
                 if first_pair:
                     first_pair = False
-                    if not is_nilpotent(self) and len(frattini(self)) == 1:
-                        return _hall_pair_matrix(self)
                     images = _cyclic_conjugates(self)
                 orbit = (images[:, i], images[:, j])
                 gen[orbit] = gen[orbit[::-1]] = True
@@ -579,20 +554,6 @@ def maximal_subgroups(G: Group) -> tuple[frozenset[int], ...]:
         if len(s) < G.n and not any(s < m for m in kept):
             kept.append(s)
     return tuple(reversed(kept))
-
-
-def _hall_pair_matrix(G: Group) -> np.ndarray:
-    """The pair-generation matrix over G's cyclic subgroups by Hall's
-    criterion: ⟨A, B⟩ ≠ G exactly when some maximal subgroup holds A and B.
-    Row i of `inside` says which maximal subgroups hold the least generator
-    of cyclic subgroup i, and so the subgroup itself."""
-    reps = G._cyclic_data()[2]
-    maxs = maximal_subgroups(G)
-    holds = np.zeros((G.n, len(maxs)), dtype=bool)
-    for col, sub in enumerate(maxs):
-        holds[np.fromiter(sub, dtype=np.int64, count=len(sub)), col] = True
-    inside = holds[reps]
-    return ~(inside @ inside.T)
 
 
 @cached

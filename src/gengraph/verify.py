@@ -62,6 +62,7 @@ from .groups import (
     derived_subgroup,
     is_nilpotent,
     is_two_generated,
+    isomorphism,
     nilpotent_structure,
     quotient_mod_frattini,
     subgroup_as_group,
@@ -82,6 +83,8 @@ CERT_SIZE_LIMIT = 2000    # certificates longer than this stay out of reports
 
 log = logging.getLogger(__name__)
 
+# PROP_2_9's partner comparisons: a group isomorphic to a key, under any
+# spelling or labelling, is compared with the key's partner spec
 PROP_2_9_PAIRS = {
     "C2^2 x C9 x C3": ("C2^2 x Heis3", True),
     "C2^2 x C9": ("C2^2 x C3^2", False),
@@ -363,7 +366,7 @@ def _check_prop_2_9(G: Group, budget: SearchBudget) -> Outcome:
     ok = observed_radical == expected_radical
     observed = {"radical_statistic": observed_radical}
     expected = {"radical_statistic": expected_radical}
-    pair = PROP_2_9_PAIRS.get(G.name)
+    pair = _prop_2_9_pair(G)
     if pair is not None:
         partner_spec, positive = pair
         H = build_cached(partner_spec, DEFAULT_MAX_ORDER)
@@ -384,6 +387,22 @@ def _check_prop_2_9(G: Group, budget: SearchBudget) -> Outcome:
             observed["degree_multisets_differ"] = differ
         observed["partner"] = partner_spec
     return Outcome(ok, expected, observed)
+
+
+def _prop_2_9_pair(G: Group) -> tuple[str, bool] | None:
+    """The `PROP_2_9_PAIRS` entry whose key G is isomorphic to, or None.
+    Equal order and element-order multiset sieve the keys before
+    `isomorphism` decides."""
+    orders = np.sort(G.orders)
+    for spec, pair in PROP_2_9_PAIRS.items():
+        K = build_cached(spec, DEFAULT_MAX_ORDER)
+        if K.n == G.n and np.array_equal(np.sort(K.orders), orders):
+            try:
+                isomorphism(K, G)
+            except ValueError:
+                continue
+            return pair
+    return None
 
 
 def _check_lem_3_1(G: Group, budget: SearchBudget) -> Outcome:

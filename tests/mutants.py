@@ -98,23 +98,17 @@ MUTANTS = (
            "orbit = (images[:, i], images[:, j])",
            "orbit = (images[:, i], images[::-1, j])",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
-    Mutant("the pair matrix read off with one maximal subgroup dropped",
+    Mutant("a proper closure marking A^g with B^h",
            "groups.py",
-           "    for col, sub in enumerate(maxs):\n",
-           "    for col, sub in enumerate(maxs[1:]):\n",
+           "known[img[:, :, None], img[:, None, :]] = True",
+           "known[img[:, :, None], img[::-1, None, :]] = True",
+           "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
+    Mutant("the pair matrix building the subgroup lattice at its first generating pair",
+           "groups.py",
+           "                    images = _cyclic_conjugates(self)\n",
+           "                    subgroup_lattice(self)\n"
+           "                    images = _cyclic_conjugates(self)\n",
            "tests/test_groups.py::test_pair_matrix_read_off_matches_all_pairs_closure"),
-    Mutant("the pair matrix read off maximal subgroups where Φ(G) ≠ 1",
-           "groups.py",
-           "if not is_nilpotent(self) and len(frattini(self)) == 1:",
-           "if not is_nilpotent(self):",
-           "tests/test_groups.py::test_pair_matrix_reads_no_maximal_subgroups_off_its_route"),
-    Mutant("the pair matrix read off maximal subgroups before a generating pair",
-           "groups.py",
-           "        first_pair = True\n",
-           "        if not is_nilpotent(self) and len(frattini(self)) == 1:\n"
-           "            return _hall_pair_matrix(self)\n"
-           "        first_pair = True\n",
-           "tests/test_groups.py::test_pair_matrix_reads_no_maximal_subgroups_off_its_route"),
     Mutant("the lattice joining one cyclic subgroup per G-class, not per normaliser orbit",
            "groups.py",
            "    norm = np.flatnonzero((rows == m).all(axis=1))\n",
@@ -250,6 +244,11 @@ MUTANTS = (
            "    Q = Group(cmap[G.table[np.ix_(reps, reps)]],\n",
            "    Q = Group(np.sort(cmap[G.table[np.ix_(reps, reps)]], axis=1),\n",
            "tests/test_verify.py::test_broken_frattini_quotient_is_a_fail"),
+    Mutant("PROP_2_9 finding its partner by the group's name",
+           "verify.py",
+           "    pair = _prop_2_9_pair(G)\n",
+           "    pair = PROP_2_9_PAIRS.get(G.name)\n",
+           "tests/test_verify.py::test_prop_2_9_partner_found_by_isomorphism"),
     Mutant("REMARK_FACTS holding whatever its census observes",
            "verify.py",
            "    return Outcome(prof.holds,\n",

@@ -665,9 +665,8 @@ def test_pair_matrix_of_permutation_groups():
     # test_pair_matrix_read_off_matches_all_pairs_closure
     g = Group(permutation_table(DihedralGroup(4)))
     assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g))
-    # non-nilpotent groups with Φ(G) ≠ 1, which keep closing pairs after the
-    # first generating pair: counting decides some generating pairs but not
-    # all of them, so closures decide the rest
+    # non-nilpotent groups with Φ(G) ≠ 1: counting decides some generating
+    # pairs but not all of them, so closures decide the rest
     for g in (_dihedral(9), _dihedral(12)):
         assert len(frattini(g)) > 1, g.name
         oracle = all_pairs_gen_matrix(g)
@@ -683,56 +682,53 @@ def _dihedral(m: int) -> Group:
     return Group(permutation_table(DihedralGroup(m)), name=f"D{2 * m}")
 
 
-def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
-    # every group here is non-nilpotent and 2-generated; those with
-    # Φ(G) = 1 read the matrix off their maximal subgroups, D18 and D24
-    # keep closing pairs.  The dihedral groups are D_2m for every m from 9
-    # to 15, the orders the non-nilpotent benchmark's seed picks from
-    from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
-
+def _without_lattice(monkeypatch) -> None:
+    """Make the subgroup lattice, the maximal subgroups and Φ(G) raise."""
     from gengraph import groups
 
-    read_off = []
-    hall = groups._hall_pair_matrix
-    monkeypatch.setattr(groups, "_hall_pair_matrix",
-                        lambda G: read_off.append(G.name) or hall(G))
+    def unavailable(G):
+        raise AssertionError(f"the lattice or Φ of {G.name} asked for")
+
+    for name in ("subgroup_lattice", "maximal_subgroups", "frattini"):
+        monkeypatch.setattr(groups, name, unavailable)
+
+
+def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
+    # every group here is non-nilpotent and 2-generated, and none reads its
+    # matrix off the maximal subgroups: with the subgroup lattice, the
+    # maximal subgroups and Φ(G) made unavailable, each pair matrix still
+    # comes out and equals closing every pair.  The dihedral groups are D_2m
+    # for every m from 9 to 15, the orders the non-nilpotent benchmark's
+    # seed picks from
+    from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
+
     cases = [Group(permutation_table(SymmetricGroup(3)), name="S3"),
              Group(permutation_table(AlternatingGroup(4)), name="A4"),
              Group(group("Ex(1)").table, name="Ex(1)")]
     cases += [Group(g.table, name=name) for name, g in lattice_test_groups().items()]
     cases += [_dihedral(m) for m in range(9, 16)]
-    for g in cases:
-        assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), g.name
-    assert read_off == [g.name for g in cases if g.name not in ("D18", "D24")]
+    oracles = [all_pairs_gen_matrix(g) for g in cases]
+    _without_lattice(monkeypatch)
+    for g, oracle in zip(cases, oracles):
+        assert np.array_equal(g._pair_gen_matrix(), oracle), g.name
 
 
 def test_pair_matrix_reads_no_maximal_subgroups_off_its_route(group, monkeypatch):
-    # nilpotent groups, groups with Φ(G) ≠ 1 and groups with no generating
-    # pair close every pair they do not count: with the maximal subgroups
-    # made unavailable, their pair matrices still come out.  Φ(D18) and
-    # Φ(D24) are computed first, as `verify` does; C2^3 x S3 has Φ = 1 but
-    # is not 2-generated, so it must not build its lattice for the matrix
+    # nilpotent groups and groups with no generating pair build their pair
+    # matrices with the subgroup lattice, the maximal subgroups and Φ(G)
+    # made unavailable.  C2^3 x S3 has Φ = 1 but is not 2-generated, so its
+    # matrix is all False
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    from gengraph import groups
     from gengraph.verify import default_catalog
 
     nilpotent = [Group(g.table, name=g.name)
                  for g in (group(e.spec) for e in default_catalog()) if is_nilpotent(g)]
-    dihedral = [_dihedral(9), _dihedral(12)]
-    assert all(len(frattini(g)) > 1 for g in dihedral)
-    oracles = [all_pairs_gen_matrix(g) for g in dihedral]
     cycles = ([0, 1], [0, 1, 2], [3, 4], [5, 6], [7, 8])
     s3_c2cubed = Group(permutation_table(PermutationGroup(
         [Permutation([c], size=9) for c in cycles])), name="C2^3 x S3")
     assert s3_c2cubed.n == 48 and not is_nilpotent(s3_c2cubed)
-
-    def unavailable(G):
-        raise AssertionError(f"maximal subgroups of {G.name} asked for")
-
-    monkeypatch.setattr(groups, "maximal_subgroups", unavailable)
+    _without_lattice(monkeypatch)
     for g in nilpotent:
         g._pair_gen_matrix()
-    for g, oracle in zip(dihedral, oracles):
-        assert np.array_equal(g._pair_gen_matrix(), oracle), g.name
     assert not s3_c2cubed._pair_gen_matrix().any()

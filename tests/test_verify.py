@@ -55,6 +55,34 @@ def test_run_check_examples(group):
     assert r.observed == {"omega": 6, "chi": 6}
 
 
+@pytest.mark.parametrize("key,spelling", [("C2^2 x C9", "C2 x C18"),
+                                          ("C2^2 x C9 x C3", "C6 x C18")])
+def test_prop_2_9_partner_found_by_isomorphism(group, key, spelling):
+    # PROP_2_9 compares any spelling of a listed group with its partner
+    named, other = (run_check(group(s), "PROP_2_9", BUDGET, name="G") for s in (key, spelling))
+    assert named.status == other.status == "pass"
+    assert "partner" in named.observed
+    assert (named.expected, named.observed) == (other.expected, other.observed)
+
+
+def test_prop_2_9_no_partner_without_isomorphism(group):
+    # C2^2 x M27, M27 = <a, b | a^9 = b^3 = 1, b a b^-1 = a^4> acting on
+    # Z/9, has the order and element orders of C2^2 x C9 x C3 but is not
+    # isomorphic to it, so it gets no partner comparison
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    from gengraph.groups import Group
+
+    fixed = [9, 10, 11, 12]
+    gens = [Permutation([(x + 1) % 9 for x in range(9)] + fixed),
+            Permutation([4 * x % 9 for x in range(9)] + fixed),
+            Permutation([[9, 10]], size=13), Permutation([[11, 12]], size=13)]
+    g = Group(permutation_table(PermutationGroup(gens)), name="C2^2 x M27")
+    assert np.array_equal(np.sort(g.orders), np.sort(group("C2^2 x C9 x C3").orders))
+    r = run_check(g, "PROP_2_9", BUDGET)
+    assert r.status == "pass" and "partner" not in r.observed
+
+
 def test_run_check_skips(group):
     r = run_check(group("Ex(1)"), "THM_1_1", BUDGET, name="Ex(1)")
     assert r.status == "skipped" and "nilpotent" in r.reason
