@@ -94,9 +94,6 @@ class Graph:
         iu, ju = np.nonzero(np.triu(self.adj, 1))
         return list(zip(iu.tolist(), ju.tolist()))
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[v])
-
     @cached
     def bitmasks(self) -> list[int]:
         """Neighbour sets as Python int bitmasks (for the exact searches)."""

@@ -19,14 +19,15 @@ lie in a proper subgroup already found, a cyclic subgroup or an earlier
 closure smaller than G, their join lies in that subgroup and is not G.  If
 |A||B| > (n/p)·|A∩B|, their join holds the product set AB, which has
 |A||B|/|A∩B| > n/p elements, so by the kernel's Lagrange argument it is G.
-Once a first generating pair is found, a third argument spreads each
-answer over its pair's orbit under conjugation, as ⟨A, B⟩^g = ⟨A^g, B^g⟩,
-so on non-abelian G one pair per orbit is closed.  The pair matrix never
-reads the subgroup lattice.  The lattice is Neubüser's cyclic extension,
-pruned twice by conjugation: one subgroup H per conjugacy class is joined
-with one cyclic subgroup ⟨c⟩ of prime-power order per orbit of its
-normaliser N_G(H), because ⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and every
-join brings in its whole class.  Each subgroup is still a closure result.
+A third argument spreads each answer over its pair's orbit under
+conjugation, as ⟨A, B⟩^g = ⟨A^g, B^g⟩, so one pair per orbit is closed.
+The table of those orbits is built before the first closure; on abelian G
+it is one identity row.  The pair matrix never reads the subgroup lattice.
+The lattice is Neubüser's cyclic extension, pruned twice by conjugation:
+one subgroup H per conjugacy class is joined with one cyclic subgroup ⟨c⟩
+of prime-power order per orbit of its normaliser N_G(H), because
+⟨H, c^h⟩ = ⟨H, c⟩^h for h in N_G(H) and every join brings in its whole
+class.  Each subgroup is still a closure result.
 The maximal subgroups come from one pass over the proper subgroups,
 largest first, that keeps each one no kept subgroup contains.
 """
@@ -183,10 +184,9 @@ class Group:
         - A known proper subgroup K: when A and B both lie in K, their join
           lies in K and is not G.  The known proper subgroups are the cyclic
           subgroups of order below n, every closure that comes back smaller
-          than G, and, once the conjugation rule below is in force, every
-          conjugate of such a closure, so each pair skipped lies inside a
-          subgroup that a power orbit or a closure produced, or a conjugate
-          of one.
+          than G, and every conjugate of such a closure (the conjugation
+          rule below), so each pair skipped lies inside a subgroup that a
+          power orbit or a closure produced, or a conjugate of one.
         - Counting: ⟨A, B⟩ contains the product set AB, and
           |AB| = |A||B|/|A∩B|.  If |A||B| > (n/p)·|A∩B|, p the least prime
           dividing n, then ⟨A, B⟩ has more than n/p elements; its index in
@@ -202,10 +202,8 @@ class Group:
           marks its whole orbit under conjugation, and only one pair of
           each orbit is closed.  The orbits are read off
           `_cyclic_conjugates`, the distinct permutations of the cyclic ids
-          by conjugation.  The table is built only at the first generating
-          pair: a group that is not 2-generated never builds it.  An
-          abelian G builds no table: every conjugation is the identity
-          there, so each orbit is one pair.
+          by conjugation, which is built before the first closure.  On an
+          abelian G it is the identity alone, so each orbit is one pair.
 
         Pairs are visited largest cyclic subgroups first, whose non-generating
         closures are the largest subgroups and decide the most pairs.
@@ -215,7 +213,7 @@ class Group:
         bound = _lagrange_stop(n)[0]
         gen = np.zeros((k, k), dtype=bool)
         known = np.zeros((k, k), dtype=bool)
-        images = np.arange(k)[None, :]  # the conjugation rule's table; identity until built
+        images = _cyclic_conjugates(self)
 
         def mark(members) -> None:
             # the cyclic subgroups inside K are those its elements generate;
@@ -228,7 +226,6 @@ class Group:
             if len(cyc) < n:
                 mark(cyc)
         order = sorted(range(k), key=lambda i: -len(sets[i]))
-        first_pair = True
         for pos, i in enumerate(order):
             for j in order[pos:]:
                 if known[i, j] or gen[i, j]:
@@ -239,9 +236,6 @@ class Group:
                     if len(members) < n:
                         mark(members)
                         continue
-                if first_pair:
-                    first_pair = False
-                    images = _cyclic_conjugates(self)
                 orbit = (images[:, i], images[:, j])
                 gen[orbit] = gen[orbit[::-1]] = True
         return gen
@@ -519,14 +513,10 @@ def _cyclic_conjugates(G: Group) -> np.ndarray:
     one row each: row π maps cyclic id i to π[i], the id of ⟨reps[i]⟩^g.
 
     The rows of ids[g⁻¹·reps·g] over all g, an n x k gather, deduplicated
-    by their bytes.  On abelian G, which the k x k products of the least
-    generators decide, as they generate G, the one row is the identity."""
+    by their bytes.  On abelian G every row is the identity, so one row is
+    left."""
     ids, _, reps = G._cyclic_data()
-    r = np.array(reps, dtype=np.int64)
-    products = G.table[np.ix_(r, r)]
-    if np.array_equal(products, products.T):
-        return np.arange(len(reps))[None, :]
-    perms = ids[_conjugation(G, r)]
+    perms = ids[_conjugation(G, np.array(reps, dtype=np.int64))]
     return np.array(list({row.tobytes(): row for row in perms}.values()))
 
 

@@ -7,7 +7,10 @@ than wall time, so identical inputs and budgets give identical outcomes.
 The clique, colouring and total-domination searches run on one vertex per
 twin class (`graphs.twin_classes`, or for γt the rows of its covers matrix),
 the least of its class, so their ties break by ascending index within the
-reduced graph, whose vertices keep the order of the graph's.
+reduced graph, whose vertices keep the order of the graph's.  χ comes
+from one search alone: the exact k-colouring search, which branches on the
+vertex with the fewest colours left (DSATUR's rule), run for k = ω, ω + 1,
+… until one k succeeds.
 """
 
 from __future__ import annotations
@@ -230,40 +233,22 @@ class ChromaticResult:
     clique: CliqueResult  # the search that gave the lower bound
 
 
-def greedy_coloring(graph: Graph) -> Coloring:
-    """Deterministic DSATUR; ties broken by higher degree then lower index."""
-    n = graph.n
-    colors = [-1] * n
-    if n == 0:
-        return Coloring(())
-    sat: list[set[int]] = [set() for _ in range(n)]
-    degs = graph.degrees.tolist()
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (len(sat[u]), degs[u], -u))
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for w in graph.neighbors(v).tolist():
-            sat[w].add(c)
-    return Coloring(tuple(colors))
-
-
 @cached
 def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
                      ) -> ChromaticResult:
-    """Exact chromatic number, seeded with the clique lower bound and the
-    DSATUR upper bound.  The result, its clique search included, is kept
-    on the graph per node budget.
+    """Exact chromatic number: the least k from the clique number ω upward
+    for which the k-colouring search succeeds.  The result, its clique
+    search included, is kept on the graph per node budget.
 
-    DSATUR and the k-colouring search run on the quotient of
-    `clique_number`, seeded with the clique mapped to its classes.
-    Vertices of one class are not adjacent, and two classes are adjacent
-    exactly when their representatives are, so a colouring of the quotient
-    that gives each vertex its class's colour is a proper colouring of the
-    graph; the quotient is an induced subgraph, so it needs no more colours
-    than the graph does.
+    The k-colouring search runs on the quotient of `clique_number`, seeded
+    with the clique mapped to its classes.  Vertices of one class are not
+    adjacent, and two classes are adjacent exactly when their
+    representatives are, so a colouring of the quotient that gives each
+    vertex its class's colour is a proper colouring of the graph; the
+    quotient is an induced subgraph, so it needs no more colours than the
+    graph does.  No proper colouring has fewer than ω colours, so the first
+    k that succeeds is χ; it is at most the quotient's order, at which
+    every vertex can take a colour of its own.
     """
     cl = clique_number(graph, budget)
     if cl.exceeded:
@@ -273,32 +258,20 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
     reps, cls = twin_classes(graph)
     quotient, _ = graph.induced(reps)
     seed = tuple(cls[v] for v in cl.clique.vertices)
-    best = greedy_coloring(quotient)
-    upper = max(best.colors) + 1
-    nodes = cl.nodes
-    counter = _Counter(max(0, budget.max_nodes - nodes))
+    counter = _Counter(max(0, budget.max_nodes - cl.nodes))
     k = cl.size
-    while k < upper:
-        try:
-            got = _k_coloring(quotient, k, seed, counter)
-        except _BudgetExhausted:
-            return ChromaticResult(None, None, nodes + counter.nodes, True, cl)
-        if got is not None:
-            best = got
-            upper = k
-            break
-        k += 1
-    return ChromaticResult(upper, Coloring(tuple(best.colors[c] for c in cls)),
-                           nodes + counter.nodes, False, cl)
+    try:
+        while (got := _k_coloring(quotient, k, seed, counter)) is None:
+            k += 1
+    except _BudgetExhausted:
+        return ChromaticResult(None, None, cl.nodes + counter.nodes, True, cl)
+    return ChromaticResult(k, Coloring(tuple(got.colors[c] for c in cls)),
+                           cl.nodes + counter.nodes, False, cl)
 
 
 def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
                 counter: _Counter) -> Coloring | None:
     n = graph.n
-    if k <= 0:
-        return None
-    if len(seed_clique) > k:
-        return None
     colors = [-1] * n
     domains = [(1 << k) - 1 for _ in range(n)]
     adj = graph.bitmasks()

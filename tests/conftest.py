@@ -265,7 +265,7 @@ def scipy_vertex_connectivity(graph: Graph) -> VertexConnectivity:
     degs = graph.degrees
     s = int(np.lexsort((np.arange(n), degs))[0])
     best = int(degs[s])
-    best_cut = tuple(graph.neighbors(s).tolist())
+    best_cut = tuple(np.flatnonzero(graph.adj[s]).tolist())
 
     def try_pair(a: int, b: int, bound: int):
         nonlocal best, best_cut
@@ -281,7 +281,7 @@ def scipy_vertex_connectivity(graph: Graph) -> VertexConnectivity:
     for t in np.flatnonzero(~graph.adj[s]).tolist():
         if t != s:
             try_pair(s, t, int(common[t]))
-    nbrs = graph.neighbors(s)
+    nbrs = np.flatnonzero(graph.adj[s])
     common = adj[nbrs] @ adj[nbrs].T
     for i, j in zip(*np.nonzero(np.triu(~graph.adj[np.ix_(nbrs, nbrs)], 1))):
         try_pair(int(nbrs[i]), int(nbrs[j]), int(common[i, j]))
@@ -319,7 +319,7 @@ def scipy_edge_connectivity(graph: Graph) -> tuple[int, EdgeCut]:
 def reference_euler_circuit(graph: Graph) -> tuple[int, ...]:
     """The circuit from vertex 0 that always takes the least neighbour whose
     edge is unused, for a connected graph with all degrees even."""
-    nbr = {v: sorted(graph.neighbors(v).tolist(), reverse=True) for v in range(graph.n)}
+    nbr = {v: sorted(np.flatnonzero(graph.adj[v]).tolist(), reverse=True) for v in range(graph.n)}
     used: set[tuple[int, int]] = set()
     stack = [0]
     out: list[int] = []
@@ -513,7 +513,7 @@ def brute_chromatic_number(graph: Graph) -> int:
     independent set of the uncovered vertices that holds the least of them
     is tried as its colour class."""
     n = graph.n
-    bits = [sum(1 << int(w) for w in graph.neighbors(v)) for v in range(n)]
+    bits = [sum(1 << int(w) for w in np.flatnonzero(graph.adj[v])) for v in range(n)]
 
     @functools.lru_cache(maxsize=None)
     def fewest(rest: int) -> int:
@@ -704,6 +704,15 @@ def lattice_test_groups() -> dict[str, Group]:
     }
     return {name: Group(permutation_table(pg), name=name)
             for name, pg in perm_groups.items()}
+
+
+def relabelled(g: Group, seed: int) -> tuple[Group, np.ndarray]:
+    """A copy of g with its non-identity elements renumbered at random, and
+    the map from old to new indices."""
+    relabel = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.n - 1)])
+    table = np.empty_like(g.table)
+    table[np.ix_(relabel, relabel)] = relabel[g.table]
+    return Group(table, name=f"{g.name} relabelled {seed}"), relabel
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ edit to a fresh copy (the old text must occur exactly once in the file) and
 runs the named test with that copy first on PYTHONPATH.  A mutant is killed
 when its test fails, or when its run outlasts TIMEOUT_S seconds, which is
 reported as a timeout; the run on the unmodified copy must pass within it.
+The last line of output is `killed K of M`, followed by the stale mutants,
+whose old text was not found once, and the survivors, if there are any.
 The exit status is 0 only when every mutant is killed.
 """
 
@@ -103,11 +105,11 @@ MUTANTS = (
            "known[img[:, :, None], img[:, None, :]] = True",
            "known[img[:, :, None], img[::-1, None, :]] = True",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
-    Mutant("the pair matrix building the subgroup lattice at its first generating pair",
+    Mutant("the pair matrix building the subgroup lattice with its orbit table",
            "groups.py",
-           "                    images = _cyclic_conjugates(self)\n",
-           "                    subgroup_lattice(self)\n"
-           "                    images = _cyclic_conjugates(self)\n",
+           "        images = _cyclic_conjugates(self)\n",
+           "        subgroup_lattice(self)\n"
+           "        images = _cyclic_conjugates(self)\n",
            "tests/test_groups.py::test_pair_matrix_read_off_matches_all_pairs_closure"),
     Mutant("the lattice joining one cyclic subgroup per G-class, not per normaliser orbit",
            "groups.py",
@@ -154,6 +156,11 @@ MUTANTS = (
            "bits[s].bit_count(), bits[s],\n                           twin_classes(graph)[1])",
            "bits[s].bit_count(), bits[s],\n                           graph.degrees.tolist())",
            "tests/test_graphs.py::test_twin_orbits_keep_connectivity_and_cuts"),
+    Mutant("the colouring search starting one colour above ω",
+           "search.py",
+           "    k = cl.size\n",
+           "    k = cl.size + 1\n",
+           "tests/test_search.py::test_chromatic_examples"),
     Mutant("the clique witness returned in quotient indices",
            "search.py",
            "Clique(tuple(sorted(reps[v] for v in best)))",
@@ -284,21 +291,26 @@ def main() -> int:
         if clean != "pass":
             print(f"the named tests give {clean} on the unmodified package")
             return 1
-        survivors = 0
+        stale, survived = [], []
         for i, m in enumerate(MUTANTS):
             src = _copy_src(Path(tmp) / f"m{i}")
             path = src / "gengraph" / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
                 print(f"STALE   {m.what}: old text found {text.count(m.old)} times in {m.file}")
-                survivors += 1
+                stale.append(m.what)
                 continue
             path.write_text(text.replace(m.old, m.new))
             outcome = _outcome(src, [m.test])
-            survivors += outcome == "pass"
+            if outcome == "pass":
+                survived.append(m.what)
             word = {"fail": "killed", "timeout": "timeout", "pass": "SURVIVED"}[outcome]
             print(f"{word} {m.what} ({m.test})")
-    return 1 if survivors else 0
+    killed = len(MUTANTS) - len(stale) - len(survived)
+    print(f"killed {killed} of {len(MUTANTS)}"
+          + "".join(f"; {kind}: {', '.join(whats)}"
+                    for kind, whats in (("stale", stale), ("survived", survived)) if whats))
+    return 1 if stale or survived else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from conftest import (
     lattice_test_groups,
     p_part,
     permutation_table,
+    relabelled,
 )
 from gengraph.build import build_cached, build_group
 from gengraph.errors import GroupLawError, NotNilpotentError
@@ -325,7 +326,7 @@ def test_isomorphism_refuses_non_isomorphic_groups(group):
 
 def test_isomorphism_of_relabelled_heisenberg(group):
     h = group("Heis3")
-    copy, _ = _relabelled(h, 5)
+    copy, _ = relabelled(h, 5)
     assert _is_isomorphism(isomorphism(h, copy), h, copy)
     assert _is_isomorphism(isomorphism(copy, h), copy, h)
 
@@ -524,15 +525,6 @@ def test_subgroup_lattice_matches_extension_oracle(group):
         assert subgroup_lattice(g) == extension_lattice(g), name
 
 
-def _relabelled(g: Group, seed: int) -> tuple[Group, np.ndarray]:
-    """A copy of g with its non-identity elements renumbered at random, and
-    the map from old to new indices."""
-    relabel = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.n - 1)])
-    table = np.empty_like(g.table)
-    table[np.ix_(relabel, relabel)] = relabel[g.table]
-    return Group(table, name=f"{g.name} relabelled {seed}"), relabel
-
-
 def test_subgroup_lattice_matches_extension_oracle_under_relabelling():
     """S4, A5, S5, PSL(2,7) and AGL(1,13), each under three fixed
     relabellings, and C2^3 x S3.  The relabellings move the least cyclic id
@@ -548,7 +540,7 @@ def test_subgroup_lattice_matches_extension_oracle_under_relabelling():
         g = lattice_test_groups()[name]
         oracle = extension_lattice(g)
         for seed in (0, 1, 2):
-            copy, relabel = _relabelled(g, seed)
+            copy, relabel = relabelled(g, seed)
             cases.append((copy, _lattice_order(frozenset(relabel[sorted(s)].tolist())
                                                for s in oracle)))
     c2 = CyclicGroup(2)
@@ -630,7 +622,7 @@ def test_pair_matrix_matches_all_pairs_closure_under_relabelling(group):
     for spec in ("Heis3", "Heis5", "C2^2 x Heis3", "Ex(1)", "C2^2 x C9 x C3"):
         cases[spec] = group(spec)
     for name, g in cases.items():
-        for copy in [Group(g.table, name=name)] + [_relabelled(g, seed)[0] for seed in (1, 2, 3)]:
+        for copy in [Group(g.table, name=name)] + [relabelled(g, seed)[0] for seed in (1, 2, 3)]:
             assert np.array_equal(copy._pair_gen_matrix(), all_pairs_gen_matrix(copy)), copy.name
 
 

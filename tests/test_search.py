@@ -27,7 +27,6 @@ from gengraph.search import (
     SearchBudget,
     chromatic_number,
     clique_number,
-    greedy_coloring,
     hamiltonian,
     total_domination,
 )
@@ -177,10 +176,10 @@ def test_chi_at_least_omega(seed, n):
     assert chromatic_number(graph).chi >= clique_number(graph).size
 
 
-def test_greedy_coloring_proper(group):
+def test_chromatic_coloring_proper(group):
     from gengraph.generating import generating_graph
     g = generating_graph(group("C2^2 x C3"))
-    col = greedy_coloring(g.graph)
+    col = chromatic_number(g.graph).coloring
     assert verify_certificate(g.graph, col)
 
 
