@@ -19,7 +19,6 @@ from .generating import (
 )
 from .graphs import (
     Graph,
-    MultipartiteParams,
     direct_product,
     edge_connectivity,
     eulerian_circuit,

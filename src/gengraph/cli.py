@@ -22,7 +22,6 @@ from .constructions import h_membership, nilpotent_hamiltonian
 from .errors import GengraphError, OrderGuardError
 from .generating import degree_profile, delta_of, generating_graph, recover_cyclic_radical
 from .graphs import (
-    MultipartiteParams,
     certificate_from_json,
     certificate_to_json,
     complete_product,
@@ -239,12 +238,12 @@ def _cmd_tdn(args, out: list[str]) -> int:
     order, guard = math.prod(args.parts), _max_order(args)
     if order > guard:
         raise OrderGuardError(f"product order {order} exceeds guard {guard}")
-    parts = MultipartiteParams(tuple(sorted(args.parts)))
+    parts = tuple(sorted(args.parts))
     lower, upper, t = td_bounds(parts)
-    out.append(f"parts: {' '.join(str(a) for a in parts.parts)}")
+    out.append(f"parts: {' '.join(str(a) for a in parts)}")
     out.append(f"lower: {lower}")
     out.append(f"upper: {upper}  (t = {t})")
-    graph = complete_product(parts.parts)
+    graph = complete_product(parts)
     res = total_domination(graph, SearchBudget(args.budget_nodes), lower_hint=lower)
     if res.size is None:
         out.append("exact: budget exhausted")
@@ -252,7 +251,7 @@ def _cmd_tdn(args, out: list[str]) -> int:
     if not verify_certificate(graph, res.witness):
         out.append("status: certificate failed re-verification")
         return EXIT_FAIL
-    witness = " ".join(_tuple_label(v, parts.parts) for v in res.witness.vertices)
+    witness = " ".join(_tuple_label(v, parts) for v in res.witness.vertices)
     out.append(f"exact: {res.size}")
     out.append(f"witness: {witness}")
     out.append(f"certificate: {certificate_to_json(res.witness)}")

@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     HamCycle,
     HChords,
-    MultipartiteParams,
     td_bounds,
     verify_certificate,
 )
@@ -232,7 +231,7 @@ def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET) -> DominationR
     dd = delta_of(G)
     lower = 1
     if not G.is_cyclic:
-        lower = td_bounds(MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes)))[0]
+        lower = td_bounds(tuple(q + 1 for q in st.noncyclic_primes))[0]
     res = total_domination(dd.graph, budget, lower_hint=lower)
     if res.witness is not None and not verify_certificate(dd.graph, res.witness):
         raise ConstructionError(f"total dominating set failed re-verification on {G.name}")

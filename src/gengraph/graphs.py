@@ -656,45 +656,20 @@ def eulerian_circuit(graph: Graph) -> EulerResult:
 # combinatorial bound formulas
 
 
-@dataclass(frozen=True)
-class MultipartiteParams:
-    """Ascending part sizes with the threshold index t of the upper bound."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("parts must be nonempty")
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be >= 1")
-        if list(self.parts) != sorted(self.parts):
-            raise ValueError("parts must be sorted ascending")
-
-    @property
-    def s(self) -> int:
-        return len(self.parts)
-
-    @property
-    def t(self) -> int:
-        s = self.s
-        for t in range(s + 1):
-            if all(self.parts[i] > s - t for i in range(t, s)):
-                return t
-        return s
-
-
-def td_bounds(params: MultipartiteParams) -> tuple[int, int, int]:
+def td_bounds(parts: tuple[int, ...]) -> tuple[int, int, int]:
     """(nested-ceiling lower bound, 2^t(s-t+1) upper bound, t) for the
-    total domination number of K_{a_1} x ... x K_{a_s}; parts must be >= 2."""
-    parts = params.parts
-    if any(a < 2 for a in parts):
-        raise ValueError("td_bounds requires all parts >= 2")
+    total domination number of K_{a_1} x ... x K_{a_s}, with the s parts in
+    any order.  Sorted ascending, t is the least index with a_i > s - t for
+    every i > t.  The parts must be nonempty and all >= 2."""
+    parts = sorted(parts)
+    if not parts or parts[0] < 2:
+        raise ValueError("td_bounds requires a nonempty tuple of parts >= 2")
     val = 1
     for a in reversed(parts):
         val = -((-a * val) // (a - 1))  # ceil(a*val/(a-1)), innermost outward
-    t = params.t
-    upper = (2 ** t) * (params.s - t + 1)
-    return val, upper, t
+    s = len(parts)
+    t = next(t for t in range(s + 1) if all(a > s - t for a in parts[t:]))
+    return val, 2 ** t * (s - t + 1), t
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .generating import (
 from .graphs import (
     Certificate,
     Graph,
-    MultipartiteParams,
     certificate_to_dict,
     diameter,
     edge_connectivity,
@@ -444,8 +443,7 @@ def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:
     st = nilpotent_structure(G)
     if st.is_cyclic:
         raise _Skip("bounds apply to noncyclic groups")
-    params = MultipartiteParams(tuple(q + 1 for q in st.noncyclic_primes))
-    lower, upper, t = td_bounds(params)
+    lower, upper, t = td_bounds(tuple(q + 1 for q in st.noncyclic_primes))
     gt, _, nodes = _gamma_t(G, budget)
     return Outcome(lower <= gt <= upper and lower >= st.s + 1,
                    {"lower": lower, "upper": upper, "t": t}, {"gamma_t": gt},

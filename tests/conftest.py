@@ -34,7 +34,6 @@ from gengraph.graphs import (
     DominatingSet,
     EdgeCut,
     Graph,
-    MultipartiteParams,
     VertexConnectivity,
     VertexCut,
     complete_product,
@@ -756,10 +755,9 @@ def basic_metrics(graph: Graph) -> Metrics:
 
 
 def kappa_product_formula(kappa_gamma: int, delta_gamma: int,
-                          params: MultipartiteParams) -> int:
+                          t: tuple[int, ...]) -> int:
     """min(kappa*sum(t_i), delta*sum(t_i, i<u)) under the stated hypotheses:
     u >= 3, parts ascending, sum of first u-2 >= t_{u-1}, sum of first u-1 >= t_u."""
-    t = params.parts
     u = len(t)
     if u < 3:
         raise ValueError("formula requires u >= 3 parts")
@@ -922,10 +920,9 @@ def cyclic_clique_coloring(n: int) -> tuple[Clique, Coloring]:
     return clique, coloring
 
 
-def product_dominating_set(params: MultipartiteParams) -> DominatingSet:
+def product_dominating_set(parts: tuple[int, ...]) -> DominatingSet:
     """The diagonal {(k,...,k) : k in [s+1]} on K_{a_1} x ... x K_{a_s},
-    valid when a_1 > s; re-verified before return."""
-    parts = params.parts
+    parts ascending, valid when a_1 > s; re-verified before return."""
     s = len(parts)
     if parts[0] <= s:
         raise ValueError(f"diagonal needs a_1 > s, got a_1 = {parts[0]}, s = {s}")

@@ -105,7 +105,7 @@ MUTANTS = (
            "known[img[:, :, None], img[:, None, :]] = True",
            "known[img[:, :, None], img[::-1, None, :]] = True",
            "tests/test_groups.py::test_pair_matrix_matches_all_pairs_closure_under_relabelling"),
-    Mutant("the pair matrix building the subgroup lattice with its orbit table",
+    Mutant("the pair matrix calling subgroup_lattice, which its test makes unavailable",
            "groups.py",
            "        images = _cyclic_conjugates(self)\n",
            "        subgroup_lattice(self)\n"
@@ -226,6 +226,11 @@ MUTANTS = (
            "        frontier = nxt & within & ~seen\n",
            "        frontier = nxt & ~seen\n",
            "tests/test_graphs.py::test_cut_verifiers_match_networkx"),
+    Mutant("td_bounds reading its parts unsorted",
+           "graphs.py",
+           "    parts = sorted(parts)\n",
+           "    parts = list(parts)\n",
+           "tests/test_graphs.py::test_td_bounds_examples"),
     Mutant("the memo keyed by the function name alone",
            "memo.py",
            "        key = (name, *args)\n",

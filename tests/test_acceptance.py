@@ -31,7 +31,6 @@ from gengraph.generating import (
 from gengraph.graphs import (
     Graph,
     HChords,
-    MultipartiteParams,
     complete_product,
     diameter,
     direct_product,
@@ -221,8 +220,7 @@ def test_criterion_07_total_domination():
     # nested-ceiling lower <= exact <= upper
     sandwich = {}
     for parts in ((3, 4), (3, 4, 6), (4, 4, 4)):
-        params = MultipartiteParams(parts)
-        lower, upper, _ = td_bounds(params)
+        lower, upper, _ = td_bounds(parts)
         exact = total_domination(complete_product(parts), BUDGET).size
         ok &= lower <= exact <= upper
         sandwich[parts] = (lower, exact, upper)
@@ -320,14 +318,14 @@ def test_criterion_13_product_connectivity_formula():
     cases = []
     g1 = direct_product(complete_multipartite([2, 2, 2]),
                         complete_multipartite([2, 2, 2]))
-    f1 = kappa_product_formula(4, 4, MultipartiteParams((2, 2, 2)))
+    f1 = kappa_product_formula(4, 4, (2, 2, 2))
     cases.append((vertex_connectivity(g1).value, f1, 16))
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     g2 = direct_product(c5, complete_multipartite([2, 2, 3]))
-    f2 = kappa_product_formula(2, 2, MultipartiteParams((2, 2, 3)))
+    f2 = kappa_product_formula(2, 2, (2, 2, 3))
     cases.append((vertex_connectivity(g2).value, f2, 8))
     g3 = direct_product(Graph.complete(4), complete_multipartite([1, 1, 2, 2]))
-    f3 = kappa_product_formula(3, 3, MultipartiteParams((1, 1, 2, 2)))
+    f3 = kappa_product_formula(3, 3, (1, 1, 2, 2))
     cases.append((vertex_connectivity(g3).value, f3, 12))
     ok = all(m == f == pin for m, f, pin in cases)
     _report(13, "product-connectivity-formula", ok,

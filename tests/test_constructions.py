@@ -25,7 +25,6 @@ from gengraph.generating import delta_of, generating_graph
 from gengraph.graphs import (
     HChords,
     Graph,
-    MultipartiteParams,
     complete_product,
     td_bounds,
     verify_certificate,
@@ -258,13 +257,13 @@ def test_cyclic_clique_coloring_range(group):
 
 
 def test_product_dominating_set_diagonal():
-    ds = product_dominating_set(MultipartiteParams((3, 4)))
+    ds = product_dominating_set((3, 4))
     assert len(ds.vertices) == 3
     assert ds.vertices == (0, 5, 10)  # (1,1), (2,2), (3,3)
-    ds2 = product_dominating_set(MultipartiteParams((2,)))
+    ds2 = product_dominating_set((2,))
     assert ds2.vertices == (0, 1)
     with pytest.raises(ValueError):
-        product_dominating_set(MultipartiteParams((3, 3, 4)))
+        product_dominating_set((3, 3, 4))
 
 
 def test_nilpotent_td_values(group):
@@ -311,8 +310,7 @@ def test_nilpotent_td_reduction_data(group):
 def test_nilpotent_td_sandwich_case(group):
     # s = 3 with q_1 = 2 < s: the bounds give [5, 6], the solver pins 5
     g = group("C2^2 x C3^2 x C5^2")
-    params = MultipartiteParams((3, 4, 6))
-    lower, upper, _ = td_bounds(params)
+    lower, upper, _ = td_bounds((3, 4, 6))
     res = nilpotent_td(g)
     assert lower <= res.size <= upper
     assert res.size == 5

@@ -40,7 +40,6 @@ from gengraph.graphs import (
     Graph,
     HamCycle,
     HChords,
-    MultipartiteParams,
     VertexConnectivity,
     VertexCut,
     certificate_from_json,
@@ -686,46 +685,46 @@ def test_graph_dot_deterministic(group):
 
 
 def test_td_bounds_examples():
-    assert td_bounds(MultipartiteParams((3, 4, 6))) == (5, 6, 1)
-    assert td_bounds(MultipartiteParams((3, 4))) == (3, 3, 0)
-    lower, upper, t = td_bounds(MultipartiteParams((2, 2)))
+    assert td_bounds((3, 4, 6)) == (5, 6, 1)
+    assert td_bounds((6, 3, 4)) == (5, 6, 1)  # read unsorted, it gives (4, 6, 1)
+    assert td_bounds((3, 4)) == (3, 3, 0)
+    lower, upper, t = td_bounds((2, 2))
     assert (lower, upper) == (4, 4)
     assert t == 1  # least t with a_i > s-t for all i > t
     with pytest.raises(ValueError):
-        td_bounds(MultipartiteParams((1, 2)))
+        td_bounds((1, 2))
 
 
 def test_td_bounds_lower_at_least_s_plus_1():
     for parts in [(2, 2), (2, 3), (3, 4), (3, 4, 6), (2, 2, 2), (4, 4, 4),
                   (2, 3, 5, 7)]:
-        lower, upper, _ = td_bounds(MultipartiteParams(parts))
+        lower, upper, _ = td_bounds(parts)
         assert lower >= len(parts) + 1
         assert lower <= upper
 
 
 def test_kappa_product_formula_examples():
-    assert kappa_product_formula(4, 4, MultipartiteParams((2, 2, 2))) == 16
-    assert kappa_product_formula(1, 1, MultipartiteParams((1, 1, 1))) == 2
+    assert kappa_product_formula(4, 4, (2, 2, 2)) == 16
+    assert kappa_product_formula(1, 1, (1, 1, 1)) == 2
     with pytest.raises(ValueError):
-        kappa_product_formula(1, 1, MultipartiteParams((1, 2)))
+        kappa_product_formula(1, 1, (1, 2))
     with pytest.raises(ValueError):
-        kappa_product_formula(1, 1, MultipartiteParams((1, 1, 3)))
+        kappa_product_formula(1, 1, (1, 1, 3))
 
 
 def test_kappa_formula_against_flow_small():
     # Gamma = K2 (kappa = delta = 1), parts (1,1,1): K2 x K3 = C6
-    got = kappa_product_formula(1, 1, MultipartiteParams((1, 1, 1)))
+    got = kappa_product_formula(1, 1, (1, 1, 1))
     measured = vertex_connectivity(
         direct_product(Graph.complete(2), complete_multipartite([1, 1, 1]))).value
     assert got == measured == 2
 
 
 def test_multipartite_params_validation():
-    with pytest.raises(ValueError):
-        MultipartiteParams(())
-    with pytest.raises(ValueError):
-        MultipartiteParams((2, 1))
-    with pytest.raises(ValueError):
-        MultipartiteParams((0, 1))
-    assert MultipartiteParams((2, 2, 3)).t == 2
-    assert MultipartiteParams((4, 4, 4)).t == 0
+    """The part-size class this test once checked is gone: `td_bounds`
+    takes a plain tuple, and validates it and works out t itself."""
+    for parts in ((), (0, 1), (1, 2)):
+        with pytest.raises(ValueError):
+            td_bounds(parts)
+    assert td_bounds((2, 2, 3))[2] == 2
+    assert td_bounds((4, 4, 4))[2] == 0

@@ -686,10 +686,9 @@ def _without_lattice(monkeypatch) -> None:
 
 
 def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
-    # every group here is non-nilpotent and 2-generated, and none reads its
-    # matrix off the maximal subgroups: with the subgroup lattice, the
-    # maximal subgroups and Φ(G) made unavailable, each pair matrix still
-    # comes out and equals closing every pair.  The dihedral groups are D_2m
+    """Builds the pair matrix with subgroup_lattice, maximal_subgroups and frattini unavailable."""
+    # every group here is non-nilpotent and 2-generated, and each pair
+    # matrix equals closing every pair.  The dihedral groups are D_2m
     # for every m from 9 to 15, the orders the non-nilpotent benchmark's
     # seed picks from
     from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
@@ -706,10 +705,10 @@ def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
 
 
 def test_pair_matrix_reads_no_maximal_subgroups_off_its_route(group, monkeypatch):
-    # nilpotent groups and groups with no generating pair build their pair
-    # matrices with the subgroup lattice, the maximal subgroups and Φ(G)
-    # made unavailable.  C2^3 x S3 has Φ = 1 but is not 2-generated, so its
-    # matrix is all False
+    """Builds the pair matrix with subgroup_lattice, maximal_subgroups and frattini unavailable."""
+    # on the nilpotent catalog groups and on a group with no generating
+    # pair: C2^3 x S3 has Φ = 1 but is not 2-generated, so its matrix is
+    # all False
     from sympy.combinatorics import Permutation, PermutationGroup
 
     from gengraph.verify import default_catalog
