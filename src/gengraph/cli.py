@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .build import build_group
 from .constructions import h_membership, nilpotent_hamiltonian
-from .errors import GengraphError, OrderGuardError
+from .errors import GengraphError, NotTwoGeneratedError, OrderGuardError
 from .generating import degree_profile, delta_of, generating_graph, recover_cyclic_radical
 from .graphs import (
     certificate_from_json,
@@ -264,6 +264,8 @@ def _tuple_label(v: int, parts: tuple[int, ...]) -> str:
 
 def _cmd_hamcycle(args, out: list[str]) -> int:
     G = build_group(args.spec, _max_order(args))
+    if not is_two_generated(G):
+        raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     if is_nilpotent(G):
         res = nilpotent_hamiltonian(G)
     else:

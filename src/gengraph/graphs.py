@@ -362,12 +362,12 @@ def _row_bits(matrix: np.ndarray) -> list[int]:
 
 
 def _row_classes(matrix: np.ndarray) -> tuple[list[int], list[int]]:
-    """The least index of each distinct row of a boolean matrix, ascending,
-    and for each row the position of its class in that list."""
+    """The least index of each distinct row of a 2-D array of any dtype,
+    ascending, and for each row the position of its class in that list."""
     index: dict[bytes, int] = {}
     reps: list[int] = []
     cls: list[int] = []
-    for i, row in enumerate(np.packbits(matrix, axis=1)):
+    for i, row in enumerate(matrix):
         c = index.setdefault(row.tobytes(), len(reps))
         if c == len(reps):
             reps.append(i)

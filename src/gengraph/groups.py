@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupLawError, NotNilpotentError, NotTwoGeneratedError
+from .graphs import _row_classes
 from .memo import cached
 
 DEFAULT_MAX_ORDER = 200
@@ -156,22 +157,15 @@ class Group:
 
     @cached
     def _cyclic_data(self):
-        """(cyc_id per element, list of subgroup frozensets, least generator per id)."""
-        ids = np.empty(self.n, dtype=np.int64)
-        subs: dict[frozenset[int], int] = {}
-        reps: list[int] = []
-        sets: list[frozenset[int]] = []
-        powers = self.powers()
-        for g in range(self.n):
-            cyc = frozenset(powers[:self.orders[g], g].tolist())
-            sid = subs.get(cyc)
-            if sid is None:
-                sid = len(sets)
-                subs[cyc] = sid
-                sets.append(cyc)
-                reps.append(g)
-            ids[g] = sid
-        return ids, sets, reps
+        """(cyc_id per element, list of subgroup frozensets, least generator per id).
+
+        Row g of `member` marks the powers of g, that is ⟨g⟩; the ids number
+        its distinct rows in order of first occurrence (`_row_classes`)."""
+        member = np.zeros((self.n, self.n), dtype=bool)
+        member[np.arange(self.n)[:, None], self.powers().T] = True
+        reps, ids = _row_classes(member)
+        sets = [frozenset(np.flatnonzero(member[g]).tolist()) for g in reps]
+        return np.array(ids, dtype=np.int64), sets, reps
 
     @cached
     def _pair_gen_matrix(self) -> np.ndarray:
@@ -512,12 +506,11 @@ def _cyclic_conjugates(G: Group) -> np.ndarray:
     """The distinct permutations of G's cyclic-subgroup ids by conjugation,
     one row each: row π maps cyclic id i to π[i], the id of ⟨reps[i]⟩^g.
 
-    The rows of ids[g⁻¹·reps·g] over all g, an n x k gather, deduplicated
-    by their bytes.  On abelian G every row is the identity, so one row is
-    left."""
+    The distinct rows of ids[g⁻¹·reps·g] over all g, an n x k gather.  On
+    abelian G every row is the identity, so one row is left."""
     ids, _, reps = G._cyclic_data()
     perms = ids[_conjugation(G, np.array(reps, dtype=np.int64))]
-    return np.array(list({row.tobytes(): row for row in perms}.values()))
+    return perms[_row_classes(perms)[0]]
 
 
 def _class_and_normaliser(conj: np.ndarray, sub: frozenset[int]
@@ -528,7 +521,7 @@ def _class_and_normaliser(conj: np.ndarray, sub: frozenset[int]
     m = np.fromiter(sorted(sub), dtype=np.int64, count=len(sub))
     rows = np.sort(conj[:, m], axis=1)
     norm = np.flatnonzero((rows == m).all(axis=1))
-    return {frozenset(row) for row in set(map(tuple, rows.tolist()))}, norm
+    return {frozenset(rows[i].tolist()) for i in _row_classes(rows)[0]}, norm
 
 
 @cached

@@ -102,11 +102,30 @@ def brute_adjacency(G) -> np.ndarray:
     return adj
 
 
+def brute_cyclic_data(G) -> tuple[np.ndarray, list[frozenset[int]], list[int]]:
+    """(cyclic id per element, the cyclic subgroups, least generator per id),
+    as `Group._cyclic_data` gives them: ⟨g⟩ is `brute_closure` of g alone,
+    for g ascending, and ids are assigned in order of first occurrence."""
+    table = G.table.tolist()
+    index: dict[frozenset[int], int] = {}
+    sets: list[frozenset[int]] = []
+    reps: list[int] = []
+    ids = []
+    for g in range(G.n):
+        cyc = frozenset(brute_closure(table, (g,)))
+        if cyc not in index:
+            index[cyc] = len(sets)
+            sets.append(cyc)
+            reps.append(g)
+        ids.append(index[cyc])
+    return np.array(ids, dtype=np.int64), sets, reps
+
+
 def all_pairs_gen_matrix(G) -> np.ndarray:
     """The k*k pair-generation matrix over G's cyclic subgroups, closing
     every pair of their least generators by `brute_closure`, with no pair
     skipped."""
-    _, sets, reps = G._cyclic_data()
+    _, sets, reps = brute_cyclic_data(G)
     k = len(sets)
     table = G.table.tolist()
     gen = np.zeros((k, k), dtype=bool)
@@ -143,7 +162,7 @@ def extension_lattice(G: Group) -> list[frozenset[int]]:
     from those cyclic subgroups.  Joins are closed by `brute_closure`.
     Sorted by (order, sorted elements); kept per group object, as a group
     is immutable."""
-    _, sets, reps = G._cyclic_data()
+    _, sets, reps = brute_cyclic_data(G)
     table = G.table.tolist()
     cyclic = {s: rep for s, rep in zip(sets, reps) if len(totient_profile(len(s))[0]) == 1}
     gens = {s: (rep,) for s, rep in cyclic.items()}
@@ -802,7 +821,7 @@ def componentwise_pair_matrix(Q: Group) -> np.ndarray:
         ok &= ~(trivial[:, None] & trivial[None, :])
     for q, _ in st.noncyclic_sylow:
         part = np.array([p_part(Q, g, q) for g in range(n)])
-        ids, _, _ = Q._cyclic_data()
+        ids, _, _ = brute_cyclic_data(Q)
         sub = ids[part]
         trivial = part == 0
         ok &= ~trivial[:, None] & ~trivial[None, :] & (sub[:, None] != sub[None, :])

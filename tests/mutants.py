@@ -90,6 +90,11 @@ MUTANTS = (
            "            for g in gens:\n",
            "            for g in gens[-1:]:\n",
            "tests/test_groups.py::test_closure_matches_brute_force"),
+    Mutant("cyclic subgroups read off each element's first two powers only",
+           "groups.py",
+           "member[np.arange(self.n)[:, None], self.powers().T] = True",
+           "member[np.arange(self.n)[:, None], self.powers()[:2].T] = True",
+           "tests/test_groups.py::test_cyclic_data_matches_power_orbits"),
     Mutant("the pair matrix deciding a pair by counting at exactly n/p",
            "groups.py",
            "if len(a) * len(b) <= bound * len(a & b):",

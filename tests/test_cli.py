@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import drop_first_gamma_edge
+from conftest import drop_first_gamma_edge, permutation_table, save_cayley_file
 from gengraph.cli import main
 
 
@@ -206,6 +206,21 @@ def test_hamcycle_constructed(capsys):
     code, out, _ = run_cli(capsys, "hamcycle", "C2", "--no-header")
     assert code == 1
     assert "not hamiltonian" in out
+
+
+def test_hamcycle_refuses_groups_needing_three_generators(capsys, tmp_path):
+    from sympy.combinatorics.named_groups import SymmetricGroup
+
+    from gengraph.groups import Group
+
+    # C2^3 is nilpotent; S3 x C2^2 is not, and its Δ has no vertices
+    path = tmp_path / "s3.cayley"
+    save_cayley_file(Group(permutation_table(SymmetricGroup(3))), path)
+    for spec in ("C2^3", f"C2^2 x file:{path}"):
+        code, out, err = run_cli(capsys, "hamcycle", spec, "--no-header")
+        assert code == 2, spec
+        assert out == "" and "needs more than 2 generators" in err, spec
+        assert "Traceback" not in err, spec
 
 
 def test_hamcycle_budget_exit_3(capsys):

@@ -10,6 +10,7 @@ from conftest import (
     all_pairs_gen_matrix,
     brute_associative,
     brute_closure,
+    brute_cyclic_data,
     brute_subgroups,
     extension_lattice,
     lattice_test_groups,
@@ -610,6 +611,49 @@ def test_pair_matrix_matches_all_pairs_closure(group):
     for spec in [e.spec for e in default_catalog()]:
         g = group(spec)
         assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), spec
+
+
+def test_cyclic_data_matches_power_orbits(group):
+    """Cyclic ids, subgroups and least generators against `brute_cyclic_data`,
+    on every catalog entry that is not formula-only, the lattice test groups,
+    and three relabellings each of Heis3, Ex(1) and S5."""
+    from gengraph.verify import default_catalog
+
+    cases = [group(e.spec) for e in default_catalog() if not e.formula_only]
+    cases += lattice_test_groups().values()
+    for g in (group("Heis3"), group("Ex(1)"), lattice_test_groups()["S5"]):
+        cases += [relabelled(g, seed)[0] for seed in (1, 2, 3)]
+    assert len(cases) == 53 + 7 + 9
+    for g in cases:
+        ids, sets, reps = g._cyclic_data()
+        want_ids, want_sets, want_reps = brute_cyclic_data(g)
+        assert np.array_equal(ids, want_ids), g.name
+        assert sets == want_sets and reps == want_reps, g.name
+
+
+def test_pair_matrix_closures(monkeypatch):
+    from gengraph import groups
+    from gengraph.verify import default_catalog
+
+    calls = []
+    real = groups._closure_members
+
+    def counting(table, seeds):
+        calls.append(seeds)
+        return real(table, seeds)
+
+    entries = default_catalog()
+    fresh = [build_group(e.spec, max(DEFAULT_MAX_ORDER, e.max_order)) for e in entries]
+    monkeypatch.setattr(groups, "_closure_members", counting)
+    # the 53 entries that are not formula-only close 109 pairs; the
+    # formula-only C2^2 x C3^2 x C5, C2^2 x C3^2 x C5^2 and Heis7 the other 60
+    per_entry = []
+    for g in fresh:
+        calls.clear()
+        g._pair_gen_matrix()
+        per_entry.append(len(calls))
+    assert sum(per_entry) == 169
+    assert sum(c for c, e in zip(per_entry, entries) if not e.formula_only) == 109
 
 
 def test_pair_matrix_matches_all_pairs_closure_under_relabelling(group):
