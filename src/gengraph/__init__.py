@@ -35,7 +35,6 @@ from .groups import (
     totient_profile,
 )
 from .search import (
-    SearchBudget,
     chromatic_number,
     clique_number,
     hamiltonian,

@@ -38,7 +38,7 @@ from .groups import (
     is_two_generated,
     nilpotent_structure,
 )
-from .search import DEFAULT_BUDGET, SearchBudget, hamiltonian, total_domination
+from .search import DEFAULT_BUDGET, hamiltonian, total_domination
 from .verify import CHECK_IDS, Report, default_catalog, load_catalog_file, run_catalog
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser, budget: bool) -> None:
                         "in verify and scan each catalog entry's own guard)")
     if budget:
         p.add_argument("--budget-nodes", type=partial(_int_at_least, low=0),
-                       default=DEFAULT_BUDGET.max_nodes,
+                       default=DEFAULT_BUDGET,
                        help="search-node budget for exact searches")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the timestamped header line")
@@ -221,7 +221,7 @@ def _cmd_verify(args, out: list[str]) -> int:
         if unknown:
             raise GengraphError(f"unknown checks: {', '.join(unknown)}")
         checks = wanted
-    report = run_catalog(entries, checks, budget=SearchBudget(args.budget_nodes),
+    report = run_catalog(entries, checks, budget=args.budget_nodes,
                          max_order=_max_order(args, None), catalog_name=catalog_name)
     return _emit_report(args, out, report)
 
@@ -229,7 +229,7 @@ def _cmd_verify(args, out: list[str]) -> int:
 def _cmd_scan(args, out: list[str]) -> int:
     question = {"conn": "Q_CONN", "ham": "Q_HAM", "chrom": "Q_CHROM"}[args.question]
     report = run_catalog(load_catalog_file(args.groups), (question,),
-                         budget=SearchBudget(args.budget_nodes),
+                         budget=args.budget_nodes,
                          max_order=_max_order(args, None), catalog_name=args.groups)
     return _emit_report(args, out, report)
 
@@ -244,7 +244,7 @@ def _cmd_tdn(args, out: list[str]) -> int:
     out.append(f"lower: {lower}")
     out.append(f"upper: {upper}  (t = {t})")
     graph = complete_product(parts)
-    res = total_domination(graph, SearchBudget(args.budget_nodes), lower_hint=lower)
+    res = total_domination(graph, args.budget_nodes, lower_hint=lower)
     if res.size is None:
         out.append("exact: budget exhausted")
         return EXIT_BUDGET
@@ -269,7 +269,7 @@ def _cmd_hamcycle(args, out: list[str]) -> int:
     if is_nilpotent(G):
         res = nilpotent_hamiltonian(G)
     else:
-        res = hamiltonian(delta_of(G).graph, SearchBudget(args.budget_nodes))
+        res = hamiltonian(delta_of(G).graph, args.budget_nodes)
     if res.status == "budget":
         out.append("status: budget exhausted")
         return EXIT_BUDGET

@@ -41,7 +41,6 @@ from .search import (
     DEFAULT_BUDGET,
     DominationResult,
     HamiltonianResult,
-    SearchBudget,
     total_domination,
 )
 
@@ -218,7 +217,7 @@ def _fold(table: np.ndarray, x: list[int], y: list[int]) -> list[int]:
 
 
 @cached
-def nilpotent_td(G: Group, budget: SearchBudget = DEFAULT_BUDGET) -> DominationResult:
+def nilpotent_td(G: Group, budget: int = DEFAULT_BUDGET) -> DominationResult:
     """Total domination number of Delta(G) for 2-generated nilpotent G, by
     `total_domination` on Delta(G) itself, started at 1 for cyclic G and at
     td_bounds' lower bound otherwise.  The result is kept on G per node

@@ -2,8 +2,11 @@
 total domination.
 
 All searches are deterministic: vertex orders and branching break ties by
-ascending vertex index, and budgets count search-node expansions rather
-than wall time, so identical inputs and budgets give identical outcomes.
+ascending vertex index, and a budget is a plain int count of search-node
+expansions rather than wall time, so identical inputs and budgets give
+identical outcomes.  `_Counter` counts the nodes and enforces the budget:
+it refuses a negative one, and its `tick` raises `_BudgetExhausted` once
+the count passes it.
 The clique, colouring and total-domination searches run on one vertex per
 twin class (`graphs.twin_classes`, or for γt the rows of its covers matrix),
 the least of its class, so their ties break by ascending index within the
@@ -26,30 +29,22 @@ from .graphs import (Clique, Coloring, DominatingSet, Graph, HamCycle, _bits_of,
 from .memo import cached
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Cap on search-tree expansions; deterministic across machines."""
-
-    max_nodes: int = 10_000_000
-
-    def __post_init__(self):
-        if self.max_nodes < 0:
-            raise ValueError("budget must be nonnegative")
-
-
-DEFAULT_BUDGET = SearchBudget()
+DEFAULT_BUDGET = 10_000_000
 
 
 class _Counter:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError("budget must be nonnegative")
         self.nodes = 0
         self.limit = limit
 
-    def tick(self) -> bool:
+    def tick(self) -> None:
         self.nodes += 1
-        return self.nodes > self.limit
+        if self.nodes > self.limit:
+            raise _BudgetExhausted
 
 
 class _BudgetExhausted(Exception):
@@ -68,7 +63,7 @@ class HamiltonianResult:
     nodes: int
 
 
-def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> HamiltonianResult:
+def hamiltonian(graph: Graph, budget: int = DEFAULT_BUDGET) -> HamiltonianResult:
     """Decide Hamiltonicity by backtracking with forced-edge pruning.
 
     The static vertex order is degree-ascending (ties by index).  "no" is
@@ -85,14 +80,13 @@ def hamiltonian(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Hamilton
     for pos, v in enumerate(order):
         rank[v] = pos
     bits = graph.bitmasks()
-    counter = _Counter(budget.max_nodes)
+    counter = _Counter(budget)
     start = order[0]
     full = (1 << n) - 1
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
 
     def extend(path: list[int], visited: int) -> tuple[int, ...] | None:
-        if counter.tick():
-            raise _BudgetExhausted
+        counter.tick()
         end = path[-1]
         if len(path) == n:
             if bits[end] >> start & 1:
@@ -156,7 +150,7 @@ class CliqueResult:
     exceeded: bool
 
 
-def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> CliqueResult:
+def clique_number(graph: Graph, budget: int = DEFAULT_BUDGET) -> CliqueResult:
     """Exact maximum clique by branch and bound with greedy colouring bounds.
 
     The search runs on the quotient, the subgraph induced on one vertex per
@@ -172,7 +166,7 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
     quotient, _ = graph.induced(reps)
     n = quotient.n
     bits = quotient.bitmasks()
-    counter = _Counter(budget.max_nodes)
+    counter = _Counter(budget)
     best: list[int] = []
 
     def color_sort(cand: int) -> list[tuple[int, int]]:
@@ -196,8 +190,7 @@ def clique_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Clique
 
     def expand(current: list[int], cand: int):
         nonlocal best
-        if counter.tick():
-            raise _BudgetExhausted
+        counter.tick()
         ordered = color_sort(cand)
         for v, bound in reversed(ordered):
             if len(current) + bound <= len(best):
@@ -234,7 +227,7 @@ class ChromaticResult:
 
 
 @cached
-def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
+def chromatic_number(graph: Graph, budget: int = DEFAULT_BUDGET
                      ) -> ChromaticResult:
     """Exact chromatic number: the least k from the clique number ω upward
     for which the k-colouring search succeeds.  The result, its clique
@@ -258,7 +251,7 @@ def chromatic_number(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET
     reps, cls = twin_classes(graph)
     quotient, _ = graph.induced(reps)
     seed = tuple(cls[v] for v in cl.clique.vertices)
-    counter = _Counter(max(0, budget.max_nodes - cl.nodes))
+    counter = _Counter(max(0, budget - cl.nodes))
     k = cl.size
     try:
         while (got := _k_coloring(quotient, k, seed, counter)) is None:
@@ -284,8 +277,7 @@ def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
                 domains[w] &= ~(1 << colors[v])
 
     def assign(remaining: list[int], used: int) -> bool:
-        if counter.tick():
-            raise _BudgetExhausted
+        counter.tick()
         if not remaining:
             return True
         v = min(remaining, key=lambda u: (domains[u].bit_count(), u))
@@ -332,7 +324,7 @@ class DominationResult:
     exceeded: bool
 
 
-def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
+def total_domination(graph: Graph, budget: int = DEFAULT_BUDGET,
                      lower_hint: int = 1) -> DominationResult:
     """Minimum total dominating set by increasing-size branch and bound.
 
@@ -392,11 +384,10 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
     dominators = _row_bits(reduced.T)  # dominators[j] = candidates covering target j
     branches = [_bits_of(m) for m in dominators]  # the same, as ascending lists
     full = (1 << len(cols)) - 1
-    counter = _Counter(budget.max_nodes)
+    counter = _Counter(budget)
 
     def search(k: int, chosen: list[int], covered: int) -> list[int] | None:
-        if counter.tick():
-            raise _BudgetExhausted
+        counter.tick()
         if covered == full:
             return chosen.copy()
         uncovered = full & ~covered
@@ -415,8 +406,7 @@ def total_domination(graph: Graph, budget: SearchBudget = DEFAULT_BUDGET,
                 return None
             u = (common & -common).bit_length() - 1
             for _ in range((dominators[target] & ((1 << u) - 1)).bit_count() + 1):
-                if counter.tick():
-                    raise _BudgetExhausted
+                counter.tick()
             return chosen + [u]
         gain = max((m & uncovered).bit_count() for m in reach)
         if uncovered.bit_count() > left * gain:

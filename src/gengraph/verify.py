@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -69,7 +70,6 @@ from .groups import (
 )
 from .search import (
     DEFAULT_BUDGET,
-    SearchBudget,
     chromatic_number,
     hamiltonian,
     total_domination,
@@ -219,7 +219,7 @@ def _connectivity(G: Group):
     return vertex_connectivity(graph), int(graph.degrees.min())
 
 
-def _omega_chi(G: Group, budget: SearchBudget):
+def _omega_chi(G: Group, budget: int):
     """Clique and chromatic search results on Gamma(G), under the search guard.
 
     Both come from one memoised `chromatic_number`, which carries its clique
@@ -233,7 +233,7 @@ def _omega_chi(G: Group, budget: SearchBudget):
     return ch.clique, ch
 
 
-def _gamma_t(G: Group, budget: SearchBudget):
+def _gamma_t(G: Group, budget: int):
     """γt of Delta(G), its witness and the nodes of the shared γt search."""
     res = nilpotent_td(G, budget)
     if res.size is None:
@@ -252,7 +252,7 @@ def _coprime_split(G: Group):
 # theorem checks: (G, budget) -> Outcome
 
 
-def _check_thm_1_1(G: Group, budget: SearchBudget) -> Outcome:
+def _check_thm_1_1(G: Group, budget: int) -> Outcome:
     conn, delta = _connectivity(G)
     formula = formula_min_degree(nilpotent_structure(G))
     return Outcome(conn.value == delta == formula,
@@ -261,7 +261,7 @@ def _check_thm_1_1(G: Group, budget: SearchBudget) -> Outcome:
                    conn.cut)
 
 
-def _check_euler(G: Group, budget: SearchBudget) -> Outcome:
+def _check_euler(G: Group, budget: int) -> Outcome:
     st = nilpotent_structure(G)
     expected = not (st.is_cyclic and G.n % 2 == 0)
     res = eulerian_circuit(delta_of(G).graph)
@@ -270,7 +270,7 @@ def _check_euler(G: Group, budget: SearchBudget) -> Outcome:
                    {"eulerian": observed, "reason": res.reason}, res.circuit)
 
 
-def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
+def _check_ham(G: Group, budget: int) -> Outcome:
     expected = G.n >= 3
     res = nilpotent_hamiltonian(G)
     observed = res.status == "yes"
@@ -278,7 +278,7 @@ def _check_ham(G: Group, budget: SearchBudget) -> Outcome:
                    {"hamiltonian": observed}, res.cycle, res.nodes)
 
 
-def _check_tdn(G: Group, budget: SearchBudget) -> Outcome:
+def _check_tdn(G: Group, budget: int) -> Outcome:
     st = nilpotent_structure(G)
     gt, ds, nodes = _gamma_t(G, budget)
     if st.is_cyclic:
@@ -294,7 +294,7 @@ def _check_tdn(G: Group, budget: SearchBudget) -> Outcome:
     return Outcome(ok, expected, {"gamma_t": gt}, ds, nodes)
 
 
-def _check_clique_chromatic(G: Group, budget: SearchBudget) -> Outcome:
+def _check_clique_chromatic(G: Group, budget: int) -> Outcome:
     cl, ch = _omega_chi(G, budget)
     st = nilpotent_structure(G)
     if st.is_cyclic:
@@ -307,7 +307,7 @@ def _check_clique_chromatic(G: Group, budget: SearchBudget) -> Outcome:
                    {"omega": cl.size, "chi": ch.chi}, cl.clique, ch.nodes)
 
 
-def _check_complete(G: Group, budget: SearchBudget) -> Outcome:
+def _check_complete(G: Group, budget: int) -> Outcome:
     factors, _, r = totient_profile(G.n)
     expected = (G.is_cyclic and r == 1 and G.n == factors[0][0]) \
         or (G.n == 4 and not G.is_cyclic)
@@ -316,13 +316,13 @@ def _check_complete(G: Group, budget: SearchBudget) -> Outcome:
     return Outcome(observed is expected, {"complete": expected}, {"complete": observed})
 
 
-def _check_eq_lex(G: Group, budget: SearchBudget) -> Outcome:
+def _check_eq_lex(G: Group, budget: int) -> Outcome:
     res = lex_decomposition_check(G)
     return Outcome(res.passed, {"edges": res.delta_edges},
                    {"edges": res.product_edges, "detail": res.detail})
 
 
-def _check_degree_frat(G: Group, budget: SearchBudget) -> Outcome:
+def _check_degree_frat(G: Group, budget: int) -> Outcome:
     if G.is_cyclic:
         raise _Skip("degree identity assumes a noncyclic group")
     degrees = generating_graph(G).graph.degrees
@@ -332,7 +332,7 @@ def _check_degree_frat(G: Group, budget: SearchBudget) -> Outcome:
     return Outcome(ok, {"phi": len(phi)}, {"all_degrees_scale": ok})
 
 
-def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
+def _check_cor_2_6(G: Group, budget: int) -> Outcome:
     A, amap, B, bmap = _coprime_split(G)
     # where[g] = a * |B| + b for g = amap[a] * bmap[b]
     where = np.argsort(G.table[np.ix_(amap, bmap)].ravel())
@@ -344,7 +344,7 @@ def _check_cor_2_6(G: Group, budget: SearchBudget) -> Outcome:
                    {"edges": edge_count(prod), "factors": [A.n, B.n]})
 
 
-def _check_remark_facts(G: Group, budget: SearchBudget) -> Outcome:
+def _check_remark_facts(G: Group, budget: int) -> Outcome:
     prof = degree_profile(G)
     return Outcome(prof.holds,
                    {"P2": str(prof.gen_probability),
@@ -356,7 +356,7 @@ def _check_remark_facts(G: Group, budget: SearchBudget) -> Outcome:
                     "classes": len(prof.classes)})
 
 
-def _check_prop_2_9(G: Group, budget: SearchBudget) -> Outcome:
+def _check_prop_2_9(G: Group, budget: int) -> Outcome:
     if G.is_cyclic:
         raise _Skip("statistic is defined for noncyclic groups")
     expected_radical = math.prod(nilpotent_structure(G).cyclic_primes)
@@ -404,7 +404,7 @@ def _prop_2_9_pair(G: Group) -> tuple[str, bool] | None:
     return None
 
 
-def _check_lem_3_1(G: Group, budget: SearchBudget) -> Outcome:
+def _check_lem_3_1(G: Group, budget: int) -> Outcome:
     graph = _guarded_delta(G)
     Q, _, phi = quotient_mod_frattini(G)
     kq = vertex_connectivity(delta_of(Q).graph).value
@@ -413,7 +413,7 @@ def _check_lem_3_1(G: Group, budget: SearchBudget) -> Outcome:
                    {"kappa": kg, "kappa_quotient": kq, "phi": len(phi)})
 
 
-def _check_rem_3_5(G: Group, budget: SearchBudget) -> Outcome:
+def _check_rem_3_5(G: Group, budget: int) -> Outcome:
     if not is_nilpotent(G):  # a subgroup of a nilpotent group is nilpotent
         D, _ = subgroup_as_group(G, sorted(derived_subgroup(G)))
         if not is_nilpotent(D):
@@ -427,7 +427,7 @@ def _check_rem_3_5(G: Group, budget: SearchBudget) -> Outcome:
                    {"lambda": lam, "diameter": diam}, cut)
 
 
-def _check_lem_5_3(G: Group, budget: SearchBudget) -> Outcome:
+def _check_lem_5_3(G: Group, budget: int) -> Outcome:
     A, _, B, _ = _coprime_split(G)
     ra = total_domination(delta_of(A).graph, budget)
     rb = total_domination(delta_of(B).graph, budget)
@@ -439,7 +439,7 @@ def _check_lem_5_3(G: Group, budget: SearchBudget) -> Outcome:
                    {"gamma_t": res.size, "factors": [ra.size, rb.size]}, nodes=nodes)
 
 
-def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:
+def _check_sandwich(G: Group, budget: int) -> Outcome:
     st = nilpotent_structure(G)
     if st.is_cyclic:
         raise _Skip("bounds apply to noncyclic groups")
@@ -455,13 +455,13 @@ def _check_sandwich(G: Group, budget: SearchBudget) -> Outcome:
 # counterexample candidate, with its certificate kept
 
 
-def _question_conn(G: Group, budget: SearchBudget) -> Outcome:
+def _question_conn(G: Group, budget: int) -> Outcome:
     conn, delta = _connectivity(G)
     return Outcome(conn.value == delta, {"kappa": delta},
                    {"kappa": conn.value, "delta": delta}, conn.cut)
 
 
-def _question_ham(G: Group, budget: SearchBudget) -> Outcome:
+def _question_ham(G: Group, budget: int) -> Outcome:
     if G.n < 3:  # C2 is outside the question
         return Outcome(True, {"hamiltonian": False}, {"excluded": True})
     graph = delta_of(G).graph
@@ -477,7 +477,7 @@ def _question_ham(G: Group, budget: SearchBudget) -> Outcome:
     return Outcome(ok, {"hamiltonian": True}, {"hamiltonian": ok}, res.cycle, res.nodes)
 
 
-def _question_chrom(G: Group, budget: SearchBudget) -> Outcome:
+def _question_chrom(G: Group, budget: int) -> Outcome:
     cl, ch = _omega_chi(G, budget)
     return Outcome(cl.size == ch.chi, {"omega_equals_chi": True},
                    {"omega": cl.size, "chi": ch.chi}, ch.coloring, ch.nodes)
@@ -491,7 +491,7 @@ def _question_chrom(G: Group, budget: SearchBudget) -> Outcome:
 class Check:
     """One registered check or question."""
 
-    compute: Callable[[Group, SearchBudget], Outcome]
+    compute: Callable[[Group, int], Outcome]
     nilpotent: bool             # gate: nilpotent and 2-generated, else 2-generated
     formula_only: bool = False  # cheap enough for oversized formula-only entries
     false_status: str = "fail"  # "counterexample" for an open question
@@ -533,7 +533,7 @@ def _gate(G: Group, nilpotent: bool) -> None:
         raise _Skip("NotTwoGenerated: more than 2 generators needed")
 
 
-def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
+def run_check(G: Group, check_id: str, budget: int = DEFAULT_BUDGET,
               name: str | None = None) -> CheckResult:
     """Run one registered check or question on one group.
 
@@ -574,7 +574,7 @@ def run_check(G: Group, check_id: str, budget: SearchBudget = DEFAULT_BUDGET,
                        out.expected, out.observed, certificate=cert, nodes=out.nodes)
 
 
-def scan_question(G: Group, which: str, budget: SearchBudget = DEFAULT_BUDGET,
+def scan_question(G: Group, which: str, budget: int = DEFAULT_BUDGET,
                   name: str | None = None) -> CheckResult:
     """Scan one open question on any 2-generated group; a Fail is flagged
     as a counterexample candidate with its certificates preserved."""
@@ -624,12 +624,13 @@ def default_catalog() -> tuple[CatalogEntry, ...]:
 
 
 def load_catalog_file(path: str) -> tuple[CatalogEntry, ...]:
-    """One spec per line; '#' starts a comment; optional trailing
+    """One spec per line; '#' starts a comment, except inside a 'file:'
+    path, which as in `build` runs to whitespace or '×'; optional trailing
     '!formula-only' marker."""
     entries = []
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = re.sub(r"(file:[^\s×]*)|#.*", lambda m: m.group(1) or "", raw).strip()
             if not line:
                 continue
             formula_only = line.endswith("!formula-only")
@@ -639,7 +640,7 @@ def load_catalog_file(path: str) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def run_catalog(entries, checks=CHECK_IDS, budget: SearchBudget = DEFAULT_BUDGET,
+def run_catalog(entries, checks=CHECK_IDS, budget: int = DEFAULT_BUDGET,
                 max_order: int | None = None,
                 catalog_name: str = "custom") -> Report:
     """Evaluate all (group, check) pairs in catalog order; build failures

@@ -572,7 +572,7 @@ def brute_total_domination(graph: Graph) -> int | None:
     return None
 
 
-def reference_total_domination(graph: Graph, max_nodes: int = 10_000_000,
+def reference_total_domination(graph: Graph, budget: int = 10_000_000,
                                lower_hint: int = 1):
     """(size, witness, nodes, exceeded) of the search in
     `search.total_domination`, written plainly: classes from np.unique, the
@@ -601,7 +601,7 @@ def reference_total_domination(graph: Graph, max_nodes: int = 10_000_000,
     def search(k: int, chosen: list[int], covered: int) -> list[int] | None:
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > budget:
             raise OutOfBudget
         if covered == full:
             return chosen.copy()
@@ -650,6 +650,62 @@ def milp_total_domination(graph: Graph) -> int:
                integrality=np.ones(n), bounds=(0, 1))
     assert res.success
     return int(round(res.fun))
+
+
+def milp_clique_number(graph: Graph) -> int:
+    """Independent ILP oracle for ω (HiGHS via scipy.optimize.milp): the
+    most vertices of the twin quotient with x_u + x_v ≤ 1 on each
+    non-adjacent pair.  Twins are not adjacent, so a clique holds at most
+    one vertex of a class, and the quotient has the graph's ω."""
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    quotient = unique_twin_classes(graph)[0]
+    n = quotient.n
+    us, vs = np.nonzero(np.triu(~quotient.adj, 1))
+    pairs = np.arange(us.size)
+    rows = coo_array((np.ones(2 * us.size), (np.r_[pairs, pairs], np.r_[us, vs])),
+                     shape=(us.size, n))
+    res = milp(c=-np.ones(n), constraints=LinearConstraint(rows, ub=np.ones(us.size)),
+               integrality=np.ones(n), bounds=(0, 1))
+    assert res.success
+    return int(round(-res.fun))
+
+
+def milp_colourable(graph: Graph, k: int, clique: tuple[int, ...]) -> bool:
+    """Independent ILP oracle (HiGHS via scipy.optimize.milp): whether the
+    graph has a proper k-colouring, decided on the twin quotient in the
+    assignment formulation, x[v, c] = 1 when vertex v takes colour c.  Twins
+    are not adjacent, so a colouring of the quotient lifts to the graph.
+    The i-th vertex of `clique` is fixed to colour i: its vertices take
+    distinct colours in any colouring, and renaming the colours maps any
+    colouring onto one that gives them these, so this loses no generality."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    if len(clique) > k:
+        return False
+    quotient, _, cls = unique_twin_classes(graph)
+    n = quotient.n
+    us, vs = np.nonzero(np.triu(quotient.adj, 1))
+    colours = np.arange(k)
+    # one colour per vertex: the n rows sum x[v, c] over c
+    one = coo_array((np.ones(n * k), (np.repeat(np.arange(n), k), np.arange(n * k))),
+                    shape=(n, n * k))
+    # no edge inside a colour class: x[u, c] + x[v, c] ≤ 1, one row per (edge, c)
+    m = us.size * k
+    rows = np.arange(m)
+    cols = np.r_[(us[:, None] * k + colours).ravel(), (vs[:, None] * k + colours).ravel()]
+    proper = coo_array((np.ones(2 * m), (np.r_[rows, rows], cols)), shape=(m, n * k))
+    lower = np.zeros(n * k)
+    for colour, v in enumerate(clique):
+        lower[cls[v] * k + colour] = 1
+    res = milp(c=np.zeros(n * k),
+               constraints=[LinearConstraint(one, lb=np.ones(n), ub=np.ones(n)),
+                            LinearConstraint(proper, ub=np.ones(m))],
+               integrality=np.ones(n * k), bounds=Bounds(lower, np.ones(n * k)))
+    assert res.status in (0, 2), res.message  # solved, or proved infeasible
+    return res.status == 0
 
 
 # ---------------------------------------------------------------------------

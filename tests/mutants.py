@@ -151,6 +151,11 @@ MUTANTS = (
            "    cols, _ = _row_classes(covers[rows].T)\n",
            "    cols, _ = _row_classes(graph.adj[rows].T)\n",
            "tests/test_search.py::test_domination_with_twins_and_marks_matches_brute_force"),
+    Mutant("the colouring search given the whole budget, not what the clique search left",
+           "search.py",
+           "    counter = _Counter(max(0, budget - cl.nodes))\n",
+           "    counter = _Counter(budget)\n",
+           "tests/test_search.py::test_colouring_search_is_charged_for_the_clique_search"),
     Mutant("twin classes keyed by degree instead of by row",
            "graphs.py",
            "    return _row_classes(graph.adj)\n",

@@ -45,10 +45,10 @@ from gengraph.groups import (
     quotient_mod_frattini,
     totient_profile,
 )
-from gengraph.search import SearchBudget, chromatic_number, clique_number, hamiltonian, total_domination
+from gengraph.search import chromatic_number, clique_number, hamiltonian, total_domination
 from gengraph.verify import default_catalog, run_catalog
 
-BUDGET = SearchBudget(10_000_000)
+BUDGET = 10_000_000
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -30,7 +30,7 @@ from gengraph.graphs import (
     verify_certificate,
 )
 from gengraph.groups import Group, frattini, is_nilpotent, sylow_masks, totient_profile
-from gengraph.search import SearchBudget, hamiltonian, total_domination
+from gengraph.search import hamiltonian, total_domination
 from gengraph.verify import default_catalog, run_check
 
 
@@ -161,7 +161,7 @@ NILPOTENT_CATALOG = [e.spec for e in default_catalog()
 def test_catalog_ham_without_search(group, spec):
     G = group(spec)
     assert is_nilpotent(G)
-    r = run_check(G, "THM_1_3_HAM", SearchBudget(), name=spec)
+    r = run_check(G, "THM_1_3_HAM", 10_000_000, name=spec)
     assert r.status == "pass" and r.nodes == 0, r
 
 
@@ -338,13 +338,13 @@ def test_nilpotent_td_one_search_per_budget(monkeypatch):
 
     monkeypatch.setattr(constructions, "total_domination", counting)
     G = build_group("C2^2 x C3^2")  # uncached, so no γt search has run on it
-    budget = SearchBudget(10_000_000)
+    budget = 10_000_000
     results = [run_check(G, check, budget, name="C2^2 x C3^2")
                for check in ("THM_1_4_TDN", "SANDWICH_5_5_5_6", "LEM_5_3_SUB")]
     assert [r.status for r in results] == ["pass"] * 3
     assert calls == [budget]
     # a different budget is a different search
-    assert nilpotent_td(G, SearchBudget(5_000_000)).size == 3
+    assert nilpotent_td(G, 5_000_000).size == 3
     assert len(calls) == 2
 
 
@@ -354,7 +354,7 @@ def test_memoised_functions_take_keywords():
     from gengraph.search import DEFAULT_BUDGET, chromatic_number
 
     G = build_group("C2^2 x C3")
-    small = SearchBudget(10)
+    small = 10
     for fn, obj in ((nilpotent_td, G), (chromatic_number, generating_graph(G).graph)):
         first = fn(obj)
         assert fn(obj, DEFAULT_BUDGET) is first

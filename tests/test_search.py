@@ -12,6 +12,9 @@ from conftest import (
     brute_hamiltonian,
     brute_total_domination,
     complete_multipartite,
+    lattice_test_groups,
+    milp_clique_number,
+    milp_colourable,
     milp_total_domination,
     permutation_table,
     planted_twins,
@@ -21,11 +24,10 @@ from conftest import (
     unique_twin_classes,
 )
 from gengraph.errors import DominationUndefinedError
-from gengraph.generating import delta_of
+from gengraph.generating import delta_of, generating_graph
 from gengraph.graphs import (Graph, complete_product, direct_product, twin_classes,
                              verify_certificate)
 from gengraph.search import (
-    SearchBudget,
     chromatic_number,
     clique_number,
     hamiltonian,
@@ -61,7 +63,7 @@ def test_hamiltonian_dirac_consistency(group):
 
 def test_hamiltonian_budget_exhaustion(group):
     d = delta_of(group("C2^2 x C3^2"))
-    res = hamiltonian(d.graph, SearchBudget(0))
+    res = hamiltonian(d.graph, 0)
     assert res.status == "budget" and res.cycle is None
 
 
@@ -90,7 +92,6 @@ def test_hamiltonian_deterministic(group):
 
 def test_clique_examples(group):
     assert clique_number(complete_multipartite([2, 2, 2])).size == 3
-    from gengraph.generating import generating_graph
     g12 = generating_graph(group("C12"))
     res = clique_number(g12.graph)
     assert res.size == 6  # phi(12) + pi(12)
@@ -118,8 +119,6 @@ def test_clique_matches_reference_search(seed, n, p):
 
 
 def test_clique_matches_reference_search_on_gamma(group):
-    from gengraph.generating import generating_graph
-
     for spec in ("C30", "C2^2 x C3^2", "Heis3", "Ex(1)"):
         graph = generating_graph(group(spec)).graph
         res = clique_number(graph)
@@ -132,14 +131,22 @@ def test_clique_result_cached_per_budget():
     res = chromatic_number(graph)
     assert res.clique == clique_number(graph)
     assert chromatic_number(graph) is res
-    assert chromatic_number(graph, SearchBudget()) is res  # the default, passed
-    assert chromatic_number(graph, SearchBudget(0)).clique.exceeded
+    assert chromatic_number(graph, 10_000_000) is res  # the default, passed
+    assert chromatic_number(graph, 0).clique.exceeded
     assert chromatic_number(graph) is res
 
 
 def test_clique_budget():
     g = complete_multipartite([3, 3, 3])
-    assert clique_number(g, SearchBudget(0)).exceeded
+    assert clique_number(g, 0).exceeded
+
+
+def test_negative_budget_raises():
+    for search, graph in ((hamiltonian, Graph.complete(4)), (clique_number, Graph.complete(3)),
+                          (chromatic_number, Graph.complete(3)),
+                          (total_domination, Graph.complete(3))):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            search(graph, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,6 @@ def test_chromatic_examples(group):
     res = chromatic_number(c5)
     assert res.chi == 3
     assert verify_certificate(c5, res.coloring)
-    from gengraph.generating import generating_graph
     g12 = generating_graph(group("C12"))
     assert chromatic_number(g12.graph).chi == 6
     g4 = generating_graph(group("C2^2"))
@@ -177,8 +183,31 @@ def test_chi_at_least_omega(seed, n):
     assert chromatic_number(graph).chi >= clique_number(graph).size
 
 
+def test_colouring_search_is_charged_for_the_clique_search():
+    # on Gamma(A5), chromatic_number spends 42 nodes, 15 of them finding ω
+    graph = generating_graph(lattice_test_groups()["A5"]).graph
+    full = chromatic_number(graph)
+    assert (full.chi, full.nodes, full.clique.nodes) == (9, 42, 15)
+    short = chromatic_number(graph, 41)
+    assert short.exceeded and short.chi is None and not short.clique.exceeded
+    assert chromatic_number(graph, 42).chi == 9
+
+
+def test_counterexamples_match_milp():
+    """ω < χ on Γ(A5) and Γ(S5), decided again by HiGHS: the MILP ω is the
+    search's clique size, no χ − 1 colouring exists and a χ colouring does."""
+    groups = lattice_test_groups()
+    for name, omega, chi in (("A5", 8, 9), ("S5", 13, 15)):
+        graph = generating_graph(groups[name]).graph
+        ch = chromatic_number(graph)
+        assert (ch.clique.size, ch.chi) == (omega, chi), name
+        assert milp_clique_number(graph) == ch.clique.size, name
+        clique = ch.clique.clique.vertices
+        assert not milp_colourable(graph, ch.chi - 1, clique), name
+        assert milp_colourable(graph, ch.chi, clique), name
+
+
 def test_chromatic_coloring_proper(group):
-    from gengraph.generating import generating_graph
     g = generating_graph(group("C2^2 x C3"))
     col = chromatic_number(g.graph).coloring
     assert verify_certificate(g.graph, col)
@@ -275,7 +304,7 @@ def test_domination_matches_the_plain_search(group):
         if not (graph.adj.any(axis=0) | marked).all():
             continue  # some vertex has no dominator
         for budget in (0, 3, 10_000_000):
-            res = total_domination(graph, SearchBudget(budget))
+            res = total_domination(graph, budget)
             witness = res.witness.vertices if res.witness is not None else None
             assert (res.size, witness, res.nodes, res.exceeded) == \
                 reference_total_domination(graph, budget)
@@ -300,8 +329,6 @@ def test_domination_with_twins_and_marks_matches_brute_force():
 
 
 def test_twin_quotient_matches_np_unique(group):
-    from gengraph.generating import generating_graph
-
     rng = np.random.default_rng(29)
     graphs = [planted_twins(rng, int(rng.integers(1, 8))) for _ in range(20)]
     graphs += [generating_graph(group(spec)).graph for spec in ("C12", "C2^2 x C3", "Heis3")]
@@ -338,7 +365,6 @@ def test_s5_searches_under_relabelling():
     # seeds 20 to 39 is 406
     from sympy.combinatorics.named_groups import SymmetricGroup
 
-    from gengraph.generating import generating_graph
     from gengraph.groups import Group
 
     s5 = Group(permutation_table(SymmetricGroup(5)), name="S5")

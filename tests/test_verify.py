@@ -26,7 +26,6 @@ from gengraph.graphs import (
     HamCycle,
     VertexCut,
 )
-from gengraph.search import SearchBudget
 from gengraph.verify import (
     CHECK_IDS,
     REGISTRY,
@@ -40,7 +39,7 @@ from gengraph.verify import (
     summarize,
 )
 
-BUDGET = SearchBudget(10_000_000)
+BUDGET = 10_000_000
 
 
 def test_run_check_examples(group):
@@ -203,13 +202,19 @@ def test_catalog_oversized_cayley_entry_recorded(tmp_path):
     assert "table entry out of range" in report.results[0].reason
 
 
-def test_catalog_file_loader(tmp_path):
+def test_catalog_file_loader(tmp_path, group):
+    table = tmp_path / "c#6.cayley"
+    save_cayley_file(group("C6"), table)
     path = tmp_path / "groups.txt"
     path.write_text("# a comment\nC6\nC2^2 x C9  # inline comment\n"
-                    "C2^2 x C3^2 x C5 !formula-only\n\n")
+                    "C2^2 x C3^2 x C5 !formula-only\nC6#note\n"
+                    f"C2 x file:{table}  # a '#' inside a path is the path's\n\n")
     entries = load_catalog_file(str(path))
-    assert [e.spec for e in entries] == ["C6", "C2^2 x C9", "C2^2 x C3^2 x C5"]
-    assert [e.formula_only for e in entries] == [False, False, True]
+    assert [e.spec for e in entries] == ["C6", "C2^2 x C9", "C2^2 x C3^2 x C5", "C6",
+                                         f"C2 x file:{table}"]
+    assert [e.formula_only for e in entries] == [False, False, True, False, False]
+    report = run_catalog(entries[-1:], ("LEM_2_1",), budget=BUDGET)
+    assert report.results[0].status == "pass", report.results[0]
 
 
 def test_report_json_schema(catalog_report):
@@ -486,19 +491,19 @@ def test_certificate_cap(group, monkeypatch):
 
 def test_budget_status_from_shared_search_step(group):
     for check in ("THM_1_5", "Q_CHROM"):
-        r = run_check(group("C2^2 x C3"), check, SearchBudget(1), name="G")
+        r = run_check(group("C2^2 x C3"), check, 1, name="G")
         assert r.status == "budget" and r.reason == "node budget exhausted"
         assert r.nodes >= 1
     # the γt checks share one search and each reports the nodes it spent;
     # LEM_5_3_SUB adds the searches on its two factors
     G = group("C2^2 x C3^2")
-    for budget in (SearchBudget(1), SearchBudget(3)):
+    for budget in (1, 3):
         tdn, sandwich, sub = (run_check(G, check, budget, name="G") for check in
                               ("THM_1_4_TDN", "SANDWICH_5_5_5_6", "LEM_5_3_SUB"))
         for r in (tdn, sandwich, sub):
             assert r.status == "budget" and r.reason == "node budget exhausted", r
             assert r.expected is None
-        assert tdn.nodes == sandwich.nodes > budget.max_nodes
+        assert tdn.nodes == sandwich.nodes > budget
         assert sub.nodes > tdn.nodes
 
 
