@@ -30,6 +30,7 @@ from .groups import (
     Group,
     frattini,
     is_nilpotent,
+    is_two_generated,
     nilpotent_structure,
     quotient_mod_frattini,
     totient_profile,

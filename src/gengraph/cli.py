@@ -280,9 +280,9 @@ def _cmd_hamcycle(args, out: list[str]) -> int:
     if not verify_certificate(dd.graph, res.cycle):
         out.append("status: certificate failed re-verification")
         return EXIT_FAIL
-    labels = [dd.group.labels[dd.vertex_elements[v]] for v in res.cycle.vertices]
+    labels = dd.labels
     out.append("status: hamiltonian")
-    out.append("cycle: " + " ".join(labels))
+    out.append("cycle: " + " ".join(labels[v] for v in res.cycle.vertices))
     witness = h_membership(dd.graph, res.cycle)
     if witness is not None and witness.chord_odd is not None:
         out.append(f"chords: odd {witness.chord_odd} even {witness.chord_even}")

@@ -32,6 +32,7 @@ from .groups import (
     Group,
     _closure_members,
     frattini,
+    is_two_generated,
     nilpotent_structure,
     radical,
     sylow_masks,
@@ -113,8 +114,8 @@ def nilpotent_hamiltonian(G: Group) -> HamiltonianResult:
     Nothing is searched, and the cycle is returned unverified: its
     callers verify it on Delta(G).
     """
-    st = nilpotent_structure(G)
-    if not st.two_generated:
+    nilpotent_structure(G)  # raises NotNilpotentError
+    if not is_two_generated(G):
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     dd = delta_of(G)
     if G.n < 3:
@@ -225,7 +226,7 @@ def nilpotent_td(G: Group, budget: int = DEFAULT_BUDGET) -> DominationResult:
     only the size, so the set is verified on Delta(G) before it is kept.
     """
     st = nilpotent_structure(G)
-    if not st.two_generated:
+    if not is_two_generated(G):
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     dd = delta_of(G)
     lower = 1

@@ -20,6 +20,7 @@ from .graphs import Graph
 from .groups import (
     Group,
     NilpotentStructure,
+    is_two_generated,
     isomorphism,
     nilpotent_structure,
     quotient_mod_frattini,
@@ -93,7 +94,6 @@ class ProfileClass:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    structure: NilpotentStructure
     classes: tuple[ProfileClass, ...]
     gen_probability: Fraction
     gen_probability_observed: Fraction
@@ -167,7 +167,7 @@ def degree_profile(G: Group) -> DegreeProfile:
     if G.n == 1:
         raise GengraphError(f"{G.name}: trivial group, outside the formulas")
     st = nilpotent_structure(G)
-    if not st.two_generated:
+    if not is_two_generated(G):
         raise NotTwoGeneratedError(f"{G.name} needs more than 2 generators")
     gg = generating_graph(G)
     degrees = gg.graph.degrees
@@ -188,7 +188,7 @@ def degree_profile(G: Group) -> DegreeProfile:
                                     formula_beta(st, subset), eps))
     ordered_pairs = 2 * gg.graph.edge_count + len(gg.graph.marks)
     pos = degrees[degrees > 0]
-    return DegreeProfile(st, tuple(classes),
+    return DegreeProfile(tuple(classes),
                          formula_gen_probability(st), Fraction(ordered_pairs, G.n * G.n),
                          formula_nonisolated(st), int(pos.size),
                          formula_min_degree(st), int(pos.min()) if pos.size else 0)

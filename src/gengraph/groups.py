@@ -78,23 +78,20 @@ class Group:
             raise GroupLawError("table entries must be integers")
         if table.min() < 0 or table.max() >= n:
             raise GroupLawError("table entries out of range")
-        table = np.ascontiguousarray(table, dtype=np.int32)
         self.n = n
-        self.table = table
+        self.table = np.ascontiguousarray(table, dtype=np.int32)
         self._validate()
-        inv = np.argmin(table != 0, axis=1).astype(np.int32)
-        self.inverses = inv
-        # the order of g is the first k >= 1 with g^k = 1
+        # the order of g is the first k >= 1 with g^k = 1; its inverse is g^(|g|-1)
         self.orders = (np.argmax(self.powers()[1:] == 0, axis=0) + 1).astype(np.int32)
+        self.inverses = self.powers()[self.orders - 1, np.arange(n)]
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         if len(labels) != n:
             raise GroupLawError("label count mismatch")
         self.labels = tuple(labels)
         self.name = name
-        self.table.setflags(write=False)
-        self.inverses.setflags(write=False)
-        self.orders.setflags(write=False)
+        for arr in (self.table, self.inverses, self.orders):
+            arr.setflags(write=False)
 
     # -- group laws ---------------------------------------------------------
 
@@ -159,13 +156,16 @@ class Group:
     def _cyclic_data(self):
         """(cyc_id per element, list of subgroup frozensets, least generator per id).
 
-        Row g of `member` marks the powers of g, that is ⟨g⟩; the ids number
-        its distinct rows in order of first occurrence (`_row_classes`)."""
-        member = np.zeros((self.n, self.n), dtype=bool)
-        member[np.arange(self.n)[:, None], self.powers().T] = True
-        reps, ids = _row_classes(member)
-        sets = [frozenset(np.flatnonzero(member[g]).tolist()) for g in reps]
-        return np.array(ids, dtype=np.int64), sets, reps
+        ⟨g⟩ is named by its least generator, the least g^j with gcd(j, |g|) = 1,
+        so ascending names follow the order of first occurrence, and ⟨g⟩ is
+        its least generator's column of `powers`."""
+        powers = self.powers()
+        least = powers[1]
+        for j in range(2, len(powers) - 1):
+            least = np.minimum(least, np.where(np.gcd(j, self.orders) == 1, powers[j], self.n))
+        reps, ids = np.unique(least, return_inverse=True)
+        sets = [frozenset(col) for col in powers[:, reps].T.tolist()]
+        return ids.astype(np.int64), sets, reps.tolist()
 
     @cached
     def _pair_gen_matrix(self) -> np.ndarray:
@@ -384,7 +384,6 @@ class NilpotentStructure:
     order: int
     cyclic_sylow: tuple[tuple[int, int], ...]
     noncyclic_sylow: tuple[tuple[int, int], ...]
-    two_generated: bool
 
     @property
     def r(self) -> int:
@@ -428,7 +427,7 @@ def is_nilpotent(G: Group) -> bool:
 
 
 def nilpotent_structure(G: Group) -> NilpotentStructure:
-    """Sylow cyclic/noncyclic split and 2-generation flag; raises if not nilpotent."""
+    """Sylow cyclic/noncyclic split, read off `sylow_masks`; raises if not nilpotent."""
     masks = sylow_masks(G)
     if masks is None:
         raise NotNilpotentError(f"{G.name} is not nilpotent")
@@ -436,7 +435,7 @@ def nilpotent_structure(G: Group) -> NilpotentStructure:
     for p, a in totient_profile(G.n)[0]:  # each Sylow p-subgroup has order p^a
         has_full = bool((G.orders[masks[p]] == p ** a).any())
         (cyclic if has_full else noncyclic).append((p, a))
-    return NilpotentStructure(G.n, tuple(cyclic), tuple(noncyclic), is_two_generated(G))
+    return NilpotentStructure(G.n, tuple(cyclic), tuple(noncyclic))
 
 
 def is_two_generated(G: Group) -> bool:
@@ -633,25 +632,28 @@ def isomorphism(G: Group, H: Group) -> np.ndarray:
     G's least generating pair (a, b) is sent to each generating pair
     (a', b') of H with |a'| = |a| and |b'| = |b| in turn, and the map is
     extended along G's right Cayley graph from 1 -> 1 by x·a -> x'·a' and
-    x·b -> x'·b'.  The first extension that is a bijective homomorphism is
-    returned; raises ValueError when none is.
+    x·b -> x'·b'.  The first extension that is a bijection keeping all 2n
+    edges, iso(x·a) = iso(x)·a' and iso(x·b) = iso(x)·b', is returned;
+    raises ValueError when none is.  That suffices: every y in G is a word
+    in a and b, so iso(x·y) = iso(x)·iso(y) by induction on the word.
     """
     if G.n != H.n:
         raise ValueError("groups of different orders")
     a, b = least_generating_pair(G)
-    match = (H.generating_pair_matrix() & (H.orders[:, None] == G.orders[a])
-             & (H.orders[None, :] == G.orders[b]))
-    for a2, b2 in np.argwhere(match).tolist():
-        iso = np.full(G.n, -1, dtype=np.int64)
-        iso[0] = 0
-        reached = [0]
-        for x in reached:
-            for g, h in ((a, a2), (b, b2)):
-                y = int(G.table[x, g])
-                if iso[y] < 0:
-                    iso[y] = H.table[iso[x], h]
-                    reached.append(y)
-        if (np.array_equal(np.sort(iso), np.arange(G.n))
-                and np.array_equal(iso[G.table], H.table[np.ix_(iso, iso)])):
-            return iso
+    gen = H.generating_pair_matrix()
+    for a2 in np.flatnonzero(H.orders == G.orders[a]).tolist():
+        for b2 in np.flatnonzero(gen[a2] & (H.orders == G.orders[b])).tolist():
+            iso = np.full(G.n, -1, dtype=np.int64)
+            iso[0] = 0
+            reached = [0]
+            for x in reached:
+                for g, h in ((a, a2), (b, b2)):
+                    y = int(G.table[x, g])
+                    if iso[y] < 0:
+                        iso[y] = H.table[iso[x], h]
+                        reached.append(y)
+            if np.array_equal(np.sort(iso), np.arange(G.n)) and all(
+                    np.array_equal(iso[G.table[:, g]], H.table[iso, h])
+                    for g, h in ((a, a2), (b, b2))):
+                return iso
     raise ValueError(f"no isomorphism {G.name} -> {H.name}")

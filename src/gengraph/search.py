@@ -270,11 +270,8 @@ def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
     adj = graph.bitmasks()
     for ci, v in enumerate(sorted(seed_clique)):
         colors[v] = ci
-    order_pool = [v for v in range(n) if colors[v] < 0]
-    for v in range(n):
-        if colors[v] >= 0:
-            for w in _bits_of(adj[v]):
-                domains[w] &= ~(1 << colors[v])
+        for w in _bits_of(adj[v]):
+            domains[w] &= ~(1 << ci)
 
     def assign(remaining: list[int], used: int) -> bool:
         counter.tick()
@@ -306,8 +303,7 @@ def _k_coloring(graph: Graph, k: int, seed_clique: tuple[int, ...],
         return False
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-    used0 = max((colors[v] for v in range(n) if colors[v] >= 0), default=-1)
-    if assign(order_pool, used0):
+    if assign([v for v in range(n) if colors[v] < 0], len(seed_clique) - 1):
         return Coloring(tuple(colors))
     return None
 

@@ -92,9 +92,19 @@ MUTANTS = (
            "tests/test_groups.py::test_closure_matches_brute_force"),
     Mutant("cyclic subgroups read off each element's first two powers only",
            "groups.py",
-           "member[np.arange(self.n)[:, None], self.powers().T] = True",
-           "member[np.arange(self.n)[:, None], self.powers()[:2].T] = True",
+           "        powers = self.powers()\n",
+           "        powers = self.powers()[:2]\n",
            "tests/test_groups.py::test_cyclic_data_matches_power_orbits"),
+    Mutant("an inverse read as g^|g|",
+           "groups.py",
+           "self.inverses = self.powers()[self.orders - 1, np.arange(n)]",
+           "self.inverses = self.powers()[self.orders, np.arange(n)]",
+           "tests/test_groups.py::test_generating_pairs"),
+    Mutant("isomorphism checking the b-edges only",
+           "groups.py",
+           "for g, h in ((a, a2), (b, b2))):",
+           "for g, h in ((b, b2),)):",
+           "tests/test_groups.py::test_isomorphism_refuses_non_isomorphic_groups"),
     Mutant("the pair matrix deciding a pair by counting at exactly n/p",
            "groups.py",
            "if len(a) * len(b) <= bound * len(a & b):",

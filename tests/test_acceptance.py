@@ -41,6 +41,7 @@ from gengraph.graphs import (
 )
 from gengraph.groups import (
     is_nilpotent,
+    is_two_generated,
     nilpotent_structure,
     quotient_mod_frattini,
     totient_profile,
@@ -66,7 +67,7 @@ def _nilpotent_catalog_entries():
     out = []
     for e in default_catalog():
         g = _g(e.spec, max(1000, e.max_order))
-        if g.n > 1 and is_nilpotent(g) and nilpotent_structure(g).two_generated:
+        if g.n > 1 and is_nilpotent(g) and is_two_generated(g):
             out.append((e.spec, g))
     return out
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from gengraph.groups import (
     derived_subgroup,
     frattini,
     is_nilpotent,
+    is_two_generated,
     isomorphism,
     maximal_subgroups,
     nilpotent_structure,
@@ -204,7 +207,7 @@ def test_nilpotent_structure_examples(group):
     st_ = nilpotent_structure(group("C2^2 x C9"))
     assert st_.cyclic_sylow == ((3, 2),)
     assert st_.noncyclic_sylow == ((2, 2),)
-    assert st_.r == 1 and st_.s == 1 and st_.two_generated
+    assert st_.r == 1 and st_.s == 1 and is_two_generated(group("C2^2 x C9"))
 
     st12 = nilpotent_structure(group("C12"))
     assert st12.r == 2 and st12.s == 0
@@ -216,13 +219,52 @@ def test_nilpotent_structure_examples(group):
 
 def test_nilpotent_structure_trivial(group):
     st1 = nilpotent_structure(group("C1"))
-    assert st1.r == 0 and st1.s == 0 and st1.is_cyclic and st1.two_generated
+    assert st1.r == 0 and st1.s == 0 and st1.is_cyclic and is_two_generated(group("C1"))
 
 
 def test_not_two_generated(group):
-    g = group("C2^3")
-    st_ = nilpotent_structure(g)
-    assert not st_.two_generated
+    assert not is_two_generated(group("C2^3"))
+
+
+def test_nilpotent_structure_builds_no_pair_matrix(monkeypatch):
+    """The Sylow split is read off `sylow_masks` alone: on freshly built
+    groups it needs no pair-generation matrix."""
+    def unavailable(G):
+        raise AssertionError(f"the pair matrix of {G.name} asked for")
+
+    fresh = [build_group("C2^2 x C3"), build_group("Heis3")]
+    for name in ("generating_pair_matrix", "_pair_gen_matrix"):
+        monkeypatch.setattr(Group, name, unavailable)
+    split = [(s.cyclic_sylow, s.noncyclic_sylow) for s in map(nilpotent_structure, fresh)]
+    assert split == [(((3, 1),), ((2, 2),)), ((), ((3, 3),))]
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orders_and_inverses_form_no_square_array(monkeypatch):
+    """Past Light's test, a Group reads its orders and inverses off the
+    power table: with the validation stubbed out, building the n = 900
+    product from its table peaks at no more than n²/2 bytes."""
+    g = build_group("C2^2 x C3^2 x C5^2", max_order=1000)
+    monkeypatch.setattr(Group, "_validate", lambda self: None)
+    Group(build_group("C2 x C3").table)  # first calls, outside the measure
+    assert _peak_bytes(lambda: Group(g.table)) <= g.n * g.n / 2
+
+
+def test_cyclic_data_forms_no_square_array():
+    """`_cyclic_data` reads each ⟨g⟩ off the power table: on the n = 900
+    product, tracemalloc peaks at no more than n²/2 bytes."""
+    build_group("C2 x C3")._cyclic_data()  # first calls, outside the measure
+    g = build_group("C2^2 x C3^2 x C5^2", max_order=1000)
+    assert _peak_bytes(g._cyclic_data) <= g.n * g.n / 2
 
 
 def test_quotient_mod_frattini(group):
@@ -319,10 +361,16 @@ def test_isomorphism_of_frattini_quotients(group):
 
 
 def test_isomorphism_refuses_non_isomorphic_groups(group):
+    from sympy.combinatorics.named_groups import DihedralGroup
+
     with pytest.raises(ValueError):
         isomorphism(group("C4"), group("C2^2"))
     with pytest.raises(ValueError):
         isomorphism(group("C6"), group("C4"))
+    # one candidate C2 x C4 -> D8 is a bijection that keeps every b-edge of
+    # the Cayley graph and breaks an a-edge
+    with pytest.raises(ValueError):
+        isomorphism(group("C2 x C4"), Group(permutation_table(DihedralGroup(4)), name="D8"))
 
 
 def test_isomorphism_of_relabelled_heisenberg(group):
