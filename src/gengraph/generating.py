@@ -60,7 +60,8 @@ def generating_graph(G: Group) -> GeneratingGraph:
     Loopless; for a group needing more than two generators this is the null
     graph on |G| vertices.  Built once per group.
     """
-    gen = G.generating_pair_matrix().copy()
+    ids = G._cyclic_data()[0]
+    gen = G.generating_pair_matrix()[np.ix_(ids, ids)]
     marks = np.flatnonzero(gen.diagonal())
     np.fill_diagonal(gen, False)
     return GeneratingGraph(Graph(gen, marks.tolist()), tuple(range(G.n)), G)

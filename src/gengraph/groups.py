@@ -61,6 +61,8 @@ class Group:
     checked by Light's test: the elements s with (xs)y = x(sy) for all x, y
     are closed under products, so it suffices to check them on a set S whose
     right products from the identity reach every element, in O(n^2 |S|).
+    Inverses need no scan: in a finite associative table with an identity,
+    g has an inverse exactly when a power of g is 1, which `powers()` checks.
     """
 
     __slots__ = ("n", "table", "inverses", "orders", "labels", "name", "_cache")
@@ -100,8 +102,6 @@ class Group:
         ar = np.arange(n)
         if not (np.array_equal(t[0], ar) and np.array_equal(t[:, 0], ar)):
             raise GroupLawError("index 0 is not a two-sided identity")
-        if not np.all(np.any(t == 0, axis=1)):
-            raise GroupLawError("some element has no inverse")
         # Light's test; greedy S: add the least unreached element until the
         # right-saturation of S from the identity covers the table.  The
         # saturation assumes no group law: `_closure_members` assumes
@@ -122,8 +122,9 @@ class Group:
             for lo in range(0, n, rows):
                 x = t[lo:lo + rows]
                 xs_y, x_sy = left[:len(x)], right[:len(x)]
-                np.take(t, x[:, s], axis=0, out=xs_y)
-                np.take(x, t[s], axis=1, out=x_sy)
+                # "clip" clips no range-checked entry; "raise" would buffer `out`
+                np.take(t, x[:, s], axis=0, out=xs_y, mode="clip")
+                np.take(x, t[s], axis=1, out=x_sy, mode="clip")
                 if not np.array_equal(xs_y, x_sy):
                     raise GroupLawError(f"associativity fails for element {s}")
 
@@ -146,7 +147,7 @@ class Group:
         rows = [np.zeros_like(ar), ar]
         while rows[-1].any():
             if len(rows) > self.n:
-                raise GroupLawError("some element's powers never reach the identity")
+                raise GroupLawError("no inverse: some element's powers never reach the identity")
             rows.append(self.table[rows[-1], ar])
         out = np.stack(rows)
         out.setflags(write=False)
@@ -168,8 +169,11 @@ class Group:
         return ids.astype(np.int64), sets, reps.tolist()
 
     @cached
-    def _pair_gen_matrix(self) -> np.ndarray:
+    def generating_pair_matrix(self) -> np.ndarray:
         """Boolean k*k matrix over cyclic-subgroup ids: does the join generate G.
+
+        Entry [ids[g], ids[h]], ids = `_cyclic_data()[0]`, says whether ⟨g, h⟩ = G;
+        `generating.generating_graph` expands it to the one n x n Γ(G).
 
         A pair of cyclic subgroups A, B is closed only if none of the three
         rules below decides it.  All three are sound for any A and B, so the
@@ -232,15 +236,8 @@ class Group:
                         continue
                 orbit = (images[:, i], images[:, j])
                 gen[orbit] = gen[orbit[::-1]] = True
+        gen.setflags(write=False)
         return gen
-
-    @cached
-    def generating_pair_matrix(self) -> np.ndarray:
-        """n*n boolean matrix: ⟨g,h⟩ = G (diagonal = single-element generation)."""
-        ids, _, _ = self._cyclic_data()
-        m = self._pair_gen_matrix()[np.ix_(ids, ids)]
-        m.setflags(write=False)
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +328,9 @@ def _closure_members(table: np.ndarray, seeds) -> frozenset[int]:
 
 def least_generating_pair(G: Group) -> tuple[int, int]:
     """Lexicographically least (a, b) with a < b and ⟨a,b⟩ = G."""
-    gen = G.generating_pair_matrix()
+    gen, ids = G.generating_pair_matrix(), G._cyclic_data()[0]
     for a in range(G.n):
-        row = np.flatnonzero(gen[a, a + 1:])
+        row = np.flatnonzero(gen[ids[a], ids[a + 1:]])
         if row.size:
             return a, int(row[0]) + a + 1
     raise NotTwoGeneratedError(f"{G.name} has no generating pair")
@@ -439,7 +436,7 @@ def nilpotent_structure(G: Group) -> NilpotentStructure:
 
 
 def is_two_generated(G: Group) -> bool:
-    return G.is_cyclic or bool(G.generating_pair_matrix().any())
+    return bool(G.generating_pair_matrix().any())
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +637,9 @@ def isomorphism(G: Group, H: Group) -> np.ndarray:
     if G.n != H.n:
         raise ValueError("groups of different orders")
     a, b = least_generating_pair(G)
-    gen = H.generating_pair_matrix()
+    gen, ids = H.generating_pair_matrix(), H._cyclic_data()[0]
     for a2 in np.flatnonzero(H.orders == G.orders[a]).tolist():
-        for b2 in np.flatnonzero(gen[a2] & (H.orders == G.orders[b])).tolist():
+        for b2 in np.flatnonzero(gen[ids[a2], ids] & (H.orders == G.orders[b])).tolist():
             iso = np.full(G.n, -1, dtype=np.int64)
             iso[0] = 0
             reached = [0]

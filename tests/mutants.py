@@ -105,6 +105,16 @@ MUTANTS = (
            "for g, h in ((a, a2), (b, b2))):",
            "for g, h in ((b, b2),)):",
            "tests/test_groups.py::test_isomorphism_refuses_non_isomorphic_groups"),
+    Mutant("the least generating pair read one column late",
+           "groups.py",
+           "gen[ids[a], ids[a + 1:]]",
+           "gen[ids[a], ids[a:-1]]",
+           "tests/test_groups.py::test_least_generating_pair_matches_all_pairs"),
+    Mutant("2-generation read off the diagonal only",
+           "groups.py",
+           "return bool(G.generating_pair_matrix().any())",
+           "return bool(G.generating_pair_matrix().diagonal().any())",
+           "tests/test_groups.py::test_nilpotent_structure_examples"),
     Mutant("the pair matrix deciding a pair by counting at exactly n/p",
            "groups.py",
            "if len(a) * len(b) <= bound * len(a & b):",
@@ -201,6 +211,11 @@ MUTANTS = (
            "    ia, ib = divmod(where, B.n)\n",
            "    ia, ib = divmod(where, A.n)\n",
            "tests/test_generating.py::test_identity_counts_match_the_edge_set_oracle"),
+    Mutant("Γ(G) expanded through sorted cyclic ids",
+           "generating.py",
+           "G.generating_pair_matrix()[np.ix_(ids, ids)]",
+           "G.generating_pair_matrix()[np.ix_(np.sort(ids), np.sort(ids))]",
+           "tests/test_generating.py::test_gamma_matches_brute_force"),
     Mutant("the Euler walk marking an edge at its near end only",
            "graphs.py",
            "                walked[w * n + v] = 1\n",

@@ -21,7 +21,8 @@ from conftest import (
     relabelled,
 )
 from gengraph.build import build_cached, build_group
-from gengraph.errors import GroupLawError, NotNilpotentError
+from gengraph.errors import GroupLawError, NotNilpotentError, NotTwoGeneratedError
+from gengraph.generating import generating_graph
 from gengraph.groups import (
     DEFAULT_MAX_ORDER,
     Group,
@@ -34,6 +35,7 @@ from gengraph.groups import (
     is_nilpotent,
     is_two_generated,
     isomorphism,
+    least_generating_pair,
     maximal_subgroups,
     nilpotent_structure,
     quotient_mod_frattini,
@@ -100,13 +102,31 @@ def test_closure_monotone_idempotent(n, data):
 
 
 def test_generating_pairs(group):
-    c6 = group("C6").generating_pair_matrix()
-    assert c6[1, 5]
-    assert not c6[2, 4]
-    c2sq = group("C2^2").generating_pair_matrix()
-    assert not c2sq[1, 1]
-    assert c2sq[1, 2]
-    assert c6[1, 1]  # single generator allowed
+    c6 = generating_graph(group("C6")).graph
+    assert c6.adj[1, 5]
+    assert not c6.adj[2, 4]
+    assert c6.marks == {1, 5}  # the single generators
+    c2sq = generating_graph(group("C2^2")).graph
+    assert not c2sq.marks
+    assert c2sq.adj[1, 2]
+
+
+def test_least_generating_pair_matches_all_pairs(group):
+    """The least a < b with ⟨a, b⟩ = G, against `all_pairs_gen_matrix`
+    expanded to the elements through `brute_cyclic_data`'s ids, on every
+    catalog entry that is not formula-only; NotTwoGeneratedError where
+    there is no such pair, as in C1 and C2^3."""
+    from gengraph.verify import default_catalog
+
+    for spec in [e.spec for e in default_catalog() if not e.formula_only] + ["C1", "C2^3"]:
+        g = group(spec)
+        ids = brute_cyclic_data(g)[0]
+        pairs = np.argwhere(np.triu(all_pairs_gen_matrix(g)[np.ix_(ids, ids)], 1))
+        if len(pairs):
+            assert least_generating_pair(g) == tuple(pairs[0].tolist()), spec
+        else:
+            with pytest.raises(NotTwoGeneratedError):
+                least_generating_pair(g)
 
 
 def _maximal_intersection(g: Group) -> frozenset[int]:
@@ -233,8 +253,7 @@ def test_nilpotent_structure_builds_no_pair_matrix(monkeypatch):
         raise AssertionError(f"the pair matrix of {G.name} asked for")
 
     fresh = [build_group("C2^2 x C3"), build_group("Heis3")]
-    for name in ("generating_pair_matrix", "_pair_gen_matrix"):
-        monkeypatch.setattr(Group, name, unavailable)
+    monkeypatch.setattr(Group, "generating_pair_matrix", unavailable)
     split = [(s.cyclic_sylow, s.noncyclic_sylow) for s in map(nilpotent_structure, fresh)]
     assert split == [(((3, 1),), ((2, 2),)), ((), ((3, 3),))]
 
@@ -257,6 +276,32 @@ def test_orders_and_inverses_form_no_square_array(monkeypatch):
     monkeypatch.setattr(Group, "_validate", lambda self: None)
     Group(build_group("C2 x C3").table)  # first calls, outside the measure
     assert _peak_bytes(lambda: Group(g.table)) <= g.n * g.n / 2
+
+
+def test_validation_forms_no_square_array():
+    """Table validation scans for no inverses and buffers no `np.take`
+    output: on the n = 900 product, `_validate` peaks at no more than
+    0.9 n² bytes."""
+    build_group("C2 x C3")._validate()  # first calls, outside the measure
+    g = build_group("C2^2 x C3^2 x C5^2", max_order=1000)
+    assert _peak_bytes(g._validate) <= 0.9 * g.n * g.n
+
+
+def test_gamma_is_the_only_square_pair_matrix():
+    """The group keeps the pair matrix over its k cyclic subgroups, and
+    `generating_graph` forms the one n x n Γ(G): on a fresh n = 900
+    product, Γ(G) and what it memoises retain at most 2 n² bytes."""
+    generating_graph(build_group("C2 x C3"))  # first calls, outside the measure
+    g = build_group("C2^2 x C3^2 x C5^2", max_order=1000)
+    tracemalloc.start()
+    try:
+        generating_graph(g)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    k = len(g._cyclic_data()[1])
+    assert g.generating_pair_matrix().shape == (k, k)
+    assert retained <= 2 * g.n * g.n
 
 
 def test_cyclic_data_forms_no_square_array():
@@ -307,10 +352,12 @@ def test_generation_descends_to_quotient(group):
         g = group(spec)
         Q, cmap, _ = quotient_mod_frattini(g)
         rng = np.random.default_rng(11)
+        gen, ids = g.generating_pair_matrix(), g._cyclic_data()[0]
+        qgen, qids = Q.generating_pair_matrix(), Q._cyclic_data()[0]
         for _ in range(40):
             a, b = rng.integers(0, g.n, size=2)
-            lhs = g.generating_pair_matrix()[a, b]
-            rhs = Q.generating_pair_matrix()[cmap[a], cmap[b]]
+            lhs = gen[ids[a], ids[b]]
+            rhs = qgen[qids[cmap[a]], qids[cmap[b]]]
             assert lhs == rhs, (spec, a, b)
 
 
@@ -658,7 +705,7 @@ def test_pair_matrix_matches_all_pairs_closure(group):
     # every default-catalog group, up to n = 900, cyclic ones included
     for spec in [e.spec for e in default_catalog()]:
         g = group(spec)
-        assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g)), spec
+        assert np.array_equal(g.generating_pair_matrix(), all_pairs_gen_matrix(g)), spec
 
 
 def test_cyclic_data_matches_power_orbits(group):
@@ -698,7 +745,7 @@ def test_pair_matrix_closures(monkeypatch):
     per_entry = []
     for g in fresh:
         calls.clear()
-        g._pair_gen_matrix()
+        g.generating_pair_matrix()
         per_entry.append(len(calls))
     assert sum(per_entry) == 169
     assert sum(c for c, e in zip(per_entry, entries) if not e.formula_only) == 109
@@ -715,7 +762,7 @@ def test_pair_matrix_matches_all_pairs_closure_under_relabelling(group):
         cases[spec] = group(spec)
     for name, g in cases.items():
         for copy in [Group(g.table, name=name)] + [relabelled(g, seed)[0] for seed in (1, 2, 3)]:
-            assert np.array_equal(copy._pair_gen_matrix(), all_pairs_gen_matrix(copy)), copy.name
+            assert np.array_equal(copy.generating_pair_matrix(), all_pairs_gen_matrix(copy)), copy.name
 
 
 def _counted_pairs(g: Group) -> np.ndarray:
@@ -732,7 +779,7 @@ def test_pair_matrix_counting_is_strict(group):
     # trivially, so |AB| = 9 = n/p, yet they join to a subgroup of order 9
     h = group("Heis3")
     _, sets, reps = h._cyclic_data()
-    gen, oracle = h._pair_gen_matrix(), all_pairs_gen_matrix(h)
+    gen, oracle = h.generating_pair_matrix(), all_pairs_gen_matrix(h)
     pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
              if len(sets[i]) == len(sets[j]) == 3
              and int(h.table[reps[i], reps[j]]) == int(h.table[reps[j], reps[i]])]
@@ -748,7 +795,7 @@ def test_pair_matrix_of_permutation_groups():
     # the nilpotent D8; the non-nilpotent S3, A4, S4, A5 and S5 are in
     # test_pair_matrix_read_off_matches_all_pairs_closure
     g = Group(permutation_table(DihedralGroup(4)))
-    assert np.array_equal(g._pair_gen_matrix(), all_pairs_gen_matrix(g))
+    assert np.array_equal(g.generating_pair_matrix(), all_pairs_gen_matrix(g))
     # non-nilpotent groups with Φ(G) ≠ 1: counting decides some generating
     # pairs but not all of them, so closures decide the rest
     for g in (_dihedral(9), _dihedral(12)):
@@ -757,7 +804,7 @@ def test_pair_matrix_of_permutation_groups():
         counted = _counted_pairs(g)
         assert counted.any() and (oracle & ~counted).any(), g.name
         assert not (counted & ~oracle).any(), g.name
-        assert np.array_equal(g._pair_gen_matrix(), oracle), g.name
+        assert np.array_equal(g.generating_pair_matrix(), oracle), g.name
 
 
 def _dihedral(m: int) -> Group:
@@ -793,7 +840,7 @@ def test_pair_matrix_read_off_matches_all_pairs_closure(group, monkeypatch):
     oracles = [all_pairs_gen_matrix(g) for g in cases]
     _without_lattice(monkeypatch)
     for g, oracle in zip(cases, oracles):
-        assert np.array_equal(g._pair_gen_matrix(), oracle), g.name
+        assert np.array_equal(g.generating_pair_matrix(), oracle), g.name
 
 
 def test_pair_matrix_reads_no_maximal_subgroups_off_its_route(group, monkeypatch):
@@ -813,5 +860,5 @@ def test_pair_matrix_reads_no_maximal_subgroups_off_its_route(group, monkeypatch
     assert s3_c2cubed.n == 48 and not is_nilpotent(s3_c2cubed)
     _without_lattice(monkeypatch)
     for g in nilpotent:
-        g._pair_gen_matrix()
-    assert not s3_c2cubed._pair_gen_matrix().any()
+        g.generating_pair_matrix()
+    assert not s3_c2cubed.generating_pair_matrix().any()
